@@ -1,0 +1,9 @@
+"""Make the benchmark modules and the program importable from the tests.
+
+Run from the repository root: ``python3 -m pytest perfbench/tests``.
+"""
+import sys
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(BENCH), str(BENCH.parent / "src")]
