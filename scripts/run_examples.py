@@ -18,7 +18,6 @@ RUNS = [
     (4, 3),
     (5, 3),
     (5, 4),
-    (5, 3),
     (6, 4),
     (7, 5),
     (8, 6),
@@ -34,11 +33,7 @@ def main() -> int:
     if args.out_dir:
         Path(args.out_dir).mkdir(parents=True, exist_ok=True)
     worst = 0
-    seen = set()
     for n, d in RUNS:
-        if (n, d) in seen:
-            continue
-        seen.add((n, d))
         argv = ["simulate", "-n", str(n), "-d", str(d)]
         if args.json:
             argv.append("--json")

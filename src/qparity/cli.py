@@ -1,7 +1,8 @@
 """Command-line front end: simulate, solve, verify, table, sample.
 
 Exit codes: 0 success (or all checks passed), 1 infeasible spec or failed
-checks, 2 usage/input errors, 3 resource-envelope violations.
+checks, 2 usage/input errors, 3 resource-envelope violations or running out
+of memory.
 """
 from __future__ import annotations
 
@@ -471,6 +472,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.handler(args)
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError:
+        print(f"error: out of memory running {args.command!r}; use a smaller register", file=sys.stderr)
         return 3
     except (ValueError, IndexError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -22,8 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-import scipy.optimize
 
 from .linalg import Ket, Operator, UNITARY_ATOL
 
@@ -221,6 +219,8 @@ def reconstruct_general(u: Operator, tol: float = DEFAULT_GROUP_TOL) -> tuple[bo
     any admissible state of the diagonal problem gives an orthonormal orbit
     under U itself.
     """
+    import scipy.linalg  # deferred: scipy dominates `import qparity` otherwise
+
     m = u.entries
     dev = float(np.abs(m.conj().T @ m - np.eye(u.dim)).max())
     if dev > UNITARY_ATOL:
@@ -276,6 +276,8 @@ def brute_force_min_deviation(
     number of distinct eigenvalues; deviations are taken over Gram rows
     1 .. orbit_len-1.
     """
+    import scipy.optimize  # deferred: scipy dominates `import qparity` otherwise
+
     d = spec.d
     if orbit_len is None:
         orbit_len = classify_eigenphases(spec).s

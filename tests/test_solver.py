@@ -1,6 +1,10 @@
 """Unit tests for the orbit-orthonormality solver."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -267,3 +271,12 @@ class TestBruteForceOracle:
         dev, q = brute_force_min_deviation(roots_of_unity_spec(3), grid=0.02)
         assert dev < 1e-9
         assert q == pytest.approx(np.full(3, 1 / 3), abs=1e-6)
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy is imported by the two functions that use it, not by the package.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, qparity; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout.strip() == "[]"

@@ -8,9 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_ket_amps
-from qparity.linalg import Ket, basis_ket, fidelity, plus_state
+from qparity.linalg import Ket, basis_ket, fidelity, plus_state, tensor
 from qparity.states import (
+    FIDELITY_THRESHOLD,
+    ClassificationResult,
     Family,
+    _product_factorization,
     bitflip_all,
     classify,
     decomposition_state,
@@ -25,6 +28,59 @@ from qparity.states import (
     squared_weight_ratios,
     w,
 )
+
+
+def full_vector_candidates(n):
+    """Named families as full 2^n reference kets, in classify's trial order.
+
+    The flip flag marks families whose all-qubit-flipped twin is not already
+    in the list (W flips onto D(n, n-1)).
+    """
+    if n >= 2:
+        yield Family.GHZ, None, ghz(n), False
+        yield Family.W, 1, w(n), True
+    for k in range(n + 1):
+        yield Family.DICKE, k, dicke(n, k), False
+    if n >= 3:
+        yield Family.G, 1, g(n), False
+    for k in range(2, (n - 1) // 2 + 1):
+        yield Family.G_GENERAL, k, g_general(n, k), False
+
+
+def full_vector_classify(state, tol=1e-10):
+    """Oracle for classify: fidelities against full 2^n reference kets."""
+    n = len(state.factor_dims)
+    flipped = bitflip_all(state)
+    for family, k, ref, try_flip in full_vector_candidates(n):
+        f = fidelity(state, ref)
+        if f >= FIDELITY_THRESHOLD:
+            return ClassificationResult(family, n, k, False, f)
+        if try_flip:
+            f = fidelity(flipped, ref)
+            if f >= FIDELITY_THRESHOLD:
+                return ClassificationResult(family, n, k, True, f)
+    product = _product_factorization(state)
+    if product is not None:
+        f = fidelity(state, product)
+        if f >= FIDELITY_THRESHOLD:
+            return ClassificationResult(Family.PRODUCT, n, None, False, f)
+    dec = dicke_decompose(state)
+    if dec.residual < tol:
+        return ClassificationResult(Family.DICKE_SUM, n, None, False, 1.0 - dec.residual**2)
+    return ClassificationResult(Family.OTHER, n, None, False, 0.0)
+
+
+def assert_matches_oracle(state):
+    got = classify(state)
+    want = full_vector_classify(state)
+    assert (got.family, got.n, got.k, got.up_to_bitflip) == (
+        want.family,
+        want.n,
+        want.k,
+        want.up_to_bitflip,
+    )
+    assert got.fidelity == pytest.approx(want.fidelity, abs=1e-12)
+    return got
 
 
 def kron_chain(mats):
@@ -235,6 +291,47 @@ class TestClassification:
         result = classify(state)
         assert result.family in Family
         assert 0.0 <= result.fidelity <= 1.0 + 1e-12
+
+
+class TestClassifyAgainstFullVectorOracle:
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_named_families_with_phases_and_flips(self, n):
+        g_rng = np.random.default_rng(n)
+        for family, k, ref, _ in full_vector_candidates(n):
+            phase = np.exp(2j * np.pi * g_rng.random())
+            state = Ket(phase * ref.amps, ref.factor_dims, normalized=True)
+            got = assert_matches_oracle(state)
+            assert got.fidelity >= FIDELITY_THRESHOLD
+            assert_matches_oracle(bitflip_all(state))
+
+    @given(st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=40)
+    def test_random_dicke_sums(self, seed):
+        g_rng = np.random.default_rng(seed)
+        n = int(g_rng.integers(1, 11))
+        size = int(g_rng.integers(1, n + 2))
+        ks = g_rng.choice(n + 1, size=size, replace=False)
+        coeffs = {int(k): complex(g_rng.normal(), g_rng.normal()) for k in ks}
+        assert_matches_oracle(dicke_sum(n, coeffs))
+
+    @given(st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=40)
+    def test_product_states(self, seed):
+        g_rng = np.random.default_rng(seed)
+        n = int(g_rng.integers(1, 9))
+        factors = [Ket(random_ket_amps(g_rng, 2), (2,), normalized=True) for _ in range(n)]
+        assert_matches_oracle(tensor(factors))
+        assert_matches_oracle(basis_ket((2,) * n, int(g_rng.integers(0, 1 << n))))
+        assert_matches_oracle(plus_state(n))
+
+    @given(st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=40)
+    def test_random_states(self, seed):
+        g_rng = np.random.default_rng(seed)
+        n = int(g_rng.integers(1, 11))
+        got = assert_matches_oracle(Ket(random_ket_amps(g_rng, 1 << n), (2,) * n, normalized=True))
+        if n >= 3:
+            assert got.family is Family.OTHER
 
 
 class TestExpectations:
