@@ -61,7 +61,7 @@ def load_amplitude_file(path: str | Path) -> Ket:
         except ValueError as exc:
             raise ValueError(f"{path}: line {i + 2}: not numeric") from exc
     nrm = float(np.linalg.norm(amps))
-    if abs(nrm - 1.0) > 1e-6:
+    if not abs(nrm - 1.0) <= 1e-6:
         raise ValueError(f"{path}: state norm {nrm:.8f} too far from 1")
     return Ket(amps / nrm, dims, normalized=True)
 

@@ -44,7 +44,7 @@ class Ket:
             raise ValueError(f"{amps.size} amplitudes do not fill factors {dims}")
         if self.normalized:
             err = abs(float(np.sum(np.abs(amps) ** 2)) - 1.0)
-            if err > NORMALIZED_ATOL:
+            if not err <= NORMALIZED_ATOL:
                 raise ValueError(f"squared norm deviates from 1 by {err:.3e}")
         object.__setattr__(self, "amps", _freeze(amps))
         object.__setattr__(self, "factor_dims", dims)
@@ -191,12 +191,6 @@ def fidelity(a: Ket, b: Ket) -> float:
     return abs(inner(a, b)) ** 2
 
 
-def apply(op: Operator, k: Ket) -> Ket:
-    if op.dim != k.dim:
-        raise ValueError(f"dimension mismatch {op.dim} != {k.dim}")
-    return Ket(op.entries @ k.amps, k.factor_dims, normalized=k.normalized and op.unitary)
-
-
 def canonical_phase(k: Ket, tol: float = 1e-12) -> Ket:
     """Rotate the global phase so the first amplitude above ``tol`` is real positive."""
     mags = np.abs(k.amps)
@@ -205,32 +199,6 @@ def canonical_phase(k: Ket, tol: float = 1e-12) -> Ket:
         raise ValueError("cannot fix the phase of a (numerically) zero vector")
     lead = k.amps[nz[0]]
     return Ket(k.amps * (lead.conjugate() / abs(lead)), k.factor_dims, normalized=k.normalized)
-
-
-def index_to_digits(index: int, factor_dims: Sequence[int]) -> tuple[int, ...]:
-    """Mixed-radix digits of a flat basis index, most significant first."""
-    dims = tuple(int(d) for d in factor_dims)
-    total = math.prod(dims)
-    if not 0 <= index < total:
-        raise IndexError(f"basis index {index} outside [0, {total})")
-    digits = []
-    rem = index
-    for d in reversed(dims):
-        digits.append(rem % d)
-        rem //= d
-    return tuple(reversed(digits))
-
-
-def digits_to_index(digits: Sequence[int], factor_dims: Sequence[int]) -> int:
-    dims = tuple(int(d) for d in factor_dims)
-    if len(digits) != len(dims):
-        raise ValueError(f"{len(digits)} digits for {len(dims)} factors")
-    index = 0
-    for g, d in zip(digits, dims):
-        if not 0 <= g < d:
-            raise IndexError(f"digit {g} outside [0, {d})")
-        index = index * d + g
-    return index
 
 
 def hamming_weights(n: int) -> np.ndarray:

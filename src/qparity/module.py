@@ -8,10 +8,13 @@ Hadamard conjugate (|+><+| x I + |-><-| x X_d) with a computational-basis
 ancilla; it heralds the Hadamard-basis excitation number instead.
 
 The same physics is exposed twice on purpose: ``run_module`` simulates the
-couplings sequentially on a statevector, while ``build_projectors`` /
-``outcome_distribution`` work through the parity projectors
-P_i = d^(-1) sum_k w^(-ik) A^k with A the product of single-qubit phase
-marks.  The two routes must agree and are cross-checked in the test suite.
+couplings sequentially on a statevector, while the projector route works
+through P_i = d^(-1) sum_k w^(-ik) A^k: the mask wt(x) == i (mod d), read
+in the computational basis (phase) or after a Walsh-Hadamard transform
+(shift).  ``outcome_distribution`` and ``photonic_module_action`` apply that
+mask to the amplitudes under the statevector cap; only ``build_projectors``
+materializes 2^n x 2^n matrices, under the lower projector cap.  The two
+routes must agree and are cross-checked in the test suite.
 """
 from __future__ import annotations
 
@@ -31,7 +34,6 @@ from .linalg import (
     fourier_ket,
     hadamard,
     hamming_weights,
-    omega,
     pauli_x,
     pauli_z,
     tensor,
@@ -127,7 +129,7 @@ class ModuleConfig:
                 raise ValueError(
                     f"ancilla preparation has dimension {self.ancilla_prep.dim}, expected {self.d}"
                 )
-            if abs(self.ancilla_prep.norm() - 1.0) > 1e-10:
+            if not abs(self.ancilla_prep.norm() - 1.0) <= 1e-10:
                 raise ValueError("ancilla preparation must be normalized")
 
 
@@ -164,45 +166,38 @@ def projector_dim(i: int, n: int, d: int) -> int:
     return sum(math.comb(n, j) for j in range(i, n + 1, d))
 
 
-def _kron_power(m: np.ndarray, n: int) -> np.ndarray:
-    out = np.array([[1.0 + 0j]])
-    for _ in range(n):
-        out = np.kron(out, m)
-    return out
+def _hadamard_transform(a: np.ndarray, n: int) -> np.ndarray:
+    """H^(x)n applied along the first axis of ``a``, which has length 2^n."""
+    t = np.array(a, dtype=complex)
+    for q in range(n):
+        v = t.reshape(1 << q, 2, -1)
+        t = np.stack((v[:, 0] + v[:, 1], v[:, 0] - v[:, 1]), axis=1)
+    return t.reshape(a.shape) * 2.0 ** (-n / 2)
 
 
 def build_projectors(n: int, d: int, coupling: CouplingKind = CouplingKind.PHASE) -> ProjectorSet:
-    """Construct P_i = d^(-1) sum_k w^(-ik) A^k as explicit matrices.
+    """The parity projectors P_i = d^(-1) sum_k w^(-ik) A^k as explicit matrices.
 
-    For the phase coupling A is diagonal with entry w^(weight of x); for the
-    shift coupling every single-qubit mark is conjugated by a Hadamard.
+    For the phase coupling P_i is the diagonal mask wt(x) == i (mod d); for
+    the shift coupling it is that mask conjugated by H^(x)n.
     """
     if n < 1 or d < 2:
         raise ValueError(f"invalid register/ancilla sizes n={n}, d={d}")
     cap = projector_qubit_limit()
     if n > cap:
         raise ResourceLimitError(f"explicit projectors limited to {cap} qubits, requested {n}")
-    om = omega(d)
-    projectors = []
+    classes = hamming_weights(n) % d
+    masks = [(classes == i).astype(complex) for i in range(d)]
     if coupling is CouplingKind.PHASE:
-        wts = hamming_weights(n)
-        for i in range(d):
-            diag = np.zeros(1 << n, dtype=complex)
-            for k in range(d):
-                diag += om ** (k * (wts - i))
-            projectors.append(Operator(np.diag(diag / d), projector=True))
+        mats = [np.diag(mask) for mask in masks]
     elif coupling is CouplingKind.SHIFT:
-        h = hadamard().entries
-        powers = [_kron_power(h @ np.diag([1.0, om**k]) @ h, n) for k in range(d)]
-        for i in range(d):
-            total = np.zeros((1 << n, 1 << n), dtype=complex)
-            for k in range(d):
-                total += om ** (-i * k) * powers[k]
-            projectors.append(Operator(total / d, projector=True))
+        hyp = _hadamard_transform(np.eye(1 << n), n)
+        mats = [(hyp * mask) @ hyp for mask in masks]
     else:
         raise ValueError(f"unknown coupling {coupling!r}")
+    projectors = tuple(Operator(m, projector=True) for m in mats)
     dims = tuple(int(round(float(np.trace(p.entries).real))) for p in projectors)
-    return ProjectorSet(n=n, d=d, coupling=coupling, projectors=tuple(projectors), dims=dims)
+    return ProjectorSet(n=n, d=d, coupling=coupling, projectors=projectors, dims=dims)
 
 
 def _coupling_gate(d: int, coupling: CouplingKind) -> np.ndarray:
@@ -286,6 +281,19 @@ def _measurement_vectors(config: ModuleConfig, prep: Ket, custom: bool) -> tuple
     return vecs, list(range(d))
 
 
+def _check_register(state: Ket, n: int, coupling: CouplingKind) -> None:
+    """Input guard of the statevector routes: known coupling, n qubits within the cap, unit norm."""
+    if not isinstance(coupling, CouplingKind):
+        raise ValueError(f"unknown coupling {coupling!r}")
+    if tuple(state.factor_dims) != (2,) * n:
+        raise ValueError(f"input factors {state.factor_dims} do not match {n} qubits")
+    cap = statevector_qubit_limit()
+    if n > cap:
+        raise ResourceLimitError(f"statevector path limited to {cap} qubits, requested {n}")
+    if not abs(state.norm() - 1.0) <= 1e-10:
+        raise ValueError(f"input state must be normalized, norm is {state.norm():.12f}")
+
+
 def run_module(state: Ket, config: ModuleConfig, *, classify_states: bool = True) -> list[OutcomeRecord]:
     """Couple every qubit to the ancilla once, measure, and report all branches.
 
@@ -294,15 +302,7 @@ def run_module(state: Ket, config: ModuleConfig, *, classify_states: bool = True
     Probabilities additionally carry an exact rational value when the input
     is exactly |+>^n and the ancilla preparation is the default one.
     """
-    if tuple(state.factor_dims) != (2,) * config.n:
-        raise ValueError(
-            f"input factors {state.factor_dims} do not match {config.n} qubits"
-        )
-    cap = statevector_qubit_limit()
-    if config.n > cap:
-        raise ResourceLimitError(f"statevector path limited to {cap} qubits, requested {config.n}")
-    if abs(state.norm() - 1.0) > 1e-10:
-        raise ValueError(f"input state must be normalized, norm is {state.norm():.12f}")
+    _check_register(state, config.n, config.coupling)
     custom = config.ancilla_prep is not None
     prep = config.ancilla_prep if custom else default_ancilla(config.d, config.coupling)
     joint = tensor([state, prep])
@@ -330,21 +330,22 @@ def run_module(state: Ket, config: ModuleConfig, *, classify_states: bool = True
         cls = states.classify(post) if classify_states else None
         records.append(OutcomeRecord(m, parity, prob, exact, post, cls, False))
     total = sum(r.probability for r in records)
-    if abs(total - 1.0) > 1e-10:
+    if not abs(total - 1.0) <= 1e-10:
         raise RuntimeError(f"branch probabilities sum to {total}, not 1")
     return records
 
 
 def outcome_distribution(state: Ket, n: int, d: int, coupling: CouplingKind = CouplingKind.PHASE) -> list[float]:
-    """Heralding distribution p(j) = <state| P_j |state> via explicit projectors."""
-    if tuple(state.factor_dims) != (2,) * n:
-        raise ValueError(f"input factors {state.factor_dims} do not match {n} qubits")
-    if abs(state.norm() - 1.0) > 1e-10:
-        raise ValueError("input state must be normalized")
-    pset = build_projectors(n, d, coupling)
-    probs = [float(np.real(np.vdot(state.amps, p.entries @ state.amps))) for p in pset.projectors]
+    """Heralding distribution p(j) = <state| P_j |state> as a weight histogram.
+
+    p(j) sums |amplitude|^2 over the basis strings of weight j mod d, read
+    in the computational basis (phase) or the Hadamard basis (shift).
+    """
+    _check_register(state, n, coupling)
+    amps = state.amps if coupling is CouplingKind.PHASE else _hadamard_transform(state.amps, n)
+    probs = np.bincount(hamming_weights(n) % d, np.abs(amps) ** 2, minlength=d).tolist()
     total = sum(probs)
-    if abs(total - 1.0) > 1e-10:
+    if not abs(total - 1.0) <= 1e-10:
         raise RuntimeError(f"projector probabilities sum to {total}, not 1")
     return probs
 
@@ -355,23 +356,23 @@ def photonic_module_action(state: Ket, ancilla_index: int, d: int, coupling: Cou
     The ancilla starts in the Fourier vector |u_index> for the phase
     coupling and in the computational vector |index> for the shift
     coupling; the output is sum_i (P_i x V^i)|state>|ancilla> with V = Z_d
-    or X_d respectively.
+    or X_d respectively.  Each P_i|state> is the parity-i mask applied to
+    the amplitudes, in the Hadamard basis for the shift coupling.
     """
     n = len(state.factor_dims)
-    if any(dim != 2 for dim in state.factor_dims):
-        raise ValueError(f"register factors must be qubits, got {state.factor_dims}")
+    _check_register(state, n, coupling)
     if not 0 <= ancilla_index < d:
         raise IndexError(f"ancilla index {ancilla_index} outside [0, {d})")
-    pset = build_projectors(n, d, coupling)
-    if coupling is CouplingKind.PHASE:
-        anc = fourier_ket(d, ancilla_index).amps
-        step = pauli_z(d).entries
-    else:
-        anc = basis_ket((d,), ancilla_index).amps
-        step = pauli_x(d).entries
-    total = np.zeros((1 << n) * d, dtype=complex)
-    marked = np.array(anc)
-    for i in range(d):
-        total += np.kron(pset.projectors[i].entries @ state.amps, marked)
-        marked = step @ marked
-    return Ket(total, state.factor_dims + (d,), normalized=True)
+    shift = coupling is CouplingKind.SHIFT
+    anc = basis_ket((d,), ancilla_index) if shift else fourier_ket(d, ancilla_index)
+    step = (pauli_x(d) if shift else pauli_z(d)).entries
+    marked = [anc.amps]
+    for _ in range(d - 1):
+        marked.append(step @ marked[-1])
+    # Row x of the joint state is amps[x] V^(parity of x)|ancilla>, with the
+    # amplitudes and the parities read in the Hadamard basis for the shift.
+    amps = _hadamard_transform(state.amps, n) if shift else state.amps
+    joint = amps[:, None] * np.array(marked)[hamming_weights(n) % d]
+    if shift:
+        joint = _hadamard_transform(joint, n)
+    return Ket(joint.reshape(-1), state.factor_dims + (d,), normalized=True)

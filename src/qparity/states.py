@@ -315,10 +315,3 @@ def expectations(state: Ket) -> ExpectationReport:
         y_all=y_val.real,
         max_imag=max(abs(x_val.imag), abs(y_val.imag)),
     )
-
-
-def decomposition_state(dec: DickeDecomposition) -> Ket:
-    """Rebuild the normalized state described by a zero-residual decomposition."""
-    if dec.residual > 1e-9:
-        raise ValueError(f"decomposition has residual {dec.residual:.3e}; not a pure Dicke sum")
-    return dicke_sum(dec.n, dec.coeffs)

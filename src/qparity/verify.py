@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import solver, states
-from .linalg import Operator, hadamard, plus_state, tensor
+from .linalg import PROJECTOR_ATOL, Operator, hadamard, plus_state, tensor
 from .module import (
     CouplingKind,
     ModuleConfig,
@@ -21,9 +21,7 @@ from .module import (
     projector_dim,
     run_module,
 )
-
-PROJECTOR_ATOL = 1e-10
-STATE_FIDELITY = 1.0 - 1e-10
+from .states import FIDELITY_THRESHOLD
 
 
 @dataclass
@@ -129,7 +127,7 @@ def suite_examples() -> list[Check]:
         records = run_module(plus_state(n), ModuleConfig(n=n, d=n - 2))
         rec = next(r for r in records if r.parity == 1)
         cls = rec.classification
-        if cls.family is not states.Family.G or cls.fidelity < STATE_FIDELITY:
+        if cls.family is not states.Family.G or cls.fidelity < FIDELITY_THRESHOLD:
             gn.append(f"(n={n},d={n - 2}) got {cls.label()}")
     checks.append(_check("parity-1 branch at d=n-2 is G_n for n=5..9", gn))
 
@@ -143,7 +141,7 @@ def suite_examples() -> list[Check]:
             rec = next(r for r in records if r.parity == k)
             cls = rec.classification
             want = states.Family.G if k == 1 else states.Family.G_GENERAL
-            if cls.family is not want or cls.k != k or cls.fidelity < STATE_FIDELITY:
+            if cls.family is not want or cls.k != k or cls.fidelity < FIDELITY_THRESHOLD:
                 gnk.append(f"(n={n},d={d},k={k}) got {cls.label()}")
     checks.append(_check("parity-k branch at d=n-2k is G(n,k) whenever k < d", gnk))
     return checks

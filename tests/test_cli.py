@@ -107,6 +107,14 @@ class TestSimulate:
         assert code == 2
         assert "amplitude lines" in err
 
+    def test_nan_amplitude_rejected(self, capsys, tmp_path):
+        path = tmp_path / "nan.txt"
+        path.write_text("dims: 2\nnan 0\n1 0\n")
+        code, out, err = run_cli(capsys, ["simulate", "-d", "2", "--input", str(path)])
+        assert code == 2
+        assert out == ""
+        assert "norm" in err
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, _ = run_cli(
             capsys, ["simulate", "-d", "2", "--input", str(tmp_path / "nope.txt")]

@@ -10,16 +10,13 @@ from hypothesis import strategies as st
 from qparity.linalg import (
     Ket,
     Operator,
-    apply,
     basis_ket,
     canonical_phase,
-    digits_to_index,
     fidelity,
     fourier_ket,
     hadamard,
     hamming_weights,
     identity,
-    index_to_digits,
     inner,
     omega,
     pauli_x,
@@ -53,9 +50,9 @@ class TestClockAndShiftAlgebra:
     def test_shift_moves_basis_states(self, d):
         x = pauli_x(d)
         for j in range(d):
-            moved = apply(x, basis_ket((d,), j))
+            moved = x.entries @ basis_ket((d,), j).amps
             expect = basis_ket((d,), (j + 1) % d)
-            assert np.allclose(moved.amps, expect.amps)
+            assert np.allclose(moved, expect.amps)
 
     def test_clock_entries_qutrit(self):
         w = omega(3)
@@ -82,15 +79,15 @@ class TestFourierBasis:
         x = pauli_x(d)
         for k in range(d):
             u = fourier_ket(d, k)
-            assert np.allclose(apply(x, u).amps, omega(d) ** k * u.amps, atol=1e-12)
+            assert np.allclose(x.entries @ u.amps, omega(d) ** k * u.amps, atol=1e-12)
 
     @given(DIMS)
     def test_clock_cycles_fourier_states(self, d):
         # Z |u_k> = |u_{k-1 mod d}>
         z = pauli_z(d)
         for k in range(d):
-            out = apply(z, fourier_ket(d, k))
-            assert np.allclose(out.amps, fourier_ket(d, (k - 1) % d).amps, atol=1e-12)
+            out = z.entries @ fourier_ket(d, k).amps
+            assert np.allclose(out, fourier_ket(d, (k - 1) % d).amps, atol=1e-12)
 
     def test_zeroth_is_uniform(self):
         u0 = fourier_ket(5, 0)
@@ -112,6 +109,11 @@ class TestKetConstruction:
     def test_normalized_flag_enforced(self):
         with pytest.raises(ValueError):
             Ket(np.array([1.0, 1.0]), (2,), normalized=True)
+
+    def test_nan_amplitude_fails_normalized_flag(self):
+        # NaN compares False against every tolerance, so the check must fail closed.
+        with pytest.raises(ValueError):
+            Ket(np.array([np.nan, 1.0, 0.0, 0.0]), (2, 2), normalized=True)
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -212,23 +214,6 @@ class TestCanonicalPhase:
 
 
 class TestIndexing:
-    @given(st.lists(st.integers(min_value=1, max_value=5), min_size=1, max_size=5), st.data())
-    def test_digit_round_trip(self, dims, data):
-        total = math.prod(dims)
-        index = data.draw(st.integers(min_value=0, max_value=total - 1))
-        digits = index_to_digits(index, dims)
-        assert len(digits) == len(dims)
-        assert all(0 <= g < d for g, d in zip(digits, dims))
-        assert digits_to_index(digits, dims) == index
-
-    def test_known_mixed_radix(self):
-        assert index_to_digits(5, (2, 3)) == (1, 2)
-        assert digits_to_index((1, 2), (2, 3)) == 5
-
-    def test_bad_digit_rejected(self):
-        with pytest.raises(IndexError):
-            digits_to_index((0, 3), (2, 3))
-
     @given(st.integers(min_value=0, max_value=16))
     def test_hamming_weights_match_popcount(self, n):
         w = hamming_weights(n)
@@ -236,7 +221,3 @@ class TestIndexing:
         sample = range(1 << n) if n <= 10 else range(0, 1 << n, 97)
         for x in sample:
             assert w[x] == bin(x).count("1")
-
-    def test_apply_mismatch(self):
-        with pytest.raises(ValueError):
-            apply(pauli_x(3), basis_ket((2,), 0))

@@ -13,6 +13,11 @@ from qparity.linalg import (
     basis_ket,
     fidelity,
     fourier_ket,
+    hadamard,
+    hamming_weights,
+    omega,
+    pauli_x,
+    pauli_z,
     plus_state,
     tensor,
 )
@@ -39,6 +44,26 @@ from conftest import random_ket_amps
 def random_register(seed, n):
     g = np.random.default_rng(seed)
     return Ket(random_ket_amps(g, 1 << n), (2,) * n, normalized=True)
+
+
+def fourier_sum_projectors(n, d, coupling):
+    """Test-only oracle: P_i = d^(-1) sum_k w^(-ik) A^k summed term by term.
+
+    For the phase coupling A^k is diagonal with entries w^(k wt(x)); for the
+    shift coupling it is the n-fold Kronecker power of H diag(1, w^k) H.
+    """
+    om = omega(d)
+    if coupling is CouplingKind.PHASE:
+        wts = hamming_weights(n)
+        return [np.diag(sum(om ** (k * (wts - i)) for k in range(d)) / d) for i in range(d)]
+    h = hadamard().entries
+    powers = []
+    for k in range(d):
+        power = np.ones((1, 1), dtype=complex)
+        for _ in range(n):
+            power = np.kron(power, h @ np.diag([1.0, om**k]) @ h)
+        powers.append(power)
+    return [sum(om ** (-i * k) * powers[k] for k in range(d)) / d for i in range(d)]
 
 
 class TestProjectors:
@@ -77,6 +102,34 @@ class TestProjectors:
         shift = build_projectors(n, d, CouplingKind.SHIFT)
         for p, q in zip(phase.projectors, shift.projectors):
             assert np.allclose(q.entries, h_n @ p.entries @ h_n, atol=1e-10)
+
+    @pytest.mark.parametrize("coupling", list(CouplingKind))
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_projectors_match_fourier_sum_oracle(self, n, coupling):
+        for d in range(2, 7):
+            pset = build_projectors(n, d, coupling)
+            for p, ref in zip(pset.projectors, fourier_sum_projectors(n, d, coupling), strict=True):
+                assert np.abs(p.entries - ref).max() <= 1e-12
+
+    @pytest.mark.parametrize("coupling", list(CouplingKind))
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_mask_route_matches_fourier_sum_oracle(self, n, coupling):
+        state = random_register(100 + n, n)
+        for d in range(2, 7):
+            refs = fourier_sum_projectors(n, d, coupling)
+            branches = [ref @ state.amps for ref in refs]
+            probs = outcome_distribution(state, n, d, coupling)
+            expect = [float(np.vdot(b, b).real) for b in branches]
+            assert np.abs(np.array(probs) - expect).max() <= 1e-12
+            step = (pauli_x(d) if coupling is CouplingKind.SHIFT else pauli_z(d)).entries
+            for index in range(d):
+                anc = (basis_ket((d,), index) if coupling is CouplingKind.SHIFT else fourier_ket(d, index)).amps
+                joint = np.zeros((1 << n) * d, dtype=complex)
+                for b in branches:
+                    joint += np.kron(b, anc)
+                    anc = step @ anc
+                got = photonic_module_action(state, index, d, coupling).amps
+                assert np.abs(got - joint).max() <= 1e-12
 
     def test_rank_accounting_is_complete(self):
         for n in range(1, 9):
@@ -311,6 +364,16 @@ class TestDistributionAgreement:
         for r in records:
             assert r.probability == pytest.approx(probs[r.parity], abs=1e-10)
 
+    def test_nan_input_rejected(self):
+        # NaN compares False against every tolerance, so each norm check must fail closed.
+        state = Ket(np.array([np.nan, 1.0, 0.0, 0.0]), (2, 2))
+        with pytest.raises(ValueError, match="normalized"):
+            run_module(state, ModuleConfig(2, 2), classify_states=False)
+        with pytest.raises(ValueError, match="normalized"):
+            outcome_distribution(state, 2, 2)
+        with pytest.raises(ValueError, match="normalized"):
+            ModuleConfig(2, 2, ancilla_prep=Ket(np.array([np.nan, 1.0]), (2,)))
+
     def test_input_validation(self):
         with pytest.raises(ValueError):
             run_module(plus_state(3), ModuleConfig(2, 2))
@@ -318,6 +381,10 @@ class TestDistributionAgreement:
             run_module(Ket(np.array([1.0, 1.0, 0, 0]), (2, 2)), ModuleConfig(2, 2))
         with pytest.raises(ValueError):
             outcome_distribution(plus_state(3), 2, 2)
+        with pytest.raises(ValueError, match="coupling"):
+            outcome_distribution(plus_state(2), 2, 2, "shift")
+        with pytest.raises(ValueError, match="coupling"):
+            photonic_module_action(plus_state(2), 0, 2, "shift")
 
 
 class TestResourceEnvelope:
@@ -351,6 +418,32 @@ class TestResourceEnvelope:
         monkeypatch.setenv("QPARITY_MAX_QUBITS", "3")
         with pytest.raises(ResourceLimitError):
             build_projectors(4, 2)
+
+    @pytest.mark.parametrize("coupling", list(CouplingKind))
+    def test_mask_route_respects_statevector_cap(self, monkeypatch, coupling):
+        monkeypatch.setenv("QPARITY_MAX_QUBITS", "4")
+        with pytest.raises(ResourceLimitError):
+            outcome_distribution(plus_state(5), 5, 3, coupling)
+        with pytest.raises(ResourceLimitError):
+            photonic_module_action(plus_state(5), 0, 3, coupling)
+
+    def test_mask_route_runs_above_projector_cap(self, monkeypatch):
+        # n = 16 is beyond the explicit-projector cap but no 2^n x 2^n matrix is built.
+        monkeypatch.delenv("QPARITY_MAX_QUBITS", raising=False)
+        n, d = 16, 3
+        assert n > projector_qubit_limit()
+        state = plus_state(n)
+        phase = outcome_distribution(state, n, d, CouplingKind.PHASE)
+        assert phase == pytest.approx([projector_dim(i, n, d) / 2**n for i in range(d)], abs=1e-12)
+        assert outcome_distribution(state, n, d, CouplingKind.SHIFT) == pytest.approx([1, 0, 0], abs=1e-12)
+        parity = hamming_weights(n) % d
+        joint = photonic_module_action(state, 0, d, CouplingKind.PHASE).amps.reshape(1 << n, d)
+        for i in range(d):
+            branch = joint @ fourier_ket(d, (-i) % d).amps.conj()
+            assert np.allclose(branch, state.amps * (parity == i), atol=1e-12)
+        joint = photonic_module_action(state, 0, d, CouplingKind.SHIFT).amps.reshape(1 << n, d)
+        assert np.allclose(joint[:, 0], state.amps, atol=1e-12)
+        assert np.abs(joint[:, 1:]).max() <= 1e-12
 
 
 class TestHalfFilledBranch:

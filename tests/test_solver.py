@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qparity.linalg import Ket, Operator, apply, hadamard, pauli_x, pauli_z
+from qparity.linalg import Ket, Operator, hadamard, pauli_x, pauli_z
 from qparity.solver import (
     EigenphaseSpec,
     admissible_state,
@@ -195,14 +195,14 @@ class TestReconstructGeneral:
     def test_shift_is_feasible(self):
         feasible, v, spec = reconstruct_general(pauli_x(2))
         assert feasible
-        phi = apply(v, Ket(np.array([1.0, 1.0]) / math.sqrt(2), (2,), normalized=True))
+        phi = Ket(v.entries @ (np.array([1.0, 1.0]) / math.sqrt(2)), (2,), normalized=True)
         assert check_orbit(pauli_x(2), phi, 2).orthonormal
 
     def test_hadamard_is_feasible(self):
         # Eigenvalues +1 and -1: phases (0, pi), the qubit roots pattern.
         feasible, v, spec = reconstruct_general(hadamard())
         assert feasible
-        phi = apply(v, Ket(np.array([1.0, 1.0]) / math.sqrt(2), (2,), normalized=True))
+        phi = Ket(v.entries @ (np.array([1.0, 1.0]) / math.sqrt(2)), (2,), normalized=True)
         assert check_orbit(hadamard(), phi, 2).orthonormal
 
     def test_near_identity_rotation_infeasible(self):

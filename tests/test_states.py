@@ -16,7 +16,6 @@ from qparity.states import (
     _product_factorization,
     bitflip_all,
     classify,
-    decomposition_state,
     dicke,
     dicke_decompose,
     dicke_sum,
@@ -181,13 +180,8 @@ class TestDickeDecomposition:
     def test_round_trip_through_builder(self):
         original = dicke_sum(4, {0: 0.5, 2: 1.0, 4: -0.25})
         dec = dicke_decompose(original)
-        rebuilt = decomposition_state(dec)
+        rebuilt = dicke_sum(dec.n, dec.coeffs)
         assert fidelity(original, rebuilt) == pytest.approx(1.0, abs=1e-12)
-
-    def test_decomposition_state_rejects_residual(self):
-        dec = dicke_decompose(basis_ket((2, 2), 1))
-        with pytest.raises(ValueError):
-            decomposition_state(dec)
 
     def test_builder_validation(self):
         with pytest.raises(ValueError):
@@ -205,7 +199,8 @@ class TestPredictedBranch:
             for r in records:
                 if r.zero_probability:
                     continue
-                target = decomposition_state(predicted_branch(n, d, r.parity))
+                dec = predicted_branch(n, d, r.parity)
+                target = dicke_sum(dec.n, dec.coeffs)
                 assert fidelity(r.post_state, target) == pytest.approx(1.0, abs=1e-12)
 
     def test_explicit_enumeration_oracle(self):
