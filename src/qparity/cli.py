@@ -21,6 +21,7 @@ from .module import (
     ModuleConfig,
     OutcomeRecord,
     ResourceLimitError,
+    projector_dim,
     run_module,
 )
 from .reports import SCHEMA_VERSION, canonical_json, fmt_float, fmt_fraction, with_checksum
@@ -101,6 +102,12 @@ def _weights_display(dec: states.DickeDecomposition) -> str:
     return " ".join(f"{k}:{fmt_float(c)}" for k, c in sorted(dec.coeffs.items()))
 
 
+def _decomposition(rec: OutcomeRecord) -> states.DickeDecomposition:
+    """The branch's Dicke decomposition, taken from its classification when classify made one."""
+    known = rec.classification.decomposition if rec.classification else None
+    return known or states.dicke_decompose(rec.post_state)
+
+
 def _outcome_payload(rec: OutcomeRecord) -> dict:
     payload: dict = {
         "outcome": rec.outcome_label,
@@ -116,7 +123,7 @@ def _outcome_payload(rec: OutcomeRecord) -> dict:
             {"classification": None, "up_to_bitflip": None, "dicke_coeffs": None, "residual": None}
         )
         return payload
-    dec = states.dicke_decompose(rec.post_state)
+    dec = _decomposition(rec)
     ratios = states.squared_weight_ratios(dec)
     payload.update(
         {
@@ -165,7 +172,7 @@ def cmd_simulate(args) -> int:
             label = rec.classification.label()
             if rec.classification.up_to_bitflip:
                 label += " (up to bitflip)"
-            weights = _weights_display(states.dicke_decompose(rec.post_state))
+            weights = _weights_display(_decomposition(rec))
         lines.append(
             f"{rec.parity:>6}  {rec.outcome_label:>7}  {exact:>10}  "
             f"{fmt_float(rec.probability):<16}  {label:<24}  {weights}"
@@ -266,7 +273,7 @@ def _table_dicke(max_n: int) -> tuple[list[str], list[dict]]:
     rows = []
     for n in range(2, max_n + 1):
         for k in range(n):
-            p = Fraction(sum(math.comb(n, j) for j in range(k, n + 1, n)), 1 << n)
+            p = Fraction(projector_dim(k, n, n), 1 << n)
             partner = (n - k) % n
             note = ""
             pair: Fraction | None = None
@@ -275,9 +282,7 @@ def _table_dicke(max_n: int) -> tuple[list[str], list[dict]]:
                     pair = p
                     note = "self-dual class: single outcome; doubling would overcount"
                 else:
-                    pair = p + Fraction(
-                        sum(math.comb(n, j) for j in range(partner, n + 1, n)), 1 << n
-                    )
+                    pair = p + Fraction(projector_dim(partner, n, n), 1 << n)
             rows.append(
                 {
                     "n": n,

@@ -36,7 +36,6 @@ from .linalg import (
     hamming_weights,
     pauli_x,
     pauli_z,
-    tensor,
 )
 
 DEFAULT_STATEVECTOR_MAX_QUBITS = 20
@@ -214,15 +213,11 @@ def _coupling_gate(d: int, coupling: CouplingKind) -> np.ndarray:
     return np.kron(ctrl0, np.eye(d, dtype=complex)) + np.kron(ctrl1, mark)
 
 
-def _apply_two_axes(joint: Ket, gate: np.ndarray, ax_a: int, ax_b: int) -> Ket:
-    dims = joint.factor_dims
-    t = joint.amps.reshape(dims)
-    t = np.moveaxis(t, (ax_a, ax_b), (0, 1))
-    lead_shape = t.shape[:2]
-    rest = t.shape[2:]
-    out = gate @ t.reshape(lead_shape[0] * lead_shape[1], -1)
-    out = np.moveaxis(out.reshape(lead_shape + rest), (0, 1), (ax_a, ax_b))
-    return Ket(out.reshape(-1), dims, normalized=joint.normalized)
+def _apply_gate(amps: np.ndarray, dims: tuple[int, ...], gate: np.ndarray, ax_a: int, ax_b: int) -> np.ndarray:
+    """``gate`` applied to tensor factors ``ax_a`` and ``ax_b`` of a flat amplitude array."""
+    t = np.moveaxis(amps.reshape(dims), (ax_a, ax_b), (0, 1))
+    out = gate @ t.reshape(t.shape[0] * t.shape[1], -1)
+    return np.moveaxis(out.reshape(t.shape), (0, 1), (ax_a, ax_b)).reshape(-1)
 
 
 def couple_once(joint: Ket, qubit: int, coupling: CouplingKind) -> Ket:
@@ -239,7 +234,8 @@ def couple_once(joint: Ket, qubit: int, coupling: CouplingKind) -> Ket:
         raise ValueError(f"register factors must be qubits, got {dims[:n]}")
     if not 0 <= qubit < n:
         raise IndexError(f"qubit index {qubit} outside [0, {n})")
-    return _apply_two_axes(joint, _coupling_gate(dims[-1], coupling), qubit, n)
+    amps = _apply_gate(joint.amps, dims, _coupling_gate(dims[-1], coupling), qubit, n)
+    return Ket(amps, dims, normalized=joint.normalized)
 
 
 def _is_uniform_plus(state: Ket) -> bool:
@@ -249,7 +245,7 @@ def _is_uniform_plus(state: Ket) -> bool:
 
 def _exact_parity_probability(n: int, d: int, coupling: CouplingKind, parity: int) -> Fraction:
     if coupling is CouplingKind.PHASE:
-        return Fraction(sum(math.comb(n, j) for j in range(parity, n + 1, d)), 1 << n)
+        return Fraction(projector_dim(parity, n, d), 1 << n)
     # |+>^n is the Hadamard-basis all-zero string: parity 0 with certainty.
     return Fraction(1 if parity == 0 else 0, 1)
 
@@ -281,10 +277,9 @@ def _measurement_vectors(config: ModuleConfig, prep: Ket, custom: bool) -> tuple
     return vecs, list(range(d))
 
 
-def _check_register(state: Ket, n: int, coupling: CouplingKind) -> None:
-    """Input guard of the statevector routes: known coupling, n qubits within the cap, unit norm."""
-    if not isinstance(coupling, CouplingKind):
-        raise ValueError(f"unknown coupling {coupling!r}")
+def _check_register(state: Ket, config: ModuleConfig) -> None:
+    """Statevector input guard; ``config`` has already rejected d < 2 and unknown couplings."""
+    n = config.n
     if tuple(state.factor_dims) != (2,) * n:
         raise ValueError(f"input factors {state.factor_dims} do not match {n} qubits")
     cap = statevector_qubit_limit()
@@ -302,14 +297,17 @@ def run_module(state: Ket, config: ModuleConfig, *, classify_states: bool = True
     Probabilities additionally carry an exact rational value when the input
     is exactly |+>^n and the ancilla preparation is the default one.
     """
-    _check_register(state, config.n, config.coupling)
+    _check_register(state, config)
     custom = config.ancilla_prep is not None
     prep = config.ancilla_prep if custom else default_ancilla(config.d, config.coupling)
-    joint = tensor([state, prep])
+    # couple_once on bare amplitudes: one gate, no per-qubit Ket copy and norm.
+    dims = (2,) * config.n + (config.d,)
+    gate = _coupling_gate(config.d, config.coupling)
+    amps = np.kron(state.amps, prep.amps)
     for q in range(config.n):
-        joint = couple_once(joint, q, config.coupling)
+        amps = _apply_gate(amps, dims, gate, q, config.n)
     vecs, parities = _measurement_vectors(config, prep, custom)
-    mat = joint.amps.reshape(1 << config.n, config.d)
+    mat = amps.reshape(1 << config.n, config.d)
     exact_ok = (not custom) and _is_uniform_plus(state)
     records = []
     for m in range(config.d):
@@ -341,7 +339,7 @@ def outcome_distribution(state: Ket, n: int, d: int, coupling: CouplingKind = Co
     p(j) sums |amplitude|^2 over the basis strings of weight j mod d, read
     in the computational basis (phase) or the Hadamard basis (shift).
     """
-    _check_register(state, n, coupling)
+    _check_register(state, ModuleConfig(n, d, coupling))
     amps = state.amps if coupling is CouplingKind.PHASE else _hadamard_transform(state.amps, n)
     probs = np.bincount(hamming_weights(n) % d, np.abs(amps) ** 2, minlength=d).tolist()
     total = sum(probs)
@@ -360,7 +358,7 @@ def photonic_module_action(state: Ket, ancilla_index: int, d: int, coupling: Cou
     the amplitudes, in the Hadamard basis for the shift coupling.
     """
     n = len(state.factor_dims)
-    _check_register(state, n, coupling)
+    _check_register(state, ModuleConfig(n, d, coupling))
     if not 0 <= ancilla_index < d:
         raise IndexError(f"ancilla index {ancilla_index} outside [0, {d})")
     shift = coupling is CouplingKind.SHIFT

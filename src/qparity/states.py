@@ -8,7 +8,7 @@ values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping
 
@@ -38,13 +38,19 @@ class Family(Enum):
 
 @dataclass(frozen=True)
 class ClassificationResult:
-    """Best matching family for a state, possibly after flipping every qubit."""
+    """Best matching family for a state, possibly after flipping every qubit.
+
+    ``decomposition`` is the Dicke decomposition that ``classify`` computed on
+    its way to DickeSum or Other, so callers need not repeat it; it is None
+    when a named family or a product state matched first.
+    """
 
     family: Family
     n: int
     k: int | None
     up_to_bitflip: bool
     fidelity: float
+    decomposition: DickeDecomposition | None = field(default=None, compare=False, repr=False)
 
     def label(self) -> str:
         if self.family is Family.DICKE:
@@ -294,8 +300,8 @@ def classify(state: Ket, tol: float = 1e-10) -> ClassificationResult:
             return ClassificationResult(Family.PRODUCT, n, None, False, f)
     dec = dicke_decompose(state)
     if dec.residual < tol:
-        return ClassificationResult(Family.DICKE_SUM, n, None, False, 1.0 - dec.residual**2)
-    return ClassificationResult(Family.OTHER, n, None, False, 0.0)
+        return ClassificationResult(Family.DICKE_SUM, n, None, False, 1.0 - dec.residual**2, dec)
+    return ClassificationResult(Family.OTHER, n, None, False, 0.0, dec)
 
 
 def expectations(state: Ket) -> ExpectationReport:

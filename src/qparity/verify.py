@@ -1,8 +1,9 @@
-"""Named self-check suites exposed through the command line.
+"""Named self-check suites: the one statement of every product-level claim.
 
 Each suite returns a list of Check results; a suite passes iff every check
 does.  Failures carry the offending (n, d, parity) combinations so a
-regression is directly actionable.
+regression is directly actionable.  ``qparity verify`` prints the suites,
+and ``tests/test_acceptance.py`` runs every suite as the acceptance gate.
 """
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import solver, states
-from .linalg import PROJECTOR_ATOL, Operator, hadamard, plus_state, tensor
+from .linalg import PROJECTOR_ATOL, Operator, fidelity, hadamard, plus_state, tensor
 from .module import (
     CouplingKind,
     ModuleConfig,
@@ -42,32 +43,32 @@ def _check(name: str, failures: list[str]) -> Check:
 
 
 def suite_projectors(max_n: int = 8) -> list[Check]:
-    herm: list[str] = []
-    idem: list[str] = []
+    # Operator(projector=True) checked P = P^dagger and P^2 = P when
+    # build_projectors made each matrix, so those laws are read off the flag
+    # here, and P_j P_i = (P_i P_j)^dagger leaves only the products i < j.
+    unchecked: list[str] = []
+    orth: list[str] = []
     comp: list[str] = []
     dims: list[str] = []
     dual: list[str] = []
     for n in range(2, max_n + 1):
         hyp = tensor([hadamard()] * n).entries
+        eye = np.eye(1 << n)
         for d in range(2, n + 1):
             sets = {c: build_projectors(n, d, c) for c in CouplingKind}
             for coupling, pset in sets.items():
-                eye = np.eye(1 << n)
-                total = np.zeros((1 << n, 1 << n), dtype=complex)
+                mats = [p.entries for p in pset.projectors]
                 for i, p in enumerate(pset.projectors):
-                    m = p.entries
-                    if np.abs(m.conj().T - m).max() > PROJECTOR_ATOL:
-                        herm.append(f"(n={n},d={d},k={i},{coupling.value})")
-                    total += m
-                    for j, q in enumerate(pset.projectors):
-                        ref = m if i == j else 0.0
-                        if np.abs(m @ q.entries - ref).max() > PROJECTOR_ATOL:
-                            idem.append(f"(n={n},d={d},k={i},{j},{coupling.value})")
-                if np.abs(total - eye).max() > PROJECTOR_ATOL:
-                    comp.append(f"(n={n},d={d},{coupling.value})")
-                for i, p in enumerate(pset.projectors):
-                    if pset.dims[i] != projector_dim(i, n, d):
+                    if not p.projector:
+                        unchecked.append(f"(n={n},d={d},k={i},{coupling.value})")
+                    for j in range(i + 1, d):
+                        if np.abs(mats[i] @ mats[j]).max() > PROJECTOR_ATOL:
+                            orth.append(f"(n={n},d={d},k={i},{j},{coupling.value})")
+                    rank = projector_dim(i, n, d)
+                    if pset.dims[i] != rank or abs(np.trace(mats[i]).real - rank) > PROJECTOR_ATOL:
                         dims.append(f"(n={n},d={d},k={i},{coupling.value})")
+                if np.abs(sum(mats) - eye).max() > PROJECTOR_ATOL:
+                    comp.append(f"(n={n},d={d},{coupling.value})")
                 if sum(pset.dims) != 1 << n:
                     dims.append(f"(n={n},d={d},{coupling.value}) total")
             for i in range(d):
@@ -75,50 +76,123 @@ def suite_projectors(max_n: int = 8) -> list[Check]:
                 if np.abs(conj - sets[CouplingKind.SHIFT].projectors[i].entries).max() > PROJECTOR_ATOL:
                     dual.append(f"(n={n},d={d},k={i})")
     return [
-        _check("projectors hermitian", herm),
-        _check("projectors idempotent and mutually orthogonal", idem),
+        _check("projectors hermitian", unchecked),
+        _check("projectors idempotent and mutually orthogonal", orth),
         _check("projectors complete (sum to identity)", comp),
         _check("projector ranks match binomial sums", dims),
         _check("shift projectors are Hadamard conjugates of phase projectors", dual),
     ]
 
 
-def _branch_failures(n: int, d: int) -> list[str]:
+# Squared-weight ratios of every branch heralded on |+>^n, written out by
+# hand: weight j enters with C(n, j), so a branch's ratios are the binomials
+# over its residue class j == parity (mod d).
+BRANCH_RATIOS = {
+    (4, 3): {0: {0: 1, 3: 4}, 1: {1: 4, 4: 1}, 2: {2: 1}},
+    (5, 3): {0: {0: 1, 3: 10}, 1: {1: 1, 4: 1}, 2: {2: 10, 5: 1}},
+    (5, 4): {0: {0: 1, 4: 5}, 1: {1: 5, 5: 1}, 2: {2: 1}, 3: {3: 1}},
+}
+
+
+def _branch_failures(n: int, d: int, ratios: dict[int, dict[int, int]]) -> list[str]:
     bad: list[str] = []
     records = run_module(plus_state(n), ModuleConfig(n=n, d=d))
     for rec in records:
         if rec.zero_probability:
+            bad.append(f"(n={n},d={d},k={rec.parity}) zero probability")
             continue
         dec = states.dicke_decompose(rec.post_state)
+        got = states.squared_weight_ratios(dec)
+        if got != ratios[rec.parity]:
+            bad.append(f"(n={n},d={d},k={rec.parity}) ratios {got}")
         pred = states.predicted_branch(n, d, rec.parity)
         if set(dec.coeffs) != set(pred.coeffs):
             bad.append(f"(n={n},d={d},k={rec.parity}) weights {sorted(dec.coeffs)}")
             continue
         err = max(abs(dec.coeffs[k] - pred.coeffs[k]) for k in pred.coeffs)
-        if err > 1e-10 or dec.residual > 1e-12:
+        if err >= 1e-10 or dec.residual >= 1e-12:
             bad.append(f"(n={n},d={d},k={rec.parity}) err={err:.2e} res={dec.residual:.2e}")
+    return bad
+
+
+def _gnk_failures(n: int, k: int) -> list[str]:
+    """The parity-(k mod d) branch of a d = n - 2k module run on |+>^n.
+
+    The branch carries the residue class {w <= n : w == k (mod d)}.  It is
+    G(n,k) = (D(n,k) + D(n,n-k))/sqrt(2) exactly when that class is {k, n-k},
+    which holds iff k < d, i.e. 3k < n.  Outside that domain (e.g. n=9, k=3,
+    class {0,3,6,9}) the branch's content is fixed by binomials alone, and no
+    branch of the run reaches G(n,k).
+    """
+    d = n - 2 * k
+    parity = k % d
+    weights = list(range(parity, n + 1, d))
+    tag = f"(n={n},d={d},k={k})"
+    records = run_module(plus_state(n), ModuleConfig(n=n, d=d))
+    rec = next(r for r in records if r.parity == parity)
+    cls = rec.classification
+    target = states.g_general(n, k)
+    fid = fidelity(rec.post_state, target)
+    named = cls.family is (states.Family.G if k == 1 else states.Family.G_GENERAL) and cls.k == k
+    if set(weights) == {k, n - k}:
+        if not named or min(cls.fidelity, fid) < FIDELITY_THRESHOLD:
+            return [f"{tag} got {cls.label()}, fidelity {fid:.12f}"]
+        return []
+    bad = []
+    if named:
+        bad.append(f"{tag} classified {cls.label()} outside the domain")
+    combs = {wt: math.comb(n, wt) for wt in weights}
+    total = sum(combs.values())
+    common = math.gcd(*combs.values())
+    dec = states.dicke_decompose(rec.post_state)
+    if sorted(dec.coeffs) != weights:
+        bad.append(f"{tag} Dicke weights {sorted(dec.coeffs)}, expected {weights}")
+    ratios = states.squared_weight_ratios(dec)
+    if ratios != {wt: c // common for wt, c in combs.items()}:
+        bad.append(f"{tag} squared-weight ratios {ratios}")
+    if rec.probability_exact != Fraction(total, 1 << n):
+        bad.append(f"{tag} p = {rec.probability_exact}, expected {Fraction(total, 1 << n)}")
+    want_fid = (math.sqrt(combs[k]) + math.sqrt(combs[n - k])) ** 2 / (2 * total)
+    if abs(fid - want_fid) > 1e-12:
+        bad.append(f"{tag} fidelity {fid!r} to G(n,k), expected {want_fid!r}")
+    best = max(fidelity(r.post_state, target) for r in records if r.post_state is not None)
+    if best >= FIDELITY_THRESHOLD:
+        bad.append(f"{tag} some branch reaches fidelity {best!r} to G(n,k)")
     return bad
 
 
 def suite_examples() -> list[Check]:
     checks = []
     decomp: list[str] = []
-    for n, d in [(4, 3), (5, 3), (5, 4)]:
-        decomp += _branch_failures(n, d)
+    for (n, d), ratios in BRANCH_RATIOS.items():
+        decomp += _branch_failures(n, d, ratios)
     checks.append(_check("small-register branches match closed-form Dicke content", decomp))
 
     labels: list[str] = []
+    w3 = states.w(3)
     expected = {
-        (3, 3): {0: "GHZ", 1: "W", 2: "W"},
-        (4, 3): {2: "Dicke(4,2)"},
-        (5, 4): {2: "Dicke(5,2)", 3: "Dicke(5,3)"},
+        (3, 3): {
+            0: ("GHZ", False, states.ghz(3)),
+            1: ("W", False, w3),
+            2: ("W", True, states.bitflip_all(w3)),
+        },
+        (4, 3): {2: ("Dicke(4,2)", False, states.dicke(4, 2))},
+        (5, 4): {2: ("Dicke(5,2)", False, states.dicke(5, 2)), 3: ("Dicke(5,3)", False, states.dicke(5, 3))},
     }
     for (n, d), want in expected.items():
         records = run_module(plus_state(n), ModuleConfig(n=n, d=d))
+        if len(records) != d:
+            labels.append(f"(n={n},d={d}) {len(records)} branches, expected {d}")
         for rec in records:
-            if rec.parity in want and rec.classification.label() != want[rec.parity]:
+            if rec.parity not in want:
+                continue
+            label, flipped, ref = want[rec.parity]
+            cls = rec.classification
+            fid = fidelity(rec.post_state, ref)
+            if cls.label() != label or cls.up_to_bitflip != flipped or fid < FIDELITY_THRESHOLD:
                 labels.append(
-                    f"(n={n},d={d},k={rec.parity}) got {rec.classification.label()}"
+                    f"(n={n},d={d},k={rec.parity}) got {cls.label()} "
+                    f"(up_to_bitflip={cls.up_to_bitflip}), fidelity {fid:.12f}"
                 )
     checks.append(_check("anchor branches classify as GHZ/W/Dicke", labels))
 
@@ -132,17 +206,9 @@ def suite_examples() -> list[Check]:
     checks.append(_check("parity-1 branch at d=n-2 is G_n for n=5..9", gn))
 
     gnk: list[str] = []
-    for n in range(5, 10):
-        for k in range(1, (n - 1) // 3 + 1):
-            d = n - 2 * k
-            if d < 2 or k >= d:
-                continue
-            records = run_module(plus_state(n), ModuleConfig(n=n, d=d))
-            rec = next(r for r in records if r.parity == k)
-            cls = rec.classification
-            want = states.Family.G if k == 1 else states.Family.G_GENERAL
-            if cls.family is not want or cls.k != k or cls.fidelity < FIDELITY_THRESHOLD:
-                gnk.append(f"(n={n},d={d},k={k}) got {cls.label()}")
+    for n in range(5, 11):
+        for k in range(1, (n - 2) // 2 + 1):
+            gnk += _gnk_failures(n, k)
     checks.append(_check("parity-k branch at d=n-2k is G(n,k) whenever k < d", gnk))
     return checks
 
@@ -153,7 +219,7 @@ def suite_probabilities(max_n: int = 12) -> list[Check]:
     w_rate: list[str] = []
     gain: list[str] = []
     for n in range(2, max_n + 1):
-        records = run_module(plus_state(n), ModuleConfig(n=n, d=n), classify_states=False)
+        records = run_module(plus_state(n), ModuleConfig(n=n, d=n))
         by_parity = {r.parity: r for r in records}
         for r in records:
             want = Fraction(
@@ -167,6 +233,9 @@ def suite_probabilities(max_n: int = 12) -> list[Check]:
             agg = by_parity[1].probability_exact + by_parity[n - 1].probability_exact
             if agg != Fraction(n, 1 << (n - 1)):
                 w_rate.append(f"(n={n})")
+            for parity in (1, n - 1):
+                if by_parity[parity].classification.label() != "W":
+                    w_rate.append(f"(n={n},k={parity}) is {by_parity[parity].classification.label()}")
             baseline = (
                 Fraction(n, 1 << (2 * n - 2)) if n % 2 else Fraction(n, 1 << (2 * n - 3))
             )
@@ -178,7 +247,6 @@ def suite_probabilities(max_n: int = 12) -> list[Check]:
         _check("aggregated W probability is n*2^(1-n)", w_rate),
         _check("gain over the linear-optics baseline is at least 2^(n-2)", gain),
     ]
-
 
 def suite_gnk(max_n: int = 10) -> list[Check]:
     bad_x: list[str] = []
@@ -232,19 +300,25 @@ def suite_solver() -> list[Check]:
     if not sol.feasible:
         degenerate.append("(0,0,pi,pi) infeasible")
     else:
-        sums = {grp: sum(sol.squared_amps[j] for j in grp) for grp, _ in sol.eigenspace_constraints}
-        if any(abs(v - 0.5) > 1e-12 for v in sums.values()):
-            degenerate.append(f"(0,0,pi,pi) sums {sums}")
+        # Both the reported constraint weight and the amplitudes' own sum.
+        for grp, wt in sol.eigenspace_constraints:
+            total = sum(sol.squared_amps[j] for j in grp)
+            if abs(wt - 0.5) > 1e-12 or abs(total - 0.5) > 1e-12:
+                degenerate.append(f"(0,0,pi,pi) group {grp}: weight {wt}, amplitudes {total}")
     oracle: list[str] = []
     battery = [
-        (solver.roots_of_unity_spec(2), True),
-        (solver.roots_of_unity_spec(3, offset=0.37), True),
-        (solver.roots_of_unity_spec(4), True),
-        (solver.EigenphaseSpec((0.0, 0.1)), False),
-        (solver.EigenphaseSpec((0.0, 2 * math.pi / 3 + 0.05, 4 * math.pi / 3)), False),
-        (solver.EigenphaseSpec((0.0, 0.0, math.pi, math.pi)), True),
+        solver.roots_of_unity_spec(2),
+        solver.roots_of_unity_spec(3, offset=0.37),
+        solver.roots_of_unity_spec(4),
+        solver.EigenphaseSpec((0.0, 0.1)),
+        solver.EigenphaseSpec((0.0, 2 * math.pi / 3 + 0.05, 4 * math.pi / 3)),
+        solver.EigenphaseSpec((0.0, 0.0, math.pi, math.pi)),
     ]
-    for test_spec, _ in battery:
+    for d in range(2, 5):
+        battery.append(solver.roots_of_unity_spec(d, offset=0.3))
+        phases = solver.roots_of_unity_spec(d).phases
+        battery.append(solver.EigenphaseSpec((phases[0], phases[1] + 0.08) + phases[2:]))
+    for test_spec in battery:
         want = solver.solve_amplitudes(test_spec).feasible
         if solver.brute_force_feasible(test_spec) != want:
             oracle.append(f"{tuple(round(p, 3) for p in test_spec.phases)}")

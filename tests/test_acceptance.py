@@ -1,18 +1,12 @@
 """Acceptance gate: every product-level requirement checked in one place.
 
-Each check prints a single ``[PASS]``/``[FAIL]`` verdict line *before* its
-assertions run, so the verdict is visible in captured output even when a
-case fails.  Run ``pytest tests/test_acceptance.py -v -s`` to see every
-line as it happens.
-
-The two-component family check (05b) is stated over its real domain.  On
-|+>^n the parity-(k mod d) branch of a d = n - 2k module carries every weight
-w <= n with w == k (mod d); it equals G(n,k) = (D(n,k) + D(n,n-k))/sqrt(2)
-exactly when that class is {k, n-k}, which holds iff 3k < n.  The boundary
-pair (n=9, k=3) lies outside: d = 3 puts weight 3 in class {0, 3, 6, 9}, so
-the case asserts that branch's exact content (binomial weights 1:84:84:1,
-probability 85/256, fidelity 84/85 to G(9,3)) and that no branch reaches
-G(9,3).
+The claims themselves live once, as the checks of ``qparity.verify.SUITES``
+(the same checks ``qparity verify`` prints).  The gate runs each suite and
+prints one ``[PASS]``/``[FAIL] <check name>`` line per check *before* it
+asserts, so every verdict is visible in captured output even when a case
+fails; a suite with a time bound must also finish within it.  The two tests
+below the gate compare the simulator against independent routes.  Run
+``pytest tests/test_acceptance.py -v -s`` to see every line as it happens.
 """
 
 import json
@@ -25,33 +19,11 @@ import pytest
 
 from qparity.cli import main as cli_main
 from qparity.linalg import Ket, fidelity, plus_state
-from qparity.module import (
-    CouplingKind,
-    ModuleConfig,
-    build_projectors,
-    run_module,
-)
-from qparity.solver import (
-    EigenphaseSpec,
-    admissible_state,
-    brute_force_feasible,
-    check_orbit,
-    reconstruct_general,
-    roots_of_unity_spec,
-    solve_amplitudes,
-)
-from qparity.states import (
-    bitflip_all,
-    dicke,
-    dicke_decompose,
-    expectations,
-    g,
-    g_general,
-    ghz,
-    squared_weight_ratios,
-    w,
-)
-from qparity.linalg import Operator
+from qparity.module import CouplingKind, ModuleConfig, build_projectors, run_module
+from qparity.verify import SUITES, run_suite
+
+# Wall-clock bounds in seconds for the suites that carry one.
+SUITE_SECONDS = {"examples": 1.0, "probabilities": 5.0, "projectors": 60.0}
 
 
 def report(tag: str, failures: list[str], detail: str) -> None:
@@ -63,321 +35,19 @@ def report(tag: str, failures: list[str], detail: str) -> None:
     assert ok, f"{tag}: {text}"
 
 
-def test_01_three_qubit_qutrit_heralding():
+@pytest.mark.parametrize("name", sorted(SUITES))
+def test_verify_suite(name):
     t0 = time.perf_counter()
-    records = run_module(plus_state(3), ModuleConfig(3, 3))
+    checks = run_suite(name)
     elapsed = time.perf_counter() - t0
-    failures = []
-    if len(records) != 3:
-        failures.append(f"expected 3 branches, got {len(records)}")
-    by_parity = {r.parity: r for r in records}
-    expected = {
-        0: (Fraction(1, 4), ghz(3), "GHZ", False),
-        1: (Fraction(3, 8), w(3), "W", False),
-        2: (Fraction(3, 8), bitflip_all(w(3)), "W", True),
-    }
-    for parity, (frac, ref, label, flipped) in expected.items():
-        rec = by_parity[parity]
-        if rec.probability_exact != frac:
-            failures.append(f"parity {parity}: p = {rec.probability_exact}, expected {frac}")
-        fid = fidelity(rec.post_state, ref)
-        if fid < 1 - 1e-10:
-            failures.append(f"parity {parity}: fidelity {fid:.2e} below 1-1e-10")
-        if rec.classification.label() != label or rec.classification.up_to_bitflip != flipped:
-            failures.append(
-                f"parity {parity}: classified {rec.classification.label()}"
-            )
-    if elapsed >= 1.0:
-        failures.append(f"took {elapsed:.2f}s, bound is 1s")
-    report(
-        "01 heralded GHZ/W triple (n=3, d=3)",
-        failures,
-        f"branches 1/4, 3/8, 3/8 -> GHZ, W, W-flipped in {elapsed * 1000:.0f} ms",
-    )
-
-
-def test_02_exact_outcome_probabilities():
-    t0 = time.perf_counter()
-    failures = []
-    for n in range(2, 13):
-        records = run_module(plus_state(n), ModuleConfig(n, n))
-        by_parity = {r.parity: r for r in records}
-        for rec in records:
-            frac = Fraction(
-                sum(math.comb(n, j) for j in range(rec.parity, n + 1, n)), 1 << n
-            )
-            if rec.probability_exact != frac:
-                failures.append(f"n={n} parity {rec.parity}: exact {rec.probability_exact} != {frac}")
-            if abs(rec.probability - float(frac)) > 1e-12:
-                failures.append(f"n={n} parity {rec.parity}: float drifts from rational")
-        if by_parity[0].probability_exact != Fraction(1, 1 << (n - 1)):
-            failures.append(f"n={n}: parity-0 probability is not 2^(1-n)")
-        if n >= 3:
-            w_total = by_parity[1].probability_exact + by_parity[n - 1].probability_exact
-            if w_total != Fraction(n, 1 << (n - 1)):
-                failures.append(f"n={n}: aggregated single-excitation probability {w_total}")
-            for parity in (1, n - 1):
-                label = by_parity[parity].classification.label()
-                if label != "W":
-                    failures.append(f"n={n} parity {parity}: classified {label}, not W")
-        else:
-            # n=2: the single-excitation branch is its own flipped partner,
-            # so there is one branch carrying n/2^n; a two-member aggregate
-            # would double-count it.
-            if by_parity[1].probability_exact != Fraction(2, 4):
-                failures.append("n=2: self-dual branch probability is not 1/2")
-    elapsed = time.perf_counter() - t0
-    if elapsed >= 5.0:
-        failures.append(f"took {elapsed:.2f}s, bound is 5s")
-    report(
-        "02 exact branch probabilities (2<=n<=12, d=n)",
-        failures,
-        f"binomial rationals, parity-0 = 2^(1-n), W aggregate = n*2^(1-n), in {elapsed:.2f}s",
-    )
-
-
-def test_03_gain_over_interference_baseline():
-    failures = []
-    gains = []
-    for n in range(3, 13):
-        records = run_module(plus_state(n), ModuleConfig(n, n), classify_states=False)
-        by_parity = {r.parity: r for r in records}
-        p_w = by_parity[1].probability_exact + by_parity[n - 1].probability_exact
-        if n % 2:
-            baseline = Fraction(n, 1 << (2 * n - 2))
-        else:
-            baseline = Fraction(n, 1 << (2 * n - 3))
-        gain = p_w / baseline
-        bound = Fraction(1 << (n - 2))
-        gains.append(gain)
-        if gain < bound:
-            failures.append(f"n={n}: gain {gain} below 2^(n-2) = {bound}")
-    report(
-        "03 heralding gain over the interference baseline (3<=n<=12)",
-        failures,
-        f"exact rational gains, min {min(gains)}, all >= 2^(n-2)",
-    )
-
-
-# Parity branch -> integer squared-weight ratios for three module sizes,
-# derived by restricting the uniform superposition to each weight class:
-# weight j contributes C(n, j), so ratios are binomials over j == parity (mod d).
-BRANCH_RATIOS = {
-    (4, 3): {0: {0: 1, 3: 4}, 1: {1: 4, 4: 1}, 2: {2: 1}},
-    (5, 3): {0: {0: 1, 3: 10}, 1: {1: 1, 4: 1}, 2: {2: 10, 5: 1}},
-    (5, 4): {0: {0: 1, 4: 5}, 1: {1: 5, 5: 1}, 2: {2: 1}, 3: {3: 1}},
-}
-
-
-def test_04_branch_decompositions_for_three_module_sizes():
-    failures = []
-    for (n, d), table in BRANCH_RATIOS.items():
-        records = run_module(plus_state(n), ModuleConfig(n, d), classify_states=False)
-        for rec in records:
-            dec = dicke_decompose(rec.post_state)
-            if dec.residual >= 1e-12:
-                failures.append(f"(n={n},d={d}) parity {rec.parity}: residual {dec.residual:.2e}")
-            expected = table[rec.parity]
-            ks = sorted(expected)
-            raw = np.array([math.sqrt(math.comb(n, j)) for j in ks])
-            raw /= np.linalg.norm(raw)
-            if sorted(dec.coeffs) != ks:
-                failures.append(f"(n={n},d={d}) parity {rec.parity}: weights {sorted(dec.coeffs)}")
-                continue
-            err = max(abs(dec.coeffs[j] - c) for j, c in zip(ks, raw))
-            if err >= 1e-10:
-                failures.append(f"(n={n},d={d}) parity {rec.parity}: coefficient error {err:.2e}")
-            if squared_weight_ratios(dec) != expected:
-                failures.append(
-                    f"(n={n},d={d}) parity {rec.parity}: ratios {squared_weight_ratios(dec)}"
-                )
-    report(
-        "04 Dicke decompositions of every branch for (4,3), (5,3), (5,4)",
-        failures,
-        "all branches match binomial square-weight ratios, residual < 1e-12",
-    )
-
-
-def test_05_wheel_branch_is_two_component_sum():
-    failures = []
-    for n in range(5, 10):
-        d = n - 2
-        records = run_module(plus_state(n), ModuleConfig(n, d))
-        rec = next(r for r in records if r.parity == 1)
-        fid = fidelity(rec.post_state, g(n))
-        if fid < 1 - 1e-10:
-            failures.append(f"n={n}: fidelity {fid:.2e}")
-        if rec.classification.label() != f"G_{n}":
-            failures.append(f"n={n}: classified {rec.classification.label()}")
-    report(
-        "05a branch 1 of (n, n-2) modules equals G_n for n=5..9",
-        failures,
-        "classification G_n with fidelity >= 1-1e-10",
-    )
-
-
-@pytest.mark.parametrize("n,k", [(5, 1), (7, 1), (7, 2), (9, 2), (9, 3), (10, 3)])
-def test_05_general_two_component_branches(n, k):
-    # The branch is G(n,k) iff the residue class of k mod d is {k, n-k},
-    # i.e. iff 3k < n (equivalently k < d); see the module docstring.
-    d = n - 2 * k
-    parity = k % d
-    weights = list(range(parity, n + 1, d))
-    in_domain = set(weights) == {k, n - k}
-    tag = f"05b branch k of (n, n-2k) equals G(n,k) for (n,k)=({n},{k})"
-    records = run_module(plus_state(n), ModuleConfig(n, d))
-    rec = next(r for r in records if r.parity == parity)
-    target = g_general(n, k)
-    fid = fidelity(rec.post_state, target)
-    label = rec.classification.label()
-    expected_label = f"G_{n}" if k == 1 else f"G({n},{k})"
-    failures = []
-    if in_domain:
-        if fid < 1 - 1e-10:
-            failures.append(f"fidelity {fid:.2e} below 1-1e-10")
-        if label != expected_label:
-            failures.append(f"classified {label}, expected {expected_label}")
-        detail = f"in domain (class {weights}): classification {label}, fidelity 1 within 1e-10"
-    else:
-        # Outside the domain the branch carries the whole residue class, so
-        # its content is fixed by binomials alone.
-        combs = {wt: math.comb(n, wt) for wt in weights}
-        common = math.gcd(*combs.values())
-        total = sum(combs.values())
-        want_fid = (math.sqrt(combs[k]) + math.sqrt(combs[n - k])) ** 2 / (2 * total)
-        dec = dicke_decompose(rec.post_state)
-        if sorted(dec.coeffs) != weights:
-            failures.append(f"parity {parity}: Dicke weights {sorted(dec.coeffs)}, expected {weights}")
-        ratios = squared_weight_ratios(dec)
-        if ratios != {wt: c // common for wt, c in combs.items()}:
-            failures.append(f"parity {parity}: squared-weight ratios {ratios}")
-        if rec.probability_exact != Fraction(total, 1 << n):
-            failures.append(
-                f"parity {parity}: p = {rec.probability_exact}, expected {Fraction(total, 1 << n)}"
-            )
-        if abs(fid - want_fid) > 1e-12:
-            failures.append(f"parity {parity}: fidelity {fid!r} to G({n},{k}), expected {want_fid!r}")
-        if label == expected_label:
-            failures.append(f"parity {parity}: classified {label} outside the domain")
-        best = max(fidelity(r.post_state, target) for r in records if r.post_state is not None)
-        if best >= 1 - 1e-10:
-            failures.append(f"some branch reaches fidelity {best!r} to G({n},{k})")
-        detail = (
-            f"outside domain (3k >= n, class {weights}): parity {parity} is {label} with "
-            f"p = {rec.probability_exact}, fidelity {fid:.5f} to G({n},{k}), no branch reaches it"
-        )
-    report(tag, failures, detail)
-
-
-def test_06_two_component_expectation_values():
-    failures = []
-    for n in range(2, 11):
-        for k in range((n - 1) // 2 + 1):
-            rep = expectations(g_general(n, k))
-            if abs(rep.x_all - 1.0) > 1e-10:
-                failures.append(f"G({n},{k}): <X..X> = {rep.x_all}")
-            target_y = float((-1) ** (n // 2 + k)) if n % 2 == 0 else 0.0
-            if abs(rep.y_all - target_y) > 1e-10:
-                failures.append(f"G({n},{k}): <Y..Y> = {rep.y_all}, expected {target_y}")
-    for k in range(1, 6):
-        rep = expectations(dicke(2 * k, k))
-        if abs(rep.y_all - 1.0) > 1e-10:
-            failures.append(f"half-filled n={2 * k}: <Y..Y> = {rep.y_all}")
-    report(
-        "06 all-qubit X/Y expectations on two-component sums (n<=10) and half-filled states (k<=5)",
-        failures,
-        "<X..X> = 1; <Y..Y> = 0 (odd n) or (-1)^(n/2+k) (even n); +1 on half-filled",
-    )
-
-
-def test_07_projector_algebra_full_sweep():
-    t0 = time.perf_counter()
-    failures = []
-    for n in range(2, 9):
-        h = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2)
-        h_n = np.array([[1.0]])
-        for _ in range(n):
-            h_n = np.kron(h_n, h)
-        for d in range(2, n + 1):
-            phase = build_projectors(n, d, CouplingKind.PHASE)
-            shift = build_projectors(n, d, CouplingKind.SHIFT)
-            dim = 1 << n
-            total = np.zeros((dim, dim), dtype=complex)
-            for i, p in enumerate(phase.projectors):
-                m = p.entries
-                if np.abs(m.conj().T - m).max() > 1e-10:
-                    failures.append(f"(n={n},d={d}) P_{i} not hermitian")
-                for j, q in enumerate(phase.projectors):
-                    prod = m @ q.entries
-                    ref = m if i == j else 0.0
-                    if np.abs(prod - ref).max() > 1e-10:
-                        failures.append(f"(n={n},d={d}) P_{i} P_{j} violation")
-                total += m
-                want_dim = sum(math.comb(n, j) for j in range(i, n + 1, d))
-                if phase.dims[i] != want_dim:
-                    failures.append(f"(n={n},d={d}) dim P_{i} = {phase.dims[i]} != {want_dim}")
-                if abs(float(np.trace(m).real) - want_dim) > 1e-10:
-                    failures.append(f"(n={n},d={d}) trace P_{i} mismatch")
-                dual = h_n @ m @ h_n
-                if np.abs(dual - shift.projectors[i].entries).max() > 1e-10:
-                    failures.append(f"(n={n},d={d}) conjugated P_{i} != shift projector")
-            if np.abs(total - np.eye(dim)).max() > 1e-10:
-                failures.append(f"(n={n},d={d}) projectors do not sum to identity")
-            if sum(phase.dims) != dim:
-                failures.append(f"(n={n},d={d}) ranks sum to {sum(phase.dims)}")
-    elapsed = time.perf_counter() - t0
-    if elapsed >= 60.0:
-        failures.append(f"took {elapsed:.1f}s, bound is 60s")
-    report(
-        "07 projector algebra for all n<=8, 2<=d<=n",
-        failures,
-        f"hermitian, idempotent, orthogonal, complete, binomial ranks, "
-        f"Hadamard duality, in {elapsed:.1f}s",
-    )
-
-
-def test_08_solver_battery():
-    failures = []
-    for d in range(2, 9):
-        spec = roots_of_unity_spec(d)
-        sol = solve_amplitudes(spec)
-        if not sol.feasible:
-            failures.append(f"d={d}: roots-of-unity spec reported infeasible")
-            continue
-        if any(abs(q - 1.0 / d) > 1e-15 for q in sol.squared_amps):
-            failures.append(f"d={d}: squared magnitudes are not 1/d")
-        seed = admissible_state(spec, [0.0] * d)
-        drive = Operator(np.diag(np.exp(1j * np.array(spec.phases))), unitary=True)
-        rep = check_orbit(drive, seed, d)
-        if rep.max_deviation >= 1e-12:
-            failures.append(f"d={d}: Gram deviation {rep.max_deviation:.2e}")
-    if solve_amplitudes(EigenphaseSpec((0.0, 0.1))).feasible:
-        failures.append("perturbed (0, 0.1) spec reported feasible")
-    eps = 0.01
-    rotation = Operator(np.diag(np.exp(1j * eps * np.array([1.0, -1.0]))), unitary=True)
-    feasible, _, _ = reconstruct_general(rotation)
-    if feasible:
-        failures.append("exp(i*0.01*Z) reported feasible")
-    sol = solve_amplitudes(EigenphaseSpec((0.0, 0.0, math.pi, math.pi)))
-    sums = {grp: wt for grp, wt in sol.eigenspace_constraints}
-    if not sol.feasible or any(abs(wt - 0.5) > 1e-12 for wt in sums.values()):
-        failures.append(f"degenerate (0,0,pi,pi) constraints {sums}")
-    for d in range(2, 5):
-        spec = roots_of_unity_spec(d, offset=0.3)
-        if brute_force_feasible(spec) != solve_amplitudes(spec).feasible:
-            failures.append(f"d={d}: grid oracle disagrees on the feasible spec")
-        phases = tuple(
-            p + (0.08 if j == 1 else 0.0) for j, p in enumerate(roots_of_unity_spec(d).phases)
-        )
-        bad = EigenphaseSpec(phases)
-        if brute_force_feasible(bad) != solve_amplitudes(bad).feasible:
-            failures.append(f"d={d}: grid oracle disagrees on the perturbed spec")
-    report(
-        "08 drive-spec solver battery",
-        failures,
-        "roots feasible with flat 1/d and Gram < 1e-12; perturbed and "
-        "near-identity drives infeasible; degenerate weights 1/2; grid oracle agrees for d<=4",
-    )
+    for check in checks:
+        print(f"[{'PASS' if check.passed else 'FAIL'}] {check.name}"
+              + ("" if check.passed else f": {check.detail()}"))
+    assert checks, f"suite {name} produced no checks"
+    failed = [f"{c.name}: {c.detail()}" for c in checks if not c.passed]
+    assert not failed, "; ".join(failed)
+    bound = SUITE_SECONDS.get(name)
+    assert bound is None or elapsed < bound, f"suite {name} took {elapsed:.2f}s, bound is {bound}s"
 
 
 def test_09_sequential_and_projector_paths_agree():

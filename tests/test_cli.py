@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+from qparity import states
 from qparity.cli import load_amplitude_file, main, write_amplitude_file
 from qparity.linalg import Ket
 from qparity.reports import verify_checksum
@@ -42,6 +43,22 @@ class TestSimulate:
         assert ghz_branch["classification"] == "GHZ"
         assert ghz_branch["probability_exact"] == "1/4"
         assert ghz_branch["dicke_weights"] == {"0": 1, "3": 1}
+
+    @pytest.mark.parametrize("extra", [[], ["--json"]], ids=["text", "json"])
+    def test_each_branch_decomposed_once(self, capsys, monkeypatch, extra):
+        # n=9, d=7 heralds named branches (G_9, Dicke) that classify matches
+        # before decomposing and DickeSum branches that it decomposes itself.
+        decompose = states.dicke_decompose
+        calls = []
+
+        def counted(state, *args, **kwargs):
+            calls.append(state)
+            return decompose(state, *args, **kwargs)
+
+        monkeypatch.setattr(states, "dicke_decompose", counted)
+        code, _, _ = run_cli(capsys, ["simulate", "-n", "9", "-d", "7", *extra])
+        assert code == 0
+        assert len(calls) == 7
 
     def test_json_runs_are_byte_identical(self, capsys):
         _, first, _ = run_cli(capsys, ["simulate", "-n", "4", "-d", "3", "--json"])

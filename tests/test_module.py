@@ -385,6 +385,11 @@ class TestDistributionAgreement:
             outcome_distribution(plus_state(2), 2, 2, "shift")
         with pytest.raises(ValueError, match="coupling"):
             photonic_module_action(plus_state(2), 0, 2, "shift")
+        for d in (1, 0, -2):
+            with pytest.raises(ValueError, match="carries no parity"):
+                outcome_distribution(plus_state(3), 3, d)
+            with pytest.raises(ValueError, match="carries no parity"):
+                photonic_module_action(plus_state(3), 0, d)
 
 
 class TestResourceEnvelope:
