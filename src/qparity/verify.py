@@ -115,7 +115,7 @@ def _branch_failures(n: int, d: int, ratios: dict[int, dict[int, int]]) -> list[
     return bad
 
 
-def _gnk_failures(n: int, k: int) -> list[str]:
+def gnk_branch_failures(n: int, k: int) -> list[str]:
     """The parity-(k mod d) branch of a d = n - 2k module run on |+>^n.
 
     The branch carries the residue class {w <= n : w == k (mod d)}.  It is
@@ -208,7 +208,7 @@ def suite_examples() -> list[Check]:
     gnk: list[str] = []
     for n in range(5, 11):
         for k in range(1, (n - 2) // 2 + 1):
-            gnk += _gnk_failures(n, k)
+            gnk += gnk_branch_failures(n, k)
     checks.append(_check("parity-k branch at d=n-2k is G(n,k) whenever k < d", gnk))
     return checks
 

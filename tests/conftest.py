@@ -1,5 +1,7 @@
 """Shared fixtures and hypothesis configuration for the test suite."""
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -22,3 +24,41 @@ def random_ket_amps(rng, dim):
     """Haar-ish random normalized amplitude vector of length dim."""
     v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return v / np.linalg.norm(v)
+
+
+@pytest.fixture(scope="session")
+def suite_run():
+    """Run each ``qparity verify`` suite at most once per session.
+
+    Returns a function mapping a suite name to ``(checks, seconds)``, so the
+    acceptance tests and the registry gate read the same run.
+    """
+    from qparity.verify import run_suite
+
+    cache = {}
+
+    def run(name):
+        if name not in cache:
+            t0 = time.perf_counter()
+            checks = run_suite(name)
+            cache[name] = (checks, time.perf_counter() - t0)
+        return cache[name]
+
+    return run
+
+
+def assert_checks(checks, names=None):
+    """Print one ``[PASS]``/``[FAIL] <check name>`` line per check, then assert.
+
+    ``names`` picks checks by name (all of them when None); an unknown name
+    is a KeyError, so a renamed check cannot drop out unnoticed.
+    """
+    if names is not None:
+        by_name = {c.name: c for c in checks}
+        checks = [by_name[name] for name in names]
+    for check in checks:
+        print(f"[{'PASS' if check.passed else 'FAIL'}] {check.name}"
+              + ("" if check.passed else f": {check.detail()}"))
+    assert checks, "no checks to assert"
+    failed = [f"{c.name}: {c.detail()}" for c in checks if not c.passed]
+    assert not failed, "; ".join(failed)

@@ -1,12 +1,18 @@
-"""The check registry: suite lookup, aggregation and failure diagnostics.
-
-Every suite's own checks run in the acceptance gate (tests/test_acceptance.py).
-"""
+"""The check registry: every suite passes, and lookup, aggregation and
+failure diagnostics work."""
 
 import pytest
 
+from conftest import assert_checks
 from qparity import verify
-from qparity.verify import Check, run_suite
+from qparity.verify import SUITES, Check, run_suite
+
+
+@pytest.mark.parametrize("name", sorted(SUITES))
+def test_each_suite_passes(name, suite_run):
+    checks, _ = suite_run(name)
+    assert len({c.name for c in checks}) == len(checks), f"suite {name} repeats a check name"
+    assert_checks(checks)
 
 
 def test_all_aggregates_every_suite(monkeypatch):
