@@ -21,6 +21,7 @@ from .module import (
     ModuleConfig,
     OutcomeRecord,
     ResourceLimitError,
+    outcome_distribution,
     projector_dim,
     run_module,
 )
@@ -46,8 +47,8 @@ def load_amplitude_file(path: str | Path) -> Ket:
         dims = tuple(int(tok) for tok in lines[0].split(":", 1)[1].split())
     except ValueError as exc:
         raise ValueError(f"{path}: malformed dims header") from exc
-    if not dims:
-        raise ValueError(f"{path}: dims header lists no factors")
+    if not dims or min(dims) < 1:
+        raise ValueError(f"{path}: dims header must list positive factors, got {dims}")
     total = math.prod(dims)
     body = lines[1:]
     if len(body) != total:
@@ -392,13 +393,10 @@ def cmd_sample(args) -> int:
     if args.shots < 0:
         raise ValueError(f"--shots must be nonnegative, got {args.shots}")
     state, _, n = _resolve_input(args)
-    config = ModuleConfig(n=n, d=args.ancilla_dim, coupling=CouplingKind(args.coupling))
-    records = run_module(state, config, classify_states=False)
-    probs = np.array([r.probability for r in records])
-    probs = probs / probs.sum()
+    probs = outcome_distribution(state, n, args.ancilla_dim, CouplingKind(args.coupling))
     rng = np.random.default_rng(args.seed)
-    draws = rng.choice(len(records), size=args.shots, p=probs)
-    text = "".join(f"{records[i].parity}\n" for i in draws)
+    draws = rng.choice(args.ancilla_dim, size=args.shots, p=probs)
+    text = "".join(f"{parity}\n" for parity in draws)
     _emit(text, args.out)
     return 0
 

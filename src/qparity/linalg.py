@@ -15,7 +15,6 @@ import numpy as np
 
 NORMALIZED_ATOL = 1e-12
 UNITARY_ATOL = 1e-10
-PROJECTOR_ATOL = 1e-10
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -59,15 +58,14 @@ class Ket:
 
 @dataclass(frozen=True, eq=False)
 class Operator:
-    """Dense square matrix with optional unitary/projector guarantees.
+    """Dense square matrix with an optional unitary guarantee.
 
-    Setting a flag makes the constructor verify the corresponding property
-    (max-entry deviation at most 1e-10) and fail loudly otherwise.
+    ``unitary=True`` makes the constructor verify U^dagger U = I (max-entry
+    deviation at most 1e-10) and fail loudly otherwise.
     """
 
     entries: np.ndarray
     unitary: bool = False
-    projector: bool = False
 
     def __post_init__(self) -> None:
         m = np.array(self.entries, dtype=complex)
@@ -77,13 +75,6 @@ class Operator:
             dev = float(np.abs(m.conj().T @ m - np.eye(m.shape[0])).max())
             if dev > UNITARY_ATOL:
                 raise ValueError(f"unitarity violated by {dev:.3e}")
-        if self.projector:
-            dev = max(
-                float(np.abs(m @ m - m).max()),
-                float(np.abs(m.conj().T - m).max()),
-            )
-            if dev > PROJECTOR_ATOL:
-                raise ValueError(f"projector laws violated by {dev:.3e}")
         object.__setattr__(self, "entries", _freeze(m))
 
     @property
@@ -101,7 +92,7 @@ def omega(d: int) -> complex:
 def identity(d: int) -> Operator:
     if d < 1:
         raise ValueError(f"dimension must be positive, got {d}")
-    return Operator(np.eye(d, dtype=complex), unitary=True, projector=True)
+    return Operator(np.eye(d, dtype=complex), unitary=True)
 
 
 def pauli_x(d: int) -> Operator:
@@ -172,11 +163,7 @@ def tensor(factors: Sequence[Ket] | Sequence[Operator]) -> Ket | Operator:
     m = factors[0].entries
     for f in factors[1:]:
         m = np.kron(m, f.entries)
-    return Operator(
-        m,
-        unitary=all(f.unitary for f in factors),
-        projector=all(f.projector for f in factors),
-    )
+    return Operator(m, unitary=all(f.unitary for f in factors))
 
 
 def inner(a: Ket, b: Ket) -> complex:

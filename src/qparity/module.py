@@ -12,9 +12,11 @@ couplings sequentially on a statevector, while the projector route works
 through P_i = d^(-1) sum_k w^(-ik) A^k: the mask wt(x) == i (mod d), read
 in the computational basis (phase) or after a Walsh-Hadamard transform
 (shift).  ``outcome_distribution`` and ``photonic_module_action`` apply that
-mask to the amplitudes under the statevector cap; only ``build_projectors``
-materializes 2^n x 2^n matrices, under the lower projector cap.  The two
-routes must agree and are cross-checked in the test suite.
+mask to the amplitudes, and ``build_projectors`` returns the weight classes;
+only its ``projectors`` view materializes 2^n x 2^n matrices.  One
+statevector cap bounds everything; the view counts each matrix as a
+2n-qubit statevector.  The two routes must agree and are cross-checked in
+the test suite.
 """
 from __future__ import annotations
 
@@ -23,6 +25,7 @@ import os
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -39,7 +42,6 @@ from .linalg import (
 )
 
 DEFAULT_STATEVECTOR_MAX_QUBITS = 20
-DEFAULT_PROJECTOR_MAX_QUBITS = 14
 MAX_QUBITS_ENV = "QPARITY_MAX_QUBITS"
 ZERO_PROBABILITY_ATOL = 1e-12
 _ORBIT_BASIS_ATOL = 1e-8
@@ -62,10 +64,12 @@ def statevector_qubit_limit() -> int:
     return value
 
 
-def projector_qubit_limit() -> int:
-    # Explicit 2^n x 2^n matrices are far heavier than statevectors, so the
-    # envelope for them never rises above the built-in cap.
-    return min(statevector_qubit_limit(), DEFAULT_PROJECTOR_MAX_QUBITS)
+def _check_qubits(qubits: int, request: str | None = None) -> None:
+    """Raise unless a ``qubits``-qubit statevector fits the cap, stating the bytes asked for."""
+    cap = statevector_qubit_limit()
+    if qubits > cap:
+        request = request or f"{qubits} qubits need {16 << qubits} bytes"
+        raise ResourceLimitError(f"statevector path limited to {16 << cap} bytes ({cap} qubits); {request}")
 
 
 class CouplingKind(Enum):
@@ -145,15 +149,32 @@ class OutcomeRecord:
     zero_probability: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProjectorSet:
-    """The d parity projectors for a given coupling, plus their ranks."""
+    """The d parity projectors of a coupling as weight classes: P_i is the mask
+    ``classes == i``, conjugated by H^(x)n for the shift coupling."""
 
     n: int
     d: int
     coupling: CouplingKind
-    projectors: tuple[Operator, ...]
-    dims: tuple[int, ...]
+    classes: np.ndarray
+
+    @cached_property
+    def dims(self) -> tuple[int, ...]:
+        """Rank of each P_i: the size of weight class i."""
+        return tuple(int(c) for c in np.bincount(self.classes, minlength=self.d))
+
+    @cached_property
+    def projectors(self) -> tuple[Operator, ...]:
+        """The P_i as dense 2^n x 2^n matrices, each as large as a 2n-qubit statevector."""
+        n, d = self.n, self.d
+        need = f"{d} dense {1 << n} x {1 << n} projectors need {16 * d * 4**n} bytes, {16 << 2 * n} each"
+        _check_qubits(2 * n, need)
+        masks = [(self.classes == i).astype(complex) for i in range(d)]
+        if self.coupling is CouplingKind.PHASE:
+            return tuple(Operator(np.diag(mask)) for mask in masks)
+        hyp = _hadamard_transform(np.eye(1 << n), n)
+        return tuple(Operator((hyp * mask) @ hyp) for mask in masks)
 
 
 def projector_dim(i: int, n: int, d: int) -> int:
@@ -175,28 +196,17 @@ def _hadamard_transform(a: np.ndarray, n: int) -> np.ndarray:
 
 
 def build_projectors(n: int, d: int, coupling: CouplingKind = CouplingKind.PHASE) -> ProjectorSet:
-    """The parity projectors P_i = d^(-1) sum_k w^(-ik) A^k as explicit matrices.
+    """The parity projectors P_i = d^(-1) sum_k w^(-ik) A^k as weight classes.
 
     For the phase coupling P_i is the diagonal mask wt(x) == i (mod d); for
-    the shift coupling it is that mask conjugated by H^(x)n.
+    the shift coupling it is that mask conjugated by H^(x)n.  Takes O(2^n)
+    memory; only the ``projectors`` view forms the matrices.
     """
-    if n < 1 or d < 2:
-        raise ValueError(f"invalid register/ancilla sizes n={n}, d={d}")
-    cap = projector_qubit_limit()
-    if n > cap:
-        raise ResourceLimitError(f"explicit projectors limited to {cap} qubits, requested {n}")
+    ModuleConfig(n, d, coupling)
+    _check_qubits(n)
     classes = hamming_weights(n) % d
-    masks = [(classes == i).astype(complex) for i in range(d)]
-    if coupling is CouplingKind.PHASE:
-        mats = [np.diag(mask) for mask in masks]
-    elif coupling is CouplingKind.SHIFT:
-        hyp = _hadamard_transform(np.eye(1 << n), n)
-        mats = [(hyp * mask) @ hyp for mask in masks]
-    else:
-        raise ValueError(f"unknown coupling {coupling!r}")
-    projectors = tuple(Operator(m, projector=True) for m in mats)
-    dims = tuple(int(round(float(np.trace(p.entries).real))) for p in projectors)
-    return ProjectorSet(n=n, d=d, coupling=coupling, projectors=projectors, dims=dims)
+    classes.setflags(write=False)
+    return ProjectorSet(n=n, d=d, coupling=coupling, classes=classes)
 
 
 def _coupling_gate(d: int, coupling: CouplingKind) -> np.ndarray:
@@ -282,9 +292,7 @@ def _check_register(state: Ket, config: ModuleConfig) -> None:
     n = config.n
     if tuple(state.factor_dims) != (2,) * n:
         raise ValueError(f"input factors {state.factor_dims} do not match {n} qubits")
-    cap = statevector_qubit_limit()
-    if n > cap:
-        raise ResourceLimitError(f"statevector path limited to {cap} qubits, requested {n}")
+    _check_qubits(n)
     if not abs(state.norm() - 1.0) <= 1e-10:
         raise ValueError(f"input state must be normalized, norm is {state.norm():.12f}")
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import solver, states
-from .linalg import PROJECTOR_ATOL, Operator, fidelity, hadamard, plus_state, tensor
+from .linalg import Operator, fidelity, hadamard, plus_state, tensor
 from .module import (
     CouplingKind,
     ModuleConfig,
@@ -23,6 +23,8 @@ from .module import (
     run_module,
 )
 from .states import FIDELITY_THRESHOLD
+
+PROJECTOR_ATOL = 1e-10
 
 
 @dataclass
@@ -43,10 +45,9 @@ def _check(name: str, failures: list[str]) -> Check:
 
 
 def suite_projectors(max_n: int = 8) -> list[Check]:
-    # Operator(projector=True) checked P = P^dagger and P^2 = P when
-    # build_projectors made each matrix, so those laws are read off the flag
-    # here, and P_j P_i = (P_i P_j)^dagger leaves only the products i < j.
-    unchecked: list[str] = []
+    # Given P = P^dagger, P_j P_i = (P_i P_j)^dagger, so the products i <= j
+    # cover idempotence and every orthogonality.
+    herm: list[str] = []
     orth: list[str] = []
     comp: list[str] = []
     dims: list[str] = []
@@ -58,11 +59,12 @@ def suite_projectors(max_n: int = 8) -> list[Check]:
             sets = {c: build_projectors(n, d, c) for c in CouplingKind}
             for coupling, pset in sets.items():
                 mats = [p.entries for p in pset.projectors]
-                for i, p in enumerate(pset.projectors):
-                    if not p.projector:
-                        unchecked.append(f"(n={n},d={d},k={i},{coupling.value})")
-                    for j in range(i + 1, d):
-                        if np.abs(mats[i] @ mats[j]).max() > PROJECTOR_ATOL:
+                for i in range(d):
+                    if np.abs(mats[i].conj().T - mats[i]).max() > PROJECTOR_ATOL:
+                        herm.append(f"(n={n},d={d},k={i},{coupling.value})")
+                    for j in range(i, d):
+                        want = mats[i] if i == j else 0
+                        if np.abs(mats[i] @ mats[j] - want).max() > PROJECTOR_ATOL:
                             orth.append(f"(n={n},d={d},k={i},{j},{coupling.value})")
                     rank = projector_dim(i, n, d)
                     if pset.dims[i] != rank or abs(np.trace(mats[i]).real - rank) > PROJECTOR_ATOL:
@@ -76,7 +78,7 @@ def suite_projectors(max_n: int = 8) -> list[Check]:
                 if np.abs(conj - sets[CouplingKind.SHIFT].projectors[i].entries).max() > PROJECTOR_ATOL:
                     dual.append(f"(n={n},d={d},k={i})")
     return [
-        _check("projectors hermitian", unchecked),
+        _check("projectors hermitian", herm),
         _check("projectors idempotent and mutually orthogonal", orth),
         _check("projectors complete (sum to identity)", comp),
         _check("projector ranks match binomial sums", dims),

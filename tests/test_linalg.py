@@ -139,17 +139,14 @@ class TestOperatorConstruction:
         with pytest.raises(ValueError):
             Operator(np.array([[1.0, 0.0], [0.0, 2.0]]), unitary=True)
 
-    def test_projector_flag_enforced(self):
-        with pytest.raises(ValueError):
-            Operator(np.array([[0.5, 0.5], [0.5, 0.6]]), projector=True)
-
     def test_nonsquare_rejected(self):
         with pytest.raises(ValueError):
             Operator(np.zeros((2, 3)))
 
     def test_identity_is_both(self):
         op = identity(4)
-        assert op.unitary and op.projector
+        assert op.unitary
+        assert np.array_equal(op.entries, np.eye(4))
 
 
 class TestTensorAndInner:
@@ -163,7 +160,7 @@ class TestTensorAndInner:
 
     def test_operator_tensor_flags(self):
         t = tensor([pauli_x(2), pauli_z(3)])
-        assert t.unitary and not t.projector
+        assert t.unitary
         assert np.allclose(t.entries, np.kron(pauli_x(2).entries, pauli_z(3).entries))
 
     def test_mixed_tensor_rejected(self):

@@ -32,7 +32,6 @@ from qparity.module import (
     outcome_distribution,
     photonic_module_action,
     projector_dim,
-    projector_qubit_limit,
     run_module,
     statevector_qubit_limit,
 )
@@ -392,19 +391,30 @@ class TestDistributionAgreement:
                 photonic_module_action(plus_state(3), 0, d)
 
 
+# Every ResourceLimitError states the bytes it asked for and the limit.
+FIVE_OVER_FOUR = r"limited to 256 bytes \(4 qubits\); 5 qubits need 512 bytes"
+
+
 class TestResourceEnvelope:
     def test_default_limits(self, monkeypatch):
+        # A 2^n x 2^n matrix holds as many amplitudes as a 2n-qubit statevector.
         monkeypatch.delenv("QPARITY_MAX_QUBITS", raising=False)
         assert statevector_qubit_limit() == 20
-        assert projector_qubit_limit() == 14
+        assert build_projectors(10, 2).projectors[1].dim == 1 << 10
+        with pytest.raises(ResourceLimitError):
+            build_projectors(11, 2).projectors
 
     def test_env_override(self, monkeypatch):
         monkeypatch.setenv("QPARITY_MAX_QUBITS", "12")
         assert statevector_qubit_limit() == 12
-        assert projector_qubit_limit() == 12
+        for coupling in CouplingKind:
+            assert len(build_projectors(6, 3, coupling).projectors) == 3
+            with pytest.raises(ResourceLimitError):
+                build_projectors(7, 3, coupling).projectors
         monkeypatch.setenv("QPARITY_MAX_QUBITS", "30")
         assert statevector_qubit_limit() == 30
-        assert projector_qubit_limit() == 14
+        with pytest.raises(ResourceLimitError):
+            build_projectors(16, 2).projectors
 
     def test_invalid_env_values(self, monkeypatch):
         monkeypatch.setenv("QPARITY_MAX_QUBITS", "abc")
@@ -416,27 +426,31 @@ class TestResourceEnvelope:
 
     def test_run_module_respects_cap(self, monkeypatch):
         monkeypatch.setenv("QPARITY_MAX_QUBITS", "4")
-        with pytest.raises(ResourceLimitError):
+        with pytest.raises(ResourceLimitError, match=FIVE_OVER_FOUR):
             run_module(plus_state(5), ModuleConfig(5, 2), classify_states=False)
 
     def test_build_projectors_respects_cap(self, monkeypatch):
         monkeypatch.setenv("QPARITY_MAX_QUBITS", "3")
-        with pytest.raises(ResourceLimitError):
+        with pytest.raises(ResourceLimitError, match=r"limited to 128 bytes \(3 qubits\); 4 qubits need 256 bytes"):
             build_projectors(4, 2)
 
     @pytest.mark.parametrize("coupling", list(CouplingKind))
     def test_mask_route_respects_statevector_cap(self, monkeypatch, coupling):
         monkeypatch.setenv("QPARITY_MAX_QUBITS", "4")
-        with pytest.raises(ResourceLimitError):
+        with pytest.raises(ResourceLimitError, match=FIVE_OVER_FOUR):
             outcome_distribution(plus_state(5), 5, 3, coupling)
-        with pytest.raises(ResourceLimitError):
+        with pytest.raises(ResourceLimitError, match=FIVE_OVER_FOUR):
             photonic_module_action(plus_state(5), 0, 3, coupling)
 
     def test_mask_route_runs_above_projector_cap(self, monkeypatch):
-        # n = 16 is beyond the explicit-projector cap but no 2^n x 2^n matrix is built.
+        # n = 16 is beyond the dense view's cap but no 2^n x 2^n matrix is built.
         monkeypatch.delenv("QPARITY_MAX_QUBITS", raising=False)
         n, d = 16, 3
-        assert n > projector_qubit_limit()
+        for coupling in CouplingKind:
+            pset = build_projectors(n, d, coupling)
+            assert pset.dims == tuple(projector_dim(i, n, d) for i in range(d))
+            with pytest.raises(ResourceLimitError):
+                pset.projectors
         state = plus_state(n)
         phase = outcome_distribution(state, n, d, CouplingKind.PHASE)
         assert phase == pytest.approx([projector_dim(i, n, d) / 2**n for i in range(d)], abs=1e-12)
@@ -449,6 +463,13 @@ class TestResourceEnvelope:
         joint = photonic_module_action(state, 0, d, CouplingKind.SHIFT).amps.reshape(1 << n, d)
         assert np.allclose(joint[:, 0], state.amps, atol=1e-12)
         assert np.abs(joint[:, 1:]).max() <= 1e-12
+
+    def test_dense_view_limit_states_bytes(self, monkeypatch):
+        # Three 2^4 x 2^4 matrices need 3 * 16 * 4^4 bytes; the limit is one 7-qubit statevector.
+        monkeypatch.setenv("QPARITY_MAX_QUBITS", "7")
+        pset = build_projectors(4, 3)
+        with pytest.raises(ResourceLimitError, match=r"limited to 2048 bytes \(7 qubits\); .* need 12288 bytes, 4096 each"):
+            pset.projectors
 
 
 class TestHalfFilledBranch:
