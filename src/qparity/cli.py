@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -34,38 +35,51 @@ def load_amplitude_file(path: str | Path) -> Ket:
     First significant line: ``dims: d1 d2 ... dk``; then one ``re im`` pair
     per basis index in mixed-radix order.  Blank lines and ``#`` comments
     are ignored.  The state must be normalized to within 1e-6 and is
-    renormalized exactly on load.
+    renormalized exactly on load.  Errors name the file's own line numbers.
     """
-    lines = []
-    for raw in Path(path).read_text().splitlines():
-        stripped = raw.split("#", 1)[0].strip()
-        if stripped:
-            lines.append(stripped)
-    if not lines or not lines[0].lower().startswith("dims:"):
+    lines = Path(path).read_text().splitlines()
+    significant = ((no, text) for no, raw in enumerate(lines, 1) if (text := raw.split("#", 1)[0].strip()))
+    head_no, head = next(significant, (0, ""))
+    if not head.lower().startswith("dims:"):
         raise ValueError(f"{path}: first line must be 'dims: d1 d2 ...'")
     try:
-        dims = tuple(int(tok) for tok in lines[0].split(":", 1)[1].split())
+        dims = tuple(int(tok) for tok in head.split(":", 1)[1].split())
     except ValueError as exc:
         raise ValueError(f"{path}: malformed dims header") from exc
     if not dims or min(dims) < 1:
         raise ValueError(f"{path}: dims header must list positive factors, got {dims}")
     total = math.prod(dims)
-    body = lines[1:]
-    if len(body) != total:
-        raise ValueError(f"{path}: expected {total} amplitude lines, found {len(body)}")
-    amps = np.empty(total, dtype=complex)
-    for i, line in enumerate(body):
-        parts = line.split()
-        if len(parts) != 2:
-            raise ValueError(f"{path}: line {i + 2}: expected 're im'")
+    # One numpy pass over the body; its arrays are sized by the file, not the header.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # loadtxt warns on a body without data
         try:
-            amps[i] = complex(float(parts[0]), float(parts[1]))
-        except ValueError as exc:
-            raise ValueError(f"{path}: line {i + 2}: not numeric") from exc
+            pairs = np.loadtxt(lines[head_no:], comments="#", ndmin=2)
+        except ValueError:
+            pairs = None
+    if pairs is None or pairs.shape != (total, 2):
+        # Locates the error, or parses what only Python's float accepts ("1_0").
+        pairs = _parse_amplitude_lines(path, list(significant), total)
+    amps = pairs.view(complex).reshape(-1)
     nrm = float(np.linalg.norm(amps))
     if not abs(nrm - 1.0) <= 1e-6:
         raise ValueError(f"{path}: state norm {nrm:.8f} too far from 1")
     return Ket(amps / nrm, dims, normalized=True)
+
+
+def _parse_amplitude_lines(path: str | Path, body: list[tuple[int, str]], total: int) -> np.ndarray:
+    """The ``re im`` pairs of numbered significant lines, one line at a time."""
+    if len(body) != total:
+        raise ValueError(f"{path}: expected {total} amplitude lines, found {len(body)}")
+    pairs = np.empty((total, 2))
+    for row, (no, line) in enumerate(body):
+        parts = line.split()
+        if len(parts) != 2:
+            raise ValueError(f"{path}: line {no}: expected 're im'")
+        try:
+            pairs[row] = float(parts[0]), float(parts[1])
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {no}: not numeric") from exc
+    return pairs
 
 
 def write_amplitude_file(path: str | Path, state: Ket) -> None:
@@ -396,7 +410,7 @@ def cmd_sample(args) -> int:
     probs = outcome_distribution(state, n, args.ancilla_dim, CouplingKind(args.coupling))
     rng = np.random.default_rng(args.seed)
     draws = rng.choice(args.ancilla_dim, size=args.shots, p=probs)
-    text = "".join(f"{parity}\n" for parity in draws)
+    text = "\n".join(map(str, draws.tolist())) + "\n" if args.shots else ""
     _emit(text, args.out)
     return 0
 

@@ -13,8 +13,10 @@ through P_i = d^(-1) sum_k w^(-ik) A^k: the mask wt(x) == i (mod d), read
 in the computational basis (phase) or after a Walsh-Hadamard transform
 (shift).  ``outcome_distribution`` and ``photonic_module_action`` apply that
 mask to the amplitudes, and ``build_projectors`` returns the weight classes;
-only its ``projectors`` view materializes 2^n x 2^n matrices.  One
-statevector cap bounds everything; the view counts each matrix as a
+only its ``projectors`` view materializes 2^n x 2^n matrices, all of them
+real: the phase projector is diag(mask), and the shift projector's entry
+(x, y) is read at x XOR y off one Walsh-Hadamard transform of the mask.
+One statevector cap bounds everything; the view counts each matrix as a
 2n-qubit statevector.  The two routes must agree and are cross-checked in
 the test suite.
 """
@@ -25,7 +27,7 @@ import os
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -88,8 +90,9 @@ _DEFAULT_BASIS = {
 }
 
 
+@lru_cache(maxsize=64)
 def default_ancilla(d: int, coupling: CouplingKind) -> Ket:
-    """Ancilla preparation that makes the module herald parity exactly."""
+    """Ancilla preparation that makes the module herald parity exactly (cached; a Ket is immutable)."""
     if coupling is CouplingKind.PHASE:
         return fourier_ket(d, 0)
     return basis_ket((d,), 0)
@@ -166,15 +169,23 @@ class ProjectorSet:
 
     @cached_property
     def projectors(self) -> tuple[Operator, ...]:
-        """The P_i as dense 2^n x 2^n matrices, each as large as a 2n-qubit statevector."""
+        """The P_i as dense 2^n x 2^n matrices, each as large as a 2n-qubit statevector.
+
+        A phase projector is diag(mask_i).  A shift projector H^(x)n diag(mask_i) H^(x)n
+        has entries 2^(-n) sum_z (-1)^(z.(x^y)) mask_i[z], which depend on x XOR y
+        only: P_i[x, y] = g_i[x ^ y] with the real g_i = 2^(-n/2) H^(x)n mask_i, so
+        the view is a gather, not a matrix product.
+        """
         n, d = self.n, self.d
         need = f"{d} dense {1 << n} x {1 << n} projectors need {16 * d * 4**n} bytes, {16 << 2 * n} each"
         _check_qubits(2 * n, need)
-        masks = [(self.classes == i).astype(complex) for i in range(d)]
+        masks = np.array([self.classes == i for i in range(d)], dtype=float)
         if self.coupling is CouplingKind.PHASE:
             return tuple(Operator(np.diag(mask)) for mask in masks)
-        hyp = _hadamard_transform(np.eye(1 << n), n)
-        return tuple(Operator((hyp * mask) @ hyp) for mask in masks)
+        g = _hadamard_transform(masks.T, n).real.T * 2.0 ** (-n / 2)
+        index = np.arange(1 << n)
+        xor = index[:, None] ^ index
+        return tuple(Operator(g_i[xor]) for g_i in g)
 
 
 def projector_dim(i: int, n: int, d: int) -> int:
@@ -209,8 +220,9 @@ def build_projectors(n: int, d: int, coupling: CouplingKind = CouplingKind.PHASE
     return ProjectorSet(n=n, d=d, coupling=coupling, classes=classes)
 
 
+@lru_cache(maxsize=64)
 def _coupling_gate(d: int, coupling: CouplingKind) -> np.ndarray:
-    """(2d) x (2d) matrix of the qubit-ancilla interaction, qubit factor first."""
+    """(2d) x (2d) matrix of the qubit-ancilla interaction, qubit factor first (cached, read-only)."""
     if coupling is CouplingKind.PHASE:
         ctrl0 = np.diag([1.0 + 0j, 0.0])
         ctrl1 = np.diag([0.0 + 0j, 1.0])
@@ -220,7 +232,9 @@ def _coupling_gate(d: int, coupling: CouplingKind) -> np.ndarray:
         ctrl0 = h @ np.diag([1.0 + 0j, 0.0]) @ h
         ctrl1 = h @ np.diag([0.0 + 0j, 1.0]) @ h
         mark = pauli_x(d).entries
-    return np.kron(ctrl0, np.eye(d, dtype=complex)) + np.kron(ctrl1, mark)
+    gate = np.kron(ctrl0, np.eye(d, dtype=complex)) + np.kron(ctrl1, mark)
+    gate.setflags(write=False)
+    return gate
 
 
 def _apply_gate(amps: np.ndarray, dims: tuple[int, ...], gate: np.ndarray, ax_a: int, ax_b: int) -> np.ndarray:
@@ -260,17 +274,24 @@ def _exact_parity_probability(n: int, d: int, coupling: CouplingKind, parity: in
     return Fraction(1 if parity == 0 else 0, 1)
 
 
-def _measurement_vectors(config: ModuleConfig, prep: Ket, custom: bool) -> tuple[np.ndarray, list[int]]:
+@lru_cache(maxsize=64)
+def _default_measurement(d: int, coupling: CouplingKind) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Measurement kets of the default ancilla and their parities (cached, read-only)."""
+    if coupling is CouplingKind.PHASE:
+        vecs = np.array([fourier_ket(d, m).amps for m in range(d)])
+        parities = tuple((-m) % d for m in range(d))
+    else:
+        vecs = np.eye(d, dtype=complex)
+        parities = tuple(range(d))
+    vecs.setflags(write=False)
+    return vecs, parities
+
+
+def _measurement_vectors(config: ModuleConfig, prep: Ket, custom: bool) -> tuple[np.ndarray, tuple[int, ...]]:
     """Measurement kets (one row per outcome) and the parity each heralds."""
     d = config.d
     if not custom:
-        if config.coupling is CouplingKind.PHASE:
-            vecs = np.array([fourier_ket(d, m).amps for m in range(d)])
-            parities = [(-m) % d for m in range(d)]
-        else:
-            vecs = np.eye(d, dtype=complex)
-            parities = list(range(d))
-        return vecs, parities
+        return _default_measurement(d, config.coupling)
     step = pauli_z(d).entries if config.coupling is CouplingKind.PHASE else pauli_x(d).entries
     vecs = np.empty((d, d), dtype=complex)
     v = np.array(prep.amps)
@@ -284,7 +305,7 @@ def _measurement_vectors(config: ModuleConfig, prep: Ket, custom: bool) -> tuple
             f"ancilla preparation does not generate an orthonormal orbit "
             f"(Gram deviation {dev:.3e}); heralding would be ambiguous"
         )
-    return vecs, list(range(d))
+    return vecs, tuple(range(d))
 
 
 def _check_register(state: Ket, config: ModuleConfig) -> None:

@@ -87,7 +87,7 @@ def test_06_two_component_expectation_values(suite_run):
 
 
 def test_07_projector_algebra_full_sweep(suite_run):
-    gate(suite_run, "projectors", seconds=60.0)
+    gate(suite_run, "projectors", seconds=10.0)
 
 
 def test_08_solver_battery(suite_run):

@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 
 from qparity import states, verify
 from qparity.cli import load_amplitude_file, main, write_amplitude_file
-from qparity.linalg import Ket
+from qparity.linalg import Ket, plus_state
+from qparity.module import outcome_distribution
 from qparity.reports import verify_checksum
 from qparity.verify import Check
 
@@ -203,6 +204,29 @@ class TestAmplitudeFileFormat:
         path.write_text("dims: 2\n1 0\nx y\n")
         with pytest.raises(ValueError, match="not numeric"):
             load_amplitude_file(path)
+
+    def test_errors_name_the_files_own_line(self, tmp_path):
+        path = tmp_path / "state.txt"
+        path.write_text("# c\n\ndims: 2\n1 0\nx y")
+        with pytest.raises(ValueError, match="line 5: not numeric"):
+            load_amplitude_file(path)
+        path.write_text("# c\n\ndims: 2\n\n1 0 0  # three\n0 1\n")
+        with pytest.raises(ValueError, match="line 5: expected 're im'"):
+            load_amplitude_file(path)
+
+    @pytest.mark.parametrize("spelling", ["repr", "underscores"])
+    def test_amplitudes_are_parsed_as_python_floats(self, tmp_path, rng, spelling):
+        # Bit for bit complex(float(re), float(im)), renormalized; numpy's
+        # reader rejects "1_0", so that spelling takes the line-by-line parse.
+        v = rng.normal(size=8) + 1j * rng.normal(size=8)
+        rows = [[repr(float(x.real)), repr(float(x.imag))] for x in v / np.linalg.norm(v)]
+        if spelling == "underscores":
+            rows = [[tok.replace("0.", "0_0.", 1) for tok in row] for row in rows]
+            assert "_" in rows[0][0]
+        path = tmp_path / "state.txt"
+        path.write_text("dims: 2 2 2\n" + "".join(f"{re} {im}\n" for re, im in rows))
+        want = np.array([complex(float(re), float(im)) for re, im in rows])
+        assert np.array_equal(load_amplitude_file(path).amps, want / np.linalg.norm(want))
 
 
 BAD_TOKENS = ["x", "1,0", "0x1", "1e", "--1", "1j", "", "0 0"]
@@ -410,6 +434,12 @@ class TestSample:
         _, a, _ = run_cli(capsys, base + ["--seed", "1"])
         _, b, _ = run_cli(capsys, base + ["--seed", "2"])
         assert a != b
+
+    def test_output_matches_per_draw_formatting(self, capsys):
+        _, out, _ = run_cli(capsys, ["sample", "-n", "4", "-d", "3", "--shots", "1000", "--seed", "7"])
+        probs = outcome_distribution(plus_state(4), 4, 3)
+        draws = np.random.default_rng(7).choice(3, size=1000, p=probs)
+        assert out == "".join(f"{parity}\n" for parity in draws)
 
     def test_zero_shots(self, capsys):
         code, out, _ = run_cli(capsys, ["sample", "-n", "2", "-d", "2", "--shots", "0"])

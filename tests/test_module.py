@@ -26,6 +26,8 @@ from qparity.module import (
     MeasurementBasis,
     ModuleConfig,
     ResourceLimitError,
+    _coupling_gate,
+    _measurement_vectors,
     build_projectors,
     couple_once,
     default_ancilla,
@@ -102,6 +104,17 @@ class TestProjectors:
         for p, q in zip(phase.projectors, shift.projectors):
             assert np.allclose(q.entries, h_n @ p.entries @ h_n, atol=1e-10)
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_xor_view_matches_dense_hadamard_conjugate(self, n):
+        # The shift view is gathered at x XOR y; the dense form multiplies.
+        hyp = tensor([hadamard()] * n).entries
+        for d in range(2, 8):
+            pset = build_projectors(n, d, CouplingKind.SHIFT)
+            for i, p in enumerate(pset.projectors):
+                dense = (hyp * (pset.classes == i)) @ hyp
+                assert np.abs(p.entries - dense).max() <= 1e-14
+                assert not p.entries.imag.any()
+
     @pytest.mark.parametrize("coupling", list(CouplingKind))
     @pytest.mark.parametrize("n", range(1, 7))
     def test_projectors_match_fourier_sum_oracle(self, n, coupling):
@@ -171,6 +184,16 @@ class TestModuleConfig:
     def test_default_ancilla_states(self):
         assert np.allclose(default_ancilla(3, CouplingKind.PHASE).amps, fourier_ket(3, 0).amps)
         assert np.allclose(default_ancilla(3, CouplingKind.SHIFT).amps, basis_ket((3,), 0).amps)
+
+    @pytest.mark.parametrize("coupling", list(CouplingKind))
+    def test_cached_set_up_is_read_only(self, coupling):
+        # run_module shares one gate, ancilla and measurement per (d, coupling).
+        gate = _coupling_gate(4, coupling)
+        vecs, parities = _measurement_vectors(ModuleConfig(2, 4, coupling), default_ancilla(4, coupling), False)
+        assert gate is _coupling_gate(4, coupling)
+        assert default_ancilla(4, coupling) is default_ancilla(4, coupling)
+        assert isinstance(parities, tuple) and sorted(parities) == [0, 1, 2, 3]
+        assert not any(a.flags.writeable for a in (gate, vecs, default_ancilla(4, coupling).amps))
 
 
 class TestRunModuleHeralding:
