@@ -19,16 +19,12 @@ from .linalg import (
 )
 from .module import (
     CouplingKind,
-    MeasurementBasis,
     ModuleConfig,
     OutcomeRecord,
     ProjectorSet,
     ResourceLimitError,
     build_projectors,
-    couple_once,
-    default_ancilla,
     outcome_distribution,
-    photonic_module_action,
     projector_dim,
     run_module,
 )

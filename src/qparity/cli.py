@@ -22,6 +22,7 @@ from .module import (
     ModuleConfig,
     OutcomeRecord,
     ResourceLimitError,
+    _coupling,
     outcome_distribution,
     projector_dim,
     run_module,
@@ -155,6 +156,7 @@ def _outcome_payload(rec: OutcomeRecord) -> dict:
 def cmd_simulate(args) -> int:
     state, descriptor, n = _resolve_input(args)
     config = ModuleConfig(n=n, d=args.ancilla_dim, coupling=CouplingKind(args.coupling))
+    basis = _coupling(config.d, config.coupling).basis
     records = sorted(
         run_module(state, config), key=lambda r: (r.parity, r.outcome_label)
     )
@@ -167,7 +169,7 @@ def cmd_simulate(args) -> int:
                 "ancilla_dim": args.ancilla_dim,
                 "coupling": args.coupling,
                 "input": descriptor,
-                "measurement_basis": config.measurement_basis.value,
+                "measurement_basis": basis,
             },
             "outcomes": [_outcome_payload(r) for r in records],
         }
@@ -175,7 +177,7 @@ def cmd_simulate(args) -> int:
         return 0
     lines = [
         f"parity module: n={n} qubits, d={args.ancilla_dim} ancilla, {args.coupling} coupling",
-        f"input: {descriptor}; measurement basis: {config.measurement_basis.value}",
+        f"input: {descriptor}; measurement basis: {basis}",
         f"{'parity':>6}  {'outcome':>7}  {'p (exact)':>10}  {'p (float)':<16}  "
         f"{'classification':<24}  dicke k:weight",
     ]

@@ -60,6 +60,7 @@ class Ket:
 class Operator:
     """Dense square matrix with an optional unitary guarantee.
 
+    A real matrix is stored as float64, any other as complex128.
     ``unitary=True`` makes the constructor verify U^dagger U = I (max-entry
     deviation at most 1e-10) and fail loudly otherwise.
     """
@@ -68,7 +69,7 @@ class Operator:
     unitary: bool = False
 
     def __post_init__(self) -> None:
-        m = np.array(self.entries, dtype=complex)
+        m = np.array(self.entries, dtype=complex if np.iscomplexobj(self.entries) else float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"operator must be square, got shape {m.shape}")
         if self.unitary:

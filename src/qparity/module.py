@@ -5,20 +5,20 @@ Two equivalent couplings are provided.  The phase coupling applies
 ancilla in the Fourier vector |u_0> and measuring it in the Fourier basis
 heralds the total excitation number mod d.  The shift coupling is the
 Hadamard conjugate (|+><+| x I + |-><-| x X_d) with a computational-basis
-ancilla; it heralds the Hadamard-basis excitation number instead.
+ancilla; it heralds the Hadamard-basis excitation number instead.  Which of
+the two runs is decided once per (d, coupling), in ``_coupling``.
 
-The same physics is exposed twice on purpose: ``run_module`` simulates the
-couplings sequentially on a statevector, while the projector route works
-through P_i = d^(-1) sum_k w^(-ik) A^k: the mask wt(x) == i (mod d), read
-in the computational basis (phase) or after a Walsh-Hadamard transform
-(shift).  ``outcome_distribution`` and ``photonic_module_action`` apply that
-mask to the amplitudes, and ``build_projectors`` returns the weight classes;
-only its ``projectors`` view materializes 2^n x 2^n matrices, all of them
-real: the phase projector is diag(mask), and the shift projector's entry
-(x, y) is read at x XOR y off one Walsh-Hadamard transform of the mask.
-One statevector cap bounds everything; the view counts each matrix as a
-2n-qubit statevector.  The two routes must agree and are cross-checked in
-the test suite.
+``run_module`` simulates the couplings on a statevector and reports every
+heralded branch.  ``outcome_distribution`` and ``build_projectors`` work
+through P_i = d^(-1) sum_k w^(-ik) A^k instead: the mask wt(x) == i (mod d),
+read in the computational basis (phase) or after a Walsh-Hadamard transform
+(shift).  ``build_projectors`` returns the weight classes; only its
+``projectors`` view materializes 2^n x 2^n matrices, all of them real: the
+phase projector is diag(mask), and the shift projector's entry (x, y) is
+read at x XOR y off one Walsh-Hadamard transform of the mask.  One
+statevector cap bounds everything; the view counts each matrix as a 2n-qubit
+statevector.  The test suite checks both routes against a sequential-gate
+oracle and a Fourier-sum oracle.
 """
 from __future__ import annotations
 
@@ -32,21 +32,18 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import states
-from .linalg import (
-    Ket,
-    Operator,
-    basis_ket,
-    fourier_ket,
-    hadamard,
-    hamming_weights,
-    pauli_x,
-    pauli_z,
-)
+from .linalg import Ket, Operator, fourier_ket, hadamard, hamming_weights, pauli_x, pauli_z
 
 DEFAULT_STATEVECTOR_MAX_QUBITS = 20
 MAX_QUBITS_ENV = "QPARITY_MAX_QUBITS"
 ZERO_PROBABILITY_ATOL = 1e-12
 _ORBIT_BASIS_ATOL = 1e-8
+# Float64 rounding leaves a normalized state's norm within ~1e-15 of 1; an unnormalized one misses by far more.
+_NORM_ATOL = 1e-10
+# The branch probabilities are d rounded sums of |amplitude|^2; a unitary coupling keeps their total at 1.
+_PROBABILITY_SUM_ATOL = 1e-10
+# Exact rational probabilities are reported only when every amplitude is 2^(-n/2) up to rounding.
+_UNIFORM_PLUS_ATOL = 1e-12
 
 
 class ResourceLimitError(RuntimeError):
@@ -79,23 +76,46 @@ class CouplingKind(Enum):
     SHIFT = "shift"
 
 
-class MeasurementBasis(Enum):
-    FOURIER = "fourier"
-    COMPUTATIONAL = "computational"
+@dataclass(frozen=True, eq=False)
+class _Coupling:
+    """What ``run_module`` needs of one (d, coupling); every array is read-only.
 
+    ``step`` is V, the ancilla step of one excitation: Z_d (phase) or X_d
+    (shift).  ``gate`` is the (2d) x (2d) qubit-ancilla interaction, qubit
+    factor first.  ``readout`` holds the measurement kets, one row per
+    outcome, and row 0 is the default ancilla; outcome m heralds
+    ``parities[m]``.  ``basis`` names the readout basis.
+    """
 
-_DEFAULT_BASIS = {
-    CouplingKind.PHASE: MeasurementBasis.FOURIER,
-    CouplingKind.SHIFT: MeasurementBasis.COMPUTATIONAL,
-}
+    step: np.ndarray
+    gate: np.ndarray
+    readout: np.ndarray
+    parities: tuple[int, ...]
+    basis: str
 
 
 @lru_cache(maxsize=64)
-def default_ancilla(d: int, coupling: CouplingKind) -> Ket:
-    """Ancilla preparation that makes the module herald parity exactly (cached; a Ket is immutable)."""
+def _coupling(d: int, coupling: CouplingKind) -> _Coupling:
+    """The coupling's step, gate and default readout, built once per (d, coupling)."""
     if coupling is CouplingKind.PHASE:
-        return fourier_ket(d, 0)
-    return basis_ket((d,), 0)
+        ctrl0 = np.diag([1.0 + 0j, 0.0])
+        ctrl1 = np.diag([0.0 + 0j, 1.0])
+        step = pauli_z(d).entries
+        readout = np.array([fourier_ket(d, m).amps for m in range(d)])
+        parities = tuple((-m) % d for m in range(d))
+        basis = "fourier"
+    else:
+        h = hadamard().entries
+        ctrl0 = h @ np.diag([1.0 + 0j, 0.0]) @ h
+        ctrl1 = h @ np.diag([0.0 + 0j, 1.0]) @ h
+        step = pauli_x(d).entries
+        readout = np.eye(d, dtype=complex)
+        parities = tuple(range(d))
+        basis = "computational"
+    gate = np.kron(ctrl0, np.eye(d, dtype=complex)) + np.kron(ctrl1, step)
+    gate.setflags(write=False)
+    readout.setflags(write=False)
+    return _Coupling(step, gate, readout, parities, basis)
 
 
 @dataclass(frozen=True)
@@ -113,7 +133,6 @@ class ModuleConfig:
     d: int
     coupling: CouplingKind = CouplingKind.PHASE
     ancilla_prep: Ket | None = None
-    measurement_basis: MeasurementBasis | None = None
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -122,20 +141,12 @@ class ModuleConfig:
             raise ValueError(f"a d=1 ancilla carries no parity information (got d={self.d})")
         if not isinstance(self.coupling, CouplingKind):
             raise ValueError(f"unknown coupling {self.coupling!r}")
-        if self.measurement_basis is None:
-            object.__setattr__(self, "measurement_basis", _DEFAULT_BASIS[self.coupling])
-        elif self.measurement_basis is not _DEFAULT_BASIS[self.coupling]:
-            raise ValueError(
-                f"{self.coupling.value} coupling heralds in the "
-                f"{_DEFAULT_BASIS[self.coupling].value} basis, not "
-                f"{self.measurement_basis.value}"
-            )
         if self.ancilla_prep is not None:
             if self.ancilla_prep.dim != self.d:
                 raise ValueError(
                     f"ancilla preparation has dimension {self.ancilla_prep.dim}, expected {self.d}"
                 )
-            if not abs(self.ancilla_prep.norm() - 1.0) <= 1e-10:
+            if not abs(self.ancilla_prep.norm() - 1.0) <= _NORM_ATOL:
                 raise ValueError("ancilla preparation must be normalized")
 
 
@@ -220,23 +231,6 @@ def build_projectors(n: int, d: int, coupling: CouplingKind = CouplingKind.PHASE
     return ProjectorSet(n=n, d=d, coupling=coupling, classes=classes)
 
 
-@lru_cache(maxsize=64)
-def _coupling_gate(d: int, coupling: CouplingKind) -> np.ndarray:
-    """(2d) x (2d) matrix of the qubit-ancilla interaction, qubit factor first (cached, read-only)."""
-    if coupling is CouplingKind.PHASE:
-        ctrl0 = np.diag([1.0 + 0j, 0.0])
-        ctrl1 = np.diag([0.0 + 0j, 1.0])
-        mark = pauli_z(d).entries
-    else:
-        h = hadamard().entries
-        ctrl0 = h @ np.diag([1.0 + 0j, 0.0]) @ h
-        ctrl1 = h @ np.diag([0.0 + 0j, 1.0]) @ h
-        mark = pauli_x(d).entries
-    gate = np.kron(ctrl0, np.eye(d, dtype=complex)) + np.kron(ctrl1, mark)
-    gate.setflags(write=False)
-    return gate
-
-
 def _apply_gate(amps: np.ndarray, dims: tuple[int, ...], gate: np.ndarray, ax_a: int, ax_b: int) -> np.ndarray:
     """``gate`` applied to tensor factors ``ax_a`` and ``ax_b`` of a flat amplitude array."""
     t = np.moveaxis(amps.reshape(dims), (ax_a, ax_b), (0, 1))
@@ -244,27 +238,9 @@ def _apply_gate(amps: np.ndarray, dims: tuple[int, ...], gate: np.ndarray, ax_a:
     return np.moveaxis(out.reshape(t.shape), (0, 1), (ax_a, ax_b)).reshape(-1)
 
 
-def couple_once(joint: Ket, qubit: int, coupling: CouplingKind) -> Ket:
-    """Apply one qubit-ancilla interaction to a joint register+ancilla state.
-
-    The ancilla must be the last tensor factor.  Couplings to distinct
-    qubits commute, so the application order never matters.
-    """
-    dims = joint.factor_dims
-    if len(dims) < 2:
-        raise ValueError("joint state must contain at least one qubit and the ancilla")
-    n = len(dims) - 1
-    if any(dim != 2 for dim in dims[:n]):
-        raise ValueError(f"register factors must be qubits, got {dims[:n]}")
-    if not 0 <= qubit < n:
-        raise IndexError(f"qubit index {qubit} outside [0, {n})")
-    amps = _apply_gate(joint.amps, dims, _coupling_gate(dims[-1], coupling), qubit, n)
-    return Ket(amps, dims, normalized=joint.normalized)
-
-
 def _is_uniform_plus(state: Ket) -> bool:
     target = 2.0 ** (-len(state.factor_dims) / 2)
-    return bool(np.max(np.abs(state.amps - target)) <= 1e-12)
+    return bool(np.max(np.abs(state.amps - target)) <= _UNIFORM_PLUS_ATOL)
 
 
 def _exact_parity_probability(n: int, d: int, coupling: CouplingKind, parity: int) -> Fraction:
@@ -274,25 +250,9 @@ def _exact_parity_probability(n: int, d: int, coupling: CouplingKind, parity: in
     return Fraction(1 if parity == 0 else 0, 1)
 
 
-@lru_cache(maxsize=64)
-def _default_measurement(d: int, coupling: CouplingKind) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Measurement kets of the default ancilla and their parities (cached, read-only)."""
-    if coupling is CouplingKind.PHASE:
-        vecs = np.array([fourier_ket(d, m).amps for m in range(d)])
-        parities = tuple((-m) % d for m in range(d))
-    else:
-        vecs = np.eye(d, dtype=complex)
-        parities = tuple(range(d))
-    vecs.setflags(write=False)
-    return vecs, parities
-
-
-def _measurement_vectors(config: ModuleConfig, prep: Ket, custom: bool) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Measurement kets (one row per outcome) and the parity each heralds."""
-    d = config.d
-    if not custom:
-        return _default_measurement(d, config.coupling)
-    step = pauli_z(d).entries if config.coupling is CouplingKind.PHASE else pauli_x(d).entries
+def _orbit_readout(step: np.ndarray, prep: Ket) -> np.ndarray:
+    """Orbit kets V^m|prep>, one row per outcome m; raises unless they are orthonormal."""
+    d = prep.dim
     vecs = np.empty((d, d), dtype=complex)
     v = np.array(prep.amps)
     for m in range(d):
@@ -305,7 +265,7 @@ def _measurement_vectors(config: ModuleConfig, prep: Ket, custom: bool) -> tuple
             f"ancilla preparation does not generate an orthonormal orbit "
             f"(Gram deviation {dev:.3e}); heralding would be ambiguous"
         )
-    return vecs, tuple(range(d))
+    return vecs
 
 
 def _check_register(state: Ket, config: ModuleConfig) -> None:
@@ -314,7 +274,7 @@ def _check_register(state: Ket, config: ModuleConfig) -> None:
     if tuple(state.factor_dims) != (2,) * n:
         raise ValueError(f"input factors {state.factor_dims} do not match {n} qubits")
     _check_qubits(n)
-    if not abs(state.norm() - 1.0) <= 1e-10:
+    if not abs(state.norm() - 1.0) <= _NORM_ATOL:
         raise ValueError(f"input state must be normalized, norm is {state.norm():.12f}")
 
 
@@ -327,15 +287,19 @@ def run_module(state: Ket, config: ModuleConfig, *, classify_states: bool = True
     is exactly |+>^n and the ancilla preparation is the default one.
     """
     _check_register(state, config)
+    setup = _coupling(config.d, config.coupling)
     custom = config.ancilla_prep is not None
-    prep = config.ancilla_prep if custom else default_ancilla(config.d, config.coupling)
-    # couple_once on bare amplitudes: one gate, no per-qubit Ket copy and norm.
+    if custom:
+        # Outcome m finds the ancilla at V^m|prep>, so it heralds parity m.
+        prep = config.ancilla_prep.amps
+        vecs, parities = _orbit_readout(setup.step, config.ancilla_prep), tuple(range(config.d))
+    else:
+        prep, vecs, parities = setup.readout[0], setup.readout, setup.parities
+    # One gate per qubit on bare amplitudes, no per-qubit Ket copy and norm.
     dims = (2,) * config.n + (config.d,)
-    gate = _coupling_gate(config.d, config.coupling)
-    amps = np.kron(state.amps, prep.amps)
+    amps = np.kron(state.amps, prep)
     for q in range(config.n):
-        amps = _apply_gate(amps, dims, gate, q, config.n)
-    vecs, parities = _measurement_vectors(config, prep, custom)
+        amps = _apply_gate(amps, dims, setup.gate, q, config.n)
     mat = amps.reshape(1 << config.n, config.d)
     exact_ok = (not custom) and _is_uniform_plus(state)
     records = []
@@ -357,7 +321,7 @@ def run_module(state: Ket, config: ModuleConfig, *, classify_states: bool = True
         cls = states.classify(post) if classify_states else None
         records.append(OutcomeRecord(m, parity, prob, exact, post, cls, False))
     total = sum(r.probability for r in records)
-    if not abs(total - 1.0) <= 1e-10:
+    if not abs(total - 1.0) <= _PROBABILITY_SUM_ATOL:
         raise RuntimeError(f"branch probabilities sum to {total}, not 1")
     return records
 
@@ -372,34 +336,6 @@ def outcome_distribution(state: Ket, n: int, d: int, coupling: CouplingKind = Co
     amps = state.amps if coupling is CouplingKind.PHASE else _hadamard_transform(state.amps, n)
     probs = np.bincount(hamming_weights(n) % d, np.abs(amps) ** 2, minlength=d).tolist()
     total = sum(probs)
-    if not abs(total - 1.0) <= 1e-10:
+    if not abs(total - 1.0) <= _PROBABILITY_SUM_ATOL:
         raise RuntimeError(f"projector probabilities sum to {total}, not 1")
     return probs
-
-
-def photonic_module_action(state: Ket, ancilla_index: int, d: int, coupling: CouplingKind = CouplingKind.PHASE) -> Ket:
-    """Joint register+ancilla state after the module, before any measurement.
-
-    The ancilla starts in the Fourier vector |u_index> for the phase
-    coupling and in the computational vector |index> for the shift
-    coupling; the output is sum_i (P_i x V^i)|state>|ancilla> with V = Z_d
-    or X_d respectively.  Each P_i|state> is the parity-i mask applied to
-    the amplitudes, in the Hadamard basis for the shift coupling.
-    """
-    n = len(state.factor_dims)
-    _check_register(state, ModuleConfig(n, d, coupling))
-    if not 0 <= ancilla_index < d:
-        raise IndexError(f"ancilla index {ancilla_index} outside [0, {d})")
-    shift = coupling is CouplingKind.SHIFT
-    anc = basis_ket((d,), ancilla_index) if shift else fourier_ket(d, ancilla_index)
-    step = (pauli_x(d) if shift else pauli_z(d)).entries
-    marked = [anc.amps]
-    for _ in range(d - 1):
-        marked.append(step @ marked[-1])
-    # Row x of the joint state is amps[x] V^(parity of x)|ancilla>, with the
-    # amplitudes and the parities read in the Hadamard basis for the shift.
-    amps = _hadamard_transform(state.amps, n) if shift else state.amps
-    joint = amps[:, None] * np.array(marked)[hamming_weights(n) % d]
-    if shift:
-        joint = _hadamard_transform(joint, n)
-    return Ket(joint.reshape(-1), state.factor_dims + (d,), normalized=True)

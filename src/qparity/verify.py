@@ -62,7 +62,7 @@ def suite_projectors(max_n: int = 8) -> list[Check]:
             for coupling in CouplingKind:
                 pset = build_projectors(n, d, coupling)
                 views = [p.entries for p in pset.projectors]
-                mats = real[coupling] = [np.ascontiguousarray(v.real) for v in views]
+                mats = real[coupling] = [v.real for v in views]
                 for i in range(d):
                     if views[i].imag.any() or np.abs(mats[i].T - mats[i]).max() > PROJECTOR_ATOL:
                         herm.append(f"(n={n},d={d},k={i},{coupling.value})")

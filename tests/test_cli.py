@@ -67,6 +67,14 @@ class TestSimulate:
         assert code == 0
         assert len(calls) == 7
 
+    def test_shift_reports_computational_readout(self, capsys):
+        # The golden reports are phase runs, so only this pins the shift readout name.
+        argv = ["simulate", "-n", "3", "-d", "3", "--coupling", "shift"]
+        _, text, _ = run_cli(capsys, argv)
+        assert "measurement basis: computational" in text
+        _, out, _ = run_cli(capsys, argv + ["--json"])
+        assert '"measurement_basis":"computational"' in out
+
     def test_json_runs_are_byte_identical(self, capsys):
         _, first, _ = run_cli(capsys, ["simulate", "-n", "4", "-d", "3", "--json"])
         _, second, _ = run_cli(capsys, ["simulate", "-n", "4", "-d", "3", "--json"])

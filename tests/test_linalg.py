@@ -143,6 +143,12 @@ class TestOperatorConstruction:
         with pytest.raises(ValueError):
             Operator(np.zeros((2, 3)))
 
+    def test_real_matrix_stays_real(self):
+        # Real projector views take half the memory of complex128 ones.
+        assert Operator(np.eye(2)).entries.dtype == np.float64
+        assert Operator(np.eye(2, dtype=int)).entries.dtype == np.float64
+        assert Operator(np.eye(2) + 0j).entries.dtype == np.complex128
+
     def test_identity_is_both(self):
         op = identity(4)
         assert op.unitary

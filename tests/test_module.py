@@ -1,5 +1,6 @@
 """Unit tests for the coupling module: sequential statevector and projector paths."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from qparity.linalg import (
     Ket,
+    Operator,
     basis_ket,
     fidelity,
     fourier_ket,
@@ -23,16 +25,11 @@ from qparity.linalg import (
 )
 from qparity.module import (
     CouplingKind,
-    MeasurementBasis,
     ModuleConfig,
     ResourceLimitError,
-    _coupling_gate,
-    _measurement_vectors,
+    _coupling,
     build_projectors,
-    couple_once,
-    default_ancilla,
     outcome_distribution,
-    photonic_module_action,
     projector_dim,
     run_module,
     statevector_qubit_limit,
@@ -65,6 +62,39 @@ def fourier_sum_projectors(n, d, coupling):
             power = np.kron(power, h @ np.diag([1.0, om**k]) @ h)
         powers.append(power)
     return [sum(om ** (-i * k) * powers[k] for k in range(d)) / d for i in range(d)]
+
+
+def default_ancilla(d, coupling, index=0):
+    """|u_index> for the phase coupling, |index> for the shift coupling."""
+    return fourier_ket(d, index) if coupling is CouplingKind.PHASE else basis_ket((d,), index)
+
+
+def coupling_gate(d, coupling):
+    """|0><0| x I + |1><1| x V with V = Z_d (phase), or its Hadamard conjugate on the qubit with V = X_d (shift)."""
+    h = hadamard().entries if coupling is CouplingKind.SHIFT else np.eye(2)
+    step = (pauli_x(d) if coupling is CouplingKind.SHIFT else pauli_z(d)).entries
+    return np.kron(h @ np.diag([1.0, 0.0]) @ h, np.eye(d)) + np.kron(h @ np.diag([0.0, 1.0]) @ h, step)
+
+
+def couple_once(joint, qubit, coupling):
+    """Test-only sequential oracle: one qubit-ancilla interaction on a joint state.
+
+    The ancilla is the last tensor factor.  Couplings to distinct qubits
+    commute, so the application order never matters.
+    """
+    dims = joint.factor_dims
+    n, d = len(dims) - 1, dims[-1]
+    t = np.moveaxis(joint.amps.reshape(dims), (qubit, n), (0, 1))
+    t = np.tensordot(coupling_gate(d, coupling).reshape(2, d, 2, d), t, axes=([2, 3], [0, 1]))
+    return Ket(np.moveaxis(t, (0, 1), (qubit, n)).reshape(-1), dims, normalized=joint.normalized)
+
+
+def sequential_joint(state, d, coupling, index=0):
+    """Joint register+ancilla state after coupling every qubit once, in qubit order."""
+    joint = tensor([state, default_ancilla(d, coupling, index)])
+    for q in range(len(state.factor_dims)):
+        joint = couple_once(joint, q, coupling)
+    return joint
 
 
 class TestProjectors:
@@ -135,12 +165,12 @@ class TestProjectors:
             assert np.abs(np.array(probs) - expect).max() <= 1e-12
             step = (pauli_x(d) if coupling is CouplingKind.SHIFT else pauli_z(d)).entries
             for index in range(d):
-                anc = (basis_ket((d,), index) if coupling is CouplingKind.SHIFT else fourier_ket(d, index)).amps
+                anc = default_ancilla(d, coupling, index).amps
                 joint = np.zeros((1 << n) * d, dtype=complex)
                 for b in branches:
                     joint += np.kron(b, anc)
                     anc = step @ anc
-                got = photonic_module_action(state, index, d, coupling).amps
+                got = sequential_joint(state, d, coupling, index).amps
                 assert np.abs(got - joint).max() <= 1e-12
 
     def test_rank_accounting_is_complete(self):
@@ -156,19 +186,6 @@ class TestProjectors:
 
 
 class TestModuleConfig:
-    def test_defaults_resolve_measurement_basis(self):
-        assert ModuleConfig(3, 3).measurement_basis is MeasurementBasis.FOURIER
-        assert (
-            ModuleConfig(3, 3, CouplingKind.SHIFT).measurement_basis
-            is MeasurementBasis.COMPUTATIONAL
-        )
-
-    def test_mismatched_basis_rejected(self):
-        with pytest.raises(ValueError):
-            ModuleConfig(3, 3, CouplingKind.PHASE, measurement_basis=MeasurementBasis.COMPUTATIONAL)
-        with pytest.raises(ValueError):
-            ModuleConfig(3, 3, CouplingKind.SHIFT, measurement_basis=MeasurementBasis.FOURIER)
-
     def test_size_validation(self):
         with pytest.raises(ValueError):
             ModuleConfig(0, 3)
@@ -182,18 +199,61 @@ class TestModuleConfig:
             ModuleConfig(2, 2, ancilla_prep=Ket(np.array([1.0, 1.0]), (2,)))
 
     def test_default_ancilla_states(self):
-        assert np.allclose(default_ancilla(3, CouplingKind.PHASE).amps, fourier_ket(3, 0).amps)
-        assert np.allclose(default_ancilla(3, CouplingKind.SHIFT).amps, basis_ket((3,), 0).amps)
+        # Readout row 0 is the default ancilla: supplying it as a custom
+        # preparation relabels the outcomes but heralds the same branches.
+        for coupling, d in itertools.product(CouplingKind, range(2, 6)):
+            prep = default_ancilla(d, coupling)
+            assert np.array_equal(_coupling(d, coupling).readout[0], prep.amps)
+            state = random_register(d, 3)
+            default = run_module(state, ModuleConfig(3, d, coupling), classify_states=False)
+            custom = run_module(state, ModuleConfig(3, d, coupling, ancilla_prep=prep), classify_states=False)
+            by_parity = {r.parity: r for r in custom}
+            for r in default:
+                assert r.probability == pytest.approx(by_parity[r.parity].probability, abs=1e-12)
+                if not r.zero_probability:
+                    assert fidelity(r.post_state, by_parity[r.parity].post_state) == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("coupling", list(CouplingKind))
     def test_cached_set_up_is_read_only(self, coupling):
-        # run_module shares one gate, ancilla and measurement per (d, coupling).
-        gate = _coupling_gate(4, coupling)
-        vecs, parities = _measurement_vectors(ModuleConfig(2, 4, coupling), default_ancilla(4, coupling), False)
-        assert gate is _coupling_gate(4, coupling)
-        assert default_ancilla(4, coupling) is default_ancilla(4, coupling)
-        assert isinstance(parities, tuple) and sorted(parities) == [0, 1, 2, 3]
-        assert not any(a.flags.writeable for a in (gate, vecs, default_ancilla(4, coupling).amps))
+        # run_module shares one record per (d, coupling), equal by value to
+        # the step, gate and readout it is built from.
+        shift = coupling is CouplingKind.SHIFT
+        for d in range(2, 8):
+            setup = _coupling(d, coupling)
+            assert setup is _coupling(d, coupling)
+            assert not any(a.flags.writeable for a in (setup.step, setup.gate, setup.readout))
+            step = (pauli_x(d) if shift else pauli_z(d)).entries
+            h = hadamard().entries
+            ctrl0, ctrl1 = np.diag([1.0 + 0j, 0.0]), np.diag([0.0 + 0j, 1.0])
+            if shift:
+                ctrl0, ctrl1 = h @ ctrl0 @ h, h @ ctrl1 @ h
+            gate = np.kron(ctrl0, np.eye(d, dtype=complex)) + np.kron(ctrl1, step)
+            assert np.array_equal(setup.step, step)
+            assert np.array_equal(setup.gate, gate)
+            if shift:
+                assert np.array_equal(setup.readout, np.eye(d))
+                assert setup.parities == tuple(range(d))
+                assert setup.basis == "computational"
+            else:
+                assert np.array_equal(setup.readout, [fourier_ket(d, m).amps for m in range(d)])
+                assert setup.parities == tuple((-m) % d for m in range(d))
+                assert setup.basis == "fourier"
+
+    @pytest.mark.parametrize("coupling", list(CouplingKind))
+    def test_warm_custom_ancilla_run_builds_no_operator(self, monkeypatch, coupling):
+        prep = default_ancilla(3, coupling, 1)
+        config = ModuleConfig(3, 3, coupling, ancilla_prep=prep)
+        run_module(plus_state(3), config, classify_states=False)
+        built = []
+        post_init = Operator.__post_init__
+
+        def counted(op):
+            built.append(op)
+            post_init(op)
+
+        monkeypatch.setattr(Operator, "__post_init__", counted)
+        run_module(plus_state(3), config, classify_states=False)
+        assert built == []
 
 
 class TestRunModuleHeralding:
@@ -345,32 +405,28 @@ class TestCouplingStructure:
         n, d = int(g.integers(1, 5)), int(g.integers(2, 5))
         coupling = CouplingKind.PHASE if g.integers(2) == 0 else CouplingKind.SHIFT
         state = Ket(random_ket_amps(g, 1 << n), (2,) * n, normalized=True)
-        joint = tensor([state, default_ancilla(d, coupling)])
-        for q in range(n):
-            joint = couple_once(joint, q, coupling)
-        via_projectors = photonic_module_action(state, 0, d, coupling)
-        assert np.allclose(joint.amps, via_projectors.amps, atol=1e-10)
+        joint = sequential_joint(state, d, coupling)
+        # sum_i P_i|state> x V^i|ancilla> with the Fourier-sum projectors.
+        step = (pauli_x(d) if coupling is CouplingKind.SHIFT else pauli_z(d)).entries
+        anc = default_ancilla(d, coupling).amps
+        via_projectors = np.zeros_like(joint.amps)
+        for ref in fourier_sum_projectors(n, d, coupling):
+            via_projectors += np.kron(ref @ state.amps, anc)
+            anc = step @ anc
+        assert np.allclose(joint.amps, via_projectors, atol=1e-10)
 
     def test_qubit_ancilla_case_has_two_branch_form(self):
         # For d=2 the joint output is P_0|psi>|+> + P_1|psi>|->, so
         # projecting the ancilla onto (|0> +/- |1>)/sqrt(2) recovers the
         # parity projections of the register.
         state = random_register(11, 3)
-        joint = photonic_module_action(state, 0, 2, CouplingKind.PHASE)
+        joint = sequential_joint(state, 2, CouplingKind.PHASE)
         pset = build_projectors(3, 2, CouplingKind.PHASE)
         mat = joint.amps.reshape(8, 2)
         for i, sign in enumerate([1.0, -1.0]):
             anc = np.array([1.0, sign]) / math.sqrt(2)
             branch = mat @ anc.conj()
             assert np.allclose(branch, pset.projectors[i].entries @ state.amps, atol=1e-12)
-
-    def test_couple_once_validates_arguments(self):
-        joint = tensor([plus_state(2), fourier_ket(3, 0)])
-        with pytest.raises(IndexError):
-            couple_once(joint, 2, CouplingKind.PHASE)
-        bad = tensor([fourier_ket(3, 0), fourier_ket(3, 0)])
-        with pytest.raises(ValueError):
-            couple_once(bad, 0, CouplingKind.PHASE)
 
 
 class TestDistributionAgreement:
@@ -405,13 +461,9 @@ class TestDistributionAgreement:
             outcome_distribution(plus_state(3), 2, 2)
         with pytest.raises(ValueError, match="coupling"):
             outcome_distribution(plus_state(2), 2, 2, "shift")
-        with pytest.raises(ValueError, match="coupling"):
-            photonic_module_action(plus_state(2), 0, 2, "shift")
         for d in (1, 0, -2):
             with pytest.raises(ValueError, match="carries no parity"):
                 outcome_distribution(plus_state(3), 3, d)
-            with pytest.raises(ValueError, match="carries no parity"):
-                photonic_module_action(plus_state(3), 0, d)
 
 
 # Every ResourceLimitError states the bytes it asked for and the limit.
@@ -462,8 +514,6 @@ class TestResourceEnvelope:
         monkeypatch.setenv("QPARITY_MAX_QUBITS", "4")
         with pytest.raises(ResourceLimitError, match=FIVE_OVER_FOUR):
             outcome_distribution(plus_state(5), 5, 3, coupling)
-        with pytest.raises(ResourceLimitError, match=FIVE_OVER_FOUR):
-            photonic_module_action(plus_state(5), 0, 3, coupling)
 
     def test_mask_route_runs_above_projector_cap(self, monkeypatch):
         # n = 16 is beyond the dense view's cap but no 2^n x 2^n matrix is built.
@@ -478,14 +528,6 @@ class TestResourceEnvelope:
         phase = outcome_distribution(state, n, d, CouplingKind.PHASE)
         assert phase == pytest.approx([projector_dim(i, n, d) / 2**n for i in range(d)], abs=1e-12)
         assert outcome_distribution(state, n, d, CouplingKind.SHIFT) == pytest.approx([1, 0, 0], abs=1e-12)
-        parity = hamming_weights(n) % d
-        joint = photonic_module_action(state, 0, d, CouplingKind.PHASE).amps.reshape(1 << n, d)
-        for i in range(d):
-            branch = joint @ fourier_ket(d, (-i) % d).amps.conj()
-            assert np.allclose(branch, state.amps * (parity == i), atol=1e-12)
-        joint = photonic_module_action(state, 0, d, CouplingKind.SHIFT).amps.reshape(1 << n, d)
-        assert np.allclose(joint[:, 0], state.amps, atol=1e-12)
-        assert np.abs(joint[:, 1:]).max() <= 1e-12
 
     def test_dense_view_limit_states_bytes(self, monkeypatch):
         # Three 2^4 x 2^4 matrices need 3 * 16 * 4^4 bytes; the limit is one 7-qubit statevector.

@@ -67,6 +67,7 @@ def test_imaginary_part_on_a_shift_entry_fails_hermitian(monkeypatch):
     # Far below the law tolerance in size, but a view must be exactly real.
     def edit(coupling, mats):
         if coupling is CouplingKind.SHIFT:
+            mats[0] = mats[0] + 0j
             mats[0][0, 0] += 1e-9j
         return mats
 
