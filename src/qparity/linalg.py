@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -189,8 +190,9 @@ def canonical_phase(k: Ket, tol: float = 1e-12) -> Ket:
     return Ket(k.amps * (lead.conjugate() / abs(lead)), k.factor_dims, normalized=k.normalized)
 
 
+@lru_cache(maxsize=32)
 def hamming_weights(n: int) -> np.ndarray:
-    """Vector of bit counts for all integers in [0, 2^n)."""
+    """Read-only vector of bit counts for all integers in [0, 2^n), built once per n."""
     if n < 0:
         raise ValueError(f"qubit count must be nonnegative, got {n}")
     x = np.arange(1 << n, dtype=np.uint64)
@@ -202,4 +204,19 @@ def hamming_weights(n: int) -> np.ndarray:
     x = x + (x >> np.uint64(8))
     x = x + (x >> np.uint64(16))
     x = x + (x >> np.uint64(32))
-    return (x & np.uint64(0x7F)).astype(np.int64)
+    return _freeze((x & np.uint64(0x7F)).astype(np.int64))
+
+
+@lru_cache(maxsize=32)
+def weight_order(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The integers in [0, 2^n) sorted stably by bit count, and where each count starts.
+
+    Weight class k is ``order[starts[k]:starts[k + 1]]`` in ascending order, so
+    ``amps[order][starts[k]:starts[k + 1]]`` holds the same elements in the same
+    order as ``amps[hamming_weights(n) == k]``.  Both arrays are read-only.
+    """
+    wts = hamming_weights(n)
+    order = np.argsort(wts, kind="stable")
+    starts = np.zeros(n + 2, dtype=np.int64)
+    np.cumsum(np.bincount(wts, minlength=n + 1), out=starts[1:])
+    return _freeze(order), _freeze(starts)

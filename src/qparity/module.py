@@ -8,17 +8,29 @@ Hadamard conjugate (|+><+| x I + |-><-| x X_d) with a computational-basis
 ancilla; it heralds the Hadamard-basis excitation number instead.  Which of
 the two runs is decided once per (d, coupling), in ``_coupling``.
 
-``run_module`` simulates the couplings on a statevector and reports every
-heralded branch.  ``outcome_distribution`` and ``build_projectors`` work
-through P_i = d^(-1) sum_k w^(-ik) A^k instead: the mask wt(x) == i (mod d),
+``run_module`` reports every heralded branch, with one weight kernel per
+coupling.  The phase kernel multiplies amplitude (x, j) of the
+register-ancilla state by z_j = w^j once per excitation of x, visiting the
+strings in the weight order of ``linalg.weight_order`` so that one
+vectorised step per weight level covers every ancilla level.  The shift
+kernel uses that in the Hadamard basis every coupling is a controlled X_d,
+an exact permutation: branch m is H^(x)n(h * T[m, wt mod d]) with
+h = H^(x)n amps and T[m, w] = <r_m|X_d^w|prep>.  The phase kernel keeps its
+per-excitation rounding only because the golden report digest pins it (the
+reports print rounding-level Dicke residuals); once a benchmark change
+re-records that digest, it collapses to amps * T[m, wt mod d] with
+T[m, w] = <r_m|Z_d^w|prep>.
+
+``outcome_distribution`` and ``build_projectors`` work through the
+projectors P_i = d^(-1) sum_k w^(-ik) A^k: the mask wt(x) == i (mod d),
 read in the computational basis (phase) or after a Walsh-Hadamard transform
 (shift).  ``build_projectors`` returns the weight classes; only its
 ``projectors`` view materializes 2^n x 2^n matrices, all of them real: the
 phase projector is diag(mask), and the shift projector's entry (x, y) is
 read at x XOR y off one Walsh-Hadamard transform of the mask.  One
 statevector cap bounds everything; the view counts each matrix as a 2n-qubit
-statevector.  The test suite checks both routes against a sequential-gate
-oracle and a Fourier-sum oracle.
+statevector.  The test suite checks both kernels and the projector route
+against a sequential-gate oracle and a Fourier-sum oracle.
 """
 from __future__ import annotations
 
@@ -32,7 +44,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import states
-from .linalg import Ket, Operator, fourier_ket, hadamard, hamming_weights, pauli_x, pauli_z
+from .linalg import Ket, Operator, fourier_ket, hamming_weights, pauli_x, pauli_z, weight_order
 
 DEFAULT_STATEVECTOR_MAX_QUBITS = 20
 MAX_QUBITS_ENV = "QPARITY_MAX_QUBITS"
@@ -44,6 +56,9 @@ _NORM_ATOL = 1e-10
 _PROBABILITY_SUM_ATOL = 1e-10
 # Exact rational probabilities are reported only when every amplitude is 2^(-n/2) up to rounding.
 _UNIFORM_PLUS_ATOL = 1e-12
+# The phase kernel works on blocks of this many amplitudes per real array, so
+# that a block stays in a core's cache through all of its weight levels.
+_BLOCK_ENTRIES = 1 << 15
 
 
 class ResourceLimitError(RuntimeError):
@@ -81,14 +96,12 @@ class _Coupling:
     """What ``run_module`` needs of one (d, coupling); every array is read-only.
 
     ``step`` is V, the ancilla step of one excitation: Z_d (phase) or X_d
-    (shift).  ``gate`` is the (2d) x (2d) qubit-ancilla interaction, qubit
-    factor first.  ``readout`` holds the measurement kets, one row per
-    outcome, and row 0 is the default ancilla; outcome m heralds
-    ``parities[m]``.  ``basis`` names the readout basis.
+    (shift).  ``readout`` holds the measurement kets, one row per outcome,
+    and row 0 is the default ancilla; outcome m heralds ``parities[m]``.
+    ``basis`` names the readout basis.
     """
 
     step: np.ndarray
-    gate: np.ndarray
     readout: np.ndarray
     parities: tuple[int, ...]
     basis: str
@@ -96,26 +109,19 @@ class _Coupling:
 
 @lru_cache(maxsize=64)
 def _coupling(d: int, coupling: CouplingKind) -> _Coupling:
-    """The coupling's step, gate and default readout, built once per (d, coupling)."""
+    """The coupling's step and default readout, built once per (d, coupling)."""
     if coupling is CouplingKind.PHASE:
-        ctrl0 = np.diag([1.0 + 0j, 0.0])
-        ctrl1 = np.diag([0.0 + 0j, 1.0])
         step = pauli_z(d).entries
         readout = np.array([fourier_ket(d, m).amps for m in range(d)])
         parities = tuple((-m) % d for m in range(d))
         basis = "fourier"
     else:
-        h = hadamard().entries
-        ctrl0 = h @ np.diag([1.0 + 0j, 0.0]) @ h
-        ctrl1 = h @ np.diag([0.0 + 0j, 1.0]) @ h
         step = pauli_x(d).entries
         readout = np.eye(d, dtype=complex)
         parities = tuple(range(d))
         basis = "computational"
-    gate = np.kron(ctrl0, np.eye(d, dtype=complex)) + np.kron(ctrl1, step)
-    gate.setflags(write=False)
     readout.setflags(write=False)
-    return _Coupling(step, gate, readout, parities, basis)
+    return _Coupling(step, readout, parities, basis)
 
 
 @dataclass(frozen=True)
@@ -188,7 +194,7 @@ class ProjectorSet:
         the view is a gather, not a matrix product.
         """
         n, d = self.n, self.d
-        need = f"{d} dense {1 << n} x {1 << n} projectors need {16 * d * 4**n} bytes, {16 << 2 * n} each"
+        need = f"{d} dense {1 << n} x {1 << n} projectors need {8 * d * 4**n} bytes, {8 << 2 * n} each"
         _check_qubits(2 * n, need)
         masks = np.array([self.classes == i for i in range(d)], dtype=float)
         if self.coupling is CouplingKind.PHASE:
@@ -209,12 +215,20 @@ def projector_dim(i: int, n: int, d: int) -> int:
 
 
 def _hadamard_transform(a: np.ndarray, n: int) -> np.ndarray:
-    """H^(x)n applied along the first axis of ``a``, which has length 2^n."""
-    t = np.array(a, dtype=complex)
+    """H^(x)n applied along the first axis of ``a``, which has length 2^n.
+
+    An in-place butterfly on a C-ordered complex copy of ``a``: each qubit
+    pass replaces the halves (lo, hi) by (lo + hi, lo - hi).
+    """
+    t = np.array(a, dtype=complex, order="C")
     for q in range(n):
         v = t.reshape(1 << q, 2, -1)
-        t = np.stack((v[:, 0] + v[:, 1], v[:, 0] - v[:, 1]), axis=1)
-    return t.reshape(a.shape) * 2.0 ** (-n / 2)
+        lo, hi = v[:, 0], v[:, 1]
+        total = lo + hi
+        np.subtract(lo, hi, out=hi)
+        lo[...] = total
+    t *= 2.0 ** (-n / 2)
+    return t
 
 
 def build_projectors(n: int, d: int, coupling: CouplingKind = CouplingKind.PHASE) -> ProjectorSet:
@@ -231,11 +245,63 @@ def build_projectors(n: int, d: int, coupling: CouplingKind = CouplingKind.PHASE
     return ProjectorSet(n=n, d=d, coupling=coupling, classes=classes)
 
 
-def _apply_gate(amps: np.ndarray, dims: tuple[int, ...], gate: np.ndarray, ax_a: int, ax_b: int) -> np.ndarray:
-    """``gate`` applied to tensor factors ``ax_a`` and ``ax_b`` of a flat amplitude array."""
-    t = np.moveaxis(amps.reshape(dims), (ax_a, ax_b), (0, 1))
-    out = gate @ t.reshape(t.shape[0] * t.shape[1], -1)
-    return np.moveaxis(out.reshape(t.shape), (0, 1), (ax_a, ax_b)).reshape(-1)
+def _phase_kernel(amps: np.ndarray, prep: np.ndarray, clock: np.ndarray, n: int) -> np.ndarray:
+    """The register-ancilla state after the phase coupling, as a C-contiguous (2^n, d) matrix.
+
+    Entry (x, j) is a0 z_j^wt(x), with a0 = amps[x] prep[j] as ``np.kron``
+    forms it and z_j = ``clock[j]``.  The product is taken one excitation at
+    a time, each as (re, im) <- (re zr - im zi, re zi + im zr) with every
+    product and sum rounded on its own.  The rows are visited in the order of
+    ``weight_order``, a block at a time, and rewritten in place: within a
+    block, level k multiplies the strings of weight >= k, for all ancilla
+    levels at once.
+    """
+    order, starts = weight_order(n)
+    mat = np.kron(amps, prep).reshape(1 << n, -1)
+    zr, zi = clock.real[:, None], clock.imag[:, None]
+    size = max(1, _BLOCK_ENTRIES // prep.size)
+    for first in range(0, 1 << n, size):
+        rows = order[first : first + size]
+        block = mat[rows]
+        re, im = block.real.T.copy(), block.imag.T.copy()
+        for start in starts[1 : n + 1]:
+            if start >= first + rows.size:
+                break
+            r, i = re[:, max(start - first, 0) :], im[:, max(start - first, 0) :]
+            t = i * zi
+            i *= zr
+            i += r * zi
+            r *= zr
+            r -= t
+        mat.real[rows] = re.T
+        mat.imag[rows] = im.T
+    return mat
+
+
+def _branches(amps: np.ndarray, n: int, coupling: CouplingKind, step: np.ndarray, prep: np.ndarray, vecs: np.ndarray):
+    """(probability, branch) for each outcome m, in outcome order; branch is None when
+    the probability is below ``ZERO_PROBABILITY_ATOL``.
+
+    Phase: branch m is <r_m| applied to the ancilla of ``_phase_kernel``'s matrix.
+    Shift: in the Hadamard basis every coupling is a controlled X_d, an exact
+    permutation, so branch m is H^(x)n(h * T[m, wt mod d]) with h = H^(x)n amps
+    and T[m, w] = <r_m|X_d^w|prep>.  Its probability is read off h * T[m, .]
+    (Parseval), and only a nonzero branch is transformed back.
+    """
+    if coupling is CouplingKind.PHASE:
+        mat = _phase_kernel(amps, prep, np.diag(step), n)
+        for v in vecs:
+            branch = mat @ v.conj()
+            prob = float(np.sum(np.abs(branch) ** 2))
+            yield prob, (branch if prob >= ZERO_PROBABILITY_ATOL else None)
+        return
+    table = vecs.conj() @ _orbit(step, prep).T
+    hat = _hadamard_transform(amps, n)
+    classes = hamming_weights(n) % prep.size
+    for row in table:
+        branch = hat * row[classes]
+        prob = float(np.sum(np.abs(branch) ** 2))
+        yield prob, (_hadamard_transform(branch, n) if prob >= ZERO_PROBABILITY_ATOL else None)
 
 
 def _is_uniform_plus(state: Ket) -> bool:
@@ -250,14 +316,20 @@ def _exact_parity_probability(n: int, d: int, coupling: CouplingKind, parity: in
     return Fraction(1 if parity == 0 else 0, 1)
 
 
+def _orbit(step: np.ndarray, prep: np.ndarray) -> np.ndarray:
+    """The kets V^m|prep>, one row per m in [0, d)."""
+    vecs = np.empty((prep.size, prep.size), dtype=complex)
+    v = prep
+    for m in range(prep.size):
+        vecs[m] = v
+        v = step @ v
+    return vecs
+
+
 def _orbit_readout(step: np.ndarray, prep: Ket) -> np.ndarray:
     """Orbit kets V^m|prep>, one row per outcome m; raises unless they are orthonormal."""
     d = prep.dim
-    vecs = np.empty((d, d), dtype=complex)
-    v = np.array(prep.amps)
-    for m in range(d):
-        vecs[m] = v
-        v = step @ v
+    vecs = _orbit(step, prep.amps)
     gram = vecs.conj() @ vecs.T
     dev = float(np.abs(gram - np.eye(d)).max())
     if dev > _ORBIT_BASIS_ATOL:
@@ -295,24 +367,17 @@ def run_module(state: Ket, config: ModuleConfig, *, classify_states: bool = True
         vecs, parities = _orbit_readout(setup.step, config.ancilla_prep), tuple(range(config.d))
     else:
         prep, vecs, parities = setup.readout[0], setup.readout, setup.parities
-    # One gate per qubit on bare amplitudes, no per-qubit Ket copy and norm.
-    dims = (2,) * config.n + (config.d,)
-    amps = np.kron(state.amps, prep)
-    for q in range(config.n):
-        amps = _apply_gate(amps, dims, setup.gate, q, config.n)
-    mat = amps.reshape(1 << config.n, config.d)
     exact_ok = (not custom) and _is_uniform_plus(state)
     records = []
-    for m in range(config.d):
-        branch = mat @ vecs[m].conj()
-        prob = float(np.sum(np.abs(branch) ** 2))
+    branches = _branches(state.amps, config.n, config.coupling, setup.step, prep, vecs)
+    for m, (prob, branch) in enumerate(branches):
         parity = parities[m]
         exact = (
             _exact_parity_probability(config.n, config.d, config.coupling, parity)
             if exact_ok
             else None
         )
-        if prob < ZERO_PROBABILITY_ATOL:
+        if branch is None:
             records.append(
                 OutcomeRecord(m, parity, prob, exact, None, None, True)
             )

@@ -19,6 +19,7 @@ from .linalg import (
     canonical_phase,
     fidelity,
     hamming_weights,
+    weight_order,
 )
 
 FIDELITY_THRESHOLD = 1.0 - 1e-10
@@ -166,17 +167,19 @@ def dicke_decompose(state: Ket, tol: float = _COEFF_CUTOFF) -> DickeDecompositio
     """
     n = _require_qubits(state)
     vc = canonical_phase(state)
-    wts = hamming_weights(n)
+    order, starts = weight_order(n)
+    # Each class is a contiguous slice of the amplitudes in weight order.
+    by_weight = vc.amps[order]
     coeffs: dict[int, float] = {}
-    remainder = np.array(vc.amps)
+    kept = np.zeros(n + 1)
     for k in range(n + 1):
-        mask = wts == k
         scale = math.sqrt(math.comb(n, k))
-        c = float(np.real(np.sum(vc.amps[mask])) / scale)
+        c = float(np.real(np.sum(by_weight[starts[k] : starts[k + 1]])) / scale)
         if abs(c) >= tol:
             coeffs[k] = c
-            remainder[mask] -= c / scale
-    residual = float(np.linalg.norm(remainder))
+            kept[k] = c / scale
+    del by_weight
+    residual = float(np.linalg.norm(vc.amps - kept[hamming_weights(n)]))
     return DickeDecomposition(n=n, coeffs=coeffs, residual=residual)
 
 

@@ -23,6 +23,7 @@ from qparity.linalg import (
     pauli_z,
     plus_state,
     tensor,
+    weight_order,
 )
 
 DIMS = st.integers(min_value=2, max_value=8)
@@ -224,3 +225,19 @@ class TestIndexing:
         sample = range(1 << n) if n <= 10 else range(0, 1 << n, 97)
         for x in sample:
             assert w[x] == bin(x).count("1")
+
+    @pytest.mark.parametrize("n", [0, 1, 5, 12])
+    def test_weight_order_slices_are_weight_classes(self, n):
+        wts = hamming_weights(n)
+        order, starts = weight_order(n)
+        assert starts[0] == 0 and starts[-1] == 1 << n
+        for k in range(n + 1):
+            assert np.array_equal(order[starts[k] : starts[k + 1]], np.flatnonzero(wts == k))
+
+    @pytest.mark.parametrize("n", [1, 6])
+    def test_cached_weights_and_order_are_read_only(self, n):
+        # Every caller shares one array per n, so a write must fail instead of leaking.
+        assert hamming_weights(n) is hamming_weights(n)
+        for a in (hamming_weights(n), *weight_order(n)):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 1

@@ -24,10 +24,13 @@ from qparity.linalg import (
     tensor,
 )
 from qparity.module import (
+    ZERO_PROBABILITY_ATOL,
     CouplingKind,
     ModuleConfig,
     ResourceLimitError,
     _coupling,
+    _hadamard_transform,
+    _phase_kernel,
     build_projectors,
     outcome_distribution,
     projector_dim,
@@ -89,12 +92,24 @@ def couple_once(joint, qubit, coupling):
     return Ket(np.moveaxis(t, (0, 1), (qubit, n)).reshape(-1), dims, normalized=joint.normalized)
 
 
-def sequential_joint(state, d, coupling, index=0):
+def sequential_joint(state, coupling, ancilla):
     """Joint register+ancilla state after coupling every qubit once, in qubit order."""
-    joint = tensor([state, default_ancilla(d, coupling, index)])
+    joint = tensor([state, ancilla])
     for q in range(len(state.factor_dims)):
         joint = couple_once(joint, q, coupling)
     return joint
+
+
+def orbit_ancilla(g, d, coupling):
+    """A random ancilla whose orbit under Z_d (phase) or X_d (shift) is orthonormal.
+
+    Z_d needs equal weight on every level; X_d needs equal weight on every
+    Fourier vector, which X_d only rephases.
+    """
+    phases = np.exp(2j * np.pi * g.random(d)) / math.sqrt(d)
+    if coupling is CouplingKind.PHASE:
+        return Ket(phases, (d,), normalized=True)
+    return Ket(sum(p * fourier_ket(d, k).amps for k, p in enumerate(phases)), (d,), normalized=True)
 
 
 class TestProjectors:
@@ -170,7 +185,7 @@ class TestProjectors:
                 for b in branches:
                     joint += np.kron(b, anc)
                     anc = step @ anc
-                got = sequential_joint(state, d, coupling, index).amps
+                got = sequential_joint(state, coupling, default_ancilla(d, coupling, index)).amps
                 assert np.abs(got - joint).max() <= 1e-12
 
     def test_rank_accounting_is_complete(self):
@@ -216,20 +231,14 @@ class TestModuleConfig:
     @pytest.mark.parametrize("coupling", list(CouplingKind))
     def test_cached_set_up_is_read_only(self, coupling):
         # run_module shares one record per (d, coupling), equal by value to
-        # the step, gate and readout it is built from.
+        # the step and readout it is built from.
         shift = coupling is CouplingKind.SHIFT
         for d in range(2, 8):
             setup = _coupling(d, coupling)
             assert setup is _coupling(d, coupling)
-            assert not any(a.flags.writeable for a in (setup.step, setup.gate, setup.readout))
+            assert not any(a.flags.writeable for a in (setup.step, setup.readout))
             step = (pauli_x(d) if shift else pauli_z(d)).entries
-            h = hadamard().entries
-            ctrl0, ctrl1 = np.diag([1.0 + 0j, 0.0]), np.diag([0.0 + 0j, 1.0])
-            if shift:
-                ctrl0, ctrl1 = h @ ctrl0 @ h, h @ ctrl1 @ h
-            gate = np.kron(ctrl0, np.eye(d, dtype=complex)) + np.kron(ctrl1, step)
             assert np.array_equal(setup.step, step)
-            assert np.array_equal(setup.gate, gate)
             if shift:
                 assert np.array_equal(setup.readout, np.eye(d))
                 assert setup.parities == tuple(range(d))
@@ -405,7 +414,7 @@ class TestCouplingStructure:
         n, d = int(g.integers(1, 5)), int(g.integers(2, 5))
         coupling = CouplingKind.PHASE if g.integers(2) == 0 else CouplingKind.SHIFT
         state = Ket(random_ket_amps(g, 1 << n), (2,) * n, normalized=True)
-        joint = sequential_joint(state, d, coupling)
+        joint = sequential_joint(state, coupling, default_ancilla(d, coupling))
         # sum_i P_i|state> x V^i|ancilla> with the Fourier-sum projectors.
         step = (pauli_x(d) if coupling is CouplingKind.SHIFT else pauli_z(d)).entries
         anc = default_ancilla(d, coupling).amps
@@ -420,13 +429,82 @@ class TestCouplingStructure:
         # projecting the ancilla onto (|0> +/- |1>)/sqrt(2) recovers the
         # parity projections of the register.
         state = random_register(11, 3)
-        joint = sequential_joint(state, 2, CouplingKind.PHASE)
+        joint = sequential_joint(state, CouplingKind.PHASE, default_ancilla(2, CouplingKind.PHASE))
         pset = build_projectors(3, 2, CouplingKind.PHASE)
         mat = joint.amps.reshape(8, 2)
         for i, sign in enumerate([1.0, -1.0]):
             anc = np.array([1.0, sign]) / math.sqrt(2)
             branch = mat @ anc.conj()
             assert np.allclose(branch, pset.projectors[i].entries @ state.amps, atol=1e-12)
+
+
+class TestWeightKernels:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_phase_kernel_is_the_textbook_complex_chain(self, n):
+        # Entry (x, j) is kron(amps, prep)[x, j] times z_j, wt(x) times over, each
+        # product rounded as Python's complex * rounds it (no fused multiply-add).
+        g = np.random.default_rng(n)
+        wts = hamming_weights(n)
+        amps = random_ket_amps(g, 1 << n)
+        for d in range(2, 8):
+            clock = np.diag(pauli_z(d).entries)
+            for prep in (fourier_ket(d, 0).amps, orbit_ancilla(g, d, CouplingKind.PHASE).amps):
+                joint = np.kron(amps, prep).reshape(1 << n, d)
+                expect = np.empty_like(joint)
+                for x, j in np.ndindex(joint.shape):
+                    a, z = complex(joint[x, j]), complex(clock[j])
+                    for _ in range(wts[x]):
+                        a = a * z
+                    expect[x, j] = a
+                got = _phase_kernel(amps, prep, clock, n)
+                assert got.flags.c_contiguous
+                assert np.array_equal(got.view(np.uint64), expect.view(np.uint64))
+
+    def test_in_place_hadamard_transform_keeps_the_stacked_butterfly_bits(self):
+        g = np.random.default_rng(7)
+        for n in range(1, 9):
+            for a in (g.normal(size=1 << n) + 1j * g.normal(size=1 << n), np.asfortranarray(g.normal(size=(1 << n, 3)))):
+                before = a.copy()
+                t = np.array(a, dtype=complex)
+                for q in range(n):
+                    v = t.reshape(1 << q, 2, -1)
+                    t = np.stack((v[:, 0] + v[:, 1], v[:, 0] - v[:, 1]), axis=1)
+                expect = t.reshape(a.shape) * 2.0 ** (-n / 2)
+                got = _hadamard_transform(a, n)
+                assert np.array_equal(got.view(np.uint64), expect.view(np.uint64))
+                assert np.array_equal(a, before)
+
+    @given(
+        st.integers(min_value=1, max_value=8),
+        st.integers(min_value=2, max_value=7),
+        st.sampled_from(list(CouplingKind)),
+        st.sampled_from(["default", "custom"]),
+        st.booleans(),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=80)
+    def test_run_module_matches_sequential_oracle(self, n, d, coupling, ancilla, plus, seed):
+        g = np.random.default_rng(seed)
+        state = plus_state(n) if plus else random_register(seed, n)
+        if ancilla == "default":
+            config = ModuleConfig(n, d, coupling)
+            prep = default_ancilla(d, coupling)
+            readout = [default_ancilla(d, coupling, m).amps for m in range(d)]
+        else:
+            prep = orbit_ancilla(g, d, coupling)
+            config = ModuleConfig(n, d, coupling, ancilla_prep=prep)
+            step = (pauli_x(d) if coupling is CouplingKind.SHIFT else pauli_z(d)).entries
+            readout = [np.linalg.matrix_power(step, m) @ prep.amps for m in range(d)]
+        mat = sequential_joint(state, coupling, prep).amps.reshape(1 << n, d)
+        records = run_module(state, config, classify_states=False)
+        assert [r.outcome_label for r in records] == list(range(d))
+        for r, ket in zip(records, readout, strict=True):
+            branch = mat @ ket.conj()
+            prob = float(np.vdot(branch, branch).real)
+            assert r.probability == pytest.approx(prob, abs=1e-12)
+            assert r.zero_probability == (prob < ZERO_PROBABILITY_ATOL)
+            if not r.zero_probability:
+                assert np.abs(r.post_state.amps * math.sqrt(r.probability) - branch).max() <= 1e-12
 
 
 class TestDistributionAgreement:
@@ -530,10 +608,10 @@ class TestResourceEnvelope:
         assert outcome_distribution(state, n, d, CouplingKind.SHIFT) == pytest.approx([1, 0, 0], abs=1e-12)
 
     def test_dense_view_limit_states_bytes(self, monkeypatch):
-        # Three 2^4 x 2^4 matrices need 3 * 16 * 4^4 bytes; the limit is one 7-qubit statevector.
+        # Three float64 2^4 x 2^4 matrices need 3 * 8 * 4^4 bytes; the limit is one 7-qubit statevector.
         monkeypatch.setenv("QPARITY_MAX_QUBITS", "7")
         pset = build_projectors(4, 3)
-        with pytest.raises(ResourceLimitError, match=r"limited to 2048 bytes \(7 qubits\); .* need 12288 bytes, 4096 each"):
+        with pytest.raises(ResourceLimitError, match=r"limited to 2048 bytes \(7 qubits\); .* need 6144 bytes, 2048 each"):
             pset.projectors
 
 

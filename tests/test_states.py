@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_ket_amps
-from qparity.linalg import Ket, basis_ket, fidelity, plus_state, tensor
+from qparity.linalg import Ket, basis_ket, canonical_phase, fidelity, hamming_weights, plus_state, tensor
 from qparity.states import (
     FIDELITY_THRESHOLD,
     ClassificationResult,
@@ -176,6 +176,30 @@ class TestDickeDecomposition:
         dec = dicke_decompose(state)
         total = sum(c * c for c in dec.coeffs.values()) + dec.residual**2
         assert total == pytest.approx(1.0, abs=1e-9)
+
+    @given(st.integers(min_value=0, max_value=400), st.integers(min_value=1, max_value=10), st.booleans())
+    @settings(max_examples=40)
+    def test_matches_per_weight_mask_reference_bitwise(self, seed, n, symmetric):
+        # The reference sums each class under a full-length mask and subtracts in place;
+        # the weight-order pass must give the same floats, residual included.
+        g_rng = np.random.default_rng(seed)
+        if symmetric:
+            state = dicke_sum(n, dict(enumerate(g_rng.normal(size=n + 1) + 1j * g_rng.normal(size=n + 1))))
+        else:
+            state = Ket(random_ket_amps(g_rng, 1 << n), (2,) * n, normalized=True)
+        amps = canonical_phase(state).amps
+        wts = hamming_weights(n)
+        coeffs, remainder = {}, np.array(amps)
+        for k in range(n + 1):
+            mask = wts == k
+            scale = math.sqrt(math.comb(n, k))
+            c = float(np.real(np.sum(amps[mask])) / scale)
+            if abs(c) >= 1e-12:
+                coeffs[k] = c
+                remainder[mask] -= c / scale
+        dec = dicke_decompose(state)
+        assert dec.coeffs == coeffs
+        assert dec.residual == float(np.linalg.norm(remainder))
 
     def test_round_trip_through_builder(self):
         original = dicke_sum(4, {0: 0.5, 2: 1.0, 4: -0.25})
