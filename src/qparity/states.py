@@ -23,7 +23,18 @@ from .linalg import (
 )
 
 FIDELITY_THRESHOLD = 1.0 - 1e-10
+# Dicke overlaps of a state with no weight-k content are rounding noise, ~1e-16 each.
 _COEFF_CUTOFF = 1e-12
+# A Dicke sum reconstructs its state up to rounding, ~1e-15; any other state misses by far more.
+_DICKE_RESIDUAL_ATOL = 1e-10
+# A split is rank 1 when its second singular value is below this; a product's is rounding, ~1e-8.
+_PRODUCT_SPLIT_ATOL = 3e-6
+# The last factor of a product split is normalized, so its norm must not be rounding noise.
+_PRODUCT_NORM_FLOOR = 1e-12
+# Squared Dicke coefficients carry ~1e-15 relative rounding; a non-integer ratio misses by far more.
+_RATIO_ATOL = 1e-6
+# Any nonzero coefficient gives a norm far above this; only an exact cancellation falls below.
+_ZERO_NORM = 1e-300
 
 
 class Family(Enum):
@@ -152,16 +163,16 @@ def dicke_sum(n: int, coeffs: Mapping[int, float | complex]) -> Ket:
             raise ValueError(f"excitation count {k} outside [0, {n}]")
         amps[wts == k] += c / math.sqrt(math.comb(n, k))
     nrm = np.linalg.norm(amps)
-    if nrm < 1e-300:
+    if nrm < _ZERO_NORM:
         raise ValueError("coefficients sum to the zero vector")
     return Ket(amps / nrm, (2,) * n, normalized=True)
 
 
-def dicke_decompose(state: Ket, tol: float = _COEFF_CUTOFF) -> DickeDecomposition:
+def dicke_decompose(state: Ket) -> DickeDecomposition:
     """Project a normalized state onto the Dicke basis.
 
     The global phase is fixed with canonical_phase first, each overlap is
-    clipped to its real part, coefficients below ``tol`` in magnitude are
+    clipped to its real part, coefficients below 1e-12 in magnitude are
     dropped, and the residual is the norm of what the kept real-coefficient
     combination misses (including any imaginary parts).
     """
@@ -175,7 +186,7 @@ def dicke_decompose(state: Ket, tol: float = _COEFF_CUTOFF) -> DickeDecompositio
     for k in range(n + 1):
         scale = math.sqrt(math.comb(n, k))
         c = float(np.real(np.sum(by_weight[starts[k] : starts[k + 1]])) / scale)
-        if abs(c) >= tol:
+        if abs(c) >= _COEFF_CUTOFF:
             coeffs[k] = c
             kept[k] = c / scale
     del by_weight
@@ -219,26 +230,42 @@ def squared_weight_ratios(dec: DickeDecomposition) -> dict[int, int] | None:
     for k, v in sorted(sq.items()):
         ratio = v / base
         nearest = round(ratio)
-        if nearest < 1 or abs(ratio - nearest) > 1e-6:
+        if nearest < 1 or abs(ratio - nearest) > _RATIO_ATOL:
             return None
         out[k] = int(nearest)
     return out
 
 
 def _product_factorization(state: Ket) -> Ket | None:
-    """Greedy rank-1 splitting; returns the product state or None."""
+    """Greedy rank-1 splitting, one qubit at a time; the product state or None.
+
+    Each split reads the remainder as a 2 x m matrix M with rows r0, r1.  Its
+    Gram matrix G = M M^dagger, G[i, j] = <r_j|r_i>, has the squared singular
+    values s0^2 >= s1^2 of M as eigenvalues, so three inner products decide
+    the split: it fails when s1 > _PRODUCT_SPLIT_ATOL.  Otherwise the qubit's
+    factor is G's top eigenvector u and the next remainder is u^dagger M.
+    """
     n = len(state.factor_dims)
     factors = []
-    rem = np.array(state.amps)
+    rem = state.amps
     for _ in range(n - 1):
         m = rem.reshape(2, -1)
-        u, s, vh = np.linalg.svd(m, full_matrices=False)
-        if s.size > 1 and s[1] > 3e-6:
+        a = np.vdot(m[0], m[0]).real
+        c = np.vdot(m[1], m[1]).real
+        b = complex(np.vdot(m[0], m[1]))  # G[1, 0]
+        half = (a - c) / 2
+        rad = math.hypot(half, abs(b))
+        if math.sqrt(max((a + c) / 2 - rad, 0.0)) > _PRODUCT_SPLIT_ATOL:
             return None
-        factors.append(u[:, 0])
-        rem = s[0] * vh[0]
+        # (G - s0^2) u = 0, solved from the row that has no cancellation.
+        u = np.array([half + rad, b] if half >= 0 else [b.conjugate(), rad - half])
+        nrm = np.linalg.norm(u)
+        # u is 0 only when G is a multiple of the identity; then (1, 0) is a top eigenvector.
+        u = u / nrm if nrm > 0 else np.array([1.0 + 0j, 0.0])
+        factors.append(u)
+        rem = u.conj() @ m
     nrm = np.linalg.norm(rem)
-    if nrm < 1e-12:
+    if nrm < _PRODUCT_NORM_FLOOR:
         return None
     factors.append(rem / nrm)
     amps = factors[0]
@@ -274,15 +301,20 @@ def _named_families(n: int):
         yield Family.G_GENERAL, k, [k, n - k], False
 
 
-def classify(state: Ket, tol: float = 1e-10) -> ClassificationResult:
+def classify(state: Ket) -> ClassificationResult:
     """Identify a normalized qubit-register state.
 
     Named families are tried most-specific-first with fidelity threshold
     1 - 1e-10; the single-excitation family is also matched up to flipping
     every qubit.  All named families lie in the symmetric subspace, so these
     fidelities are read off the n+1 Dicke overlaps of the state (flipping
-    every qubit reverses them).  Failing that, the state may be a product
-    state, then a generic Dicke-basis combination (residual below ``tol``),
+    every qubit reverses them).  Failing that, the state is a Product when
+    it splits off one qubit at a time: each split reads the remaining
+    amplitudes once, in three inner products that form the split's 2x2 Gram
+    matrix, and fails when its smaller eigenvalue puts the second singular
+    value above 3e-6 (an entangled state fails at its first entangled
+    split); the product found must then reach the fidelity threshold.  Next
+    comes a generic Dicke-basis combination (residual below 1e-10),
     otherwise Other.
     """
     n = _require_qubits(state)
@@ -302,7 +334,7 @@ def classify(state: Ket, tol: float = 1e-10) -> ClassificationResult:
         if f >= FIDELITY_THRESHOLD:
             return ClassificationResult(Family.PRODUCT, n, None, False, f)
     dec = dicke_decompose(state)
-    if dec.residual < tol:
+    if dec.residual < _DICKE_RESIDUAL_ATOL:
         return ClassificationResult(Family.DICKE_SUM, n, None, False, 1.0 - dec.residual**2, dec)
     return ClassificationResult(Family.OTHER, n, None, False, 0.0, dec)
 

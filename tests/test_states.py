@@ -1,6 +1,7 @@
 """Unit tests for the reference state families, decomposition, and classification."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import random_ket_amps
 from qparity.linalg import Ket, basis_ket, canonical_phase, fidelity, hamming_weights, plus_state, tensor
+from qparity.module import CouplingKind, ModuleConfig, run_module
 from qparity.states import (
     FIDELITY_THRESHOLD,
     ClassificationResult,
@@ -46,6 +48,28 @@ def full_vector_candidates(n):
         yield Family.G_GENERAL, k, g_general(n, k), False
 
 
+def svd_product_factorization(state):
+    """Greedy rank-1 splitting by full SVD per split; the product state or None."""
+    n = len(state.factor_dims)
+    factors = []
+    rem = np.array(state.amps)
+    for _ in range(n - 1):
+        m = rem.reshape(2, -1)
+        u, s, vh = np.linalg.svd(m, full_matrices=False)
+        if s.size > 1 and s[1] > 3e-6:
+            return None
+        factors.append(u[:, 0])
+        rem = s[0] * vh[0]
+    nrm = np.linalg.norm(rem)
+    if nrm < 1e-12:
+        return None
+    factors.append(rem / nrm)
+    amps = factors[0]
+    for f in factors[1:]:
+        amps = np.kron(amps, f)
+    return Ket(amps, state.factor_dims, normalized=True)
+
+
 def full_vector_classify(state, tol=1e-10):
     """Oracle for classify: fidelities against full 2^n reference kets."""
     n = len(state.factor_dims)
@@ -58,7 +82,7 @@ def full_vector_classify(state, tol=1e-10):
             f = fidelity(flipped, ref)
             if f >= FIDELITY_THRESHOLD:
                 return ClassificationResult(family, n, k, True, f)
-    product = _product_factorization(state)
+    product = svd_product_factorization(state)
     if product is not None:
         f = fidelity(state, product)
         if f >= FIDELITY_THRESHOLD:
@@ -80,6 +104,10 @@ def assert_matches_oracle(state):
     )
     assert got.fidelity == pytest.approx(want.fidelity, abs=1e-12)
     return got
+
+
+def random_product(g_rng, n):
+    return tensor([Ket(random_ket_amps(g_rng, 2), (2,), normalized=True) for _ in range(n)])
 
 
 def kron_chain(mats):
@@ -338,8 +366,7 @@ class TestClassifyAgainstFullVectorOracle:
     def test_product_states(self, seed):
         g_rng = np.random.default_rng(seed)
         n = int(g_rng.integers(1, 9))
-        factors = [Ket(random_ket_amps(g_rng, 2), (2,), normalized=True) for _ in range(n)]
-        assert_matches_oracle(tensor(factors))
+        assert_matches_oracle(random_product(g_rng, n))
         assert_matches_oracle(basis_ket((2,) * n, int(g_rng.integers(0, 1 << n))))
         assert_matches_oracle(plus_state(n))
 
@@ -351,6 +378,70 @@ class TestClassifyAgainstFullVectorOracle:
         got = assert_matches_oracle(Ket(random_ket_amps(g_rng, 1 << n), (2,) * n, normalized=True))
         if n >= 3:
             assert got.family is Family.OTHER
+
+
+class TestProductSplit:
+    @given(
+        st.integers(min_value=0, max_value=10_000),
+        st.one_of(st.just(0.0), st.floats(min_value=-9.0, max_value=-3.0).map(lambda e: 10.0**e)),
+    )
+    @settings(max_examples=200)
+    def test_gram_split_agrees_with_svd_split(self, seed, eps):
+        # A product state moved off the product set by eps: the Gram split and
+        # the SVD split must take the same decision and, when both find a
+        # product, products equally close to the state.
+        g_rng = np.random.default_rng(seed)
+        n = int(g_rng.integers(1, 11))
+        amps = random_product(g_rng, n).amps + eps * random_ket_amps(g_rng, 1 << n)
+        state = Ket(amps / np.linalg.norm(amps), (2,) * n, normalized=True)
+        got = _product_factorization(state)
+        want = svd_product_factorization(state)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert fidelity(state, got) == pytest.approx(fidelity(state, want), abs=1e-12)
+
+    def test_failed_split_allocates_no_copy(self):
+        # GHZ fails at its first split, which reads the 1 MiB of amplitudes
+        # in place; the SVD split copied them and allocated its factors.
+        state = ghz(16)
+        tracemalloc.start()
+        try:
+            assert _product_factorization(state) is None
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < state.amps.nbytes // 16
+
+
+class TestClassifyNeedsNoSvd:
+    @staticmethod
+    def refuse(*args, **kwargs):
+        raise AssertionError("classify called np.linalg.svd")
+
+    @pytest.mark.parametrize("coupling", list(CouplingKind))
+    def test_plus_state_branches(self, monkeypatch, coupling):
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "svd", self.refuse)
+            runs = [
+                run_module(plus_state(n), ModuleConfig(n, d, coupling))
+                for n in range(1, 11)
+                for d in range(2, 8)
+            ]
+        for records in runs:
+            for rec in records:
+                if rec.post_state is not None:
+                    want = full_vector_classify(rec.post_state)
+                    assert rec.classification.label() == want.label()
+                    assert rec.classification.up_to_bitflip == want.up_to_bitflip
+
+    def test_random_and_product_states(self, monkeypatch):
+        monkeypatch.setattr(np.linalg, "svd", self.refuse)
+        g_rng = np.random.default_rng(7)
+        for n in range(1, 11):
+            for _ in range(5):
+                state = Ket(random_ket_amps(g_rng, 1 << n), (2,) * n, normalized=True)
+                assert classify(state).family in Family
+                assert classify(random_product(g_rng, n)).family is Family.PRODUCT
 
 
 class TestExpectations:
