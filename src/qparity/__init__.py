@@ -4,7 +4,6 @@ from .linalg import (
     Ket,
     Operator,
     basis_ket,
-    canonical_phase,
     fidelity,
     fourier_ket,
     hadamard,

@@ -180,31 +180,12 @@ def fidelity(a: Ket, b: Ket) -> float:
     return abs(inner(a, b)) ** 2
 
 
-def canonical_phase(k: Ket, tol: float = 1e-12) -> Ket:
-    """Rotate the global phase so the first amplitude above ``tol`` is real positive."""
-    mags = np.abs(k.amps)
-    nz = np.flatnonzero(mags > tol)
-    if nz.size == 0:
-        raise ValueError("cannot fix the phase of a (numerically) zero vector")
-    lead = k.amps[nz[0]]
-    return Ket(k.amps * (lead.conjugate() / abs(lead)), k.factor_dims, normalized=k.normalized)
-
-
 @lru_cache(maxsize=32)
 def hamming_weights(n: int) -> np.ndarray:
     """Read-only vector of bit counts for all integers in [0, 2^n), built once per n."""
     if n < 0:
         raise ValueError(f"qubit count must be nonnegative, got {n}")
-    x = np.arange(1 << n, dtype=np.uint64)
-    x = x - ((x >> np.uint64(1)) & np.uint64(0x5555555555555555))
-    x = (x & np.uint64(0x3333333333333333)) + (
-        (x >> np.uint64(2)) & np.uint64(0x3333333333333333)
-    )
-    x = (x + (x >> np.uint64(4))) & np.uint64(0x0F0F0F0F0F0F0F0F)
-    x = x + (x >> np.uint64(8))
-    x = x + (x >> np.uint64(16))
-    x = x + (x >> np.uint64(32))
-    return _freeze((x & np.uint64(0x7F)).astype(np.int64))
+    return _freeze(np.bitwise_count(np.arange(1 << n)).astype(np.int64))
 
 
 @lru_cache(maxsize=32)

@@ -26,7 +26,20 @@ import numpy as np
 from .linalg import Ket, Operator, UNITARY_ATOL
 
 TWO_PI = 2.0 * math.pi
-DEFAULT_GROUP_TOL = 1e-9
+# Eigenphases closer than this are one eigenvalue: a computed spectrum carries
+# ~1e-15 of rounding, and the distinct phases of a drive differ by far more.
+_GROUP_TOL = 1e-9
+# An orthonormal orbit's Gram matrix is the identity up to rounding, ~1e-15 per power.
+_ORBIT_ATOL = 1e-10
+# A normalized seed's norm is 1 up to rounding, ~1e-15; an unnormalized one misses by far more.
+_SEED_NORM_ATOL = 1e-10
+# A unitary is normal, so its Schur form is diagonal up to rounding; a failed one leaves far more.
+_SCHUR_OFFDIAG_ATOL = 1e-8
+# SLSQP stops once the squared deviation improves by less than this, far below the verdict's scale.
+_REFINE_FTOL = 1e-18
+# The refined grid deviation of a feasible spec is rounding (<1e-10 on verify's
+# battery); an infeasible spec's stays above 1e-2.
+_GRID_FEASIBLE_ATOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -63,7 +76,6 @@ class DegeneracyStructure:
 
     s: int
     multiplicities: tuple[int, ...]
-    group_tol: float
     groups: tuple[tuple[int, ...], ...]
     representatives: tuple[float, ...]
 
@@ -95,7 +107,7 @@ class OrbitReport:
     orthonormal: bool
 
 
-def check_orbit(u: Operator, phi: Ket, orbit_len: int, tol: float = 1e-10) -> OrbitReport:
+def check_orbit(u: Operator, phi: Ket, orbit_len: int, tol: float = _ORBIT_ATOL) -> OrbitReport:
     """Gram matrix of {phi, U phi, ..., U^(orbit_len-1) phi}."""
     m = u.entries
     dev = float(np.abs(m.conj().T @ m - np.eye(u.dim)).max())
@@ -105,7 +117,7 @@ def check_orbit(u: Operator, phi: Ket, orbit_len: int, tol: float = 1e-10) -> Or
         raise ValueError(f"dimension mismatch {phi.dim} != {u.dim}")
     if not 1 <= orbit_len <= u.dim:
         raise ValueError(f"orbit length {orbit_len} outside [1, {u.dim}]")
-    if abs(phi.norm() - 1.0) > 1e-10:
+    if abs(phi.norm() - 1.0) > _SEED_NORM_ATOL:
         raise ValueError("orbit seed must be normalized")
     vecs = np.empty((orbit_len, u.dim), dtype=complex)
     v = np.array(phi.amps)
@@ -121,21 +133,19 @@ def _circular_mean(values: np.ndarray) -> float:
     return cmath.phase(np.mean(np.exp(1j * values))) % TWO_PI
 
 
-def classify_eigenphases(spec: EigenphaseSpec, group_tol: float = DEFAULT_GROUP_TOL) -> DegeneracyStructure:
-    """Cluster the eigenphases on the circle within ``group_tol``."""
-    if group_tol <= 0:
-        raise ValueError(f"grouping tolerance must be positive, got {group_tol}")
+def classify_eigenphases(spec: EigenphaseSpec) -> DegeneracyStructure:
+    """Cluster the eigenphases on the circle within 1e-9."""
     phases = np.array(spec.phases)
     order = sorted(range(spec.d), key=lambda j: phases[j])
     clusters: list[list[int]] = [[order[0]]]
     for idx in order[1:]:
-        if phases[idx] - phases[clusters[-1][-1]] <= group_tol:
+        if phases[idx] - phases[clusters[-1][-1]] <= _GROUP_TOL:
             clusters[-1].append(idx)
         else:
             clusters.append([idx])
     if len(clusters) > 1:
         wrap_gap = phases[clusters[0][0]] + TWO_PI - phases[clusters[-1][-1]]
-        if wrap_gap <= group_tol:
+        if wrap_gap <= _GROUP_TOL:
             clusters[0] = clusters.pop() + clusters[0]
     reps = [_circular_mean(phases[np.array(c)]) for c in clusters]
     ranked = sorted(range(len(clusters)), key=lambda i: reps[i])
@@ -143,21 +153,20 @@ def classify_eigenphases(spec: EigenphaseSpec, group_tol: float = DEFAULT_GROUP_
     return DegeneracyStructure(
         s=len(clusters),
         multiplicities=tuple(len(g) for g in groups),
-        group_tol=group_tol,
         groups=groups,
         representatives=tuple(reps[i] for i in ranked),
     )
 
 
-def solve_amplitudes(spec: EigenphaseSpec, group_tol: float = DEFAULT_GROUP_TOL) -> AmplitudeSolution:
+def solve_amplitudes(spec: EigenphaseSpec) -> AmplitudeSolution:
     """Decide feasibility and return admissible squared magnitudes.
 
-    Feasible iff the distinct eigenphases are, within ``group_tol``, a
+    Feasible iff the distinct eigenphases are, within 1e-9, a
     common offset plus the s-th roots of unity where s is the number of
     distinct values.  The offset reported is the representative phase of
     the cluster containing index 0.
     """
-    structure = classify_eigenphases(spec, group_tol)
+    structure = classify_eigenphases(spec)
     offset = next(
         rep for rep, grp in zip(structure.representatives, structure.groups) if 0 in grp
     )
@@ -165,12 +174,12 @@ def solve_amplitudes(spec: EigenphaseSpec, group_tol: float = DEFAULT_GROUP_TOL)
     deltas = []
     for rep in structure.representatives:
         delta = (rep - offset) % TWO_PI
-        if delta > TWO_PI - group_tol:
+        if delta > TWO_PI - _GROUP_TOL:
             delta -= TWO_PI
         deltas.append(delta)
     deltas.sort()
     targets = [TWO_PI * m / s for m in range(s)]
-    feasible = all(abs(dl - tg) <= group_tol for dl, tg in zip(deltas, targets))
+    feasible = all(abs(dl - tg) <= _GROUP_TOL for dl, tg in zip(deltas, targets))
     if not feasible:
         return AmplitudeSolution(
             feasible=False,
@@ -195,13 +204,13 @@ def solve_amplitudes(spec: EigenphaseSpec, group_tol: float = DEFAULT_GROUP_TOL)
     )
 
 
-def admissible_state(spec: EigenphaseSpec, theta: tuple[float, ...] | list[float], group_tol: float = DEFAULT_GROUP_TOL) -> Ket:
+def admissible_state(spec: EigenphaseSpec, theta: tuple[float, ...] | list[float]) -> Ket:
     """Build sum_j d^(-1/2)-weighted e^{i theta_j} |j> for a feasible spec.
 
     The phases theta are free: they parametrize the commutant of the
     diagonal drive and never affect orthonormality of the orbit.
     """
-    solution = solve_amplitudes(spec, group_tol)
+    solution = solve_amplitudes(spec)
     if not solution.feasible:
         raise ValueError("spec is infeasible; no admissible state exists")
     if len(theta) != spec.d:
@@ -210,7 +219,7 @@ def admissible_state(spec: EigenphaseSpec, theta: tuple[float, ...] | list[float
     return Ket(amps, (spec.d,), normalized=True)
 
 
-def reconstruct_general(u: Operator, tol: float = DEFAULT_GROUP_TOL) -> tuple[bool, Operator, EigenphaseSpec]:
+def reconstruct_general(u: Operator) -> tuple[bool, Operator, EigenphaseSpec]:
     """Analyze an arbitrary unitary U = V D V* through its eigenbasis.
 
     Returns (feasible, V, spec) where the columns of V are orthonormal
@@ -227,7 +236,7 @@ def reconstruct_general(u: Operator, tol: float = DEFAULT_GROUP_TOL) -> tuple[bo
         raise ValueError(f"operator is not unitary (deviation {dev:.3e})")
     t, z = scipy.linalg.schur(m, output="complex")
     off = float(np.abs(t - np.diag(np.diag(t))).max())
-    if off > 1e-8:
+    if off > _SCHUR_OFFDIAG_ATOL:
         raise ValueError(f"eigendecomposition failed; off-diagonal residue {off:.3e}")
     eigvals = np.diag(t)
     offset = cmath.phase(eigvals[0]) % TWO_PI
@@ -235,7 +244,7 @@ def reconstruct_general(u: Operator, tol: float = DEFAULT_GROUP_TOL) -> tuple[bo
     order = np.argsort(keys, kind="stable")
     vmat = z[:, order]
     spec = EigenphaseSpec(tuple(float(np.angle(ev) % TWO_PI) for ev in eigvals[order]))
-    feasible = solve_amplitudes(spec, tol).feasible
+    feasible = solve_amplitudes(spec).feasible
     return feasible, Operator(vmat, unitary=True), spec
 
 
@@ -261,26 +270,19 @@ def _simplex_grid(total: int, parts: int, chunk: int = 200_000):
         yield np.diff(padded, axis=1) - 1
 
 
-def brute_force_min_deviation(
-    spec: EigenphaseSpec,
-    grid: float = 0.02,
-    refine: bool = True,
-    orbit_len: int | None = None,
-) -> tuple[float, np.ndarray]:
+def brute_force_min_deviation(spec: EigenphaseSpec, grid: float = 0.02) -> tuple[float, np.ndarray]:
     """Smallest orbit-Gram deviation reachable over the magnitude simplex.
 
     The Gram matrix of {D^i phi} depends only on the squared magnitudes
     q_j = |a_j|^2, so the search runs over the simplex sum(q) = 1 on a grid
-    of the given resolution and (optionally) polishes the best point with a
-    constrained least-squares minimization.  ``orbit_len`` defaults to the
-    number of distinct eigenvalues; deviations are taken over Gram rows
-    1 .. orbit_len-1.
+    of the given resolution and polishes the best point with a constrained
+    least-squares minimization.  The orbit length is the number of distinct
+    eigenvalues; deviations are taken over Gram rows 1 .. orbit_len-1.
     """
     import scipy.optimize  # deferred: scipy dominates `import qparity` otherwise
 
     d = spec.d
-    if orbit_len is None:
-        orbit_len = classify_eigenphases(spec).s
+    orbit_len = classify_eigenphases(spec).s
     if orbit_len <= 1:
         return 0.0, np.full(d, 1.0 / d)
     lam = np.exp(1j * np.array(spec.phases))
@@ -295,29 +297,29 @@ def brute_force_min_deviation(
         if devs[idx] < best_dev:
             best_dev = float(devs[idx])
             best_q = q[idx]
-    if refine:
-        def objective(q: np.ndarray) -> float:
-            return float(np.sum(np.abs(q @ powers) ** 2))
 
-        result = scipy.optimize.minimize(
-            objective,
-            best_q,
-            method="SLSQP",
-            bounds=[(0.0, 1.0)] * d,
-            constraints=[{"type": "eq", "fun": lambda q: float(np.sum(q)) - 1.0}],
-            options={"ftol": 1e-18, "maxiter": 500},
-        )
-        if result.success:
-            q = np.clip(result.x, 0.0, None)
-            q = q / q.sum()
-            dev = float(np.abs(q @ powers).max())
-            if dev < best_dev:
-                best_dev = dev
-                best_q = q
+    def objective(q: np.ndarray) -> float:
+        return float(np.sum(np.abs(q @ powers) ** 2))
+
+    result = scipy.optimize.minimize(
+        objective,
+        best_q,
+        method="SLSQP",
+        bounds=[(0.0, 1.0)] * d,
+        constraints=[{"type": "eq", "fun": lambda q: float(np.sum(q)) - 1.0}],
+        options={"ftol": _REFINE_FTOL, "maxiter": 500},
+    )
+    if result.success:
+        q = np.clip(result.x, 0.0, None)
+        q = q / q.sum()
+        dev = float(np.abs(q @ powers).max())
+        if dev < best_dev:
+            best_dev = dev
+            best_q = q
     return best_dev, best_q
 
 
-def brute_force_feasible(spec: EigenphaseSpec, grid: float = 0.02, threshold: float = 1e-3) -> bool:
+def brute_force_feasible(spec: EigenphaseSpec, grid: float = 0.02) -> bool:
     """Grid-search verdict used as an independent oracle for solve_amplitudes."""
     dev, _ = brute_force_min_deviation(spec, grid=grid)
-    return dev < threshold
+    return dev < _GRID_FEASIBLE_ATOL

@@ -14,23 +14,17 @@ from typing import Mapping
 
 import numpy as np
 
-from .linalg import (
-    Ket,
-    canonical_phase,
-    fidelity,
-    hamming_weights,
-    weight_order,
-)
+from .linalg import Ket, hamming_weights, weight_order
 
 FIDELITY_THRESHOLD = 1.0 - 1e-10
 # Dicke overlaps of a state with no weight-k content are rounding noise, ~1e-16 each.
 _COEFF_CUTOFF = 1e-12
+# The global phase is read off the first amplitude above rounding noise, so noise never sets it.
+_PHASE_LEAD_FLOOR = 1e-12
 # A Dicke sum reconstructs its state up to rounding, ~1e-15; any other state misses by far more.
 _DICKE_RESIDUAL_ATOL = 1e-10
 # A split is rank 1 when its second singular value is below this; a product's is rounding, ~1e-8.
 _PRODUCT_SPLIT_ATOL = 3e-6
-# The last factor of a product split is normalized, so its norm must not be rounding noise.
-_PRODUCT_NORM_FLOOR = 1e-12
 # Squared Dicke coefficients carry ~1e-15 relative rounding; a non-integer ratio misses by far more.
 _RATIO_ATOL = 1e-6
 # Any nonzero coefficient gives a norm far above this; only an exact cancellation falls below.
@@ -52,9 +46,9 @@ class Family(Enum):
 class ClassificationResult:
     """Best matching family for a state, possibly after flipping every qubit.
 
-    ``decomposition`` is the Dicke decomposition that ``classify`` computed on
-    its way to DickeSum or Other, so callers need not repeat it; it is None
-    when a named family or a product state matched first.
+    ``decomposition`` is the state's Dicke decomposition, the record that
+    ``classify`` reads every named-family fidelity from, so callers need not
+    repeat it; ``classify`` always sets it.
     """
 
     family: Family
@@ -79,11 +73,15 @@ class DickeDecomposition:
     """Real coefficients of a state on the Dicke basis plus a residual norm.
 
     For a normalized input, sum(c_k^2) + residual^2 == 1 up to rounding.
+    ``overlaps`` holds the n+1 complex overlaps <D(n,k)|state> after the
+    global phase fix, read-only; ``coeffs`` keeps the real parts of those
+    at least 1e-12 in magnitude.
     """
 
     n: int
     coeffs: dict[int, float]
     residual: float
+    overlaps: np.ndarray = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -171,27 +169,39 @@ def dicke_sum(n: int, coeffs: Mapping[int, float | complex]) -> Ket:
 def dicke_decompose(state: Ket) -> DickeDecomposition:
     """Project a normalized state onto the Dicke basis.
 
-    The global phase is fixed with canonical_phase first, each overlap is
-    clipped to its real part, coefficients below 1e-12 in magnitude are
-    dropped, and the residual is the norm of what the kept real-coefficient
-    combination misses (including any imaginary parts).
+    The global phase is fixed first: the first amplitude above 1e-12 in
+    magnitude is rotated to the positive real axis (a zero vector raises
+    ValueError).  Each class sum runs over the class's slice of the rotated
+    amplitudes in weight order, each coefficient is the real part of its
+    overlap, coefficients below 1e-12 in magnitude are dropped, and the
+    residual is the norm of what the kept real-coefficient combination
+    misses (including any imaginary parts).
     """
     n = _require_qubits(state)
-    vc = canonical_phase(state)
+    amps = state.amps
+    lead = amps[np.argmax(np.abs(amps) > _PHASE_LEAD_FLOOR)]
+    if not abs(lead) > _PHASE_LEAD_FLOOR:
+        raise ValueError("cannot fix the phase of a (numerically) zero vector")
+    rotated = amps * (lead.conjugate() / abs(lead))
     order, starts = weight_order(n)
     # Each class is a contiguous slice of the amplitudes in weight order.
-    by_weight = vc.amps[order]
+    by_weight = rotated[order]
     coeffs: dict[int, float] = {}
     kept = np.zeros(n + 1)
+    overlaps = np.empty(n + 1, dtype=complex)
     for k in range(n + 1):
         scale = math.sqrt(math.comb(n, k))
-        c = float(np.real(np.sum(by_weight[starts[k] : starts[k + 1]])) / scale)
+        total = np.sum(by_weight[starts[k] : starts[k + 1]])
+        overlaps[k] = total / scale
+        c = float(np.real(total) / scale)
         if abs(c) >= _COEFF_CUTOFF:
             coeffs[k] = c
             kept[k] = c / scale
     del by_weight
-    residual = float(np.linalg.norm(vc.amps - kept[hamming_weights(n)]))
-    return DickeDecomposition(n=n, coeffs=coeffs, residual=residual)
+    rotated -= kept[hamming_weights(n)]
+    residual = float(np.linalg.norm(rotated))
+    overlaps.setflags(write=False)
+    return DickeDecomposition(n=n, coeffs=coeffs, residual=residual, overlaps=overlaps)
 
 
 def predicted_branch(n: int, d: int, k: int) -> DickeDecomposition:
@@ -211,7 +221,12 @@ def predicted_branch(n: int, d: int, k: int) -> DickeDecomposition:
         raise ValueError(f"no weights in [0, {n}] are congruent to {k} mod {d}")
     raw = np.sqrt([math.comb(n, j) for j in ks])
     raw /= np.linalg.norm(raw)
-    return DickeDecomposition(n=n, coeffs={j: float(c) for j, c in zip(ks, raw)}, residual=0.0)
+    overlaps = np.zeros(n + 1, dtype=complex)
+    overlaps[ks] = raw
+    overlaps.setflags(write=False)
+    return DickeDecomposition(
+        n=n, coeffs={j: float(c) for j, c in zip(ks, raw)}, residual=0.0, overlaps=overlaps
+    )
 
 
 def squared_weight_ratios(dec: DickeDecomposition) -> dict[int, int] | None:
@@ -236,19 +251,20 @@ def squared_weight_ratios(dec: DickeDecomposition) -> dict[int, int] | None:
     return out
 
 
-def _product_factorization(state: Ket) -> Ket | None:
-    """Greedy rank-1 splitting, one qubit at a time; the product state or None.
+def _product_factorization(state: Ket) -> float:
+    """Greedy rank-1 splitting, one qubit at a time; the product's fidelity, or 0.0.
 
     Each split reads the remainder as a 2 x m matrix M with rows r0, r1.  Its
     Gram matrix G = M M^dagger, G[i, j] = <r_j|r_i>, has the squared singular
     values s0^2 >= s1^2 of M as eigenvalues, so three inner products decide
     the split: it fails when s1 > _PRODUCT_SPLIT_ATOL.  Otherwise the qubit's
     factor is G's top eigenvector u and the next remainder is u^dagger M.
+    The product is u_1 ... u_(n-1) f with f the normalized final remainder,
+    and <u_1 ... u_(n-1) f|state> = ||remainder||, so its fidelity is the
+    remainder's squared norm.
     """
-    n = len(state.factor_dims)
-    factors = []
     rem = state.amps
-    for _ in range(n - 1):
+    for _ in range(len(state.factor_dims) - 1):
         m = rem.reshape(2, -1)
         a = np.vdot(m[0], m[0]).real
         c = np.vdot(m[1], m[1]).real
@@ -256,32 +272,14 @@ def _product_factorization(state: Ket) -> Ket | None:
         half = (a - c) / 2
         rad = math.hypot(half, abs(b))
         if math.sqrt(max((a + c) / 2 - rad, 0.0)) > _PRODUCT_SPLIT_ATOL:
-            return None
+            return 0.0
         # (G - s0^2) u = 0, solved from the row that has no cancellation.
         u = np.array([half + rad, b] if half >= 0 else [b.conjugate(), rad - half])
         nrm = np.linalg.norm(u)
         # u is 0 only when G is a multiple of the identity; then (1, 0) is a top eigenvector.
         u = u / nrm if nrm > 0 else np.array([1.0 + 0j, 0.0])
-        factors.append(u)
         rem = u.conj() @ m
-    nrm = np.linalg.norm(rem)
-    if nrm < _PRODUCT_NORM_FLOOR:
-        return None
-    factors.append(rem / nrm)
-    amps = factors[0]
-    for f in factors[1:]:
-        amps = np.kron(amps, f)
-    return Ket(amps, state.factor_dims, normalized=True)
-
-
-def _dicke_overlaps(state: Ket) -> np.ndarray:
-    """Complex overlaps c_k = <D(n,k)|state> for k = 0..n, in one weight pass."""
-    n = len(state.factor_dims)
-    wts = hamming_weights(n)
-    re = np.bincount(wts, weights=state.amps.real, minlength=n + 1)
-    im = np.bincount(wts, weights=state.amps.imag, minlength=n + 1)
-    scale = np.sqrt([float(math.comb(n, k)) for k in range(n + 1)])
-    return (re + 1j * im) / scale
+    return float(np.vdot(rem, rem).real)
 
 
 def _named_families(n: int):
@@ -304,36 +302,37 @@ def _named_families(n: int):
 def classify(state: Ket) -> ClassificationResult:
     """Identify a normalized qubit-register state.
 
-    Named families are tried most-specific-first with fidelity threshold
-    1 - 1e-10; the single-excitation family is also matched up to flipping
-    every qubit.  All named families lie in the symmetric subspace, so these
-    fidelities are read off the n+1 Dicke overlaps of the state (flipping
-    every qubit reverses them).  Failing that, the state is a Product when
-    it splits off one qubit at a time: each split reads the remaining
-    amplitudes once, in three inner products that form the split's 2x2 Gram
-    matrix, and fails when its smaller eigenvalue puts the second singular
-    value above 3e-6 (an entangled state fails at its first entangled
-    split); the product found must then reach the fidelity threshold.  Next
-    comes a generic Dicke-basis combination (residual below 1e-10),
-    otherwise Other.
+    Everything is read off the state's Dicke decomposition (``dicke_decompose``,
+    returned as ``decomposition``) and, when no named family matches, one
+    product split.  Named families are tried most-specific-first with
+    fidelity threshold 1 - 1e-10; the single-excitation family is also
+    matched up to flipping every qubit.  All named families lie in the
+    symmetric subspace, so these fidelities come from the n+1 Dicke overlaps
+    (flipping every qubit reverses them; the global phase does not enter).
+    Failing that, the state is a Product when it splits off one qubit at a
+    time: each split reads the remaining amplitudes once, in three inner
+    products that form the split's 2x2 Gram matrix, and fails when its
+    smaller eigenvalue puts the second singular value above 3e-6 (an
+    entangled state fails at its first entangled split); the product's
+    fidelity, the squared norm of the last remainder, must then reach the
+    threshold.  Next comes a generic Dicke-basis combination (residual below
+    1e-10), otherwise Other.
     """
     n = _require_qubits(state)
-    overlaps = _dicke_overlaps(state)
+    dec = dicke_decompose(state)
+    overlaps = dec.overlaps
     flipped = overlaps[::-1]
     for family, k, weights, try_flip in _named_families(n):
         f = abs(complex(overlaps[weights].sum())) ** 2 / len(weights)
         if f >= FIDELITY_THRESHOLD:
-            return ClassificationResult(family, n, k, False, f)
+            return ClassificationResult(family, n, k, False, f, dec)
         if try_flip:
             f = abs(complex(flipped[weights].sum())) ** 2 / len(weights)
             if f >= FIDELITY_THRESHOLD:
-                return ClassificationResult(family, n, k, True, f)
-    product = _product_factorization(state)
-    if product is not None:
-        f = fidelity(state, product)
-        if f >= FIDELITY_THRESHOLD:
-            return ClassificationResult(Family.PRODUCT, n, None, False, f)
-    dec = dicke_decompose(state)
+                return ClassificationResult(family, n, k, True, f, dec)
+    f = _product_factorization(state)
+    if f >= FIDELITY_THRESHOLD:
+        return ClassificationResult(Family.PRODUCT, n, None, False, f, dec)
     if dec.residual < _DICKE_RESIDUAL_ATOL:
         return ClassificationResult(Family.DICKE_SUM, n, None, False, 1.0 - dec.residual**2, dec)
     return ClassificationResult(Family.OTHER, n, None, False, 0.0, dec)

@@ -25,6 +25,11 @@ from .module import (
 from .states import FIDELITY_THRESHOLD
 
 PROJECTOR_ATOL = 1e-10
+# A value from a few rounded float64 steps meets its closed form to ~1e-15:
+# probabilities, fidelities, orbit Gram entries, residuals of exact Dicke sums.
+_CLOSED_FORM_ATOL = 1e-12
+# Dicke coefficients and all-qubit expectations sum up to 2^n rounded terms, ~1e-14.
+_SUMMED_ATOL = 1e-10
 
 
 @dataclass
@@ -107,7 +112,7 @@ def _branch_failures(n: int, d: int, ratios: dict[int, dict[int, int]]) -> list[
         if rec.zero_probability:
             bad.append(f"(n={n},d={d},k={rec.parity}) zero probability")
             continue
-        dec = states.dicke_decompose(rec.post_state)
+        dec = rec.classification.decomposition
         got = states.squared_weight_ratios(dec)
         if got != ratios[rec.parity]:
             bad.append(f"(n={n},d={d},k={rec.parity}) ratios {got}")
@@ -116,7 +121,7 @@ def _branch_failures(n: int, d: int, ratios: dict[int, dict[int, int]]) -> list[
             bad.append(f"(n={n},d={d},k={rec.parity}) weights {sorted(dec.coeffs)}")
             continue
         err = max(abs(dec.coeffs[k] - pred.coeffs[k]) for k in pred.coeffs)
-        if err >= 1e-10 or dec.residual >= 1e-12:
+        if err >= _SUMMED_ATOL or dec.residual >= _CLOSED_FORM_ATOL:
             bad.append(f"(n={n},d={d},k={rec.parity}) err={err:.2e} res={dec.residual:.2e}")
     return bad
 
@@ -150,7 +155,7 @@ def gnk_branch_failures(n: int, k: int) -> list[str]:
     combs = {wt: math.comb(n, wt) for wt in weights}
     total = sum(combs.values())
     common = math.gcd(*combs.values())
-    dec = states.dicke_decompose(rec.post_state)
+    dec = cls.decomposition
     if sorted(dec.coeffs) != weights:
         bad.append(f"{tag} Dicke weights {sorted(dec.coeffs)}, expected {weights}")
     ratios = states.squared_weight_ratios(dec)
@@ -159,7 +164,7 @@ def gnk_branch_failures(n: int, k: int) -> list[str]:
     if rec.probability_exact != Fraction(total, 1 << n):
         bad.append(f"{tag} p = {rec.probability_exact}, expected {Fraction(total, 1 << n)}")
     want_fid = (math.sqrt(combs[k]) + math.sqrt(combs[n - k])) ** 2 / (2 * total)
-    if abs(fid - want_fid) > 1e-12:
+    if abs(fid - want_fid) > _CLOSED_FORM_ATOL:
         bad.append(f"{tag} fidelity {fid!r} to G(n,k), expected {want_fid!r}")
     best = max(fidelity(r.post_state, target) for r in records if r.post_state is not None)
     if best >= FIDELITY_THRESHOLD:
@@ -231,7 +236,7 @@ def suite_probabilities(max_n: int = 12) -> list[Check]:
             want = Fraction(
                 sum(math.comb(n, j) for j in range(r.parity, n + 1, n)), 1 << n
             )
-            if r.probability_exact != want or abs(r.probability - want) > 1e-12:
+            if r.probability_exact != want or abs(r.probability - want) > _CLOSED_FORM_ATOL:
                 per_outcome.append(f"(n={n},k={r.parity})")
         if by_parity[0].probability_exact != Fraction(1, 1 << (n - 1)):
             ghz_rate.append(f"(n={n})")
@@ -263,14 +268,14 @@ def suite_gnk(max_n: int = 10) -> list[Check]:
             if n == 2 * k:
                 continue
             rep = states.expectations(states.g_general(n, k))
-            if abs(rep.x_all - 1.0) > 1e-10 or rep.max_imag > 1e-10:
+            if abs(rep.x_all - 1.0) > _SUMMED_ATOL or rep.max_imag > _SUMMED_ATOL:
                 bad_x.append(f"(n={n},k={k})")
             want_y = 0.0 if n % 2 else (-1.0) ** (n // 2 + k)
-            if abs(rep.y_all - want_y) > 1e-10:
+            if abs(rep.y_all - want_y) > _SUMMED_ATOL:
                 bad_y.append(f"(n={n},k={k})")
     for k in range(1, 6):
         rep = states.expectations(states.g_general(2 * k, k))
-        if abs(rep.y_all - 1.0) > 1e-10 or abs(rep.x_all - 1.0) > 1e-10:
+        if abs(rep.y_all - 1.0) > _SUMMED_ATOL or abs(rep.x_all - 1.0) > _SUMMED_ATOL:
             bad_self.append(f"(k={k})")
     return [
         _check("all-qubit X expectation is 1 on G(n,k), n != 2k", bad_x),
@@ -289,8 +294,8 @@ def suite_solver() -> list[Check]:
         spec_d = solver.roots_of_unity_spec(d)
         state = solver.admissible_state(spec_d, [0.0] * d)
         drive = Operator(np.diag(np.exp(1j * np.array(spec_d.phases))), unitary=True)
-        report = solver.check_orbit(drive, state, d, tol=1e-12)
-        if report.max_deviation >= 1e-12:
+        report = solver.check_orbit(drive, state, d, tol=_CLOSED_FORM_ATOL)
+        if report.max_deviation >= _CLOSED_FORM_ATOL:
             roots.append(f"(d={d}) gram {report.max_deviation:.2e}")
     infeasible: list[str] = []
     if solver.solve_amplitudes(solver.EigenphaseSpec((0.0, 0.1))).feasible:
@@ -309,7 +314,7 @@ def suite_solver() -> list[Check]:
         # Both the reported constraint weight and the amplitudes' own sum.
         for grp, wt in sol.eigenspace_constraints:
             total = sum(sol.squared_amps[j] for j in grp)
-            if abs(wt - 0.5) > 1e-12 or abs(total - 0.5) > 1e-12:
+            if abs(wt - 0.5) > _CLOSED_FORM_ATOL or abs(total - 0.5) > _CLOSED_FORM_ATOL:
                 degenerate.append(f"(0,0,pi,pi) group {grp}: weight {wt}, amplitudes {total}")
     oracle: list[str] = []
     battery = [

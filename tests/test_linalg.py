@@ -11,7 +11,6 @@ from qparity.linalg import (
     Ket,
     Operator,
     basis_ket,
-    canonical_phase,
     fidelity,
     fourier_ket,
     hadamard,
@@ -190,31 +189,6 @@ class TestTensorAndInner:
     def test_inner_dimension_mismatch(self):
         with pytest.raises(ValueError):
             inner(basis_ket((2,), 0), basis_ket((3,), 0))
-
-
-class TestCanonicalPhase:
-    def test_singlet_like_example(self):
-        # i(|01> - |10>)/sqrt(2) acquires a real positive leading amplitude.
-        amps = np.array([0.0, 1j, -1j, 0.0]) / math.sqrt(2)
-        fixed = canonical_phase(Ket(amps, (2, 2), normalized=True))
-        expect = np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2)
-        assert np.allclose(fixed.amps, expect, atol=1e-12)
-
-    def test_zero_vector_rejected(self):
-        with pytest.raises(ValueError):
-            canonical_phase(Ket(np.zeros(4), (2, 2)))
-
-    @given(st.integers(min_value=0, max_value=999))
-    def test_idempotent_and_phase_free(self, seed):
-        g = np.random.default_rng(seed)
-        v = g.normal(size=6) + 1j * g.normal(size=6)
-        v /= np.linalg.norm(v)
-        k = Ket(v, (2, 3), normalized=True)
-        rotated = Ket(v * np.exp(1j * g.uniform(0, 2 * np.pi)), (2, 3), normalized=True)
-        a = canonical_phase(k)
-        b = canonical_phase(rotated)
-        assert np.allclose(a.amps, b.amps, atol=1e-10)
-        assert np.allclose(canonical_phase(a).amps, a.amps, atol=1e-12)
 
 
 class TestIndexing:

@@ -74,7 +74,7 @@ class TestClassifyEigenphases:
         assert structure.multiplicities == (1, 1, 1)
 
     def test_near_duplicates_cluster(self):
-        structure = classify_eigenphases(EigenphaseSpec((0.0, 1e-14, math.pi)), group_tol=1e-10)
+        structure = classify_eigenphases(EigenphaseSpec((0.0, 1e-14, math.pi)))
         assert structure.s == 2
         assert structure.multiplicities == (2, 1)
         assert structure.groups == ((0, 1), (2,))
@@ -88,10 +88,6 @@ class TestClassifyEigenphases:
     def test_representatives_sorted(self):
         structure = classify_eigenphases(EigenphaseSpec((5.0, 1.0, 3.0)))
         assert structure.representatives == tuple(sorted(structure.representatives))
-
-    def test_bad_tol_rejected(self):
-        with pytest.raises(ValueError):
-            classify_eigenphases(EigenphaseSpec((0.0, 1.0)), group_tol=0.0)
 
 
 class TestSolveAmplitudes:
