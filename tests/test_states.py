@@ -474,6 +474,13 @@ class TestProductSplit:
         if want is not None:
             assert got == pytest.approx(fidelity(state, want), abs=1e-12)
 
+    def test_fidelity_is_the_squared_remainder_norm(self):
+        # cos t|00> + sin t|11> splits with s1 = sin t below 3e-6; its closest
+        # product |00> has fidelity cos^2 t, which the remainder's norm alone misses.
+        t = 2e-6
+        state = Ket(np.array([math.cos(t), 0.0, 0.0, math.sin(t)]), (2, 2), normalized=True)
+        assert _product_factorization(state) == pytest.approx(math.cos(t) ** 2, abs=1e-14)
+
     def test_failed_split_allocates_no_copy(self):
         # GHZ fails at its first split, which reads the 1 MiB of amplitudes
         # in place; the SVD split copied them and allocated its factors.
