@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import solver, states, verify
-from .linalg import Ket, Operator, plus_state
+from .linalg import Ket, plus_state
 from .module import (
     CouplingKind,
     ModuleConfig,
@@ -217,9 +217,7 @@ def cmd_solve(args) -> int:
     gram_dev = None
     if solution.feasible:
         seed = solver.admissible_state(spec, [0.0] * spec.d)
-        drive = Operator(np.diag(np.exp(1j * np.array(spec.phases))), unitary=True)
-        report = solver.check_orbit(drive, seed, solution.structure.s)
-        gram_dev = report.max_deviation
+        gram_dev = solver.check_orbit(spec.drive(), seed, solution.structure.s).max_deviation
     if args.json:
         payload = {
             "schema": SCHEMA_VERSION,

@@ -14,8 +14,12 @@ from typing import Sequence
 
 import numpy as np
 
+# A constructed unit vector's squared norm sums 2^n rounded squares, so it is 1 to ~1e-15.
 NORMALIZED_ATOL = 1e-12
+# U^dagger U of a unitary built in float64 is I to ~1e-15 per entry; a non-unitary misses by far more.
 UNITARY_ATOL = 1e-10
+# A caller's normalized state has norm 1 to ~1e-15 of rounding; an unnormalized one misses by far more.
+NORM_ATOL = 1e-10
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -62,8 +66,9 @@ class Operator:
     """Dense square matrix with an optional unitary guarantee.
 
     A real matrix is stored as float64, any other as complex128.
-    ``unitary=True`` makes the constructor verify U^dagger U = I (max-entry
-    deviation at most 1e-10) and fail loudly otherwise.
+    ``unitary=True`` makes the constructor verify U^dagger U = I within
+    ``UNITARY_ATOL`` (NaN fails), the one unitarity test: an Operator flagged
+    unitary is never tested again.
     """
 
     entries: np.ndarray
@@ -75,13 +80,23 @@ class Operator:
             raise ValueError(f"operator must be square, got shape {m.shape}")
         if self.unitary:
             dev = float(np.abs(m.conj().T @ m - np.eye(m.shape[0])).max())
-            if dev > UNITARY_ATOL:
-                raise ValueError(f"unitarity violated by {dev:.3e}")
+            if not dev <= UNITARY_ATOL:
+                raise ValueError(f"operator is not unitary (deviation {dev:.3e})")
         object.__setattr__(self, "entries", _freeze(m))
 
     @property
     def dim(self) -> int:
         return self.entries.shape[0]
+
+
+def require_normalized(state: Ket, what: str) -> None:
+    """Raise unless ``what`` has norm 1 within ``NORM_ATOL`` (NaN fails); a Ket
+    flagged normalized passed the tighter ``NORMALIZED_ATOL`` when built."""
+    if state.normalized:
+        return
+    norm = state.norm()
+    if not abs(norm - 1.0) <= NORM_ATOL:
+        raise ValueError(f"{what} must be normalized, norm is {norm:.12f}")
 
 
 def omega(d: int) -> complex:
@@ -182,10 +197,17 @@ def fidelity(a: Ket, b: Ket) -> float:
 
 @lru_cache(maxsize=32)
 def hamming_weights(n: int) -> np.ndarray:
-    """Read-only vector of bit counts for all integers in [0, 2^n), built once per n."""
+    """Read-only uint8 vector of bit counts for all integers in [0, 2^n), built once per n."""
     if n < 0:
         raise ValueError(f"qubit count must be nonnegative, got {n}")
-    return _freeze(np.bitwise_count(np.arange(1 << n)).astype(np.int64))
+    return _freeze(np.bitwise_count(np.arange(1 << n)))
+
+
+def weight_classes(n: int, d: int) -> np.ndarray:
+    """wt(x) mod d for every x in [0, 2^n), as uint8: a weight is at most n, so
+    for d > n it is its own class, and otherwise d fits the uint8 operand."""
+    wts = hamming_weights(n)
+    return wts if d > n else wts % d
 
 
 @lru_cache(maxsize=32)

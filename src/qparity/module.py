@@ -5,38 +5,33 @@ Two equivalent couplings are provided.  The phase coupling applies
 ancilla in the Fourier vector |u_0> and measuring it in the Fourier basis
 heralds the total excitation number mod d.  The shift coupling is the
 Hadamard conjugate (|+><+| x I + |-><-| x X_d) with a computational-basis
-ancilla; it heralds the Hadamard-basis excitation number instead.  Which of
-the two runs is decided once per (d, coupling), in ``_coupling``.
+ancilla; it heralds the Hadamard-basis excitation number instead.  Any
+other ancilla is admitted by ``solver.check_orbit`` alone, when its orbit
+under Z_d or X_d is orthonormal: ``ModuleConfig`` runs that check for a
+custom ancilla, and ``_coupling`` runs it once per (d, coupling) for the
+default one.
 
 ``run_module`` reports every heralded branch, with one weight kernel per
-coupling.  The phase kernel multiplies amplitude (x, j) of the
-register-ancilla state by z_j = w^j once per excitation of x, visiting the
-strings in the weight order of ``linalg.weight_order`` so that one
-vectorised step per weight level covers every ancilla level.  The shift
-kernel uses that in the Hadamard basis every coupling is a controlled X_d,
-an exact permutation: branch m is H^(x)n(h * T[m, wt mod d]) with
-h = H^(x)n amps and T[m, w] = <r_m|X_d^w|prep>.  The phase kernel keeps its
-per-excitation rounding only because the golden report digest pins it (the
-reports print rounding-level Dicke residuals); once a benchmark change
-re-records that digest, it collapses to amps * T[m, wt mod d] with
-T[m, w] = <r_m|Z_d^w|prep>.
+coupling (see ``_branches``).  The phase kernel keeps its per-excitation
+rounding only because the golden report digest pins it (the reports print
+rounding-level Dicke residuals); once a benchmark change re-records that
+digest, it collapses to amps * T[m, wt mod d] with T[m, w] = <r_m|Z_d^w|prep>,
+the table form that the shift kernel uses in the Hadamard basis.
 
 ``outcome_distribution`` and ``build_projectors`` work through the
 projectors P_i = d^(-1) sum_k w^(-ik) A^k: the mask wt(x) == i (mod d),
 read in the computational basis (phase) or after a Walsh-Hadamard transform
 (shift).  ``build_projectors`` returns the weight classes; only its
-``projectors`` view materializes 2^n x 2^n matrices, all of them real: the
-phase projector is diag(mask), and the shift projector's entry (x, y) is
-read at x XOR y off one Walsh-Hadamard transform of the mask.  One
-statevector cap bounds everything; the view counts each matrix as a 2n-qubit
-statevector.  The test suite checks both kernels and the projector route
-against a sequential-gate oracle and a Fourier-sum oracle.
+``projectors`` view materializes 2^n x 2^n matrices.  One statevector cap
+bounds everything; the view counts each matrix as a 2n-qubit statevector.
+The test suite checks both kernels and the projector route against a
+sequential-gate oracle and a Fourier-sum oracle.
 """
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -44,14 +39,14 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import states
-from .linalg import Ket, Operator, fourier_ket, hamming_weights, pauli_x, pauli_z, weight_order
+from .linalg import Ket, Operator, fourier_ket, pauli_x, pauli_z, require_normalized, weight_classes, weight_order
+from .solver import check_orbit
 
 DEFAULT_STATEVECTOR_MAX_QUBITS = 20
 MAX_QUBITS_ENV = "QPARITY_MAX_QUBITS"
+# A branch below this probability is reported as zero: a class the input does
+# not touch still collects ~1e-32 of rounding, and a real branch carries far more.
 ZERO_PROBABILITY_ATOL = 1e-12
-_ORBIT_BASIS_ATOL = 1e-8
-# Float64 rounding leaves a normalized state's norm within ~1e-15 of 1; an unnormalized one misses by far more.
-_NORM_ATOL = 1e-10
 # The branch probabilities are d rounded sums of |amplitude|^2; a unitary coupling keeps their total at 1.
 _PROBABILITY_SUM_ATOL = 1e-10
 # Exact rational probabilities are reported only when every amplitude is 2^(-n/2) up to rounding.
@@ -96,32 +91,46 @@ class _Coupling:
     """What ``run_module`` needs of one (d, coupling); every array is read-only.
 
     ``step`` is V, the ancilla step of one excitation: Z_d (phase) or X_d
-    (shift).  ``readout`` holds the measurement kets, one row per outcome,
-    and row 0 is the default ancilla; outcome m heralds ``parities[m]``.
+    (shift).  ``orbit`` holds the kets V^m|prep> of the default ancilla
+    |prep>, one row per m.  ``readout`` holds the measurement kets, one row
+    per outcome, and row 0 is |prep>; outcome m heralds ``parities[m]``.
     ``basis`` names the readout basis.
     """
 
-    step: np.ndarray
+    step: Operator
+    orbit: np.ndarray
     readout: np.ndarray
     parities: tuple[int, ...]
     basis: str
 
 
+def _admitted_orbit(step: Operator, prep: Ket) -> np.ndarray:
+    """The rows V^m|prep>, m in [0, d), from ``solver.check_orbit``; raises unless orthonormal."""
+    report = check_orbit(step, prep, step.dim)
+    if not report.orthonormal:
+        raise ValueError(
+            f"ancilla preparation does not generate an orthonormal orbit "
+            f"(Gram deviation {report.max_deviation:.3e}); heralding would be ambiguous"
+        )
+    return report.orbit
+
+
 @lru_cache(maxsize=64)
 def _coupling(d: int, coupling: CouplingKind) -> _Coupling:
-    """The coupling's step and default readout, built once per (d, coupling)."""
+    """The coupling's step, default orbit and readout, built once per (d, coupling)."""
     if coupling is CouplingKind.PHASE:
-        step = pauli_z(d).entries
+        step = pauli_z(d)
         readout = np.array([fourier_ket(d, m).amps for m in range(d)])
         parities = tuple((-m) % d for m in range(d))
         basis = "fourier"
     else:
-        step = pauli_x(d).entries
+        step = pauli_x(d)
         readout = np.eye(d, dtype=complex)
         parities = tuple(range(d))
         basis = "computational"
     readout.setflags(write=False)
-    return _Coupling(step, readout, parities, basis)
+    orbit = _admitted_orbit(step, Ket(readout[0], (d,), normalized=True))
+    return _Coupling(step, orbit, readout, parities, basis)
 
 
 @dataclass(frozen=True)
@@ -129,16 +138,18 @@ class ModuleConfig:
     """One parity-module run: register size, ancilla dimension, coupling.
 
     ``ancilla_prep`` defaults to the canonical preparation for the coupling;
-    any other normalized d-level state may be supplied as long as its orbit
-    under the coupling operator (Z_d or X_d) is orthonormal, in which case
-    the measurement is taken in that orbit basis and outcome m heralds
-    parity m directly.
+    any other normalized d-level state may be supplied.  ``solver.check_orbit``
+    admits it at construction only if its orbit under the coupling operator
+    (Z_d or X_d) is orthonormal; the measurement is then taken in that orbit
+    basis and outcome m heralds parity m directly.  The validated orbit is
+    kept, so a run does not check it again.
     """
 
     n: int
     d: int
     coupling: CouplingKind = CouplingKind.PHASE
     ancilla_prep: Ket | None = None
+    _orbit: np.ndarray | None = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -147,13 +158,21 @@ class ModuleConfig:
             raise ValueError(f"a d=1 ancilla carries no parity information (got d={self.d})")
         if not isinstance(self.coupling, CouplingKind):
             raise ValueError(f"unknown coupling {self.coupling!r}")
-        if self.ancilla_prep is not None:
-            if self.ancilla_prep.dim != self.d:
-                raise ValueError(
-                    f"ancilla preparation has dimension {self.ancilla_prep.dim}, expected {self.d}"
-                )
-            if not abs(self.ancilla_prep.norm() - 1.0) <= _NORM_ATOL:
-                raise ValueError("ancilla preparation must be normalized")
+        prep = self.ancilla_prep
+        if prep is not None:
+            if prep.dim != self.d:
+                raise ValueError(f"ancilla preparation has dimension {prep.dim}, expected {self.d}")
+            require_normalized(prep, "ancilla preparation")
+            object.__setattr__(self, "_orbit", _admitted_orbit(_coupling(self.d, self.coupling).step, prep))
+
+    @property
+    def heralding(self) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
+        """The rows V^m|prep>, the readout kets as rows, and the parity each outcome heralds."""
+        if self._orbit is None:
+            setup = _coupling(self.d, self.coupling)
+            return setup.orbit, setup.readout, setup.parities
+        # Outcome m finds the ancilla at V^m|prep>, so it heralds parity m.
+        return self._orbit, self._orbit, tuple(range(self.d))
 
 
 @dataclass(frozen=True)
@@ -240,7 +259,7 @@ def build_projectors(n: int, d: int, coupling: CouplingKind = CouplingKind.PHASE
     """
     ModuleConfig(n, d, coupling)
     _check_qubits(n)
-    classes = hamming_weights(n) % d
+    classes = weight_classes(n, d)
     classes.setflags(write=False)
     return ProjectorSet(n=n, d=d, coupling=coupling, classes=classes)
 
@@ -278,9 +297,10 @@ def _phase_kernel(amps: np.ndarray, prep: np.ndarray, clock: np.ndarray, n: int)
     return mat
 
 
-def _branches(amps: np.ndarray, n: int, coupling: CouplingKind, step: np.ndarray, prep: np.ndarray, vecs: np.ndarray):
+def _branches(amps: np.ndarray, n: int, coupling: CouplingKind, step: Operator, orbit: np.ndarray, vecs: np.ndarray):
     """(probability, branch) for each outcome m, in outcome order; branch is None when
-    the probability is below ``ZERO_PROBABILITY_ATOL``.
+    the probability is below ``ZERO_PROBABILITY_ATOL``.  ``orbit`` holds the kets
+    V^w|prep>, one row per w, and ``vecs`` the readout kets <r_m|.
 
     Phase: branch m is <r_m| applied to the ancilla of ``_phase_kernel``'s matrix.
     Shift: in the Hadamard basis every coupling is a controlled X_d, an exact
@@ -289,17 +309,17 @@ def _branches(amps: np.ndarray, n: int, coupling: CouplingKind, step: np.ndarray
     (Parseval), and only a nonzero branch is transformed back.
     """
     if coupling is CouplingKind.PHASE:
-        mat = _phase_kernel(amps, prep, np.diag(step), n)
+        mat = _phase_kernel(amps, orbit[0], np.diag(step.entries), n)
         for v in vecs:
             branch = mat @ v.conj()
             prob = float(np.sum(np.abs(branch) ** 2))
             yield prob, (branch if prob >= ZERO_PROBABILITY_ATOL else None)
         return
-    table = vecs.conj() @ _orbit(step, prep).T
+    table = vecs.conj() @ orbit.T
     hat = _hadamard_transform(amps, n)
-    classes = hamming_weights(n) % prep.size
+    classes = weight_classes(n, orbit.shape[1])
     for row in table:
-        branch = hat * row[classes]
+        branch = hat * np.take(row, classes)  # take gathers by uint8 faster than indexing
         prob = float(np.sum(np.abs(branch) ** 2))
         yield prob, (_hadamard_transform(branch, n) if prob >= ZERO_PROBABILITY_ATOL else None)
 
@@ -316,38 +336,13 @@ def _exact_parity_probability(n: int, d: int, coupling: CouplingKind, parity: in
     return Fraction(1 if parity == 0 else 0, 1)
 
 
-def _orbit(step: np.ndarray, prep: np.ndarray) -> np.ndarray:
-    """The kets V^m|prep>, one row per m in [0, d)."""
-    vecs = np.empty((prep.size, prep.size), dtype=complex)
-    v = prep
-    for m in range(prep.size):
-        vecs[m] = v
-        v = step @ v
-    return vecs
-
-
-def _orbit_readout(step: np.ndarray, prep: Ket) -> np.ndarray:
-    """Orbit kets V^m|prep>, one row per outcome m; raises unless they are orthonormal."""
-    d = prep.dim
-    vecs = _orbit(step, prep.amps)
-    gram = vecs.conj() @ vecs.T
-    dev = float(np.abs(gram - np.eye(d)).max())
-    if dev > _ORBIT_BASIS_ATOL:
-        raise ValueError(
-            f"ancilla preparation does not generate an orthonormal orbit "
-            f"(Gram deviation {dev:.3e}); heralding would be ambiguous"
-        )
-    return vecs
-
-
 def _check_register(state: Ket, config: ModuleConfig) -> None:
     """Statevector input guard; ``config`` has already rejected d < 2 and unknown couplings."""
     n = config.n
     if tuple(state.factor_dims) != (2,) * n:
         raise ValueError(f"input factors {state.factor_dims} do not match {n} qubits")
     _check_qubits(n)
-    if not abs(state.norm() - 1.0) <= _NORM_ATOL:
-        raise ValueError(f"input state must be normalized, norm is {state.norm():.12f}")
+    require_normalized(state, "input state")
 
 
 def run_module(state: Ket, config: ModuleConfig, *, classify_states: bool = True) -> list[OutcomeRecord]:
@@ -359,28 +354,16 @@ def run_module(state: Ket, config: ModuleConfig, *, classify_states: bool = True
     is exactly |+>^n and the ancilla preparation is the default one.
     """
     _check_register(state, config)
-    setup = _coupling(config.d, config.coupling)
-    custom = config.ancilla_prep is not None
-    if custom:
-        # Outcome m finds the ancilla at V^m|prep>, so it heralds parity m.
-        prep = config.ancilla_prep.amps
-        vecs, parities = _orbit_readout(setup.step, config.ancilla_prep), tuple(range(config.d))
-    else:
-        prep, vecs, parities = setup.readout[0], setup.readout, setup.parities
-    exact_ok = (not custom) and _is_uniform_plus(state)
+    step = _coupling(config.d, config.coupling).step
+    orbit, vecs, parities = config.heralding
+    exact_ok = config.ancilla_prep is None and _is_uniform_plus(state)
     records = []
-    branches = _branches(state.amps, config.n, config.coupling, setup.step, prep, vecs)
+    branches = _branches(state.amps, config.n, config.coupling, step, orbit, vecs)
     for m, (prob, branch) in enumerate(branches):
         parity = parities[m]
-        exact = (
-            _exact_parity_probability(config.n, config.d, config.coupling, parity)
-            if exact_ok
-            else None
-        )
+        exact = _exact_parity_probability(config.n, config.d, config.coupling, parity) if exact_ok else None
         if branch is None:
-            records.append(
-                OutcomeRecord(m, parity, prob, exact, None, None, True)
-            )
+            records.append(OutcomeRecord(m, parity, prob, exact, None, None, True))
             continue
         post = Ket(branch / math.sqrt(prob), (2,) * config.n, normalized=True)
         cls = states.classify(post) if classify_states else None
@@ -399,7 +382,7 @@ def outcome_distribution(state: Ket, n: int, d: int, coupling: CouplingKind = Co
     """
     _check_register(state, ModuleConfig(n, d, coupling))
     amps = state.amps if coupling is CouplingKind.PHASE else _hadamard_transform(state.amps, n)
-    probs = np.bincount(hamming_weights(n) % d, np.abs(amps) ** 2, minlength=d).tolist()
+    probs = np.bincount(weight_classes(n, d), np.abs(amps) ** 2, minlength=d).tolist()
     total = sum(probs)
     if not abs(total - 1.0) <= _PROBABILITY_SUM_ATOL:
         raise RuntimeError(f"projector probabilities sum to {total}, not 1")

@@ -23,16 +23,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import Ket, Operator, UNITARY_ATOL
+from .linalg import Ket, Operator, require_normalized
 
 TWO_PI = 2.0 * math.pi
 # Eigenphases closer than this are one eigenvalue: a computed spectrum carries
 # ~1e-15 of rounding, and the distinct phases of a drive differ by far more.
 _GROUP_TOL = 1e-9
-# An orthonormal orbit's Gram matrix is the identity up to rounding, ~1e-15 per power.
-_ORBIT_ATOL = 1e-10
-# A normalized seed's norm is 1 up to rounding, ~1e-15; an unnormalized one misses by far more.
-_SEED_NORM_ATOL = 1e-10
+# An orthonormal orbit's Gram matrix is I to ~1e-15 per power, but its diagonal is the
+# seed's squared norm, which linalg.NORM_ATOL lets miss 1 by 2 * NORM_ATOL + NORM_ATOL^2.
+ORBIT_ATOL = 1e-8
 # A unitary is normal, so its Schur form is diagonal up to rounding; a failed one leaves far more.
 _SCHUR_OFFDIAG_ATOL = 1e-8
 # SLSQP stops once the squared deviation improves by less than this, far below the verdict's scale.
@@ -51,12 +50,18 @@ class EigenphaseSpec:
     def __post_init__(self) -> None:
         if len(self.phases) < 2:
             raise ValueError(f"need at least two eigenphases, got {len(self.phases)}")
-        reduced = tuple(float(p) % TWO_PI for p in self.phases)
-        object.__setattr__(self, "phases", reduced)
+        phases = tuple(float(p) for p in self.phases)
+        if not all(math.isfinite(p) for p in phases):
+            raise ValueError(f"eigenphases must be finite, got {phases}")
+        object.__setattr__(self, "phases", tuple(p % TWO_PI for p in phases))
 
     @property
     def d(self) -> int:
         return len(self.phases)
+
+    def drive(self) -> Operator:
+        """The diagonal unitary diag(e^{i phi_0}, ..., e^{i phi_{d-1}})."""
+        return Operator(np.diag(np.exp(1j * np.array(self.phases))), unitary=True)
 
 
 def roots_of_unity_spec(d: int, offset: float = 0.0) -> EigenphaseSpec:
@@ -100,33 +105,35 @@ class AmplitudeSolution:
 
 @dataclass(frozen=True, eq=False)
 class OrbitReport:
-    """Gram matrix of an operator orbit and its distance from orthonormality."""
+    """An operator orbit as read-only rows, its Gram matrix and its distance from
+    orthonormality; ``orthonormal`` means within ``ORBIT_ATOL`` (NaN is not)."""
 
+    orbit: np.ndarray
     gram: np.ndarray
     max_deviation: float
     orthonormal: bool
 
 
-def check_orbit(u: Operator, phi: Ket, orbit_len: int, tol: float = _ORBIT_ATOL) -> OrbitReport:
-    """Gram matrix of {phi, U phi, ..., U^(orbit_len-1) phi}."""
-    m = u.entries
-    dev = float(np.abs(m.conj().T @ m - np.eye(u.dim)).max())
-    if dev > UNITARY_ATOL:
-        raise ValueError(f"operator is not unitary (deviation {dev:.3e})")
+def check_orbit(u: Operator, phi: Ket, orbit_len: int) -> OrbitReport:
+    """The rows phi, U phi, ..., U^(orbit_len-1) phi and their Gram matrix; raises
+    unless U is unitary and phi a normalized vector of its dimension."""
+    if not u.unitary:
+        u = Operator(u.entries, unitary=True)  # raises unless U is unitary
     if phi.dim != u.dim:
         raise ValueError(f"dimension mismatch {phi.dim} != {u.dim}")
     if not 1 <= orbit_len <= u.dim:
         raise ValueError(f"orbit length {orbit_len} outside [1, {u.dim}]")
-    if abs(phi.norm() - 1.0) > _SEED_NORM_ATOL:
-        raise ValueError("orbit seed must be normalized")
-    vecs = np.empty((orbit_len, u.dim), dtype=complex)
-    v = np.array(phi.amps)
+    require_normalized(phi, "orbit seed")
+    m = u.entries
+    orbit = np.empty((orbit_len, u.dim), dtype=complex)
+    v = phi.amps
     for i in range(orbit_len):
-        vecs[i] = v
+        orbit[i] = v
         v = m @ v
-    gram = vecs.conj() @ vecs.T
+    orbit.setflags(write=False)
+    gram = orbit.conj() @ orbit.T
     max_dev = float(np.abs(gram - np.eye(orbit_len)).max())
-    return OrbitReport(gram=gram, max_deviation=max_dev, orthonormal=max_dev <= tol)
+    return OrbitReport(orbit=orbit, gram=gram, max_deviation=max_dev, orthonormal=max_dev <= ORBIT_ATOL)
 
 
 def _circular_mean(values: np.ndarray) -> float:
@@ -230,13 +237,11 @@ def reconstruct_general(u: Operator) -> tuple[bool, Operator, EigenphaseSpec]:
     """
     import scipy.linalg  # deferred: scipy dominates `import qparity` otherwise
 
-    m = u.entries
-    dev = float(np.abs(m.conj().T @ m - np.eye(u.dim)).max())
-    if dev > UNITARY_ATOL:
-        raise ValueError(f"operator is not unitary (deviation {dev:.3e})")
-    t, z = scipy.linalg.schur(m, output="complex")
+    if not u.unitary:
+        u = Operator(u.entries, unitary=True)  # raises unless U is unitary
+    t, z = scipy.linalg.schur(u.entries, output="complex")
     off = float(np.abs(t - np.diag(np.diag(t))).max())
-    if off > _SCHUR_OFFDIAG_ATOL:
+    if not off <= _SCHUR_OFFDIAG_ATOL:
         raise ValueError(f"eigendecomposition failed; off-diagonal residue {off:.3e}")
     eigvals = np.diag(t)
     offset = cmath.phase(eigvals[0]) % TWO_PI
@@ -259,15 +264,7 @@ def _simplex_grid(total: int, parts: int, chunk: int = 200_000):
         if not batch:
             return
         bars = np.array(batch, dtype=np.int64)
-        padded = np.concatenate(
-            (
-                np.full((bars.shape[0], 1), -1, dtype=np.int64),
-                bars,
-                np.full((bars.shape[0], 1), total + parts - 1, dtype=np.int64),
-            ),
-            axis=1,
-        )
-        yield np.diff(padded, axis=1) - 1
+        yield np.diff(bars, axis=1, prepend=-1, append=total + parts - 1) - 1
 
 
 def brute_force_min_deviation(spec: EigenphaseSpec, grid: float = 0.02) -> tuple[float, np.ndarray]:

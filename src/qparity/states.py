@@ -198,7 +198,7 @@ def dicke_decompose(state: Ket) -> DickeDecomposition:
             coeffs[k] = c
             kept[k] = c / scale
     del by_weight
-    rotated -= kept[hamming_weights(n)]
+    rotated -= np.take(kept, hamming_weights(n))  # take gathers by uint8 faster than indexing
     residual = float(np.linalg.norm(rotated))
     overlaps.setflags(write=False)
     return DickeDecomposition(n=n, coeffs=coeffs, residual=residual, overlaps=overlaps)

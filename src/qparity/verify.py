@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import solver, states
-from .linalg import Operator, fidelity, hadamard, plus_state, tensor
+from .linalg import fidelity, hadamard, plus_state, tensor
 from .module import (
     CouplingKind,
     ModuleConfig,
@@ -24,6 +24,8 @@ from .module import (
 )
 from .states import FIDELITY_THRESHOLD
 
+# A dense projector entry sums up to 2^n rounded terms, and a product of two
+# views sums 2^n such entries: ~1e-13 at the n <= 10 the view allows by default.
 PROJECTOR_ATOL = 1e-10
 # A value from a few rounded float64 steps meets its closed form to ~1e-15:
 # probabilities, fidelities, orbit Gram entries, residuals of exact Dicke sums.
@@ -69,22 +71,22 @@ def suite_projectors(max_n: int = 8) -> list[Check]:
                 views = [p.entries for p in pset.projectors]
                 mats = real[coupling] = [v.real for v in views]
                 for i in range(d):
-                    if views[i].imag.any() or np.abs(mats[i].T - mats[i]).max() > PROJECTOR_ATOL:
+                    if views[i].imag.any() or not np.abs(mats[i].T - mats[i]).max() <= PROJECTOR_ATOL:
                         herm.append(f"(n={n},d={d},k={i},{coupling.value})")
                     for j in range(i, d):
                         want = mats[i] if i == j else 0
-                        if np.abs(mats[i] @ mats[j] - want).max() > PROJECTOR_ATOL:
+                        if not np.abs(mats[i] @ mats[j] - want).max() <= PROJECTOR_ATOL:
                             orth.append(f"(n={n},d={d},k={i},{j},{coupling.value})")
                     rank = projector_dim(i, n, d)
-                    if pset.dims[i] != rank or abs(np.trace(mats[i]) - rank) > PROJECTOR_ATOL:
+                    if pset.dims[i] != rank or not abs(np.trace(mats[i]) - rank) <= PROJECTOR_ATOL:
                         dims.append(f"(n={n},d={d},k={i},{coupling.value})")
-                if np.abs(sum(mats) - eye).max() > PROJECTOR_ATOL:
+                if not np.abs(sum(mats) - eye).max() <= PROJECTOR_ATOL:
                     comp.append(f"(n={n},d={d},{coupling.value})")
                 if sum(pset.dims) != 1 << n:
                     dims.append(f"(n={n},d={d},{coupling.value}) total")
             for i in range(d):
                 conj = hyp @ real[CouplingKind.PHASE][i] @ hyp
-                if np.abs(conj - real[CouplingKind.SHIFT][i]).max() > PROJECTOR_ATOL:
+                if not np.abs(conj - real[CouplingKind.SHIFT][i]).max() <= PROJECTOR_ATOL:
                     dual.append(f"(n={n},d={d},k={i})")
     return [
         _check("projectors hermitian", herm),
@@ -121,7 +123,7 @@ def _branch_failures(n: int, d: int, ratios: dict[int, dict[int, int]]) -> list[
             bad.append(f"(n={n},d={d},k={rec.parity}) weights {sorted(dec.coeffs)}")
             continue
         err = max(abs(dec.coeffs[k] - pred.coeffs[k]) for k in pred.coeffs)
-        if err >= _SUMMED_ATOL or dec.residual >= _CLOSED_FORM_ATOL:
+        if not (err < _SUMMED_ATOL and dec.residual < _CLOSED_FORM_ATOL):
             bad.append(f"(n={n},d={d},k={rec.parity}) err={err:.2e} res={dec.residual:.2e}")
     return bad
 
@@ -164,10 +166,10 @@ def gnk_branch_failures(n: int, k: int) -> list[str]:
     if rec.probability_exact != Fraction(total, 1 << n):
         bad.append(f"{tag} p = {rec.probability_exact}, expected {Fraction(total, 1 << n)}")
     want_fid = (math.sqrt(combs[k]) + math.sqrt(combs[n - k])) ** 2 / (2 * total)
-    if abs(fid - want_fid) > _CLOSED_FORM_ATOL:
+    if not abs(fid - want_fid) <= _CLOSED_FORM_ATOL:
         bad.append(f"{tag} fidelity {fid!r} to G(n,k), expected {want_fid!r}")
     best = max(fidelity(r.post_state, target) for r in records if r.post_state is not None)
-    if best >= FIDELITY_THRESHOLD:
+    if not best < FIDELITY_THRESHOLD:
         bad.append(f"{tag} some branch reaches fidelity {best!r} to G(n,k)")
     return bad
 
@@ -200,7 +202,7 @@ def suite_examples() -> list[Check]:
             label, flipped, ref = want[rec.parity]
             cls = rec.classification
             fid = fidelity(rec.post_state, ref)
-            if cls.label() != label or cls.up_to_bitflip != flipped or fid < FIDELITY_THRESHOLD:
+            if cls.label() != label or cls.up_to_bitflip != flipped or not fid >= FIDELITY_THRESHOLD:
                 labels.append(
                     f"(n={n},d={d},k={rec.parity}) got {cls.label()} "
                     f"(up_to_bitflip={cls.up_to_bitflip}), fidelity {fid:.12f}"
@@ -212,7 +214,7 @@ def suite_examples() -> list[Check]:
         records = run_module(plus_state(n), ModuleConfig(n=n, d=n - 2))
         rec = next(r for r in records if r.parity == 1)
         cls = rec.classification
-        if cls.family is not states.Family.G or cls.fidelity < FIDELITY_THRESHOLD:
+        if cls.family is not states.Family.G or not cls.fidelity >= FIDELITY_THRESHOLD:
             gn.append(f"(n={n},d={n - 2}) got {cls.label()}")
     checks.append(_check("parity-1 branch at d=n-2 is G_n for n=5..9", gn))
 
@@ -236,7 +238,7 @@ def suite_probabilities(max_n: int = 12) -> list[Check]:
             want = Fraction(
                 sum(math.comb(n, j) for j in range(r.parity, n + 1, n)), 1 << n
             )
-            if r.probability_exact != want or abs(r.probability - want) > _CLOSED_FORM_ATOL:
+            if r.probability_exact != want or not abs(r.probability - want) <= _CLOSED_FORM_ATOL:
                 per_outcome.append(f"(n={n},k={r.parity})")
         if by_parity[0].probability_exact != Fraction(1, 1 << (n - 1)):
             ghz_rate.append(f"(n={n})")
@@ -268,14 +270,14 @@ def suite_gnk(max_n: int = 10) -> list[Check]:
             if n == 2 * k:
                 continue
             rep = states.expectations(states.g_general(n, k))
-            if abs(rep.x_all - 1.0) > _SUMMED_ATOL or rep.max_imag > _SUMMED_ATOL:
+            if not (abs(rep.x_all - 1.0) <= _SUMMED_ATOL and rep.max_imag <= _SUMMED_ATOL):
                 bad_x.append(f"(n={n},k={k})")
             want_y = 0.0 if n % 2 else (-1.0) ** (n // 2 + k)
-            if abs(rep.y_all - want_y) > _SUMMED_ATOL:
+            if not abs(rep.y_all - want_y) <= _SUMMED_ATOL:
                 bad_y.append(f"(n={n},k={k})")
     for k in range(1, 6):
         rep = states.expectations(states.g_general(2 * k, k))
-        if abs(rep.y_all - 1.0) > _SUMMED_ATOL or abs(rep.x_all - 1.0) > _SUMMED_ATOL:
+        if not (abs(rep.y_all - 1.0) <= _SUMMED_ATOL and abs(rep.x_all - 1.0) <= _SUMMED_ATOL):
             bad_self.append(f"(k={k})")
     return [
         _check("all-qubit X expectation is 1 on G(n,k), n != 2k", bad_x),
@@ -287,22 +289,19 @@ def suite_gnk(max_n: int = 10) -> list[Check]:
 def suite_solver() -> list[Check]:
     roots: list[str] = []
     for d in range(2, 9):
-        sol = solver.solve_amplitudes(solver.roots_of_unity_spec(d))
+        spec_d = solver.roots_of_unity_spec(d)
+        sol = solver.solve_amplitudes(spec_d)
         if not sol.feasible or any(q != 1.0 / d for q in sol.squared_amps):
             roots.append(f"(d={d})")
             continue
-        spec_d = solver.roots_of_unity_spec(d)
-        state = solver.admissible_state(spec_d, [0.0] * d)
-        drive = Operator(np.diag(np.exp(1j * np.array(spec_d.phases))), unitary=True)
-        report = solver.check_orbit(drive, state, d, tol=_CLOSED_FORM_ATOL)
-        if report.max_deviation >= _CLOSED_FORM_ATOL:
+        report = solver.check_orbit(spec_d.drive(), solver.admissible_state(spec_d, [0.0] * d), d)
+        if not report.max_deviation < _CLOSED_FORM_ATOL:
             roots.append(f"(d={d}) gram {report.max_deviation:.2e}")
     infeasible: list[str] = []
     if solver.solve_amplitudes(solver.EigenphaseSpec((0.0, 0.1))).feasible:
         infeasible.append("(0, 0.1)")
     eps = 0.01
-    near_identity = Operator(np.diag([np.exp(1j * eps), np.exp(-1j * eps)]), unitary=True)
-    feasible, _, _ = solver.reconstruct_general(near_identity)
+    feasible, _, _ = solver.reconstruct_general(solver.EigenphaseSpec((eps, -eps)).drive())
     if feasible:
         infeasible.append("exp(i*0.01*Z)")
     degenerate: list[str] = []
@@ -314,7 +313,7 @@ def suite_solver() -> list[Check]:
         # Both the reported constraint weight and the amplitudes' own sum.
         for grp, wt in sol.eigenspace_constraints:
             total = sum(sol.squared_amps[j] for j in grp)
-            if abs(wt - 0.5) > _CLOSED_FORM_ATOL or abs(total - 0.5) > _CLOSED_FORM_ATOL:
+            if not (abs(wt - 0.5) <= _CLOSED_FORM_ATOL and abs(total - 0.5) <= _CLOSED_FORM_ATOL):
                 degenerate.append(f"(0,0,pi,pi) group {grp}: weight {wt}, amplitudes {total}")
     oracle: list[str] = []
     battery = [

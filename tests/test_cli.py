@@ -356,6 +356,13 @@ class TestSolve:
         code, _, _ = run_cli(capsys, ["solve", "--phases", "0.5"])
         assert code == 2
 
+    @pytest.mark.parametrize("phases", ["nan,0", "inf,0", "0,-inf"])
+    def test_non_finite_phase_is_an_input_error(self, capsys, phases):
+        code, out, err = run_cli(capsys, ["solve", "--phases", phases])
+        assert code == 2
+        assert out == ""
+        assert "must be finite" in err
+
 
 class TestVerify:
     # The real suites are asserted by tests/test_verify.py; these check the

@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qparity.linalg import (
+    NORM_ATOL,
     Ket,
     Operator,
     basis_ket,
@@ -21,7 +22,9 @@ from qparity.linalg import (
     pauli_x,
     pauli_z,
     plus_state,
+    require_normalized,
     tensor,
+    weight_classes,
     weight_order,
 )
 
@@ -139,6 +142,10 @@ class TestOperatorConstruction:
         with pytest.raises(ValueError):
             Operator(np.array([[1.0, 0.0], [0.0, 2.0]]), unitary=True)
 
+    def test_unitarity_guard_fails_closed_on_nan(self):
+        with pytest.raises(ValueError, match="not unitary"):
+            Operator(np.array([[np.nan, 0.0], [0.0, 1.0]]), unitary=True)
+
     def test_nonsquare_rejected(self):
         with pytest.raises(ValueError):
             Operator(np.zeros((2, 3)))
@@ -153,6 +160,17 @@ class TestOperatorConstruction:
         op = identity(4)
         assert op.unitary
         assert np.array_equal(op.entries, np.eye(4))
+
+
+class TestRequireNormalized:
+    def test_guard_fails_closed_on_nan(self):
+        with pytest.raises(ValueError, match="probe must be normalized"):
+            require_normalized(Ket(np.array([np.nan, 0.0]), (2,)), "probe")
+
+    def test_tolerance_is_norm_atol(self):
+        require_normalized(Ket(np.array([1.0 + 0.5 * NORM_ATOL, 0.0]), (2,)), "probe")
+        with pytest.raises(ValueError, match="norm is 1.000000000200"):
+            require_normalized(Ket(np.array([1.0 + 2 * NORM_ATOL, 0.0]), (2,)), "probe")
 
 
 class TestTensorAndInner:
@@ -195,10 +213,18 @@ class TestIndexing:
     @given(st.integers(min_value=0, max_value=16))
     def test_hamming_weights_match_popcount(self, n):
         w = hamming_weights(n)
-        assert w.shape == (1 << n,)
+        assert w.shape == (1 << n,) and w.dtype == np.uint8
         sample = range(1 << n) if n <= 10 else range(0, 1 << n, 97)
         for x in sample:
             assert w[x] == bin(x).count("1")
+
+    @pytest.mark.parametrize("n", [1, 5, 9])
+    def test_weight_classes_are_weights_mod_d(self, n):
+        wts = [bin(x).count("1") for x in range(1 << n)]
+        for d in (2, 3, n, n + 1, 255, 256, 300):
+            assert weight_classes(n, d).tolist() == [w % d for w in wts]
+        # Every weight is its own class once d exceeds n: the cached array itself.
+        assert weight_classes(n, n + 1) is hamming_weights(n)
 
     @pytest.mark.parametrize("n", [0, 1, 5, 12])
     def test_weight_order_slices_are_weight_classes(self, n):

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from dataclasses import fields
 from fractions import Fraction
 
 import numpy as np
@@ -37,6 +38,8 @@ from qparity.module import (
     run_module,
     statevector_qubit_limit,
 )
+from qparity.linalg import NORM_ATOL
+from qparity.solver import ORBIT_ATOL, check_orbit
 from qparity.states import dicke, ghz, w
 
 from conftest import random_ket_amps
@@ -55,7 +58,7 @@ def fourier_sum_projectors(n, d, coupling):
     """
     om = omega(d)
     if coupling is CouplingKind.PHASE:
-        wts = hamming_weights(n)
+        wts = hamming_weights(n).astype(int)  # wts - i must not wrap around in uint8
         return [np.diag(sum(om ** (k * (wts - i)) for k in range(d)) / d) for i in range(d)]
     h = hadamard().entries
     powers = []
@@ -213,6 +216,32 @@ class TestModuleConfig:
         with pytest.raises(ValueError):
             ModuleConfig(2, 2, ancilla_prep=Ket(np.array([1.0, 1.0]), (2,)))
 
+    @pytest.mark.parametrize(
+        "prep,message",
+        [
+            (basis_ket((2,), 0), "has dimension 2, expected 3"),
+            (Ket(np.array([1.0, 1.0, 1.0]), (3,)), "must be normalized"),
+            (Ket(np.array([np.nan, 1.0, 0.0]), (3,)), "must be normalized"),
+            (basis_ket((3,), 0), "does not generate an orthonormal orbit"),
+        ],
+        ids=["dimension", "unnormalized", "nan", "non-orthonormal"],
+    )
+    @pytest.mark.parametrize("coupling", list(CouplingKind))
+    def test_inadmissible_ancilla_rejected_at_construction(self, prep, message, coupling):
+        if coupling is CouplingKind.SHIFT and message.startswith("does not"):
+            prep = fourier_ket(3, 0)  # an eigenvector of X_3, as |0> is of Z_3
+        with pytest.raises(ValueError, match=message):
+            ModuleConfig(2, 3, coupling, ancilla_prep=prep)
+
+    def test_orbit_check_admits_every_seed_the_norm_guard_admits(self):
+        # The Gram diagonal is the squared norm, 1 +- (2 NORM_ATOL + NORM_ATOL^2) at the guard's edge.
+        assert ORBIT_ATOL >= 2 * NORM_ATOL + NORM_ATOL**2
+        for scale in (1 - 0.99 * NORM_ATOL, 1 + 0.99 * NORM_ATOL):
+            prep = Ket(scale * fourier_ket(3, 1).amps, (3,))
+            orbit, _, _ = ModuleConfig(2, 3, ancilla_prep=prep).heralding
+            # Admitted, though its Gram matrix misses I by more than a bound of NORM_ATOL would allow.
+            assert np.abs(orbit.conj() @ orbit.T - np.eye(3)).max() > NORM_ATOL
+
     def test_default_ancilla_states(self):
         # Readout row 0 is the default ancilla: supplying it as a custom
         # preparation relabels the outcomes but heralds the same branches.
@@ -231,14 +260,17 @@ class TestModuleConfig:
     @pytest.mark.parametrize("coupling", list(CouplingKind))
     def test_cached_set_up_is_read_only(self, coupling):
         # run_module shares one record per (d, coupling), equal by value to
-        # the step and readout it is built from.
+        # the step, orbit and readout it is built from.
         shift = coupling is CouplingKind.SHIFT
         for d in range(2, 8):
             setup = _coupling(d, coupling)
             assert setup is _coupling(d, coupling)
-            assert not any(a.flags.writeable for a in (setup.step, setup.readout))
+            assert not any(a.flags.writeable for a in (setup.step.entries, setup.orbit, setup.readout))
             step = (pauli_x(d) if shift else pauli_z(d)).entries
-            assert np.array_equal(setup.step, step)
+            assert setup.step.unitary and np.array_equal(setup.step.entries, step)
+            assert np.array_equal(setup.orbit[0], setup.readout[0])
+            for m in range(1, d):
+                assert np.array_equal(setup.orbit[m], step @ setup.orbit[m - 1])
             if shift:
                 assert np.array_equal(setup.readout, np.eye(d))
                 assert setup.parities == tuple(range(d))
@@ -373,9 +405,18 @@ class TestCustomAncillaPrep:
 
     def test_non_orthonormal_orbit_rejected(self):
         # |0> is an eigenvector of the phase mark, so its orbit never spans.
-        config = ModuleConfig(2, 2, ancilla_prep=basis_ket((2,), 0))
         with pytest.raises(ValueError, match="orbit"):
-            run_module(plus_state(2), config)
+            ModuleConfig(2, 2, ancilla_prep=basis_ket((2,), 0))
+
+    def test_config_keeps_the_checked_orbit(self):
+        prep = fourier_ket(3, 1)
+        config = ModuleConfig(3, 3, ancilla_prep=prep)
+        orbit, vecs, parities = config.heralding
+        assert orbit is vecs and not orbit.flags.writeable
+        assert np.array_equal(orbit, check_orbit(pauli_z(3), prep, 3).orbit)
+        assert parities == (0, 1, 2)
+        assert config == ModuleConfig(3, 3, ancilla_prep=prep)
+        assert [f.name for f in fields(ModuleConfig) if f.init] == ["n", "d", "coupling", "ancilla_prep"]
 
     def test_shift_custom_prep(self):
         # For the shift coupling the computational vector |1> has an
@@ -529,6 +570,17 @@ class TestDistributionAgreement:
             outcome_distribution(state, 2, 2)
         with pytest.raises(ValueError, match="normalized"):
             ModuleConfig(2, 2, ancilla_prep=Ket(np.array([np.nan, 1.0]), (2,)))
+
+    def test_ancilla_wider_than_a_uint8_weight(self):
+        # The weights are uint8, and a class mod d > 255 must not overflow the operand.
+        d = 300
+        assert build_projectors(3, d).dims == (1, 3, 3, 1) + (0,) * (d - 4)
+        assert outcome_distribution(plus_state(3), 3, d)[:5] == pytest.approx([1 / 8, 3 / 8, 3 / 8, 1 / 8, 0.0], abs=1e-15)
+        state = random_register(3, 3)
+        records = run_module(state, ModuleConfig(3, d, CouplingKind.SHIFT), classify_states=False)
+        probs = outcome_distribution(state, 3, d, CouplingKind.SHIFT)
+        assert [r.probability for r in records] == pytest.approx(probs, abs=1e-12)
+        assert all(r.zero_probability for r in records[4:])
 
     def test_input_validation(self):
         with pytest.raises(ValueError):

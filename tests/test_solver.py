@@ -27,10 +27,6 @@ from qparity.solver import (
 TWO_PI = 2.0 * math.pi
 
 
-def diagonal_drive(phases):
-    return Operator(np.diag(np.exp(1j * np.array(phases))), unitary=True)
-
-
 class TestCheckOrbit:
     def test_clock_orbit_of_uniform_state_is_orthonormal(self):
         d = 4
@@ -43,7 +39,7 @@ class TestCheckOrbit:
     def test_near_identity_drive_overlaps_heavily(self):
         # diag(1, e^{0.1i}) moves the seed by a tiny rotation, so
         # |<phi|D phi>| >= cos(0.05) no matter how the weight is split.
-        drive = diagonal_drive([0.0, 0.1])
+        drive = EigenphaseSpec((0.0, 0.1)).drive()
         phi = Ket(np.array([1.0, 1.0]) / math.sqrt(2), (2,), normalized=True)
         report = check_orbit(drive, phi, 2)
         assert not report.orthonormal
@@ -58,6 +54,30 @@ class TestCheckOrbit:
     def test_rejects_unnormalized_seed(self):
         with pytest.raises(ValueError):
             check_orbit(pauli_z(2), Ket(np.array([1.0, 1.0]), (2,)), 2)
+
+    def test_returns_the_orbit_rows(self):
+        phi = Ket(np.array([0.6, 0.8j]), (2,), normalized=True)
+        u = hadamard()
+        report = check_orbit(u, phi, 2)
+        assert np.array_equal(report.orbit, [phi.amps, u.entries @ phi.amps])
+        assert not report.orbit.flags.writeable
+        assert np.array_equal(report.gram, report.orbit.conj() @ report.orbit.T)
+
+    def test_nan_fails_closed(self):
+        # NaN compares False against every tolerance, so each guard must be written to fail on it.
+        phi = Ket(np.array([1.0, 1.0]) / math.sqrt(2), (2,), normalized=True)
+        with pytest.raises(ValueError, match="normalized"):
+            check_orbit(pauli_z(2), Ket(np.array([np.nan, 1.0]), (2,)), 2)
+        with pytest.raises(ValueError, match="not unitary"):
+            check_orbit(Operator(np.diag([np.nan, 1.0])), phi, 2)
+        with pytest.raises(ValueError, match="not unitary"):
+            reconstruct_general(Operator(np.diag([np.nan, 1.0])))
+
+    def test_flagged_drive_is_not_rechecked(self, monkeypatch):
+        # Operator(unitary=True) is the one unitarity test; a drive that passed it is not tested again.
+        drive, phi = pauli_z(3), Ket(np.full(3, 3**-0.5), (3,), normalized=True)
+        monkeypatch.setattr(Operator, "__post_init__", lambda op: pytest.fail("built an Operator"))
+        assert check_orbit(drive, phi, 3).orthonormal
 
     def test_rejects_bad_orbit_length(self):
         phi = Ket(np.array([1.0, 0.0]), (2,), normalized=True)
@@ -146,6 +166,18 @@ class TestSolveAmplitudes:
         with pytest.raises(ValueError):
             EigenphaseSpec((0.0,))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_phase_rejected(self, bad):
+        # A NaN phase would otherwise reduce to NaN and come out merely "infeasible".
+        with pytest.raises(ValueError, match="finite"):
+            EigenphaseSpec((bad, 0.0))
+
+    def test_drive_is_the_diagonal_of_the_phases(self):
+        spec = EigenphaseSpec((0.0, 7.0, -1.0))
+        drive = spec.drive()
+        assert drive.unitary
+        assert np.array_equal(drive.entries, np.diag(np.exp(1j * np.array(spec.phases))))
+
 
 class TestAdmissibleState:
     @pytest.mark.parametrize("d", range(2, 7))
@@ -153,7 +185,7 @@ class TestAdmissibleState:
         spec = roots_of_unity_spec(d)
         theta = [0.1 * j**2 for j in range(d)]
         phi = admissible_state(spec, theta)
-        report = check_orbit(diagonal_drive(spec.phases), phi, d)
+        report = check_orbit(spec.drive(), phi, d)
         assert report.orthonormal
         assert report.max_deviation < 1e-12
 
@@ -161,13 +193,13 @@ class TestAdmissibleState:
         spec = roots_of_unity_spec(4, offset=0.7)
         for _ in range(10):
             theta = rng.uniform(0, TWO_PI, size=4)
-            report = check_orbit(diagonal_drive(spec.phases), admissible_state(spec, tuple(theta)), 4)
+            report = check_orbit(spec.drive(), admissible_state(spec, tuple(theta)), 4)
             assert report.max_deviation < 1e-12
 
     def test_degenerate_orbit_length_is_s(self):
         spec = EigenphaseSpec((0.0, 0.0, math.pi, math.pi))
         phi = admissible_state(spec, (0.0, 0.0, 0.0, 0.0))
-        report = check_orbit(diagonal_drive(spec.phases), phi, 2)
+        report = check_orbit(spec.drive(), phi, 2)
         assert report.orthonormal
 
     def test_infeasible_spec_raises(self):
