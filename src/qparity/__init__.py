@@ -8,7 +8,6 @@ from .linalg import (
     fourier_ket,
     hadamard,
     hamming_weights,
-    identity,
     inner,
     omega,
     pauli_x,

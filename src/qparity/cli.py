@@ -10,6 +10,7 @@ import argparse
 import math
 import sys
 import warnings
+from collections.abc import Callable, Iterator
 from fractions import Fraction
 from pathlib import Path
 
@@ -22,7 +23,6 @@ from .module import (
     ModuleConfig,
     OutcomeRecord,
     ResourceLimitError,
-    _coupling,
     outcome_distribution,
     projector_dim,
     run_module,
@@ -101,25 +101,32 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _resolve_input(args) -> tuple[Ket, str, int]:
+def _report(args, command: str, payload: dict, render: Callable[[dict], list[str]]) -> None:
+    """Write ``payload`` as checksummed JSON under ``--json``, else as the text lines ``render`` makes of it."""
+    if args.json:
+        text = canonical_json(with_checksum({"schema": SCHEMA_VERSION, "command": command, **payload}))
+    else:
+        text = "\n".join(render(payload))
+    _emit(text + "\n", args.out)
+
+
+def _resolve_input(args) -> tuple[Ket, str, ModuleConfig]:
+    """The register, its descriptor and its config; the config checks the
+    qubit cap before |+>^n is built."""
+    state = None
     if args.input == "plus":
         if args.qubits is None:
             raise ValueError("--qubits is required when --input is 'plus'")
-        return plus_state(args.qubits), "plus", args.qubits
-    state = load_amplitude_file(args.input)
-    if any(d != 2 for d in state.factor_dims):
-        raise ValueError(f"{args.input}: register factors must all be qubits")
-    n = len(state.factor_dims)
-    if args.qubits is not None and args.qubits != n:
-        raise ValueError(f"--qubits {args.qubits} disagrees with file register of {n} qubits")
-    return state, str(args.input), n
-
-
-def _weights_display(dec: states.DickeDecomposition) -> str:
-    ratios = states.squared_weight_ratios(dec)
-    if ratios is not None:
-        return " ".join(f"{k}:{v}" for k, v in ratios.items())
-    return " ".join(f"{k}:{fmt_float(c)}" for k, c in sorted(dec.coeffs.items()))
+        descriptor, n = "plus", args.qubits
+    else:
+        state = load_amplitude_file(args.input)
+        if any(d != 2 for d in state.factor_dims):
+            raise ValueError(f"{args.input}: register factors must all be qubits")
+        descriptor, n = str(args.input), len(state.factor_dims)
+        if args.qubits is not None and args.qubits != n:
+            raise ValueError(f"--qubits {args.qubits} disagrees with file register of {n} qubits")
+    config = ModuleConfig(n, args.ancilla_dim, CouplingKind(args.coupling))
+    return plus_state(n) if state is None else state, descriptor, config
 
 
 def _outcome_payload(rec: OutcomeRecord) -> dict:
@@ -152,48 +159,43 @@ def _outcome_payload(rec: OutcomeRecord) -> dict:
     return payload
 
 
-def cmd_simulate(args) -> int:
-    state, descriptor, n = _resolve_input(args)
-    config = ModuleConfig(n=n, d=args.ancilla_dim, coupling=CouplingKind(args.coupling))
-    basis = _coupling(config.d, config.coupling).basis
-    records = sorted(
-        run_module(state, config), key=lambda r: (r.parity, r.outcome_label)
-    )
-    if args.json:
-        payload = {
-            "schema": SCHEMA_VERSION,
-            "command": "simulate",
-            "config": {
-                "qubits": n,
-                "ancilla_dim": args.ancilla_dim,
-                "coupling": args.coupling,
-                "input": descriptor,
-                "measurement_basis": basis,
-            },
-            "outcomes": [_outcome_payload(r) for r in records],
-        }
-        _emit(canonical_json(with_checksum(payload)) + "\n", args.out)
-        return 0
+def _simulate_lines(payload: dict) -> list[str]:
+    config = payload["config"]
     lines = [
-        f"parity module: n={n} qubits, d={args.ancilla_dim} ancilla, {args.coupling} coupling",
-        f"input: {descriptor}; measurement basis: {basis}",
+        f"parity module: n={config['qubits']} qubits, d={config['ancilla_dim']} ancilla, "
+        f"{config['coupling']} coupling",
+        f"input: {config['input']}; measurement basis: {config['measurement_basis']}",
         f"{'parity':>6}  {'outcome':>7}  {'p (exact)':>10}  {'p (float)':<16}  "
         f"{'classification':<24}  dicke k:weight",
     ]
-    for rec in records:
-        exact = "-" if rec.probability_exact is None else fmt_fraction(rec.probability_exact)
-        if rec.post_state is None:
+    for row in payload["outcomes"]:
+        if row["classification"] is None:
             label, weights = "(zero probability)", "-"
         else:
-            label = rec.classification.label()
-            if rec.classification.up_to_bitflip:
-                label += " (up to bitflip)"
-            weights = _weights_display(rec.classification.decomposition)
+            label = row["classification"] + (" (up to bitflip)" if row["up_to_bitflip"] else "")
+            shown = row["dicke_coeffs"] if row["dicke_weights"] is None else row["dicke_weights"]
+            weights = " ".join(f"{k}:{v}" for k, v in shown.items())
         lines.append(
-            f"{rec.parity:>6}  {rec.outcome_label:>7}  {exact:>10}  "
-            f"{fmt_float(rec.probability):<16}  {label:<24}  {weights}"
+            f"{row['parity']:>6}  {row['outcome']:>7}  {row['probability_exact'] or '-':>10}  "
+            f"{row['probability']:<16}  {label:<24}  {weights}"
         )
-    _emit("\n".join(lines) + "\n", args.out)
+    return lines
+
+
+def cmd_simulate(args) -> int:
+    state, descriptor, config = _resolve_input(args)
+    records = sorted(run_module(state, config), key=lambda r: (r.parity, r.outcome_label))
+    payload = {
+        "config": {
+            "qubits": config.n,
+            "ancilla_dim": config.d,
+            "coupling": config.coupling.value,
+            "input": descriptor,
+            "measurement_basis": config.coupling.measurement_basis,
+        },
+        "outcomes": [_outcome_payload(r) for r in records],
+    }
+    _report(args, "simulate", payload, _simulate_lines)
     return 0
 
 
@@ -211,6 +213,26 @@ def _parse_phases(text: str) -> solver.EigenphaseSpec:
     return solver.EigenphaseSpec(phases)
 
 
+def _solve_lines(payload: dict) -> list[str]:
+    lines = [
+        "eigenphases: " + ", ".join(payload["phases"]),
+        f"distinct eigenvalues: {payload['distinct_eigenvalues']} "
+        f"(multiplicities {', '.join(map(str, payload['multiplicities']))})",
+        f"feasible: {'yes' if payload['feasible'] else 'no'}",
+    ]
+    if not payload["feasible"]:
+        return lines + [
+            "no state yields an orthonormal orbit: the distinct eigenvalues are "
+            "not a rotated set of roots of unity"
+        ]
+    lines.append("squared magnitudes: " + ", ".join(payload["squared_amps"]))
+    for constraint in payload["eigenspace_constraints"]:
+        lines.append(f"eigenspace {tuple(constraint['indices'])}: total weight {constraint['weight']}")
+    lines.append(f"phase offset: {payload['phase_offset']}")
+    lines.append(f"orbit Gram deviation: {payload['gram_deviation']}")
+    return lines
+
+
 def cmd_solve(args) -> int:
     spec = _parse_phases(args.phases)
     solution = solver.solve_amplitudes(spec)
@@ -218,48 +240,22 @@ def cmd_solve(args) -> int:
     if solution.feasible:
         seed = solver.admissible_state(spec, [0.0] * spec.d)
         gram_dev = solver.check_orbit(spec.drive(), seed, solution.structure.s).max_deviation
-    if args.json:
-        payload = {
-            "schema": SCHEMA_VERSION,
-            "command": "solve",
-            "phases": [fmt_float(p) for p in spec.phases],
-            "feasible": solution.feasible,
-            "distinct_eigenvalues": solution.structure.s,
-            "multiplicities": list(solution.structure.multiplicities),
-            "phase_offset": fmt_float(solution.canonical_phase_offset),
-            "squared_amps": None
-            if solution.squared_amps is None
-            else [fmt_float(q) for q in solution.squared_amps],
-            "eigenspace_constraints": [
-                {"indices": list(grp), "weight": fmt_float(wt)}
-                for grp, wt in solution.eigenspace_constraints
-            ],
-            "gram_deviation": None if gram_dev is None else fmt_float(gram_dev),
-        }
-        _emit(canonical_json(with_checksum(payload)) + "\n", args.out)
-        return 0 if solution.feasible else 1
-    lines = [
-        "eigenphases: " + ", ".join(fmt_float(p) for p in spec.phases),
-        f"distinct eigenvalues: {solution.structure.s} "
-        f"(multiplicities {', '.join(map(str, solution.structure.multiplicities))})",
-        f"feasible: {'yes' if solution.feasible else 'no'}",
-    ]
-    if solution.feasible:
-        lines.append(
-            "squared magnitudes: " + ", ".join(fmt_float(q) for q in solution.squared_amps)
-        )
-        for grp, wt in solution.eigenspace_constraints:
-            lines.append(
-                f"eigenspace {grp}: total weight {fmt_float(wt)}"
-            )
-        lines.append(f"phase offset: {fmt_float(solution.canonical_phase_offset)}")
-        lines.append(f"orbit Gram deviation: {fmt_float(gram_dev)}")
-    else:
-        lines.append(
-            "no state yields an orthonormal orbit: the distinct eigenvalues are "
-            "not a rotated set of roots of unity"
-        )
-    _emit("\n".join(lines) + "\n", args.out)
+    payload = {
+        "phases": [fmt_float(p) for p in spec.phases],
+        "feasible": solution.feasible,
+        "distinct_eigenvalues": solution.structure.s,
+        "multiplicities": list(solution.structure.multiplicities),
+        "phase_offset": fmt_float(solution.canonical_phase_offset),
+        "squared_amps": None
+        if solution.squared_amps is None
+        else [fmt_float(q) for q in solution.squared_amps],
+        "eigenspace_constraints": [
+            {"indices": list(grp), "weight": fmt_float(wt)}
+            for grp, wt in solution.eigenspace_constraints
+        ],
+        "gram_deviation": None if gram_dev is None else fmt_float(gram_dev),
+    }
+    _report(args, "solve", payload, _solve_lines)
     return 0 if solution.feasible else 1
 
 
@@ -280,133 +276,115 @@ def cmd_verify(args) -> int:
     return 1 if failed else 0
 
 
-def _table_dicke(max_n: int) -> tuple[list[str], list[dict]]:
-    lines = [
-        f"{'n':>3} {'parity':>6}  {'p (exact)':>12} {'p (float)':<15} {'dual-pair p':>12}  note"
-    ]
-    rows = []
+def _dicke_rows(max_n: int) -> Iterator[dict]:
     for n in range(2, max_n + 1):
         for k in range(n):
             p = Fraction(projector_dim(k, n, n), 1 << n)
             partner = (n - k) % n
-            note = ""
-            pair: Fraction | None = None
-            if k <= partner:
-                if k == partner or 2 * k == n:
-                    pair = p
-                    note = "self-dual class: single outcome; doubling would overcount"
-                else:
-                    pair = p + Fraction(projector_dim(partner, n, n), 1 << n)
-            rows.append(
-                {
-                    "n": n,
-                    "parity": k,
-                    "probability_exact": fmt_fraction(p),
-                    "probability": fmt_float(float(p)),
-                    "dual_pair": None if pair is None else fmt_fraction(pair),
-                    "self_dual": 2 * k == n or k == partner,
-                }
-            )
-            lines.append(
-                f"{n:>3} {k:>6}  {fmt_fraction(p):>12} {fmt_float(float(p)):<15} "
-                f"{'-' if pair is None else fmt_fraction(pair):>12}  {note}"
-            )
-    return lines, rows
+            pair = None
+            if k <= partner:  # each dual pair once; a self-dual class is a single outcome
+                pair = p if k == partner else p + Fraction(projector_dim(partner, n, n), 1 << n)
+            yield {
+                "n": n,
+                "parity": k,
+                "probability_exact": fmt_fraction(p),
+                "probability": fmt_float(float(p)),
+                "dual_pair": None if pair is None else fmt_fraction(pair),
+                "self_dual": k == partner,
+            }
 
 
-def _table_w_compare(max_n: int) -> tuple[list[str], list[dict]]:
-    lines = [
-        f"{'n':>3}  {'p(W_n)':>10} {'baseline':>14} {'gain':>12} {'bound 2^(n-2)':>14}  ok"
+def _dicke_lines(rows: list[dict]) -> list[str]:
+    header = f"{'n':>3} {'parity':>6}  {'p (exact)':>12} {'p (float)':<15} {'dual-pair p':>12}  note"
+    note = "self-dual class: single outcome; doubling would overcount"
+    return [header] + [
+        f"{row['n']:>3} {row['parity']:>6}  {row['probability_exact']:>12} {row['probability']:<15} "
+        f"{row['dual_pair'] or '-':>12}  {note if row['self_dual'] else ''}"
+        for row in rows
     ]
-    rows = []
+
+
+def _w_compare_rows(max_n: int) -> Iterator[dict]:
     for n in range(3, max_n + 1):
         p_w = Fraction(n, 1 << (n - 1))
         baseline = Fraction(n, 1 << (2 * n - 2)) if n % 2 else Fraction(n, 1 << (2 * n - 3))
         gain = p_w / baseline
         bound = Fraction(1 << (n - 2))
-        ok = gain >= bound
-        rows.append(
-            {
-                "n": n,
-                "p_w": fmt_fraction(p_w),
-                "baseline": fmt_fraction(baseline),
-                "gain": fmt_fraction(gain),
-                "bound": fmt_fraction(bound),
-                "ok": ok,
-            }
-        )
-        lines.append(
-            f"{n:>3}  {fmt_fraction(p_w):>10} {fmt_fraction(baseline):>14} "
-            f"{fmt_fraction(gain):>12} {fmt_fraction(bound):>14}  {'yes' if ok else 'NO'}"
-        )
-    return lines, rows
+        yield {
+            "n": n,
+            "p_w": fmt_fraction(p_w),
+            "baseline": fmt_fraction(baseline),
+            "gain": fmt_fraction(gain),
+            "bound": fmt_fraction(bound),
+            "ok": gain >= bound,
+        }
 
 
-def _table_halfdicke(max_n: int) -> tuple[list[str], list[dict]]:
-    lines = [
-        f"{'k':>3} {'n=2k':>5}  {'p (exact)':>14} {'p (float)':<15} {'1/sqrt(pi k)':<15} "
-        f"{'rel err':<12} {'pair form 2/sqrt(pi k)':<22}"
+def _w_compare_lines(rows: list[dict]) -> list[str]:
+    header = f"{'n':>3}  {'p(W_n)':>10} {'baseline':>14} {'gain':>12} {'bound 2^(n-2)':>14}  ok"
+    return [header] + [
+        f"{row['n']:>3}  {row['p_w']:>10} {row['baseline']:>14} "
+        f"{row['gain']:>12} {row['bound']:>14}  {'yes' if row['ok'] else 'NO'}"
+        for row in rows
     ]
-    rows = []
+
+
+def _halfdicke_rows(max_n: int) -> Iterator[dict]:
     for k in range(1, max_n // 2 + 1):
         n = 2 * k
         p = Fraction(math.comb(n, k), 1 << n)
         asym = 1.0 / math.sqrt(math.pi * k)
-        rel = abs(float(p) - asym) / asym
-        rows.append(
-            {
-                "k": k,
-                "n": n,
-                "probability_exact": fmt_fraction(p),
-                "probability": fmt_float(float(p)),
-                "asymptote": fmt_float(asym),
-                "relative_error": fmt_float(rel),
-                "pair_form": fmt_float(2 * asym),
-                "self_dual": True,
-            }
-        )
-        lines.append(
-            f"{k:>3} {n:>5}  {fmt_fraction(p):>14} {fmt_float(float(p)):<15} "
-            f"{fmt_float(asym):<15} {fmt_float(rel):<12} {fmt_float(2 * asym):<22}"
-        )
-    lines.append(
+        yield {
+            "k": k,
+            "n": n,
+            "probability_exact": fmt_fraction(p),
+            "probability": fmt_float(float(p)),
+            "asymptote": fmt_float(asym),
+            "relative_error": fmt_float(abs(float(p) - asym) / asym),
+            "pair_form": fmt_float(2 * asym),
+            "self_dual": True,
+        }
+
+
+def _halfdicke_lines(rows: list[dict]) -> list[str]:
+    header = (
+        f"{'k':>3} {'n=2k':>5}  {'p (exact)':>14} {'p (float)':<15} {'1/sqrt(pi k)':<15} "
+        f"{'rel err':<12} {'pair form 2/sqrt(pi k)':<22}"
+    )
+    note = (
         "note: the half-filled branch is self-dual (k = n-k), a single outcome; "
         "the dual-pair aggregate form 2/sqrt(pi k) double-counts it and "
         "overstates this probability by a factor of 2."
     )
-    return lines, rows
+    return [header] + [
+        f"{row['k']:>3} {row['n']:>5}  {row['probability_exact']:>14} {row['probability']:<15} "
+        f"{row['asymptote']:<15} {row['relative_error']:<12} {row['pair_form']:<22}"
+        for row in rows
+    ] + [note]
 
 
+# Each family's rows for a --max-n, and the text lines of those rows.
 _TABLES = {
-    "dicke": _table_dicke,
-    "w-compare": _table_w_compare,
-    "halfdicke-scaling": _table_halfdicke,
+    "dicke": (_dicke_rows, _dicke_lines),
+    "w-compare": (_w_compare_rows, _w_compare_lines),
+    "halfdicke-scaling": (_halfdicke_rows, _halfdicke_lines),
 }
 
 
 def cmd_table(args) -> int:
     if args.max_n < 2 or args.max_n > 20:
         raise ValueError(f"--max-n must lie in [2, 20], got {args.max_n}")
-    lines, rows = _TABLES[args.family](args.max_n)
-    if args.json:
-        payload = {
-            "schema": SCHEMA_VERSION,
-            "command": "table",
-            "family": args.family,
-            "max_n": args.max_n,
-            "rows": rows,
-        }
-        _emit(canonical_json(with_checksum(payload)) + "\n", args.out)
-        return 0
-    _emit("\n".join(lines) + "\n", args.out)
+    rows_of, lines_of = _TABLES[args.family]
+    payload = {"family": args.family, "max_n": args.max_n, "rows": list(rows_of(args.max_n))}
+    _report(args, "table", payload, lambda p: lines_of(p["rows"]))
     return 0
 
 
 def cmd_sample(args) -> int:
     if args.shots < 0:
         raise ValueError(f"--shots must be nonnegative, got {args.shots}")
-    state, _, n = _resolve_input(args)
-    probs = outcome_distribution(state, n, args.ancilla_dim, CouplingKind(args.coupling))
+    state, _, config = _resolve_input(args)
+    probs = outcome_distribution(state, config.n, config.d, config.coupling)
     rng = np.random.default_rng(args.seed)
     draws = rng.choice(args.ancilla_dim, size=args.shots, p=probs)
     text = "\n".join(map(str, draws.tolist())) + "\n" if args.shots else ""

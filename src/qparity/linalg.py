@@ -106,12 +106,6 @@ def omega(d: int) -> complex:
     return complex(np.exp(2j * np.pi / d))
 
 
-def identity(d: int) -> Operator:
-    if d < 1:
-        raise ValueError(f"dimension must be positive, got {d}")
-    return Operator(np.eye(d, dtype=complex), unitary=True)
-
-
 def pauli_x(d: int) -> Operator:
     """Cyclic shift X|j> = |j+1 mod d> on a d-level system."""
     if d < 2:

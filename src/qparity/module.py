@@ -39,7 +39,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import states
-from .linalg import Ket, Operator, fourier_ket, pauli_x, pauli_z, require_normalized, weight_classes, weight_order
+from .linalg import NORM_ATOL, NORMALIZED_ATOL, Ket, Operator, fourier_ket, pauli_x, pauli_z, require_normalized, weight_classes, weight_order
 from .solver import check_orbit
 
 DEFAULT_STATEVECTOR_MAX_QUBITS = 20
@@ -47,8 +47,10 @@ MAX_QUBITS_ENV = "QPARITY_MAX_QUBITS"
 # A branch below this probability is reported as zero: a class the input does
 # not touch still collects ~1e-32 of rounding, and a real branch carries far more.
 ZERO_PROBABILITY_ATOL = 1e-12
-# The branch probabilities are d rounded sums of |amplitude|^2; a unitary coupling keeps their total at 1.
-_PROBABILITY_SUM_ATOL = 1e-10
+# A unitary coupling keeps the branch probabilities' total at |state|^2 |prep|^4 (the
+# orbit of |prep> is also the readout), and the input guards let a caller's register
+# and custom ancilla each miss norm 1 by NORM_ATOL: 6 NORM_ATOL in all, plus rounding.
+_PROBABILITY_SUM_ATOL = 6 * NORM_ATOL + NORMALIZED_ATOL
 # Exact rational probabilities are reported only when every amplitude is 2^(-n/2) up to rounding.
 _UNIFORM_PLUS_ATOL = 1e-12
 # The phase kernel works on blocks of this many amplitudes per real array, so
@@ -85,6 +87,11 @@ class CouplingKind(Enum):
     PHASE = "phase"
     SHIFT = "shift"
 
+    @property
+    def measurement_basis(self) -> str:
+        """The basis the default ancilla is read out in: Fourier (phase) or computational (shift)."""
+        return "fourier" if self is CouplingKind.PHASE else "computational"
+
 
 @dataclass(frozen=True, eq=False)
 class _Coupling:
@@ -94,14 +101,12 @@ class _Coupling:
     (shift).  ``orbit`` holds the kets V^m|prep> of the default ancilla
     |prep>, one row per m.  ``readout`` holds the measurement kets, one row
     per outcome, and row 0 is |prep>; outcome m heralds ``parities[m]``.
-    ``basis`` names the readout basis.
     """
 
     step: Operator
     orbit: np.ndarray
     readout: np.ndarray
     parities: tuple[int, ...]
-    basis: str
 
 
 def _admitted_orbit(step: Operator, prep: Ket) -> np.ndarray:
@@ -122,15 +127,13 @@ def _coupling(d: int, coupling: CouplingKind) -> _Coupling:
         step = pauli_z(d)
         readout = np.array([fourier_ket(d, m).amps for m in range(d)])
         parities = tuple((-m) % d for m in range(d))
-        basis = "fourier"
     else:
         step = pauli_x(d)
         readout = np.eye(d, dtype=complex)
         parities = tuple(range(d))
-        basis = "computational"
     readout.setflags(write=False)
     orbit = _admitted_orbit(step, Ket(readout[0], (d,), normalized=True))
-    return _Coupling(step, orbit, readout, parities, basis)
+    return _Coupling(step, orbit, readout, parities)
 
 
 @dataclass(frozen=True)
@@ -142,7 +145,8 @@ class ModuleConfig:
     admits it at construction only if its orbit under the coupling operator
     (Z_d or X_d) is orthonormal; the measurement is then taken in that orbit
     basis and outcome m heralds parity m directly.  The validated orbit is
-    kept, so a run does not check it again.
+    kept, so a run does not check it again.  A register that the statevector
+    cap does not admit is refused here, before any state of its size exists.
     """
 
     n: int
@@ -158,6 +162,7 @@ class ModuleConfig:
             raise ValueError(f"a d=1 ancilla carries no parity information (got d={self.d})")
         if not isinstance(self.coupling, CouplingKind):
             raise ValueError(f"unknown coupling {self.coupling!r}")
+        _check_qubits(self.n)
         prep = self.ancilla_prep
         if prep is not None:
             if prep.dim != self.d:
@@ -258,7 +263,6 @@ def build_projectors(n: int, d: int, coupling: CouplingKind = CouplingKind.PHASE
     memory; only the ``projectors`` view forms the matrices.
     """
     ModuleConfig(n, d, coupling)
-    _check_qubits(n)
     classes = weight_classes(n, d)
     classes.setflags(write=False)
     return ProjectorSet(n=n, d=d, coupling=coupling, classes=classes)
@@ -337,11 +341,11 @@ def _exact_parity_probability(n: int, d: int, coupling: CouplingKind, parity: in
 
 
 def _check_register(state: Ket, config: ModuleConfig) -> None:
-    """Statevector input guard; ``config`` has already rejected d < 2 and unknown couplings."""
+    """Statevector input guard; ``config`` has already rejected d < 2, unknown couplings
+    and registers over the cap."""
     n = config.n
     if tuple(state.factor_dims) != (2,) * n:
         raise ValueError(f"input factors {state.factor_dims} do not match {n} qubits")
-    _check_qubits(n)
     require_normalized(state, "input state")
 
 

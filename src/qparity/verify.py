@@ -32,6 +32,11 @@ PROJECTOR_ATOL = 1e-10
 _CLOSED_FORM_ATOL = 1e-12
 # Dicke coefficients and all-qubit expectations sum up to 2^n rounded terms, ~1e-14.
 _SUMMED_ATOL = 1e-10
+# A failed check lists this many offending cases, then counts the rest.
+_DETAIL_LIMIT = 6
+# suite_probabilities runs n = d up to this size; suite_gnk checks G(n,k) up to this n.
+_PROBABILITIES_MAX_N = 12
+_GNK_MAX_N = 10
 
 
 @dataclass
@@ -40,10 +45,10 @@ class Check:
     passed: bool
     failures: list[str] = field(default_factory=list)
 
-    def detail(self, limit: int = 6) -> str:
-        listed = "; ".join(self.failures[:limit])
-        if len(self.failures) > limit:
-            listed += f"; ... {len(self.failures) - limit} more"
+    def detail(self) -> str:
+        listed = "; ".join(self.failures[:_DETAIL_LIMIT])
+        if len(self.failures) > _DETAIL_LIMIT:
+            listed += f"; ... {len(self.failures) - _DETAIL_LIMIT} more"
         return listed
 
 
@@ -226,12 +231,12 @@ def suite_examples() -> list[Check]:
     return checks
 
 
-def suite_probabilities(max_n: int = 12) -> list[Check]:
+def suite_probabilities() -> list[Check]:
     per_outcome: list[str] = []
     ghz_rate: list[str] = []
     w_rate: list[str] = []
     gain: list[str] = []
-    for n in range(2, max_n + 1):
+    for n in range(2, _PROBABILITIES_MAX_N + 1):
         records = run_module(plus_state(n), ModuleConfig(n=n, d=n))
         by_parity = {r.parity: r for r in records}
         for r in records:
@@ -261,11 +266,11 @@ def suite_probabilities(max_n: int = 12) -> list[Check]:
         _check("gain over the linear-optics baseline is at least 2^(n-2)", gain),
     ]
 
-def suite_gnk(max_n: int = 10) -> list[Check]:
+def suite_gnk() -> list[Check]:
     bad_x: list[str] = []
     bad_y: list[str] = []
     bad_self: list[str] = []
-    for n in range(2, max_n + 1):
+    for n in range(2, _GNK_MAX_N + 1):
         for k in range(n + 1):
             if n == 2 * k:
                 continue

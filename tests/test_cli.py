@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -159,6 +160,20 @@ class TestSimulate:
         assert code == 3
         assert "limited" in err
         assert err == "error: statevector path limited to 256 bytes (4 qubits); 5 qubits need 512 bytes\n"
+
+    @pytest.mark.parametrize("argv", [["simulate"], ["sample", "--shots", "5"]], ids=["simulate", "sample"])
+    def test_cap_checked_before_the_register_is_built(self, capsys, monkeypatch, argv):
+        # |+>^22 is one 64 MiB vector; under a 10-qubit cap none may be allocated.
+        monkeypatch.setenv("QPARITY_MAX_QUBITS", "10")
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, argv + ["-n", "22", "-d", "3"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 3 and out == ""
+        assert err == "error: statevector path limited to 16384 bytes (10 qubits); 22 qubits need 67108864 bytes\n"
+        assert peak < 16 << 22
 
     def test_out_of_memory_exit_code(self, capsys, monkeypatch):
         def exhausted(*args, **kwargs):
@@ -475,6 +490,89 @@ class TestSample:
         freq = float(np.mean(draws == 0))
         sigma = math.sqrt(0.25 / shots)
         assert abs(freq - 0.5) < 5 * sigma
+
+
+def _text_and_payload(capsys, argv):
+    """The text report's lines and the --json payload of one command."""
+    code, text, _ = run_cli(capsys, argv)
+    json_code, out, _ = run_cli(capsys, argv + ["--json"])
+    assert code == json_code
+    payload = json.loads(out)
+    assert verify_checksum(payload)
+    return text.splitlines(), payload
+
+
+def _shown(value):
+    """How a table's text column shows a payload value."""
+    if value is None:
+        return "-"
+    if isinstance(value, bool):
+        return "yes" if value else "NO"
+    return str(value)
+
+
+SELF_DUAL_NOTE = "self-dual class: single outcome; doubling would overcount"
+# The payload keys of each table's text columns, left to right.
+TABLE_COLUMNS = {
+    "dicke": ("n", "parity", "probability_exact", "probability", "dual_pair"),
+    "w-compare": ("n", "p_w", "baseline", "gain", "bound", "ok"),
+    "halfdicke-scaling": ("k", "n", "probability_exact", "probability", "asymptote", "relative_error", "pair_form"),
+}
+
+
+class TestReportForms:
+    """Each text row states the values of its --json row."""
+
+    @pytest.mark.parametrize("coupling", ["phase", "shift"])
+    def test_simulate(self, capsys, coupling):
+        lines, payload = _text_and_payload(capsys, ["simulate", "-n", "5", "-d", "3", "--coupling", coupling])
+        config = payload["config"]
+        assert lines[0] == f"parity module: n={config['qubits']} qubits, d={config['ancilla_dim']} ancilla, {coupling} coupling"
+        assert lines[1] == f"input: {config['input']}; measurement basis: {config['measurement_basis']}"
+        assert len(lines) == 3 + len(payload["outcomes"])
+        for line, row in zip(lines[3:], payload["outcomes"]):
+            parity, outcome, exact, prob, label, weights = re.split(r"\s{2,}", line.strip())
+            assert (int(parity), int(outcome), prob) == (row["parity"], row["outcome"], row["probability"])
+            assert exact == _shown(row["probability_exact"])
+            if row["zero_probability"]:
+                assert (label, weights, row["classification"]) == ("(zero probability)", "-", None)
+                continue
+            assert label == row["classification"] + (" (up to bitflip)" if row["up_to_bitflip"] else "")
+            shown = row["dicke_coeffs"] if row["dicke_weights"] is None else row["dicke_weights"]
+            assert [tok.split(":") for tok in weights.split()] == [[k, str(v)] for k, v in shown.items()]
+
+    @pytest.mark.parametrize("phases", ["roots:4", f"0,0,{math.pi},{math.pi}", "0,0.1"])
+    def test_solve(self, capsys, phases):
+        lines, payload = _text_and_payload(capsys, ["solve", "--phases", phases])
+        fields = dict(line.split(": ", 1) for line in lines)
+        assert fields.pop("eigenphases").split(", ") == payload["phases"]
+        distinct = re.fullmatch(r"(\d+) \(multiplicities (.*)\)", fields.pop("distinct eigenvalues"))
+        assert int(distinct[1]) == payload["distinct_eigenvalues"]
+        assert distinct[2].split(", ") == [str(m) for m in payload["multiplicities"]]
+        assert fields.pop("feasible") == ("yes" if payload["feasible"] else "no")
+        if not payload["feasible"]:
+            assert list(fields) == ["no state yields an orthonormal orbit"]
+            return
+        assert fields.pop("squared magnitudes").split(", ") == payload["squared_amps"]
+        assert fields.pop("phase offset") == payload["phase_offset"]
+        assert fields.pop("orbit Gram deviation") == payload["gram_deviation"]
+        assert fields == {
+            f"eigenspace {tuple(c['indices'])}": f"total weight {c['weight']}"
+            for c in payload["eigenspace_constraints"]
+        }
+
+    @pytest.mark.parametrize("family", sorted(TABLE_COLUMNS))
+    def test_table(self, capsys, family):
+        lines, payload = _text_and_payload(capsys, ["table", "--family", family, "--max-n", "6"])
+        rows, columns = payload["rows"], TABLE_COLUMNS[family]
+        assert rows and len(lines) == 1 + len(rows) + (family == "halfdicke-scaling")
+        for line, row in zip(lines[1:], rows):
+            tokens = line.split(None, len(columns))
+            assert tokens[: len(columns)] == [_shown(row[c]) for c in columns]
+            if family == "dicke":
+                assert tokens[len(columns) :] == ([SELF_DUAL_NOTE] if row["self_dual"] else [])
+        if family == "halfdicke-scaling":
+            assert all(row["self_dual"] for row in rows) and "self-dual" in lines[-1]
 
 
 class TestTopLevel:

@@ -7,6 +7,7 @@ change to the order of the simulation arithmetic shows up here as well.
 
 import hashlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -27,3 +28,11 @@ def test_golden_reports_digest(tmp_path):
     for path in reports:
         digest.update(path.read_bytes())
     assert digest.hexdigest() == GOLDEN_SHA256
+
+
+def test_benchmark_pins_the_same_digest():
+    # perfbench/run.py checks every benchmark run against its own copy of the digest;
+    # a re-record must update both pins.
+    bench = (ROOT / "perfbench" / "run.py").read_text()
+    pinned = re.findall(r'^GOLDEN_SHA256 = "([0-9a-f]{64})"$', bench, re.MULTILINE)
+    assert pinned == [GOLDEN_SHA256]

@@ -16,7 +16,6 @@ from qparity.linalg import (
     fourier_ket,
     hadamard,
     hamming_weights,
-    identity,
     inner,
     omega,
     pauli_x,
@@ -155,11 +154,6 @@ class TestOperatorConstruction:
         assert Operator(np.eye(2)).entries.dtype == np.float64
         assert Operator(np.eye(2, dtype=int)).entries.dtype == np.float64
         assert Operator(np.eye(2) + 0j).entries.dtype == np.complex128
-
-    def test_identity_is_both(self):
-        op = identity(4)
-        assert op.unitary
-        assert np.array_equal(op.entries, np.eye(4))
 
 
 class TestRequireNormalized:

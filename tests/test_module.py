@@ -242,6 +242,18 @@ class TestModuleConfig:
             # Admitted, though its Gram matrix misses I by more than a bound of NORM_ATOL would allow.
             assert np.abs(orbit.conj() @ orbit.T - np.eye(3)).max() > NORM_ATOL
 
+    @pytest.mark.parametrize("scale", [1 - 0.9 * NORM_ATOL, 1 + 0.9 * NORM_ATOL])
+    @pytest.mark.parametrize("coupling", list(CouplingKind))
+    def test_every_input_the_norm_guards_admit_runs(self, coupling, scale):
+        # The probabilities total |state|^2 |prep|^4: 1 +- 6 NORM_ATOL at both guards' edge.
+        n, d = 3, 3
+        state = Ket(scale * plus_state(n).amps, (2,) * n)
+        prep = Ket(scale * default_ancilla(d, coupling, 1).amps, (d,))
+        for config, power in ((ModuleConfig(n, d, coupling), 2), (ModuleConfig(n, d, coupling, ancilla_prep=prep), 6)):
+            records = run_module(state, config, classify_states=False)
+            assert sum(r.probability for r in records) == pytest.approx(scale**power, abs=1e-14)
+        assert sum(outcome_distribution(state, n, d, coupling)) == pytest.approx(scale**2, abs=1e-14)
+
     def test_default_ancilla_states(self):
         # Readout row 0 is the default ancilla: supplying it as a custom
         # preparation relabels the outcomes but heralds the same branches.
@@ -274,11 +286,11 @@ class TestModuleConfig:
             if shift:
                 assert np.array_equal(setup.readout, np.eye(d))
                 assert setup.parities == tuple(range(d))
-                assert setup.basis == "computational"
+                assert coupling.measurement_basis == "computational"
             else:
                 assert np.array_equal(setup.readout, [fourier_ket(d, m).amps for m in range(d)])
                 assert setup.parities == tuple((-m) % d for m in range(d))
-                assert setup.basis == "fourier"
+                assert coupling.measurement_basis == "fourier"
 
     @pytest.mark.parametrize("coupling", list(CouplingKind))
     def test_warm_custom_ancilla_run_builds_no_operator(self, monkeypatch, coupling):
