@@ -10,7 +10,7 @@ import argparse
 import math
 import sys
 import warnings
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from fractions import Fraction
 from pathlib import Path
 
@@ -43,16 +43,9 @@ def load_amplitude_file(path: str | Path) -> Ket:
     renormalized exactly on load.  Errors name the file's own line numbers.
     """
     lines = Path(path).read_text().splitlines()
-    significant = ((no, text) for no, raw in enumerate(lines, 1) if (text := raw.split("#", 1)[0].strip()))
+    significant = _significant(lines)
     head_no, head = next(significant, (0, ""))
-    if not head.lower().startswith("dims:"):
-        raise ValueError(f"{path}: first line must be 'dims: d1 d2 ...'")
-    try:
-        dims = tuple(int(tok) for tok in head.split(":", 1)[1].split())
-    except ValueError as exc:
-        raise ValueError(f"{path}: malformed dims header") from exc
-    if not dims or min(dims) < 1:
-        raise ValueError(f"{path}: dims header must list positive factors, got {dims}")
+    dims = _parse_dims(path, head)
     total = math.prod(dims)
     # One numpy pass over the body; its arrays are sized by the file, not the header.
     with warnings.catch_warnings():
@@ -69,6 +62,30 @@ def load_amplitude_file(path: str | Path) -> Ket:
     if not abs(nrm - 1.0) <= _FILE_NORM_ATOL:
         raise ValueError(f"{path}: state norm {nrm:.8f} too far from 1")
     return Ket(amps / nrm, dims, normalized=True)
+
+
+def _read_dims(path: str | Path) -> tuple[int, ...]:
+    """The factor dims that an amplitude file's header names, read without its body."""
+    with open(path) as lines:
+        return _parse_dims(path, next(_significant(lines), (0, ""))[1])
+
+
+def _significant(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
+    """(line number, text) of each line that holds more than blanks and a ``#`` comment."""
+    return ((no, text) for no, raw in enumerate(lines, 1) if (text := raw.split("#", 1)[0].strip()))
+
+
+def _parse_dims(path: str | Path, head: str) -> tuple[int, ...]:
+    """The positive factors a ``dims: d1 d2 ...`` header lists; raises on any other line."""
+    if not head.lower().startswith("dims:"):
+        raise ValueError(f"{path}: first line must be 'dims: d1 d2 ...'")
+    try:
+        dims = tuple(int(tok) for tok in head.split(":", 1)[1].split())
+    except ValueError as exc:
+        raise ValueError(f"{path}: malformed dims header") from exc
+    if not dims or min(dims) < 1:
+        raise ValueError(f"{path}: dims header must list positive factors, got {dims}")
+    return dims
 
 
 def _parse_amplitude_lines(path: str | Path, body: list[tuple[int, str]], total: int) -> np.ndarray:
@@ -112,21 +129,21 @@ def _report(args, command: str, payload: dict, render: Callable[[dict], list[str
 
 def _resolve_input(args) -> tuple[Ket, str, ModuleConfig]:
     """The register, its descriptor and its config; the config checks the
-    qubit cap before |+>^n is built."""
-    state = None
-    if args.input == "plus":
+    qubit cap before |+>^n is built or an amplitude file's body is read."""
+    plus = args.input == "plus"
+    if plus:
         if args.qubits is None:
             raise ValueError("--qubits is required when --input is 'plus'")
         descriptor, n = "plus", args.qubits
     else:
-        state = load_amplitude_file(args.input)
-        if any(d != 2 for d in state.factor_dims):
+        dims = _read_dims(args.input)
+        if any(d != 2 for d in dims):
             raise ValueError(f"{args.input}: register factors must all be qubits")
-        descriptor, n = str(args.input), len(state.factor_dims)
+        descriptor, n = str(args.input), len(dims)
         if args.qubits is not None and args.qubits != n:
             raise ValueError(f"--qubits {args.qubits} disagrees with file register of {n} qubits")
     config = ModuleConfig(n, args.ancilla_dim, CouplingKind(args.coupling))
-    return plus_state(n) if state is None else state, descriptor, config
+    return plus_state(n) if plus else load_amplitude_file(args.input), descriptor, config
 
 
 def _outcome_payload(rec: OutcomeRecord) -> dict:
@@ -387,8 +404,8 @@ def cmd_sample(args) -> int:
     probs = outcome_distribution(state, config.n, config.d, config.coupling)
     rng = np.random.default_rng(args.seed)
     draws = rng.choice(args.ancilla_dim, size=args.shots, p=probs)
-    text = "\n".join(map(str, draws.tolist())) + "\n" if args.shots else ""
-    _emit(text, args.out)
+    labels = [f"{m}\n" for m in range(args.ancilla_dim)]
+    _emit("".join([labels[m] for m in draws.tolist()]), args.out)
     return 0
 
 

@@ -175,6 +175,23 @@ class TestSimulate:
         assert err == "error: statevector path limited to 16384 bytes (10 qubits); 22 qubits need 67108864 bytes\n"
         assert peak < 16 << 22
 
+    @pytest.mark.parametrize("argv", [["simulate"], ["sample", "--shots", "5"]], ids=["simulate", "sample"])
+    def test_cap_checked_from_the_file_header(self, capsys, monkeypatch, tmp_path, argv):
+        # A 17-qubit file's body is 2.6 MB of text; under a 10-qubit cap it is refused
+        # from its header, below one 17-qubit vector (2 MiB) of memory.
+        path = tmp_path / "big.txt"
+        path.write_text("dims:" + " 2" * 17 + "\n" + f"{2 ** -8.5!r} 0\n" * (1 << 17))
+        monkeypatch.setenv("QPARITY_MAX_QUBITS", "10")
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, argv + ["-d", "3", "--input", str(path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 3 and out == ""
+        assert err == "error: statevector path limited to 16384 bytes (10 qubits); 17 qubits need 2097152 bytes\n"
+        assert peak < 16 << 17
+
     def test_out_of_memory_exit_code(self, capsys, monkeypatch):
         def exhausted(*args, **kwargs):
             raise MemoryError
@@ -466,10 +483,13 @@ class TestSample:
         assert a != b
 
     def test_output_matches_per_draw_formatting(self, capsys):
-        _, out, _ = run_cli(capsys, ["sample", "-n", "4", "-d", "3", "--shots", "1000", "--seed", "7"])
-        probs = outcome_distribution(plus_state(4), 4, 3)
-        draws = np.random.default_rng(7).choice(3, size=1000, p=probs)
-        assert out == "".join(f"{parity}\n" for parity in draws)
+        # At n=14, d=12 every label is drawn, the two-digit ones included.
+        for n, d in ((4, 3), (14, 12)):
+            _, out, _ = run_cli(capsys, ["sample", "-n", str(n), "-d", str(d), "--shots", "1000", "--seed", "7"])
+            probs = outcome_distribution(plus_state(n), n, d)
+            draws = np.random.default_rng(7).choice(d, size=1000, p=probs)
+            assert set(draws.tolist()) == set(range(min(n + 1, d)))
+            assert out == "".join(f"{parity}\n" for parity in draws)
 
     def test_zero_shots(self, capsys):
         code, out, _ = run_cli(capsys, ["sample", "-n", "2", "-d", "2", "--shots", "0"])

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 from dataclasses import fields
 from fractions import Fraction
 
@@ -23,15 +24,16 @@ from qparity.linalg import (
     pauli_z,
     plus_state,
     tensor,
+    weight_order,
 )
 from qparity.module import (
     ZERO_PROBABILITY_ATOL,
     CouplingKind,
     ModuleConfig,
     ResourceLimitError,
+    _branches,
     _coupling,
     _hadamard_transform,
-    _phase_kernel,
     build_projectors,
     outcome_distribution,
     projector_dim,
@@ -101,6 +103,56 @@ def sequential_joint(state, coupling, ancilla):
     for q in range(len(state.factor_dims)):
         joint = couple_once(joint, q, coupling)
     return joint
+
+
+# The oracle's blocks hold this many amplitudes per real array; its bits do not depend on it.
+ORACLE_BLOCK_ENTRIES = 1 << 15
+
+
+def phase_kernel(amps, prep, clock, n):
+    """Test-only unfused oracle: the register-ancilla state after the phase coupling,
+    as a C-contiguous (2^n, d) matrix.
+
+    Entry (x, j) is a0 z_j^wt(x), with a0 = amps[x] prep[j] as ``np.kron``
+    forms it and z_j = ``clock[j]``.  The product is taken one excitation at
+    a time, each as (re, im) <- (re zr - im zi, re zi + im zr) with every
+    product and sum rounded on its own.  The rows are visited in the order of
+    ``weight_order``, a block at a time, and rewritten in place: within a
+    block, level k multiplies the strings of weight >= k, for all ancilla
+    levels at once.
+    """
+    order, starts = weight_order(n)
+    mat = np.kron(amps, prep).reshape(1 << n, -1)
+    zr, zi = clock.real[:, None], clock.imag[:, None]
+    size = max(1, ORACLE_BLOCK_ENTRIES // prep.size)
+    for first in range(0, 1 << n, size):
+        rows = order[first : first + size]
+        block = mat[rows]
+        re, im = block.real.T.copy(), block.imag.T.copy()
+        for start in starts[1 : n + 1]:
+            if start >= first + rows.size:
+                break
+            r, i = re[:, max(start - first, 0) :], im[:, max(start - first, 0) :]
+            t = i * zi
+            i *= zr
+            i += r * zi
+            r *= zr
+            r -= t
+        mat.real[rows] = re.T
+        mat.imag[rows] = im.T
+    return mat
+
+
+def unfused_phase_branches(amps, n, orbit, vecs):
+    """Test-only oracle: each phase branch as the full joint matrix contracted with a readout row."""
+    mat = phase_kernel(amps, orbit[0], np.diag(pauli_z(orbit.shape[1]).entries), n)
+    return [mat @ v.conj() for v in vecs]
+
+
+def phase_branches(amps, config):
+    """The phase kernel's (probability, branch) pairs for ``config``'s ancilla."""
+    orbit, vecs, _ = config.heralding
+    return list(_branches(amps, config.n, CouplingKind.PHASE, pauli_z(config.d), orbit, vecs))
 
 
 def orbit_ancilla(g, d, coupling):
@@ -494,24 +546,60 @@ class TestCouplingStructure:
 class TestWeightKernels:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_phase_kernel_is_the_textbook_complex_chain(self, n):
-        # Entry (x, j) is kron(amps, prep)[x, j] times z_j, wt(x) times over, each
-        # product rounded as Python's complex * rounds it (no fused multiply-add).
+        # Entry (x, j) of the coupled state is kron(amps, prep)[x, j] times z_j, wt(x)
+        # times over, each product rounded as Python's complex * rounds it (no fused
+        # multiply-add); branch m is that matrix contracted with readout row m by @.
         g = np.random.default_rng(n)
         wts = hamming_weights(n)
         amps = random_ket_amps(g, 1 << n)
         for d in range(2, 8):
             clock = np.diag(pauli_z(d).entries)
-            for prep in (fourier_ket(d, 0).amps, orbit_ancilla(g, d, CouplingKind.PHASE).amps):
-                joint = np.kron(amps, prep).reshape(1 << n, d)
-                expect = np.empty_like(joint)
+            for prep in (None, orbit_ancilla(g, d, CouplingKind.PHASE)):
+                config = ModuleConfig(n, d, ancilla_prep=prep)
+                orbit, vecs, _ = config.heralding
+                joint = np.kron(amps, orbit[0]).reshape(1 << n, d)
+                chain = np.empty_like(joint)
                 for x, j in np.ndindex(joint.shape):
                     a, z = complex(joint[x, j]), complex(clock[j])
                     for _ in range(wts[x]):
                         a = a * z
-                    expect[x, j] = a
-                got = _phase_kernel(amps, prep, clock, n)
-                assert got.flags.c_contiguous
-                assert np.array_equal(got.view(np.uint64), expect.view(np.uint64))
+                    chain[x, j] = a
+                for (prob, got), v in zip(phase_branches(amps, config), vecs, strict=True):
+                    expect = chain @ v.conj()
+                    assert prob == float(np.sum(np.abs(expect) ** 2))
+                    if prob < ZERO_PROBABILITY_ATOL:  # weight classes above n are empty
+                        assert got is None
+                    else:
+                        assert np.array_equal(got.view(np.uint64), expect.view(np.uint64))
+
+    @pytest.mark.parametrize("n", range(13, 17))
+    def test_fused_phase_kernel_keeps_the_unfused_bits(self, n):
+        # n=14 at d=6 and n=15 at d=7 are the sizes where 32768 // d rows per
+        # block would leave a last block of one row, which @ rounds differently.
+        g = np.random.default_rng(n)
+        amps = random_ket_amps(g, 1 << n)
+        for d in range(2, 8):
+            for prep in (None, orbit_ancilla(g, d, CouplingKind.PHASE)):
+                config = ModuleConfig(n, d, ancilla_prep=prep)
+                orbit, vecs, _ = config.heralding
+                expect = unfused_phase_branches(amps, n, orbit, vecs)
+                for (prob, got), branch in zip(phase_branches(amps, config), expect, strict=True):
+                    assert np.array_equal(got.view(np.uint64), branch.view(np.uint64)), (d, prep is None)
+                    assert prob == float(np.sum(np.abs(branch) ** 2))
+
+    def test_phase_run_holds_branches_not_a_joint_matrix(self):
+        # The phase path keeps d branch vectors and the post-states that replace them,
+        # plus about 3 vectors of working space; a (2^n, d) joint matrix would add d more.
+        n, d = 16, 7
+        state, config = plus_state(n), ModuleConfig(n, d)
+        run_module(state, config)  # builds the cached weight tables outside the measurement
+        tracemalloc.start()
+        try:
+            run_module(state, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (d + 3.5) * (16 << n)
 
     def test_in_place_hadamard_transform_keeps_the_stacked_butterfly_bits(self):
         g = np.random.default_rng(7)
