@@ -41,33 +41,40 @@ def load_amplitude_file(path: str | Path) -> Ket:
     per basis index in mixed-radix order.  Blank lines and ``#`` comments
     are ignored.  The state must be normalized to within 1e-6 and is
     renormalized exactly on load.  Errors name the file's own line numbers.
+    A line is what iterating the open file yields, for the header and the
+    body alike.
     """
-    lines = Path(path).read_text().splitlines()
-    significant = _significant(lines)
-    head_no, head = next(significant, (0, ""))
-    dims = _parse_dims(path, head)
-    total = math.prod(dims)
-    # One numpy pass over the body; its arrays are sized by the file, not the header.
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)  # loadtxt warns on a body without data
-        try:
-            pairs = np.loadtxt(lines[head_no:], comments="#", ndmin=2)
-        except ValueError:
-            pairs = None
-    if pairs is None or pairs.shape != (total, 2):
-        # Locates the error, or parses what only Python's float accepts ("1_0").
-        pairs = _parse_amplitude_lines(path, list(significant), total)
+    with open(path) as lines:
+        dims = _header_dims(path, lines)
+        total = math.prod(dims)
+        # One numpy pass over the rest of the open file; its arrays are sized by the file, not the header.
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # loadtxt warns on a body without data
+            try:
+                pairs = np.loadtxt(lines, comments="#", ndmin=2)
+            except ValueError:
+                pairs = None
+        if pairs is None or pairs.shape != (total, 2):
+            # Locates the error, or parses what only Python's float accepts ("1_0").
+            lines.seek(0)
+            pairs = _parse_amplitude_lines(path, list(_significant(lines))[1:], total)
     amps = pairs.view(complex).reshape(-1)
     nrm = float(np.linalg.norm(amps))
     if not abs(nrm - 1.0) <= _FILE_NORM_ATOL:
         raise ValueError(f"{path}: state norm {nrm:.8f} too far from 1")
-    return Ket(amps / nrm, dims, normalized=True)
+    amps /= nrm
+    return Ket._adopt(amps, dims)
 
 
 def _read_dims(path: str | Path) -> tuple[int, ...]:
     """The factor dims that an amplitude file's header names, read without its body."""
     with open(path) as lines:
-        return _parse_dims(path, next(_significant(lines), (0, ""))[1])
+        return _header_dims(path, lines)
+
+
+def _header_dims(path: str | Path, lines: Iterator[str]) -> tuple[int, ...]:
+    """The dims of the header, the first significant line; ``lines`` is left just past it."""
+    return _parse_dims(path, next(_significant(lines), (0, ""))[1])
 
 
 def _significant(lines: Iterable[str]) -> Iterator[tuple[int, str]]:

@@ -40,7 +40,24 @@ class Ket:
     normalized: bool = False
 
     def __post_init__(self) -> None:
-        amps = np.array(self.amps, dtype=complex).reshape(-1)
+        self._own(np.array(self.amps, dtype=complex).reshape(-1))
+
+    @classmethod
+    def _adopt(cls, amps: np.ndarray, factor_dims: tuple[int, ...]) -> Ket:
+        """A normalized Ket that takes ``amps``, a flat complex array the library has
+        just built and keeps no other reference to, without copying it.
+
+        The norm is checked as ``Ket(amps, factor_dims, normalized=True)`` checks it,
+        and ``amps`` is then frozen in place.  Public construction always copies.
+        """
+        ket = cls.__new__(cls)
+        object.__setattr__(ket, "factor_dims", factor_dims)
+        object.__setattr__(ket, "normalized", True)
+        ket._own(amps)
+        return ket
+
+    def _own(self, amps: np.ndarray) -> None:
+        """Check ``amps`` against the factors and the normalized flag, then freeze and keep it."""
         dims = tuple(int(d) for d in self.factor_dims)
         if not dims or any(d < 1 for d in dims):
             raise ValueError(f"factor dimensions must be positive, got {dims}")
@@ -152,8 +169,7 @@ def plus_state(n: int) -> Ket:
     """|+>^n, the uniform superposition over all n-bit strings."""
     if n < 1:
         raise ValueError(f"qubit count must be positive, got {n}")
-    amps = np.full(1 << n, 2.0 ** (-n / 2), dtype=complex)
-    return Ket(amps, (2,) * n, normalized=True)
+    return Ket._adopt(np.full(1 << n, 2.0 ** (-n / 2), dtype=complex), (2,) * n)
 
 
 def tensor(factors: Sequence[Ket] | Sequence[Operator]) -> Ket | Operator:

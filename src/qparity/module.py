@@ -15,11 +15,14 @@ default one.
 coupling (see ``_branches``).  The phase kernel forms the register-ancilla
 state a block of rows at a time and contracts each block with the readout
 straight into the d branches, so a run holds d branch vectors and never the
-(2^n, d) joint state.  It keeps its per-excitation
-rounding only because the golden report digest pins it (the reports print
-rounding-level Dicke residuals); once a benchmark change re-records that
-digest, it collapses to amps * T[m, wt mod d] with T[m, w] = <r_m|Z_d^w|prep>,
-the table form that the shift kernel uses in the Hadamard basis.
+(2^n, d) joint state.  The shift kernel transforms each branch back in
+place.  Each branch is then divided by its norm in place and becomes its
+post-state's array, so a branch is allocated once.  The phase kernel keeps
+its per-excitation rounding only because the golden report digest pins it
+(the reports print rounding-level Dicke residuals); once a benchmark change
+re-records that digest, it collapses to amps * T[m, wt mod d] with
+T[m, w] = <r_m|Z_d^w|prep>, the table form that the shift kernel uses in
+the Hadamard basis.
 
 ``outcome_distribution`` and ``build_projectors`` work through the
 projectors P_i = d^(-1) sum_k w^(-ik) A^k: the mask wt(x) == i (mod d),
@@ -242,12 +245,15 @@ def projector_dim(i: int, n: int, d: int) -> int:
 
 
 def _hadamard_transform(a: np.ndarray, n: int) -> np.ndarray:
-    """H^(x)n applied along the first axis of ``a``, which has length 2^n.
+    """H^(x)n applied along the first axis of ``a``, which has length 2^n, as a new array."""
+    return _hadamard_in_place(np.array(a, dtype=complex, order="C"), n)
 
-    An in-place butterfly on a C-ordered complex copy of ``a``: each qubit
-    pass replaces the halves (lo, hi) by (lo + hi, lo - hi).
+
+def _hadamard_in_place(t: np.ndarray, n: int) -> np.ndarray:
+    """H^(x)n applied along the first axis of the C-ordered complex array ``t``, in place.
+
+    A butterfly: each qubit pass replaces the halves (lo, hi) by (lo + hi, lo - hi).
     """
-    t = np.array(a, dtype=complex, order="C")
     for q in range(n):
         v = t.reshape(1 << q, 2, -1)
         lo, hi = v[:, 0], v[:, 1]
@@ -288,7 +294,9 @@ def _branches(amps: np.ndarray, n: int, coupling: CouplingKind, step: Operator, 
     Shift: in the Hadamard basis every coupling is a controlled X_d, an exact
     permutation, so branch m is H^(x)n(h * T[m, wt mod d]) with h = H^(x)n amps
     and T[m, w] = <r_m|X_d^w|prep>.  Its probability is read off h * T[m, .]
-    (Parseval), and only a nonzero branch is transformed back.
+    (Parseval), and only a nonzero branch is transformed back, in place.
+    Each branch yielded is a new array that the caller may normalize in place
+    and keep.
     """
     if coupling is CouplingKind.PHASE:
         order, starts = weight_order(n)
@@ -321,9 +329,13 @@ def _branches(amps: np.ndarray, n: int, coupling: CouplingKind, step: Operator, 
     hat = _hadamard_transform(amps, n)
     classes = weight_classes(n, orbit.shape[1])
     for row in table:
-        branch = hat * np.take(row, classes)  # take gathers by uint8 faster than indexing
+        # take gathers by uint8 faster than indexing.  From 256 KiB numpy forms the product
+        # in the gathered temporary, with the operands swapped (temporary elision), and
+        # below that in a new array.  The two operand orders round the imaginary part
+        # differently, so an explicit out= would move the bits at one size or the other.
+        branch = hat * np.take(row, classes)
         prob = float(np.sum(np.abs(branch) ** 2))
-        yield prob, (_hadamard_transform(branch, n) if prob >= ZERO_PROBABILITY_ATOL else None)
+        yield prob, (_hadamard_in_place(branch, n) if prob >= ZERO_PROBABILITY_ATOL else None)
 
 
 def _is_uniform_plus(state: Ket) -> bool:
@@ -367,7 +379,8 @@ def run_module(state: Ket, config: ModuleConfig, *, classify_states: bool = True
         if branch is None:
             records.append(OutcomeRecord(m, parity, prob, exact, None, None, True))
             continue
-        post = Ket(branch / math.sqrt(prob), (2,) * config.n, normalized=True)
+        branch /= math.sqrt(prob)
+        post = Ket._adopt(branch, (2,) * config.n)
         cls = states.classify(post) if classify_states else None
         records.append(OutcomeRecord(m, parity, prob, exact, post, cls, False))
     total = sum(r.probability for r in records)

@@ -3,8 +3,8 @@
 ``perfbench/tests`` is not collected with this suite (the two ``conftest.py``
 files collide), so a change to the API that ``perfbench/workloads.py`` calls
 would otherwise go unseen here.  This runs its n=2 sweep_crosscheck
-operations and its n=16 symmetric_large ones, importing perfbench by path as
-``perfbench/tests/conftest.py`` does.
+operations and its n=16 symmetric_large and random_large ones, importing
+perfbench by path as ``perfbench/tests/conftest.py`` does.
 """
 from pathlib import Path
 
@@ -30,6 +30,21 @@ def test_symmetric_large_calls_pass_the_oracle(monkeypatch, tmp_path):
 
     ops = [op for op in workloads.symmetric_large(0, tmp_path) if " n=16 " in op.name]
     # d = 3, 5, 7 and both couplings.
+    assert len(ops) == 6
+    failures = [f"{op.name}: {message}" for op in ops for message in op.check(op.run())]
+    assert failures == []
+
+
+def test_random_large_calls_pass_the_oracle(monkeypatch, tmp_path):
+    # The n=16 file is written as the benchmark writes it, so this runs the streamed
+    # amplitude-file reader on the benchmark's input format.
+    monkeypatch.syspath_prepend(str(BENCH))
+    import inputs
+    import workloads
+
+    inputs.write_amplitude_file(inputs.amplitude_file(tmp_path, 16), inputs.random_amplitudes(0, 16))
+    ops = [op for op in workloads.random_large(0, tmp_path) if " n=16 " in op.name]
+    # simulate at d = 3, 7 and sample at d = 5, each for both couplings.
     assert len(ops) == 6
     failures = [f"{op.name}: {message}" for op in ops for message in op.check(op.run())]
     assert failures == []

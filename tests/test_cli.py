@@ -254,19 +254,64 @@ class TestAmplitudeFileFormat:
         with pytest.raises(ValueError, match="line 5: expected 're im'"):
             load_amplitude_file(path)
 
-    @pytest.mark.parametrize("spelling", ["repr", "underscores"])
-    def test_amplitudes_are_parsed_as_python_floats(self, tmp_path, rng, spelling):
+    @pytest.mark.parametrize(
+        "spelling, n",
+        [
+            pytest.param("repr", 3, id="repr"),
+            pytest.param("underscores", 3, id="underscores"),
+            pytest.param("repr", 16, id="repr-16q"),
+        ],
+    )
+    def test_amplitudes_are_parsed_as_python_floats(self, tmp_path, rng, spelling, n):
         # Bit for bit complex(float(re), float(im)), renormalized; numpy's
         # reader rejects "1_0", so that spelling takes the line-by-line parse.
-        v = rng.normal(size=8) + 1j * rng.normal(size=8)
+        v = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
         rows = [[repr(float(x.real)), repr(float(x.imag))] for x in v / np.linalg.norm(v)]
         if spelling == "underscores":
             rows = [[tok.replace("0.", "0_0.", 1) for tok in row] for row in rows]
             assert "_" in rows[0][0]
         path = tmp_path / "state.txt"
-        path.write_text("dims: 2 2 2\n" + "".join(f"{re} {im}\n" for re, im in rows))
+        path.write_text("dims:" + " 2" * n + "\n" + "".join(f"{re} {im}\n" for re, im in rows))
         want = np.array([complex(float(re), float(im)) for re, im in rows])
-        assert np.array_equal(load_amplitude_file(path).amps, want / np.linalg.norm(want))
+        got = load_amplitude_file(path).amps
+        assert np.array_equal(got.view(np.uint64), (want / np.linalg.norm(want)).view(np.uint64))
+
+    @pytest.mark.parametrize("mark", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"], ids=lambda m: f"U+{ord(m):04X}")
+    def test_a_line_ends_only_at_a_newline(self, capsys, tmp_path, mark):
+        # str.splitlines also breaks a line at these marks.  The header reader, numpy's
+        # pass and the line-by-line fallback ("0_0.6") all read the file's own lines,
+        # in which each mark is whitespace.
+        path = tmp_path / "state.txt"
+        for text in (
+            f"# c{mark}dims: 2 2\ndims: 2\n0.6 0\n0.8 0\n",
+            f"dims: 2\n0.6{mark}0\n0.8 0\n",
+            f"dims: 2\n0_0.6{mark}0\n0.8 0\n",
+        ):
+            path.write_text(text, encoding="utf-8")
+            assert np.array_equal(load_amplitude_file(path).amps, [0.6, 0.8])
+            code, _, err = run_cli(capsys, ["simulate", "-d", "2", "--input", str(path)])
+            assert code == 0, err
+        path.write_text(f"dims: 2\n0.6 0{mark}0.8 0\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="expected 2 amplitude lines, found 1"):
+            load_amplitude_file(path)
+
+    def test_loading_holds_about_one_register_vector(self, tmp_path):
+        # The body streams from the open file into numpy's one array, which is
+        # renormalized in place and owned by the Ket.  Holding the whole text, its
+        # list of lines and two more copies of the amplitudes peaked at 9.8 vectors.
+        n = 16
+        g = np.random.default_rng(n)
+        v = g.normal(size=1 << n) + 1j * g.normal(size=1 << n)
+        path = tmp_path / "state.txt"
+        write_amplitude_file(path, Ket(v / np.linalg.norm(v), (2,) * n, normalized=True))
+        tracemalloc.start()
+        try:
+            loaded = load_amplitude_file(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert loaded.factor_dims == (2,) * n
+        assert peak < 2.5 * (16 << n)
 
 
 BAD_TOKENS = ["x", "1,0", "0x1", "1e", "--1", "1j", "", "0 0"]

@@ -126,6 +126,24 @@ class TestKetConstruction:
         with pytest.raises(ValueError):
             k.amps[0] = 5.0
 
+    def test_public_construction_copies(self):
+        arr = np.array([0.6, 0.8j])
+        k = Ket(arr, (2,), normalized=True)
+        assert not np.shares_memory(k.amps, arr)
+        assert arr.flags.writeable
+        arr[0] = 1.0
+        assert k.amps[0] == 0.6
+
+    def test_adopted_array_is_checked_and_frozen_not_copied(self):
+        arr = np.array([0.6, 0.8j])
+        k = Ket._adopt(arr, (2,))
+        assert k.amps is arr and not arr.flags.writeable
+        assert k.normalized and k.factor_dims == (2,)
+        with pytest.raises(ValueError, match="squared norm"):
+            Ket._adopt(np.array([1.0, 1.0j]), (2,))
+        with pytest.raises(ValueError, match="do not fill"):
+            Ket._adopt(np.array([1.0 + 0j]), (2, 2))
+
     def test_plus_state_amplitudes(self):
         p = plus_state(3)
         assert p.factor_dims == (2, 2, 2)

@@ -24,6 +24,7 @@ from qparity.linalg import (
     pauli_z,
     plus_state,
     tensor,
+    weight_classes,
     weight_order,
 )
 from qparity.module import (
@@ -33,6 +34,7 @@ from qparity.module import (
     ResourceLimitError,
     _branches,
     _coupling,
+    _hadamard_in_place,
     _hadamard_transform,
     build_projectors,
     outcome_distribution,
@@ -147,6 +149,18 @@ def unfused_phase_branches(amps, n, orbit, vecs):
     """Test-only oracle: each phase branch as the full joint matrix contracted with a readout row."""
     mat = phase_kernel(amps, orbit[0], np.diag(pauli_z(orbit.shape[1]).entries), n)
     return [mat @ v.conj() for v in vecs]
+
+
+def copying_shift_branches(amps, n, orbit, vecs):
+    """Test-only oracle: the shift kernel as it was before it transformed each branch in
+    place, with a copy per transform."""
+    table = vecs.conj() @ orbit.T
+    hat = _hadamard_transform(amps, n)
+    classes = weight_classes(n, orbit.shape[1])
+    for row in table:
+        branch = hat * np.take(row, classes)
+        prob = float(np.sum(np.abs(branch) ** 2))
+        yield prob, (_hadamard_transform(branch, n) if prob >= ZERO_PROBABILITY_ATOL else None)
 
 
 def phase_branches(amps, config):
@@ -601,6 +615,39 @@ class TestWeightKernels:
             tracemalloc.stop()
         assert peak < (d + 3.5) * (16 << n)
 
+    @pytest.mark.parametrize("n", [*range(1, 13), 16])
+    def test_in_place_shift_kernel_keeps_the_copying_bits(self, n):
+        # At n=16 numpy forms hat * gathered in the gathered temporary, with the operands
+        # swapped, and the swap moves the imaginary bits of a custom ancilla's branches.
+        g = np.random.default_rng(n)
+        amps = random_ket_amps(g, 1 << n)
+        for d in range(2, 8):
+            for prep in (None, orbit_ancilla(g, d, CouplingKind.SHIFT)):
+                config = ModuleConfig(n, d, CouplingKind.SHIFT, ancilla_prep=prep)
+                orbit, vecs, _ = config.heralding
+                got = _branches(amps, n, CouplingKind.SHIFT, pauli_x(d), orbit, vecs)
+                for (prob, branch), (p0, b0) in zip(got, copying_shift_branches(amps, n, orbit, vecs), strict=True):
+                    assert prob == p0, (d, prep is None)
+                    assert (branch is None) == (b0 is None)
+                    if b0 is not None:
+                        assert np.array_equal(branch.view(np.uint64), b0.view(np.uint64)), (d, prep is None)
+
+    @pytest.mark.parametrize("coupling, working", [(CouplingKind.PHASE, 2.5), (CouplingKind.SHIFT, 3.5)], ids=["phase", "shift"])
+    def test_branches_are_normalized_in_place(self, coupling, working):
+        # Each branch is divided by sqrt(p) in place and owned by its post-state, and a
+        # shift branch is transformed in place.  Copying each branch twice more peaked
+        # at d+3 (phase) and d+5 (shift) vectors on a random register.
+        n, d = 16, 7
+        state, config = random_register(n, n), ModuleConfig(n, d, coupling)
+        run_module(state, config)  # builds the cached weight tables outside the measurement
+        tracemalloc.start()
+        try:
+            run_module(state, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (d + working) * (16 << n)
+
     def test_in_place_hadamard_transform_keeps_the_stacked_butterfly_bits(self):
         g = np.random.default_rng(7)
         for n in range(1, 9):
@@ -614,6 +661,9 @@ class TestWeightKernels:
                 got = _hadamard_transform(a, n)
                 assert np.array_equal(got.view(np.uint64), expect.view(np.uint64))
                 assert np.array_equal(a, before)
+                own = np.array(a, dtype=complex, order="C")
+                assert _hadamard_in_place(own, n) is own
+                assert np.array_equal(own.view(np.uint64), expect.view(np.uint64))
 
     @given(
         st.integers(min_value=1, max_value=8),
