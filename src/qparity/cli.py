@@ -13,6 +13,7 @@ import warnings
 from collections.abc import Callable, Iterable, Iterator
 from fractions import Fraction
 from pathlib import Path
+from typing import TextIO
 
 import numpy as np
 
@@ -56,8 +57,7 @@ def load_amplitude_file(path: str | Path) -> Ket:
                 pairs = None
         if pairs is None or pairs.shape != (total, 2):
             # Locates the error, or parses what only Python's float accepts ("1_0").
-            lines.seek(0)
-            pairs = _parse_amplitude_lines(path, list(_significant(lines))[1:], total)
+            pairs = _parse_amplitude_lines(path, lines, total)
     amps = pairs.view(complex).reshape(-1)
     nrm = float(np.linalg.norm(amps))
     if not abs(nrm - 1.0) <= _FILE_NORM_ATOL:
@@ -95,10 +95,19 @@ def _parse_dims(path: str | Path, head: str) -> tuple[int, ...]:
     return dims
 
 
-def _parse_amplitude_lines(path: str | Path, body: list[tuple[int, str]], total: int) -> np.ndarray:
-    """The ``re im`` pairs of numbered significant lines, one line at a time."""
-    if len(body) != total:
-        raise ValueError(f"{path}: expected {total} amplitude lines, found {len(body)}")
+def _parse_amplitude_lines(path: str | Path, lines: TextIO, total: int) -> np.ndarray:
+    """The ``re im`` pairs of the open file's body, one significant line at a time.
+
+    A first pass only counts the body's lines, so the count error comes first and
+    no line is held; a second parses them straight into the one array.
+    """
+    lines.seek(0)
+    found = sum(1 for _ in _significant(lines)) - 1  # the first significant line is the header
+    if found != total:
+        raise ValueError(f"{path}: expected {total} amplitude lines, found {found}")
+    lines.seek(0)
+    body = _significant(lines)
+    next(body)
     pairs = np.empty((total, 2))
     for row, (no, line) in enumerate(body):
         parts = line.split()

@@ -15,7 +15,13 @@ default one.
 coupling (see ``_branches``).  The phase kernel forms the register-ancilla
 state a block of rows at a time and contracts each block with the readout
 straight into the d branches, so a run holds d branch vectors and never the
-(2^n, d) joint state.  The shift kernel transforms each branch back in
+(2^n, d) joint state.  Entry x of a phase branch depends only on amps[x] and
+wt(x), so when every amplitude has the exact bits of its weight class's
+first one (|+>^n, and every Dicke sum) the kernel runs on those n + 1
+representatives and gathers each branch by weight: the same arithmetic on
+the same operands, so the same bits, with no tolerance involved.  A register
+that is not weight-symmetric is almost always told apart at the first comparison,
+amps[1] against amps[2].  The shift kernel transforms each branch back in
 place.  Each branch is then divided by its norm in place and becomes its
 post-state's array, so a branch is allocated once.  The phase kernel keeps
 its per-excitation rounding only because the golden report digest pins it
@@ -45,7 +51,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import states
-from .linalg import NORM_ATOL, NORMALIZED_ATOL, Ket, Operator, fourier_ket, pauli_x, pauli_z, require_normalized, weight_classes, weight_order
+from .linalg import NORM_ATOL, NORMALIZED_ATOL, Ket, Operator, fourier_ket, hamming_weights, pauli_x, pauli_z, require_normalized, weight_classes, weight_order
 from .solver import check_orbit
 
 DEFAULT_STATEVECTOR_MAX_QUBITS = 20
@@ -277,49 +283,97 @@ def build_projectors(n: int, d: int, coupling: CouplingKind = CouplingKind.PHASE
     return ProjectorSet(n=n, d=d, coupling=coupling, classes=classes)
 
 
+def _weight_representatives(amps: np.ndarray, n: int) -> np.ndarray | None:
+    """amps[(1 << k) - 1] for k = 0..n, the first amplitude of each weight class, when
+    every amplitude has the bits of its class's first one; None otherwise.
+
+    The comparison is of bits, not values, so -0.0 and 0.0 differ.  A register that is
+    not weight-symmetric almost always fails at its first comparison, amps[1] against
+    amps[2]; a symmetric one is compared block by block, with no register-sized temporary.
+    """
+    if n >= 2 and amps[1] != amps[2]:
+        return None
+    reps = amps[(1 << np.arange(n + 1)) - 1]
+    wts = hamming_weights(n)
+    for first in range(0, 1 << n, _BLOCK_ENTRIES):
+        block = slice(first, first + _BLOCK_ENTRIES)
+        if not np.array_equal(amps[block].view(np.uint64), np.take(reps, wts[block]).view(np.uint64)):
+            return None
+    return reps
+
+
+def _phase_rows(amps, order, starts, prep, clock, conj, branches) -> None:
+    """Write <r_m| of the coupled state's rows into ``branches[m]``, one block of rows at a time.
+
+    Row x is amps[x] prep z^wt(x) with z = ``clock``; the rows are taken in ``order``,
+    and weight class k is ``order[starts[k]:starts[k + 1]]``.  Each block is
+    ``np.multiply.outer`` of its amplitudes with prep (the rows ``np.kron`` forms),
+    multiplied one excitation at a time as (re, im) <- (re zr - im zi, re zi + im zr),
+    every product and sum rounded on its own (level k multiplies the rows of weight
+    >= k), and then contracted with each readout row ``conj[m]`` into its branch.
+    The block length is even and at least n + 1: ``@`` on a one-row block rounds unlike
+    the same rows in a taller one, so 2^n rows never leave a one-row block, and the
+    n + 1 rows of weight representatives form a single block.
+    """
+    n = starts.size - 2
+    zr, zi = clock.real[:, None], clock.imag[:, None]
+    size = max((n + 2) & ~1, (_BLOCK_ENTRIES // prep.size) & ~1)
+    for first in range(0, order.size, size):
+        rows = order[first : first + size]
+        block = np.multiply.outer(amps[rows], prep)
+        re, im = block.real.T.copy(), block.imag.T.copy()
+        for start in starts[1 : n + 1]:
+            if start >= first + rows.size:
+                break
+            r, i = re[:, max(start - first, 0) :], im[:, max(start - first, 0) :]
+            t = i * zi
+            i *= zr
+            i += r * zi
+            r *= zr
+            r -= t
+        block.real, block.imag = re.T, im.T
+        for branch, v in zip(branches, conj):
+            branch[rows] = block @ v
+
+
 def _branches(amps: np.ndarray, n: int, coupling: CouplingKind, step: Operator, orbit: np.ndarray, vecs: np.ndarray):
     """(probability, branch) for each outcome m, in outcome order; branch is None when
     the probability is below ``ZERO_PROBABILITY_ATOL``.  ``orbit`` holds the kets
     V^w|prep>, one row per w, and ``vecs`` the readout kets <r_m|.
 
     Phase: branch m is <r_m| applied to the ancilla of the coupled state, whose row x
-    is amps[x] prep z^wt(x) with z = diag(Z_d).  The rows are formed a block at a
-    time in the order of ``weight_order``: each block is ``np.multiply.outer`` of its
-    amplitudes with prep (the rows ``np.kron`` forms), multiplied one excitation at a
-    time as (re, im) <- (re zr - im zi, re zi + im zr), every product and sum
-    rounded on its own (level k multiplies the strings of weight >= k), and then
-    contracted with each readout row into its branch.  So only the d branches exist
-    at full size.  A block has an even number of rows: ``@`` on a one-row block
-    rounds unlike the same rows in a taller one.
+    is amps[x] prep z^wt(x) with z = diag(Z_d), formed a block of rows at a time and
+    contracted straight into the d branches (see ``_phase_rows``), so only the d
+    branches exist at full size.  The rows are visited in the order of
+    ``weight_order``.  Entry x of every branch depends only on amps[x] and wt(x): the
+    chain is elementwise, and ``@`` rounds a row the same way in any block of two or
+    more rows.  So when ``_weight_representatives`` finds every amplitude bitwise equal
+    to its weight class's first one, as for |+>^n and every Dicke sum, the kernel runs
+    on those n + 1 rows alone and gathers each branch by weight, with the same bits.
     Shift: in the Hadamard basis every coupling is a controlled X_d, an exact
     permutation, so branch m is H^(x)n(h * T[m, wt mod d]) with h = H^(x)n amps
     and T[m, w] = <r_m|X_d^w|prep>.  Its probability is read off h * T[m, .]
-    (Parseval), and only a nonzero branch is transformed back, in place.
+    (Parseval), and only a nonzero branch is transformed back, in place.  The
+    Walsh-Hadamard transform does not keep equal entries of a weight class bitwise
+    equal, so the shift kernel has no such shortcut.
     Each branch yielded is a new array that the caller may normalize in place
     and keep.
     """
     if coupling is CouplingKind.PHASE:
-        order, starts = weight_order(n)
         prep, clock, conj = orbit[0], np.diag(step.entries), vecs.conj()
-        zr, zi = clock.real[:, None], clock.imag[:, None]
+        reps = _weight_representatives(amps, n)
+        # The first weight_order(n) builds an 8 * 2^n-byte array.  Built before the branches,
+        # it does not split the heap between them (that cost random_large 1.1 MB of peak RSS).
+        order, starts = weight_order(n) if reps is None else (np.arange(n + 1), np.arange(n + 2))
         branches = [np.empty(1 << n, dtype=complex) for _ in conj]
-        size = max(2, (_BLOCK_ENTRIES // prep.size) & ~1)
-        for first in range(0, 1 << n, size):
-            rows = order[first : first + size]
-            block = np.multiply.outer(amps[rows], prep)
-            re, im = block.real.T.copy(), block.imag.T.copy()
-            for start in starts[1 : n + 1]:
-                if start >= first + rows.size:
-                    break
-                r, i = re[:, max(start - first, 0) :], im[:, max(start - first, 0) :]
-                t = i * zi
-                i *= zr
-                i += r * zi
-                r *= zr
-                r -= t
-            block.real, block.imag = re.T, im.T
-            for branch, v in zip(branches, conj):
-                branch[rows] = block @ v
+        if reps is None:
+            _phase_rows(amps, order, starts, prep, clock, conj, branches)
+        else:
+            vals = [np.empty(n + 1, dtype=complex) for _ in conj]
+            _phase_rows(reps, order, starts, prep, clock, conj, vals)
+            wts = hamming_weights(n)
+            for branch, val in zip(branches, vals):
+                np.take(val, wts, out=branch)
         while branches:  # a popped branch is freed once the caller drops it
             branch = branches.pop(0)
             prob = float(np.sum(np.abs(branch) ** 2))

@@ -313,6 +313,28 @@ class TestAmplitudeFileFormat:
         assert loaded.factor_dims == (2,) * n
         assert peak < 2.5 * (16 << n)
 
+    def test_a_malformed_file_is_located_without_holding_its_lines(self, tmp_path):
+        # The fallback counts the body's lines in one pass over the open file and
+        # parses them in a second.  Handing it the list of every line peaked at
+        # 12.5 vectors on a 17-qubit file like this one.
+        n = 14
+        g = np.random.default_rng(n)
+        v = g.normal(size=1 << n) + 1j * g.normal(size=1 << n)
+        path = tmp_path / "state.txt"
+        write_amplitude_file(path, Ket(v / np.linalg.norm(v), (2,) * n, normalized=True))
+        lines = path.read_text().splitlines()
+        lines[-1] = "0.1 x"
+        path.write_text("\n".join(lines) + "\n")
+        del lines
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"line {(1 << n) + 1}: not numeric"):
+                load_amplitude_file(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * (16 << n)
+
 
 BAD_TOKENS = ["x", "1,0", "0x1", "1e", "--1", "1j", "", "0 0"]
 NONFINITE_TOKENS = ["nan", "-nan", "inf", "-inf", "1e400", "-1e999"]

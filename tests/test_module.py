@@ -36,6 +36,7 @@ from qparity.module import (
     _coupling,
     _hadamard_in_place,
     _hadamard_transform,
+    _weight_representatives,
     build_projectors,
     outcome_distribution,
     projector_dim,
@@ -44,7 +45,7 @@ from qparity.module import (
 )
 from qparity.linalg import NORM_ATOL
 from qparity.solver import ORBIT_ATOL, check_orbit
-from qparity.states import dicke, ghz, w
+from qparity.states import dicke, dicke_sum, ghz, w
 
 from conftest import random_ket_amps
 
@@ -167,6 +168,31 @@ def phase_branches(amps, config):
     """The phase kernel's (probability, branch) pairs for ``config``'s ancilla."""
     orbit, vecs, _ = config.heralding
     return list(_branches(amps, config.n, CouplingKind.PHASE, pauli_z(config.d), orbit, vecs))
+
+
+def random_dicke_sum(g, n):
+    """sum_k c_k D(n, k) with seeded random complex c_k: a weight-symmetric register."""
+    return dicke_sum(n, {k: complex(*g.normal(size=2)) for k in range(n + 1)})
+
+
+def phase_kernel_registers(g, n):
+    """Amplitudes for the phase-kernel bit tests, keyed by kind, random first.
+
+    |+>^n and a Dicke sum are weight-symmetric, so the kernel runs on their n + 1
+    weight representatives.  From n = 3 the near miss is that Dicke sum with
+    amps[2^n - 2], the last string of weight n - 1, moved by one ulp and
+    amps[1] == amps[2] kept, so only the last comparison of the symmetry check
+    sends it down the general route.  (Weight n has one string, which is its
+    own representative.)
+    """
+    amps = {"random": random_ket_amps(g, 1 << n), "plus": plus_state(n).amps, "dicke": random_dicke_sum(g, n).amps}
+    if n >= 3:
+        near = amps["dicke"].copy()
+        near[-2] = complex(np.nextafter(near[-2].real, np.inf), near[-2].imag)
+        amps["near-miss"] = near
+    for kind, a in amps.items():  # every 1-qubit register is weight-symmetric
+        assert (_weight_representatives(a, n) is None) == (n > 1 and kind in ("random", "near-miss")), kind
+    return amps
 
 
 def orbit_ancilla(g, d, coupling):
@@ -565,41 +591,41 @@ class TestWeightKernels:
         # multiply-add); branch m is that matrix contracted with readout row m by @.
         g = np.random.default_rng(n)
         wts = hamming_weights(n)
-        amps = random_ket_amps(g, 1 << n)
-        for d in range(2, 8):
-            clock = np.diag(pauli_z(d).entries)
-            for prep in (None, orbit_ancilla(g, d, CouplingKind.PHASE)):
-                config = ModuleConfig(n, d, ancilla_prep=prep)
-                orbit, vecs, _ = config.heralding
-                joint = np.kron(amps, orbit[0]).reshape(1 << n, d)
-                chain = np.empty_like(joint)
-                for x, j in np.ndindex(joint.shape):
-                    a, z = complex(joint[x, j]), complex(clock[j])
-                    for _ in range(wts[x]):
-                        a = a * z
-                    chain[x, j] = a
-                for (prob, got), v in zip(phase_branches(amps, config), vecs, strict=True):
-                    expect = chain @ v.conj()
-                    assert prob == float(np.sum(np.abs(expect) ** 2))
-                    if prob < ZERO_PROBABILITY_ATOL:  # weight classes above n are empty
-                        assert got is None
-                    else:
-                        assert np.array_equal(got.view(np.uint64), expect.view(np.uint64))
+        for kind, amps in phase_kernel_registers(g, n).items():
+            for d in range(2, 8):
+                clock = np.diag(pauli_z(d).entries)
+                for prep in (None, orbit_ancilla(g, d, CouplingKind.PHASE)):
+                    config = ModuleConfig(n, d, ancilla_prep=prep)
+                    orbit, vecs, _ = config.heralding
+                    joint = np.kron(amps, orbit[0]).reshape(1 << n, d)
+                    chain = np.empty_like(joint)
+                    for x, j in np.ndindex(joint.shape):
+                        a, z = complex(joint[x, j]), complex(clock[j])
+                        for _ in range(wts[x]):
+                            a = a * z
+                        chain[x, j] = a
+                    for (prob, got), v in zip(phase_branches(amps, config), vecs, strict=True):
+                        expect = chain @ v.conj()
+                        assert prob == float(np.sum(np.abs(expect) ** 2)), (kind, d)
+                        if prob < ZERO_PROBABILITY_ATOL:  # weight classes above n are empty
+                            assert got is None
+                        else:
+                            assert np.array_equal(got.view(np.uint64), expect.view(np.uint64)), (kind, d)
 
     @pytest.mark.parametrize("n", range(13, 17))
     def test_fused_phase_kernel_keeps_the_unfused_bits(self, n):
         # n=14 at d=6 and n=15 at d=7 are the sizes where 32768 // d rows per
         # block would leave a last block of one row, which @ rounds differently.
         g = np.random.default_rng(n)
-        amps = random_ket_amps(g, 1 << n)
-        for d in range(2, 8):
-            for prep in (None, orbit_ancilla(g, d, CouplingKind.PHASE)):
-                config = ModuleConfig(n, d, ancilla_prep=prep)
-                orbit, vecs, _ = config.heralding
-                expect = unfused_phase_branches(amps, n, orbit, vecs)
-                for (prob, got), branch in zip(phase_branches(amps, config), expect, strict=True):
-                    assert np.array_equal(got.view(np.uint64), branch.view(np.uint64)), (d, prep is None)
-                    assert prob == float(np.sum(np.abs(branch) ** 2))
+        for kind, amps in phase_kernel_registers(g, n).items():
+            for d in range(2, 8):
+                for prep in (None, orbit_ancilla(g, d, CouplingKind.PHASE)):
+                    config = ModuleConfig(n, d, ancilla_prep=prep)
+                    orbit, vecs, _ = config.heralding
+                    expect = unfused_phase_branches(amps, n, orbit, vecs)
+                    for (prob, got), branch in zip(phase_branches(amps, config), expect, strict=True):
+                        assert np.array_equal(got.view(np.uint64), branch.view(np.uint64)), (kind, d, prep is None)
+                        assert prob == float(np.sum(np.abs(branch) ** 2))
 
     def test_phase_run_holds_branches_not_a_joint_matrix(self):
         # The phase path keeps d branch vectors and the post-states that replace them,
@@ -670,13 +696,19 @@ class TestWeightKernels:
         st.integers(min_value=2, max_value=7),
         st.sampled_from(list(CouplingKind)),
         st.sampled_from(["default", "custom"]),
-        st.booleans(),
+        st.sampled_from(["plus", "random", "dicke"]),
         st.integers(min_value=0, max_value=2**32 - 1),
     )
     @settings(max_examples=80)
-    def test_run_module_matches_sequential_oracle(self, n, d, coupling, ancilla, plus, seed):
+    def test_run_module_matches_sequential_oracle(self, n, d, coupling, ancilla, register, seed):
+        # |+>^n and a Dicke sum take the phase kernel's weight-representative route.
         g = np.random.default_rng(seed)
-        state = plus_state(n) if plus else random_register(seed, n)
+        if register == "plus":
+            state = plus_state(n)
+        elif register == "random":
+            state = random_register(seed, n)
+        else:
+            state = random_dicke_sum(g, n)
         if ancilla == "default":
             config = ModuleConfig(n, d, coupling)
             prep = default_ancilla(d, coupling)
