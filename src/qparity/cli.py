@@ -33,6 +33,8 @@ from .reports import SCHEMA_VERSION, canonical_json, fmt_float, fmt_fraction, wi
 # Amplitudes written to 7 significant digits leave the norm ~1e-7 off 1; the state
 # is renormalized exactly on load, so only a file that holds no unit vector misses by more.
 _FILE_NORM_ATOL = 1e-6
+# numpy's reader decompresses a path with one of these suffixes, so such a file is parsed line by line.
+_NUMPY_DECOMPRESSES = (".gz", ".bz2", ".xz", ".lzma")
 
 
 def load_amplitude_file(path: str | Path) -> Ket:
@@ -46,15 +48,19 @@ def load_amplitude_file(path: str | Path) -> Ket:
     body alike.
     """
     with open(path) as lines:
-        dims = _header_dims(path, lines)
+        head, dims = _header_dims(path, lines)
         total = math.prod(dims)
-        # One numpy pass over the rest of the open file; its arrays are sized by the file, not the header.
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # loadtxt warns on a body without data
-            try:
-                pairs = np.loadtxt(lines, comments="#", ndmin=2)
-            except ValueError:
-                pairs = None
+        # One pass of numpy's reader over the lines after the header: handed the path, it
+        # reads the file in chunks (an open file it reads one Python line at a time).  Its
+        # arrays are sized by the file, not the header.
+        pairs = None
+        if not str(path).endswith(_NUMPY_DECOMPRESSES):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # loadtxt warns on a body without data
+                try:
+                    pairs = np.loadtxt(path, comments="#", skiprows=head, ndmin=2)
+                except ValueError:
+                    pass
         if pairs is None or pairs.shape != (total, 2):
             # Locates the error, or parses what only Python's float accepts ("1_0").
             pairs = _parse_amplitude_lines(path, lines, total)
@@ -69,12 +75,13 @@ def load_amplitude_file(path: str | Path) -> Ket:
 def _read_dims(path: str | Path) -> tuple[int, ...]:
     """The factor dims that an amplitude file's header names, read without its body."""
     with open(path) as lines:
-        return _header_dims(path, lines)
+        return _header_dims(path, lines)[1]
 
 
-def _header_dims(path: str | Path, lines: Iterator[str]) -> tuple[int, ...]:
-    """The dims of the header, the first significant line; ``lines`` is left just past it."""
-    return _parse_dims(path, next(_significant(lines), (0, ""))[1])
+def _header_dims(path: str | Path, lines: Iterator[str]) -> tuple[int, tuple[int, ...]]:
+    """The line number and dims of the header, the first significant line; ``lines`` is left just past it."""
+    head, text = next(_significant(lines), (0, ""))
+    return head, _parse_dims(path, text)
 
 
 def _significant(lines: Iterable[str]) -> Iterator[tuple[int, str]]:

@@ -64,7 +64,7 @@ class Ket:
         if amps.size != math.prod(dims):
             raise ValueError(f"{amps.size} amplitudes do not fill factors {dims}")
         if self.normalized:
-            err = abs(float(np.sum(np.abs(amps) ** 2)) - 1.0)
+            err = abs(float(np.vdot(amps, amps).real) - 1.0)
             if not err <= NORMALIZED_ATOL:
                 raise ValueError(f"squared norm deviates from 1 by {err:.3e}")
         object.__setattr__(self, "amps", _freeze(amps))

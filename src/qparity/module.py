@@ -22,8 +22,12 @@ representatives and gathers each branch by weight: the same arithmetic on
 the same operands, so the same bits, with no tolerance involved.  A register
 that is not weight-symmetric is almost always told apart at the first comparison,
 amps[1] against amps[2].  The shift kernel transforms each branch back in
-place.  Each branch is then divided by its norm in place and becomes its
-post-state's array, so a branch is allocated once.  The phase kernel keeps
+place, except on a weight-symmetric register of two or more qubits: that lies
+in the symmetric subspace, where H^(x)n is an (n+1) x (n+1) Krawtchouk matrix
+on Dicke coordinates, so the kernel forms each branch from n + 1 coordinates
+and gathers it by weight, with no Walsh-Hadamard transform.  Each branch is
+then divided by its norm in place and becomes its post-state's array, so a
+branch is allocated once.  The phase kernel keeps
 its per-excitation rounding only because the golden report digest pins it
 (the reports print rounding-level Dicke residuals); once a benchmark change
 re-records that digest, it collapses to amps * T[m, wt mod d] with
@@ -302,6 +306,64 @@ def _weight_representatives(amps: np.ndarray, n: int) -> np.ndarray | None:
     return reps
 
 
+def _rounded_root(factor: int, num: int, den: int, bits: int) -> float:
+    """factor * sqrt(num / den) rounded once, for positive integers num and den whose
+    square root is at least 2^(-bits): the integer square root leaves 64 bits of it."""
+    return float(Fraction(factor * math.isqrt((num << 2 * (bits + 64)) // den), 1 << (bits + 64)))
+
+
+@lru_cache(maxsize=32)
+def _krawtchouk(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """H^(x)n on the symmetric subspace, as two read-only (n+1) x (n+1) matrices built once per n.
+
+    M, the first, acts on normalized Dicke coordinates: M[j, k] = 2^(-n/2) sqrt(C(n, j) / C(n, k))
+    K_k(j), where the Krawtchouk number K_k(j) = sum_i (-1)^i C(j, i) C(n - j, k - i) sums
+    (-1)^(x.y) over the strings y of weight k for any one x of weight j.  M is orthonormal and
+    symmetric (C(n, j) K_k(j) = C(n, k) K_j(k)), and M sqrt(C(n, .)) = 2^(n/2) e_0, the
+    transform of the all-ones vector.  The second is M with row k divided by sqrt(C(n, k)): it
+    maps Dicke coordinates to the amplitude of each string of weight k, and its column 0 is
+    2^(-n/2).  Every entry is rounded once from exact integers.
+    """
+    binom = [math.comb(n, k) for k in range(n + 1)]
+    kraw = [
+        [sum((-1) ** i * math.comb(j, i) * math.comb(n - j, k - i) for i in range(min(j, k) + 1)) for k in range(n + 1)]
+        for j in range(n + 1)
+    ]
+    m, per_string = np.empty((n + 1, n + 1)), np.empty((n + 1, n + 1))
+    for j in range(n + 1):
+        for k in range(n + 1):
+            if k >= j:  # one rounding for both entries keeps M exactly symmetric
+                m[j, k] = m[k, j] = _rounded_root(kraw[j][k], binom[j], binom[k] << n, n)
+            per_string[j, k] = _rounded_root(kraw[j][k], 1, binom[k] << n, n)
+    m.setflags(write=False)
+    per_string.setflags(write=False)
+    return m, per_string
+
+
+def _symmetric_shift_branches(reps: np.ndarray, n: int, table: np.ndarray):
+    """The shift kernel's (probability, branch) pairs for a register whose amplitude on
+    each string of weight k is ``reps[k]``, worked in Dicke coordinates (see ``_branches``).
+
+    The register's Dicke coordinates are reps[k] sqrt(C(n, k)).  Its constant part
+    reps[0] sqrt(C(n, .)) transforms to 2^(n/2) reps[0] e_0 exactly, so it is split off
+    and only the rest goes through M: on |+>^n every Hadamard-basis coordinate but the
+    first is an exact zero, and the first and each branch have the butterfly's bits.
+    """
+    krawtchouk, per_string = _krawtchouk(n)
+    root = np.sqrt(np.array([math.comb(n, k) for k in range(n + 1)], dtype=float))
+    hat = krawtchouk @ ((reps - reps[0]) * root)
+    hat[0] += reps[0] * float(1 << n) * 2.0 ** (-n / 2)  # as the butterfly rounds it
+    classes = np.arange(n + 1) % table.shape[1]
+    wts = hamming_weights(n)
+    for row in table:
+        coeffs = hat * row[classes]
+        prob = float(np.sum(np.abs(coeffs) ** 2))
+        if prob < ZERO_PROBABILITY_ATOL:
+            yield prob, None
+        else:
+            yield prob, np.take(per_string @ coeffs, wts, out=np.empty(1 << n, dtype=complex))
+
+
 def _phase_rows(amps, order, starts, prep, clock, conj, branches) -> None:
     """Write <r_m| of the coupled state's rows into ``branches[m]``, one block of rows at a time.
 
@@ -353,9 +415,13 @@ def _branches(amps: np.ndarray, n: int, coupling: CouplingKind, step: Operator, 
     Shift: in the Hadamard basis every coupling is a controlled X_d, an exact
     permutation, so branch m is H^(x)n(h * T[m, wt mod d]) with h = H^(x)n amps
     and T[m, w] = <r_m|X_d^w|prep>.  Its probability is read off h * T[m, .]
-    (Parseval), and only a nonzero branch is transformed back, in place.  The
-    Walsh-Hadamard transform does not keep equal entries of a weight class bitwise
-    equal, so the shift kernel has no such shortcut.
+    (Parseval), and only a nonzero branch is transformed back, in place.  A
+    weight-symmetric register of n >= 2 qubits (the same exact check; every 1-qubit
+    register passes it, and there n + 1 = 2^n) skips both transforms: h and each
+    branch are formed on the n + 1 Dicke coordinates, where H^(x)n is the Krawtchouk
+    matrix, and each branch is gathered by weight (see ``_symmetric_shift_branches``).
+    Those branches match the butterfly's to rounding, and on |+>^n bit for bit;
+    every other register keeps the butterfly's bits.
     Each branch yielded is a new array that the caller may normalize in place
     and keep.
     """
@@ -380,6 +446,10 @@ def _branches(amps: np.ndarray, n: int, coupling: CouplingKind, step: Operator, 
             yield prob, (branch if prob >= ZERO_PROBABILITY_ATOL else None)
         return
     table = vecs.conj() @ orbit.T
+    reps = _weight_representatives(amps, n) if n >= 2 else None
+    if reps is not None:
+        yield from _symmetric_shift_branches(reps, n, table)
+        return
     hat = _hadamard_transform(amps, n)
     classes = weight_classes(n, orbit.shape[1])
     for row in table:

@@ -227,6 +227,23 @@ class TestAmplitudeFileFormat:
         loaded = load_amplitude_file(path)
         assert np.allclose(loaded.amps, [2**-0.5, 0.5j * 2**0.5], atol=1e-12)
 
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_numpy_reads_the_body_after_the_header(self, tmp_path, newline):
+        # numpy's reader is handed the path and skips the lines up to the header, which
+        # comments and blanks may precede; the line-by-line parse is never needed here.
+        path = tmp_path / "state.txt"
+        lines = ["# a comment", "", "dims: 2  # header", "0.6 0  # first", "", "# between", "0 0.8"]
+        path.write_text(newline.join(lines) + newline, newline="")
+        with mock.patch("qparity.cli._parse_amplitude_lines", side_effect=AssertionError("line-by-line parse")):
+            assert np.array_equal(load_amplitude_file(path).amps, [0.6, 0.8j])
+
+    @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+    def test_a_compression_suffix_does_not_change_how_a_file_is_read(self, tmp_path, suffix):
+        # numpy's reader would decompress such a path, so the body is parsed line by line.
+        path = tmp_path / f"state{suffix}"
+        path.write_text("dims: 2\n0.6 0\n0.8 0\n")
+        assert np.array_equal(load_amplitude_file(path).amps, [0.6, 0.8])
+
     def test_norm_enforced(self, tmp_path):
         path = tmp_path / "state.txt"
         path.write_text("dims: 2\n1 0\n1 0\n")
