@@ -22,12 +22,11 @@ representatives and gathers each branch by weight: the same arithmetic on
 the same operands, so the same bits, with no tolerance involved.  A register
 that is not weight-symmetric is almost always told apart at the first comparison,
 amps[1] against amps[2].  The shift kernel transforms each branch back in
-place, except on a weight-symmetric register of two or more qubits: that lies
-in the symmetric subspace, where H^(x)n is an (n+1) x (n+1) Krawtchouk matrix
-on Dicke coordinates, so the kernel forms each branch from n + 1 coordinates
-and gathers it by weight, with no Walsh-Hadamard transform.  Each branch is
-then divided by its norm in place and becomes its post-state's array, so a
-branch is allocated once.  The phase kernel keeps
+place, except on a register of two or more qubits with one real amplitude
+(|+>^n up to sign): the transform of that is known exactly, so each branch is
+filled with one value, the butterfly's, with no Walsh-Hadamard transform.
+Each branch is then divided by its norm in place and becomes its post-state's
+array, so a branch is allocated once.  The phase kernel keeps
 its per-excitation rounding only because the golden report digest pins it
 (the reports print rounding-level Dicke residuals); once a benchmark change
 re-records that digest, it collapses to amps * T[m, wt mod d] with
@@ -306,62 +305,27 @@ def _weight_representatives(amps: np.ndarray, n: int) -> np.ndarray | None:
     return reps
 
 
-def _rounded_root(factor: int, num: int, den: int, bits: int) -> float:
-    """factor * sqrt(num / den) rounded once, for positive integers num and den whose
-    square root is at least 2^(-bits): the integer square root leaves 64 bits of it."""
-    return float(Fraction(factor * math.isqrt((num << 2 * (bits + 64)) // den), 1 << (bits + 64)))
+def _constant_shift_branches(value: complex, n: int, table: np.ndarray):
+    """The shift kernel's (probability, branch) pairs for the register whose every amplitude
+    is the real ``value`` (see ``_branches``), with the butterfly's values and no transform.
 
-
-@lru_cache(maxsize=32)
-def _krawtchouk(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """H^(x)n on the symmetric subspace, as two read-only (n+1) x (n+1) matrices built once per n.
-
-    M, the first, acts on normalized Dicke coordinates: M[j, k] = 2^(-n/2) sqrt(C(n, j) / C(n, k))
-    K_k(j), where the Krawtchouk number K_k(j) = sum_i (-1)^i C(j, i) C(n - j, k - i) sums
-    (-1)^(x.y) over the strings y of weight k for any one x of weight j.  M is orthonormal and
-    symmetric (C(n, j) K_k(j) = C(n, k) K_j(k)), and M sqrt(C(n, .)) = 2^(n/2) e_0, the
-    transform of the all-ones vector.  The second is M with row k divided by sqrt(C(n, k)): it
-    maps Dicke coordinates to the amplitude of each string of weight k, and its column 0 is
-    2^(-n/2).  Every entry is rounded once from exact integers.
+    The butterfly turns a constant register into h = 2^n value 2^(-n/2) e_0 exactly (each
+    pass adds equal halves and subtracts them to exact zeros), so branch m has h_0 T[m, 0]
+    at string 0 and zeros elsewhere, and transforming that back fills every string with
+    h_0 T[m, 0] 2^(-n/2).  A real h_0 makes each part of h_0 T[m, 0] one rounded product,
+    whatever the operand order.  The values are the butterfly's; so are the bits on |+>^n,
+    but adding signed zeros can leave some zero parts -0.0 (as on -|+>^n) where this
+    repeats one sign.
     """
-    binom = [math.comb(n, k) for k in range(n + 1)]
-    kraw = [
-        [sum((-1) ** i * math.comb(j, i) * math.comb(n - j, k - i) for i in range(min(j, k) + 1)) for k in range(n + 1)]
-        for j in range(n + 1)
-    ]
-    m, per_string = np.empty((n + 1, n + 1)), np.empty((n + 1, n + 1))
-    for j in range(n + 1):
-        for k in range(n + 1):
-            if k >= j:  # one rounding for both entries keeps M exactly symmetric
-                m[j, k] = m[k, j] = _rounded_root(kraw[j][k], binom[j], binom[k] << n, n)
-            per_string[j, k] = _rounded_root(kraw[j][k], 1, binom[k] << n, n)
-    m.setflags(write=False)
-    per_string.setflags(write=False)
-    return m, per_string
-
-
-def _symmetric_shift_branches(reps: np.ndarray, n: int, table: np.ndarray):
-    """The shift kernel's (probability, branch) pairs for a register whose amplitude on
-    each string of weight k is ``reps[k]``, worked in Dicke coordinates (see ``_branches``).
-
-    The register's Dicke coordinates are reps[k] sqrt(C(n, k)).  Its constant part
-    reps[0] sqrt(C(n, .)) transforms to 2^(n/2) reps[0] e_0 exactly, so it is split off
-    and only the rest goes through M: on |+>^n every Hadamard-basis coordinate but the
-    first is an exact zero, and the first and each branch have the butterfly's bits.
-    """
-    krawtchouk, per_string = _krawtchouk(n)
-    root = np.sqrt(np.array([math.comb(n, k) for k in range(n + 1)], dtype=float))
-    hat = krawtchouk @ ((reps - reps[0]) * root)
-    hat[0] += reps[0] * float(1 << n) * 2.0 ** (-n / 2)  # as the butterfly rounds it
-    classes = np.arange(n + 1) % table.shape[1]
-    wts = hamming_weights(n)
+    scale = np.full(1, 2.0 ** (-n / 2))
+    hat = np.full(1, value) * float(1 << n) * scale
     for row in table:
-        coeffs = hat * row[classes]
-        prob = float(np.sum(np.abs(coeffs) ** 2))
+        coeff = hat * row[:1]
+        prob = float(np.sum(np.abs(coeff) ** 2))
         if prob < ZERO_PROBABILITY_ATOL:
             yield prob, None
         else:
-            yield prob, np.take(per_string @ coeffs, wts, out=np.empty(1 << n, dtype=complex))
+            yield prob, np.full(1 << n, (coeff * scale)[0])
 
 
 def _phase_rows(amps, order, starts, prep, clock, conj, branches) -> None:
@@ -415,19 +379,19 @@ def _branches(amps: np.ndarray, n: int, coupling: CouplingKind, step: Operator, 
     Shift: in the Hadamard basis every coupling is a controlled X_d, an exact
     permutation, so branch m is H^(x)n(h * T[m, wt mod d]) with h = H^(x)n amps
     and T[m, w] = <r_m|X_d^w|prep>.  Its probability is read off h * T[m, .]
-    (Parseval), and only a nonzero branch is transformed back, in place.  A
-    weight-symmetric register of n >= 2 qubits (the same exact check; every 1-qubit
-    register passes it, and there n + 1 = 2^n) skips both transforms: h and each
-    branch are formed on the n + 1 Dicke coordinates, where H^(x)n is the Krawtchouk
-    matrix, and each branch is gathered by weight (see ``_symmetric_shift_branches``).
-    Those branches match the butterfly's to rounding, and on |+>^n bit for bit;
-    every other register keeps the butterfly's bits.
+    (Parseval), and only a nonzero branch is transformed back, in place.  When the
+    same exact check finds every amplitude bitwise equal to one real value and n >= 2
+    (|+>^n up to sign), both transforms are skipped and each branch is one value
+    repeated, with the butterfly's values (see ``_constant_shift_branches``).  A complex
+    value is left to the butterfly: h_0 T[m, 0] then rounds with the operand order
+    that numpy picks below, which changes at 256 KiB.  Every other register, Dicke
+    sums included, and every 1-qubit one takes the butterfly and keeps its bits.
     Each branch yielded is a new array that the caller may normalize in place
     and keep.
     """
+    reps = _weight_representatives(amps, n)
     if coupling is CouplingKind.PHASE:
         prep, clock, conj = orbit[0], np.diag(step.entries), vecs.conj()
-        reps = _weight_representatives(amps, n)
         # The first weight_order(n) builds an 8 * 2^n-byte array.  Built before the branches,
         # it does not split the heap between them (that cost random_large 1.1 MB of peak RSS).
         order, starts = weight_order(n) if reps is None else (np.arange(n + 1), np.arange(n + 2))
@@ -446,9 +410,9 @@ def _branches(amps: np.ndarray, n: int, coupling: CouplingKind, step: Operator, 
             yield prob, (branch if prob >= ZERO_PROBABILITY_ATOL else None)
         return
     table = vecs.conj() @ orbit.T
-    reps = _weight_representatives(amps, n) if n >= 2 else None
-    if reps is not None:
-        yield from _symmetric_shift_branches(reps, n, table)
+    constant = reps is not None and np.array_equal(reps.view(np.uint64), np.full_like(reps, reps[0]).view(np.uint64))
+    if constant and n >= 2 and reps[0].imag == 0:
+        yield from _constant_shift_branches(reps[0], n, table)
         return
     hat = _hadamard_transform(amps, n)
     classes = weight_classes(n, orbit.shape[1])

@@ -36,7 +36,6 @@ from qparity.module import (
     _coupling,
     _hadamard_in_place,
     _hadamard_transform,
-    _krawtchouk,
     _weight_representatives,
     build_projectors,
     outcome_distribution,
@@ -646,16 +645,17 @@ class TestWeightKernels:
     def test_in_place_shift_kernel_keeps_the_copying_bits(self, n):
         # At n=16 numpy forms hat * gathered in the gathered temporary, with the operands
         # swapped, and the swap moves the imaginary bits of a custom ancilla's branches.
-        # From n = 2 a Dicke sum is transformed by the (n+1) x (n+1) Krawtchouk matrix,
-        # not the butterfly, so its branches round differently: each Dicke coordinate
-        # sums n + 1 products.  Against a 40-digit reference that route misses by up to
-        # 1.7e-15 here and the butterfly by 3.1e-16, so 1e-13 leaves room without
-        # admitting a wrong branch (a misplaced weight class moves entries by ~2^(-n/2)).
-        # |+>^n keeps the butterfly's bits on that route; the near miss and the random
-        # register take the butterfly, as every 1-qubit register does.
+        # From n = 2 a real constant register (|+>^n and -|+>^n) skips the butterfly; a
+        # complex multiple of |+>^n, a Dicke sum, the near miss, the random register and
+        # every 1-qubit register take it.  Every register keeps the copying kernel's bits
+        # but -|+>^n, which keeps its values: its amplitudes are -2^(-n/2) - 0j, and the
+        # butterfly leaves some zero imaginary parts -0.0 and turns others to +0.0, where
+        # the constant route repeats one branch value with one sign of zero.
         g = np.random.default_rng(n)
-        for kind, amps in phase_kernel_registers(g, n).items():
-            exact = kind != "dicke" or n == 1
+        registers = phase_kernel_registers(g, n)
+        registers["minus"] = -registers["plus"]
+        registers["complex-plus"] = np.exp(2j * np.pi * g.random()) * registers["plus"]
+        for kind, amps in registers.items():
             for d in range(2, 8):
                 for prep in (None, orbit_ancilla(g, d, CouplingKind.SHIFT)):
                     config = ModuleConfig(n, d, CouplingKind.SHIFT, ancilla_prep=prep)
@@ -663,17 +663,14 @@ class TestWeightKernels:
                     got = _branches(amps, n, CouplingKind.SHIFT, pauli_x(d), orbit, vecs)
                     for (prob, branch), (p0, b0) in zip(got, copying_shift_branches(amps, n, orbit, vecs), strict=True):
                         where = (kind, d, prep is None)
+                        assert prob == p0, where
                         assert (branch is None) == (b0 is None), where
-                        if exact:
-                            assert prob == p0, where
-                            if b0 is not None:
+                        if b0 is not None:
+                            assert np.array_equal(branch, b0), where
+                            if kind != "minus":
                                 assert np.array_equal(branch.view(np.uint64), b0.view(np.uint64)), where
-                        else:
-                            assert abs(prob - p0) <= 1e-13, where
-                            if b0 is not None:
-                                assert np.abs(branch - b0).max() <= 1e-13, where
 
-    def test_symmetric_shift_run_makes_no_hadamard_transform(self, monkeypatch):
+    def test_constant_shift_run_makes_no_hadamard_transform(self, monkeypatch):
         calls = []
 
         def counted(t, n):
@@ -683,14 +680,17 @@ class TestWeightKernels:
         monkeypatch.setattr("qparity.module._hadamard_in_place", counted)
         g = np.random.default_rng(5)
         for n, d in [(2, 2), (5, 3), (10, 7)]:
-            for state in (plus_state(n), random_dicke_sum(g, n)):
-                for prep in (None, orbit_ancilla(g, d, CouplingKind.SHIFT)):
+            for prep in (None, orbit_ancilla(g, d, CouplingKind.SHIFT)):
+                for sign in (1, -1):
+                    state = Ket(sign * plus_state(n).amps, plus_state(n).factor_dims, normalized=True)
                     run_module(state, ModuleConfig(n, d, CouplingKind.SHIFT, ancilla_prep=prep))
         assert calls == []
-        # The butterfly still serves every other register, and every 1-qubit one.
-        for state in (random_register(5, 5), plus_state(1)):
+        # The butterfly still serves every other register (a Dicke sum and a complex multiple
+        # of |+>^n included), and every 1-qubit one.
+        complex_plus = Ket(1j ** 0.5 * plus_state(3).amps, plus_state(3).factor_dims, normalized=True)
+        for state in (random_register(5, 5), random_dicke_sum(g, 4), complex_plus, plus_state(1)):
             run_module(state, ModuleConfig(len(state.factor_dims), 3, CouplingKind.SHIFT))
-        assert calls and set(calls) <= {1, 5}
+        assert set(calls) == {1, 3, 4, 5}
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_shift_run_of_plus_reports_exact_zero_branches(self, n):
@@ -700,23 +700,6 @@ class TestWeightKernels:
             assert records[0].probability == pytest.approx(1.0, abs=1e-14)
             for r in records[1:]:
                 assert r.probability == 0.0 and r.zero_probability, (d, r.outcome_label)
-
-    def test_krawtchouk_matrix_is_the_symmetric_hadamard_transform(self):
-        for n in range(1, 21):
-            m, per_string = _krawtchouk(n)
-            assert _krawtchouk(n)[0] is m
-            assert not m.flags.writeable and not per_string.flags.writeable
-            assert np.array_equal(m, m.T)
-            assert np.abs(m @ m - np.eye(n + 1)).max() <= 1e-14, n
-            # Row k is M's divided by sqrt(C(n, k)); column 0 is 2^(-n/2), the butterfly's scale.
-            root = np.sqrt([math.comb(n, k) for k in range(n + 1)])
-            assert np.abs(per_string - m / root[:, None]).max() <= 1e-16, n
-            assert np.all(per_string[:, 0] == 2.0 ** (-n / 2)), n
-        # Entry (j, k) of M is <D(n, j)| H^(x)n |D(n, k)> with normalized Dicke states.
-        for n in range(1, 9):
-            dickes = np.array([dicke(n, k).amps for k in range(n + 1)])
-            expect = dickes.conj() @ _hadamard_transform(dickes.T, n)
-            assert np.abs(_krawtchouk(n)[0] - expect).max() <= 1e-14, n
 
     @pytest.mark.parametrize("coupling, working", [(CouplingKind.PHASE, 2.5), (CouplingKind.SHIFT, 3.5)], ids=["phase", "shift"])
     def test_branches_are_normalized_in_place(self, coupling, working):
