@@ -11,27 +11,23 @@ under Z_d or X_d is orthonormal: ``ModuleConfig`` runs that check for a
 custom ancilla, and ``_coupling`` runs it once per (d, coupling) for the
 default one.
 
-``run_module`` reports every heralded branch, with one weight kernel per
-coupling (see ``_branches``).  The phase kernel forms the register-ancilla
-state a block of rows at a time and contracts each block with the readout
-straight into the d branches, so a run holds d branch vectors and never the
-(2^n, d) joint state.  Entry x of a phase branch depends only on amps[x] and
-wt(x), so when every amplitude has the exact bits of its weight class's
-first one (|+>^n, and every Dicke sum) the kernel runs on those n + 1
-representatives and gathers each branch by weight: the same arithmetic on
-the same operands, so the same bits, with no tolerance involved.  A register
-that is not weight-symmetric is almost always told apart at the first comparison,
-amps[1] against amps[2].  The shift kernel transforms each branch back in
-place, except on a register of two or more qubits with one real amplitude
-(|+>^n up to sign): the transform of that is known exactly, so each branch is
-filled with one value, the butterfly's, with no Walsh-Hadamard transform.
-Each branch is then divided by its norm in place and becomes its post-state's
-array, so a branch is allocated once.  The phase kernel keeps
-its per-excitation rounding only because the golden report digest pins it
-(the reports print rounding-level Dicke residuals); once a benchmark change
-re-records that digest, it collapses to amps * T[m, wt mod d] with
-T[m, w] = <r_m|Z_d^w|prep>, the table form that the shift kernel uses in
-the Hadamard basis.
+``run_module`` reports every heralded branch (see ``_branches``).  The module
+heralds wt mod d, so branch m is amps * T[m, wt mod d] with
+T[m, w] = <r_m|V^w|prep> (phase), or the same in the Hadamard basis (shift).
+One table kernel forms the branches of both couplings that way, one at a
+time, so a run holds d branch vectors and never the (2^n, d) joint state.
+When every amplitude has the exact bits of its weight class's first one
+(|+>^n, and every Dicke sum), the phase kernel instead runs the
+per-excitation chain on those n + 1 representatives and gathers each branch
+by weight; the golden reports print rounding-level Dicke residuals, so their
+digest pins that chain's bits.  A register that is not weight-symmetric is
+almost always told apart at the first comparison, amps[1] against amps[2].
+The shift kernel transforms each nonzero branch back in place, except on a
+register of two or more qubits with one real amplitude (|+>^n up to sign):
+the transform of that is known exactly, so each branch is filled with one
+value, the butterfly's, with no Walsh-Hadamard transform.  Each branch is
+then divided by its norm in place and becomes its post-state's array, so a
+branch is allocated once.
 
 ``outcome_distribution`` and ``build_projectors`` work through the
 projectors P_i = d^(-1) sum_k w^(-ik) A^k: the mask wt(x) == i (mod d),
@@ -54,7 +50,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import states
-from .linalg import NORM_ATOL, NORMALIZED_ATOL, Ket, Operator, fourier_ket, hamming_weights, pauli_x, pauli_z, require_normalized, weight_classes, weight_order
+from .linalg import NORM_ATOL, NORMALIZED_ATOL, Ket, Operator, fourier_ket, hamming_weights, pauli_x, pauli_z, require_normalized, weight_classes
 from .solver import check_orbit
 
 DEFAULT_STATEVECTOR_MAX_QUBITS = 20
@@ -66,10 +62,8 @@ ZERO_PROBABILITY_ATOL = 1e-12
 # orbit of |prep> is also the readout), and the input guards let a caller's register
 # and custom ancilla each miss norm 1 by NORM_ATOL: 6 NORM_ATOL in all, plus rounding.
 _PROBABILITY_SUM_ATOL = 6 * NORM_ATOL + NORMALIZED_ATOL
-# Exact rational probabilities are reported only when every amplitude is 2^(-n/2) up to rounding.
-_UNIFORM_PLUS_ATOL = 1e-12
-# The phase kernel works on blocks of this many amplitudes per real array, so
-# that a block stays in a core's cache through all of its weight levels.
+# The symmetry check of ``_weight_representatives`` compares blocks of this many
+# amplitudes, so that it needs no temporary of register size.
 _BLOCK_ENTRIES = 1 << 15
 
 
@@ -328,107 +322,83 @@ def _constant_shift_branches(value: complex, n: int, table: np.ndarray):
             yield prob, np.full(1 << n, (coeff * scale)[0])
 
 
-def _phase_rows(amps, order, starts, prep, clock, conj, branches) -> None:
-    """Write <r_m| of the coupled state's rows into ``branches[m]``, one block of rows at a time.
+def _real_constant(reps: np.ndarray | None) -> complex | None:
+    """reps[0] when every representative has its bits and it is real; None otherwise."""
+    if reps is None or reps[0].imag != 0:
+        return None
+    return reps[0] if np.array_equal(reps.view(np.uint64), np.full_like(reps, reps[0]).view(np.uint64)) else None
 
-    Row x is amps[x] prep z^wt(x) with z = ``clock``; the rows are taken in ``order``,
-    and weight class k is ``order[starts[k]:starts[k + 1]]``.  Each block is
-    ``np.multiply.outer`` of its amplitudes with prep (the rows ``np.kron`` forms),
-    multiplied one excitation at a time as (re, im) <- (re zr - im zi, re zi + im zr),
-    every product and sum rounded on its own (level k multiplies the rows of weight
-    >= k), and then contracted with each readout row ``conj[m]`` into its branch.
-    The block length is even and at least n + 1: ``@`` on a one-row block rounds unlike
-    the same rows in a taller one, so 2^n rows never leave a one-row block, and the
-    n + 1 rows of weight representatives form a single block.
+
+def _phase_representatives(reps: np.ndarray, prep: np.ndarray, clock: np.ndarray, conj: np.ndarray) -> list[np.ndarray]:
+    """<r_m| of the coupled state's rows for the n + 1 weight representatives, one array per m.
+
+    Row k is reps[k] prep z^k with z = ``clock``: ``np.multiply.outer`` of ``reps``
+    with prep (the rows ``np.kron`` forms), multiplied one excitation at a time as
+    (re, im) <- (re zr - im zi, re zi + im zr), every product and sum rounded on its
+    own (level k multiplies rows k..n), and then contracted with each readout row
+    ``conj[m]`` by ``@``.
     """
-    n = starts.size - 2
+    rows = np.multiply.outer(reps, prep)
+    re, im = rows.real.T.copy(), rows.imag.T.copy()
     zr, zi = clock.real[:, None], clock.imag[:, None]
-    size = max((n + 2) & ~1, (_BLOCK_ENTRIES // prep.size) & ~1)
-    for first in range(0, order.size, size):
-        rows = order[first : first + size]
-        block = np.multiply.outer(amps[rows], prep)
-        re, im = block.real.T.copy(), block.imag.T.copy()
-        for start in starts[1 : n + 1]:
-            if start >= first + rows.size:
-                break
-            r, i = re[:, max(start - first, 0) :], im[:, max(start - first, 0) :]
-            t = i * zi
-            i *= zr
-            i += r * zi
-            r *= zr
-            r -= t
-        block.real, block.imag = re.T, im.T
-        for branch, v in zip(branches, conj):
-            branch[rows] = block @ v
+    for k in range(1, reps.size):
+        r, i = re[:, k:], im[:, k:]
+        t = i * zi
+        i *= zr
+        i += r * zi
+        r *= zr
+        r -= t
+    rows.real, rows.imag = re.T, im.T
+    return [rows @ v for v in conj]
 
 
-def _branches(amps: np.ndarray, n: int, coupling: CouplingKind, step: Operator, orbit: np.ndarray, vecs: np.ndarray):
+def _branches(amps: np.ndarray, reps: np.ndarray | None, n: int, coupling: CouplingKind, step: Operator, orbit: np.ndarray, vecs: np.ndarray):
     """(probability, branch) for each outcome m, in outcome order; branch is None when
-    the probability is below ``ZERO_PROBABILITY_ATOL``.  ``orbit`` holds the kets
+    the probability is below ``ZERO_PROBABILITY_ATOL``.  ``reps`` is what
+    ``_weight_representatives`` returns for ``amps``, ``orbit`` holds the kets
     V^w|prep>, one row per w, and ``vecs`` the readout kets <r_m|.
 
-    Phase: branch m is <r_m| applied to the ancilla of the coupled state, whose row x
-    is amps[x] prep z^wt(x) with z = diag(Z_d), formed a block of rows at a time and
-    contracted straight into the d branches (see ``_phase_rows``), so only the d
-    branches exist at full size.  The rows are visited in the order of
-    ``weight_order``.  Entry x of every branch depends only on amps[x] and wt(x): the
-    chain is elementwise, and ``@`` rounds a row the same way in any block of two or
-    more rows.  So when ``_weight_representatives`` finds every amplitude bitwise equal
-    to its weight class's first one, as for |+>^n and every Dicke sum, the kernel runs
-    on those n + 1 rows alone and gathers each branch by weight, with the same bits.
-    Shift: in the Hadamard basis every coupling is a controlled X_d, an exact
-    permutation, so branch m is H^(x)n(h * T[m, wt mod d]) with h = H^(x)n amps
-    and T[m, w] = <r_m|X_d^w|prep>.  Its probability is read off h * T[m, .]
-    (Parseval), and only a nonzero branch is transformed back, in place.  When the
-    same exact check finds every amplitude bitwise equal to one real value and n >= 2
-    (|+>^n up to sign), both transforms are skipped and each branch is one value
-    repeated, with the butterfly's values (see ``_constant_shift_branches``).  A complex
-    value is left to the butterfly: h_0 T[m, 0] then rounds with the operand order
-    that numpy picks below, which changes at 256 KiB.  Every other register, Dicke
-    sums included, and every 1-qubit one takes the butterfly and keeps its bits.
+    The module heralds wt mod d, so branch m is b * T[m, wt mod d] with
+    T[m, w] = <r_m|V^w|prep> and b = amps (phase) or h = H^(x)n amps (shift); in the
+    Hadamard basis every shift coupling is a controlled X_d, an exact permutation.
+    One loop forms the branches of both couplings this way: T is widened to the n + 1
+    weights, gathered by weight, and multiplied by b in the gathered array, as
+    b * gathered.  A shift branch's probability is read off h * T[m, .] (Parseval),
+    and only a nonzero one is transformed back, in place.
+    Two registers that the exact check of ``_weight_representatives`` finds take
+    their own routes.  A weight-symmetric register (|+>^n and every Dicke sum) runs
+    the phase kernel on its n + 1 representatives as the per-excitation chain of
+    ``_phase_representatives``, whose bits the golden reports pin, and gathers each
+    branch by weight.  A shift run of n >= 2 qubits whose every amplitude is one real
+    value (|+>^n up to sign) skips both transforms: each branch is one value repeated,
+    with the butterfly's values (see ``_constant_shift_branches``).
     Each branch yielded is a new array that the caller may normalize in place
     and keep.
     """
-    reps = _weight_representatives(amps, n)
-    if coupling is CouplingKind.PHASE:
-        prep, clock, conj = orbit[0], np.diag(step.entries), vecs.conj()
-        # The first weight_order(n) builds an 8 * 2^n-byte array.  Built before the branches,
-        # it does not split the heap between them (that cost random_large 1.1 MB of peak RSS).
-        order, starts = weight_order(n) if reps is None else (np.arange(n + 1), np.arange(n + 2))
-        branches = [np.empty(1 << n, dtype=complex) for _ in conj]
-        if reps is None:
-            _phase_rows(amps, order, starts, prep, clock, conj, branches)
-        else:
-            vals = [np.empty(n + 1, dtype=complex) for _ in conj]
-            _phase_rows(reps, order, starts, prep, clock, conj, vals)
-            wts = hamming_weights(n)
-            for branch, val in zip(branches, vals):
-                np.take(val, wts, out=branch)
+    wts = hamming_weights(n)
+    if coupling is CouplingKind.PHASE and reps is not None:
+        branches = [np.empty(1 << n, dtype=complex) for _ in vecs]
+        for branch, val in zip(branches, _phase_representatives(reps, orbit[0], np.diag(step.entries), vecs.conj())):
+            np.take(val, wts, out=branch)
         while branches:  # a popped branch is freed once the caller drops it
             branch = branches.pop(0)
             prob = float(np.sum(np.abs(branch) ** 2))
             yield prob, (branch if prob >= ZERO_PROBABILITY_ATOL else None)
         return
     table = vecs.conj() @ orbit.T
-    constant = reps is not None and np.array_equal(reps.view(np.uint64), np.full_like(reps, reps[0]).view(np.uint64))
-    if constant and n >= 2 and reps[0].imag == 0:
-        yield from _constant_shift_branches(reps[0], n, table)
+    value = _real_constant(reps)
+    if coupling is CouplingKind.SHIFT and value is not None and n >= 2:
+        yield from _constant_shift_branches(value, n, table)
         return
-    hat = _hadamard_transform(amps, n)
-    classes = weight_classes(n, orbit.shape[1])
-    for row in table:
-        # take gathers by uint8 faster than indexing.  From 256 KiB numpy forms the product
-        # in the gathered temporary, with the operands swapped (temporary elision), and
-        # below that in a new array.  The two operand orders round the imaginary part
-        # differently, so an explicit out= would move the bits at one size or the other.
-        branch = hat * np.take(row, classes)
+    base = amps if coupling is CouplingKind.PHASE else _hadamard_transform(amps, n)
+    for row in table[:, np.arange(n + 1) % table.shape[1]]:
+        branch = np.take(row, wts)  # take gathers by uint8 faster than indexing
+        np.multiply(base, branch, out=branch)
         prob = float(np.sum(np.abs(branch) ** 2))
-        yield prob, (_hadamard_in_place(branch, n) if prob >= ZERO_PROBABILITY_ATOL else None)
-
-
-def _is_uniform_plus(state: Ket) -> bool:
-    target = 2.0 ** (-len(state.factor_dims) / 2)
-    return bool(np.max(np.abs(state.amps - target)) <= _UNIFORM_PLUS_ATOL)
+        if prob < ZERO_PROBABILITY_ATOL:
+            yield prob, None
+        else:
+            yield prob, (branch if coupling is CouplingKind.PHASE else _hadamard_in_place(branch, n))
 
 
 def _exact_parity_probability(n: int, d: int, coupling: CouplingKind, parity: int) -> Fraction:
@@ -452,15 +422,18 @@ def run_module(state: Ket, config: ModuleConfig, *, classify_states: bool = True
 
     Returns one record per measurement outcome, zero-probability branches
     included but flagged (their post-state and classification are None).
-    Probabilities additionally carry an exact rational value when the input
-    is exactly |+>^n and the ancilla preparation is the default one.
+    Probabilities additionally carry an exact rational value when every input
+    amplitude has the bits of one real, positive value (|+>^n) and the ancilla
+    preparation is the default one.
     """
     _check_register(state, config)
     step = _coupling(config.d, config.coupling).step
     orbit, vecs, parities = config.heralding
-    exact_ok = config.ancilla_prep is None and _is_uniform_plus(state)
+    reps = _weight_representatives(state.amps, config.n)
+    value = _real_constant(reps)
+    exact_ok = config.ancilla_prep is None and value is not None and value.real > 0
     records = []
-    branches = _branches(state.amps, config.n, config.coupling, step, orbit, vecs)
+    branches = _branches(state.amps, reps, config.n, config.coupling, step, orbit, vecs)
     for m, (prob, branch) in enumerate(branches):
         parity = parities[m]
         exact = _exact_parity_probability(config.n, config.d, config.coupling, parity) if exact_ok else None

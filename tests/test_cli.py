@@ -219,6 +219,13 @@ class TestAmplitudeFileFormat:
         assert loaded.factor_dims == (2, 2, 2)
         assert np.allclose(loaded.amps, state.amps, atol=1e-15)
 
+    def test_a_plus_file_keeps_its_exact_bits(self, tmp_path):
+        # A run reports exact probabilities only when every amplitude has one value's bits.
+        path = tmp_path / "plus.txt"
+        for n in range(1, 19):
+            write_amplitude_file(path, plus_state(n))
+            assert np.array_equal(load_amplitude_file(path).amps.view(np.uint64), plus_state(n).amps.view(np.uint64)), n
+
     def test_comments_and_blanks_ignored(self, tmp_path):
         path = tmp_path / "state.txt"
         path.write_text(

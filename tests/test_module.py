@@ -159,20 +159,44 @@ def copying_shift_branches(amps, n, orbit, vecs):
     hat = _hadamard_transform(amps, n)
     classes = weight_classes(n, orbit.shape[1])
     for row in table:
-        branch = hat * np.take(row, classes)
+        branch = np.multiply(hat, np.take(row, classes))
         prob = float(np.sum(np.abs(branch) ** 2))
         yield prob, (_hadamard_transform(branch, n) if prob >= ZERO_PROBABILITY_ATOL else None)
+
+
+def table_phase_branches(amps, n, orbit, vecs):
+    """Test-only oracle: phase branch m as amps * T[m, wt mod d] with T[m, w] = <r_m|Z_d^w|prep>, amps first."""
+    table = vecs.conj() @ orbit.T
+    return [np.multiply(amps, np.take(row, weight_classes(n, orbit.shape[1]))) for row in table]
 
 
 def phase_branches(amps, config):
     """The phase kernel's (probability, branch) pairs for ``config``'s ancilla."""
     orbit, vecs, _ = config.heralding
-    return list(_branches(amps, config.n, CouplingKind.PHASE, pauli_z(config.d), orbit, vecs))
+    reps = _weight_representatives(amps, config.n)
+    return list(_branches(amps, reps, config.n, CouplingKind.PHASE, pauli_z(config.d), orbit, vecs))
+
+
+def assert_phase_bits(got, chains, tables, symmetric, where):
+    """The phase kernel's pairs keep the chain oracle's bits on a weight-symmetric register,
+    and otherwise the table oracle's bits within 1e-14 of the chain's values."""
+    for (prob, branch), chain, table in zip(got, chains, tables, strict=True):
+        expect = chain if symmetric else table
+        assert prob == float(np.sum(np.abs(expect) ** 2)), where
+        if prob < ZERO_PROBABILITY_ATOL:  # weight classes above n are empty
+            assert branch is None, where
+            continue
+        assert np.array_equal(branch.view(np.uint64), expect.view(np.uint64)), where
+        assert np.abs(branch - chain).max() <= 1e-14, where
 
 
 def random_dicke_sum(g, n):
     """sum_k c_k D(n, k) with seeded random complex c_k: a weight-symmetric register."""
     return dicke_sum(n, {k: complex(*g.normal(size=2)) for k in range(n + 1)})
+
+
+# The kinds of ``phase_kernel_registers`` that are weight-symmetric at every n.
+SYMMETRIC = ("plus", "dicke")
 
 
 def phase_kernel_registers(g, n):
@@ -191,7 +215,7 @@ def phase_kernel_registers(g, n):
         near[-2] = complex(np.nextafter(near[-2].real, np.inf), near[-2].imag)
         amps["near-miss"] = near
     for kind, a in amps.items():  # every 1-qubit register is weight-symmetric
-        assert (_weight_representatives(a, n) is None) == (n > 1 and kind in ("random", "near-miss")), kind
+        assert (_weight_representatives(a, n) is None) == (n > 1 and kind not in SYMMETRIC), kind
     return amps
 
 
@@ -494,6 +518,31 @@ class TestExactProbabilities:
         records = run_module(plus_state(2), config, classify_states=False)
         assert all(r.probability_exact is None for r in records)
 
+    @pytest.mark.parametrize("coupling", list(CouplingKind))
+    def test_plus_moved_by_one_ulp_reports_no_exact_probability(self, coupling):
+        # Exact probabilities need every amplitude to have the bits of one real, positive
+        # value; a register one ulp off |+>^n is not |+>^n, however close.
+        for n in (1, 4, 9):
+            for x in (0, (1 << n) - 1):
+                amps = plus_state(n).amps.copy()
+                amps[x] = np.nextafter(amps[x].real, np.inf)
+                records = run_module(Ket(amps, (2,) * n, normalized=True), ModuleConfig(n, 3, coupling), classify_states=False)
+                assert all(r.probability_exact is None for r in records), (n, x)
+
+    @pytest.mark.parametrize("coupling", list(CouplingKind))
+    def test_any_positive_constant_register_reports_exact_probabilities(self, coupling):
+        # At odd n, 1/sqrt(2^n) is one ulp off 2^(-n/2); both registers are |+>^n.
+        for n in (1, 3, 5, 7, 9):
+            value = 1 / np.sqrt(2**n)
+            assert value != 2.0 ** (-n / 2) or n == 1, n
+            state = Ket(np.full(1 << n, value, dtype=complex), (2,) * n, normalized=True)
+            records = run_module(state, ModuleConfig(n, 3, coupling), classify_states=False)
+            expect = run_module(plus_state(n), ModuleConfig(n, 3, coupling), classify_states=False)
+            assert [r.probability_exact for r in records] == [r.probability_exact for r in expect], n
+            assert all(r.probability_exact is not None for r in records), n
+        minus = Ket(-plus_state(3).amps, (2,) * 3, normalized=True)
+        assert all(r.probability_exact is None for r in run_module(minus, ModuleConfig(3, 3, coupling)))
+
 
 class TestCustomAncillaPrep:
     def test_orbit_basis_measurement_heralds_parity_directly(self):
@@ -589,6 +638,8 @@ class TestWeightKernels:
         # Entry (x, j) of the coupled state is kron(amps, prep)[x, j] times z_j, wt(x)
         # times over, each product rounded as Python's complex * rounds it (no fused
         # multiply-add); branch m is that matrix contracted with readout row m by @.
+        # A weight-symmetric register keeps those bits; any other takes the table kernel,
+        # which must keep the table oracle's bits and the chain's values.
         g = np.random.default_rng(n)
         wts = hamming_weights(n)
         for kind, amps in phase_kernel_registers(g, n).items():
@@ -604,28 +655,23 @@ class TestWeightKernels:
                         for _ in range(wts[x]):
                             a = a * z
                         chain[x, j] = a
-                    for (prob, got), v in zip(phase_branches(amps, config), vecs, strict=True):
-                        expect = chain @ v.conj()
-                        assert prob == float(np.sum(np.abs(expect) ** 2)), (kind, d)
-                        if prob < ZERO_PROBABILITY_ATOL:  # weight classes above n are empty
-                            assert got is None
-                        else:
-                            assert np.array_equal(got.view(np.uint64), expect.view(np.uint64)), (kind, d)
+                    chains = [chain @ v.conj() for v in vecs]
+                    tables = table_phase_branches(amps, n, orbit, vecs)
+                    assert_phase_bits(phase_branches(amps, config), chains, tables, n == 1 or kind in SYMMETRIC, (kind, d))
 
     @pytest.mark.parametrize("n", range(13, 17))
     def test_fused_phase_kernel_keeps_the_unfused_bits(self, n):
-        # n=14 at d=6 and n=15 at d=7 are the sizes where 32768 // d rows per
-        # block would leave a last block of one row, which @ rounds differently.
+        # From 2^14 complex entries (256 KiB) numpy's own * of two temporaries would swap
+        # its operands; the table kernel names them, so its bits hold at every size.
         g = np.random.default_rng(n)
         for kind, amps in phase_kernel_registers(g, n).items():
             for d in range(2, 8):
                 for prep in (None, orbit_ancilla(g, d, CouplingKind.PHASE)):
                     config = ModuleConfig(n, d, ancilla_prep=prep)
                     orbit, vecs, _ = config.heralding
-                    expect = unfused_phase_branches(amps, n, orbit, vecs)
-                    for (prob, got), branch in zip(phase_branches(amps, config), expect, strict=True):
-                        assert np.array_equal(got.view(np.uint64), branch.view(np.uint64)), (kind, d, prep is None)
-                        assert prob == float(np.sum(np.abs(branch) ** 2))
+                    chains = unfused_phase_branches(amps, n, orbit, vecs)
+                    tables = table_phase_branches(amps, n, orbit, vecs)
+                    assert_phase_bits(phase_branches(amps, config), chains, tables, kind in SYMMETRIC, (kind, d, prep is None))
 
     def test_phase_run_holds_branches_not_a_joint_matrix(self):
         # The phase path keeps d branch vectors and the post-states that replace them,
@@ -640,6 +686,20 @@ class TestWeightKernels:
         finally:
             tracemalloc.stop()
         assert peak < (d + 3.5) * (16 << n)
+
+    @pytest.mark.parametrize("n, d", [(16, 3), (17, 7)])
+    def test_phase_run_of_a_random_register_holds_only_its_branches(self, n, d):
+        # The table kernel forms one branch at a time in its gathered array, so an
+        # unclassified run peaks at its d branches plus a real |branch|^2 temporary.
+        state, config = random_register(n, n), ModuleConfig(n, d)
+        run_module(state, config, classify_states=False)  # builds the cached weight tables
+        tracemalloc.start()
+        try:
+            run_module(state, config, classify_states=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (d + 1) * (16 << n)
 
     @pytest.mark.parametrize("n", [*range(1, 13), 16])
     def test_in_place_shift_kernel_keeps_the_copying_bits(self, n):
@@ -660,7 +720,7 @@ class TestWeightKernels:
                 for prep in (None, orbit_ancilla(g, d, CouplingKind.SHIFT)):
                     config = ModuleConfig(n, d, CouplingKind.SHIFT, ancilla_prep=prep)
                     orbit, vecs, _ = config.heralding
-                    got = _branches(amps, n, CouplingKind.SHIFT, pauli_x(d), orbit, vecs)
+                    got = _branches(amps, _weight_representatives(amps, n), n, CouplingKind.SHIFT, pauli_x(d), orbit, vecs)
                     for (prob, branch), (p0, b0) in zip(got, copying_shift_branches(amps, n, orbit, vecs), strict=True):
                         where = (kind, d, prep is None)
                         assert prob == p0, where
