@@ -703,8 +703,9 @@ class TestWeightKernels:
 
     @pytest.mark.parametrize("n", [*range(1, 13), 16])
     def test_in_place_shift_kernel_keeps_the_copying_bits(self, n):
-        # At n=16 numpy forms hat * gathered in the gathered temporary, with the operands
-        # swapped, and the swap moves the imaginary bits of a custom ancilla's branches.
+        # n=16 is above 256 KiB, where numpy's own hat * gathered would swap its operands
+        # (temporary elision) and move the imaginary bits of a custom ancilla's branches;
+        # the kernel and the oracle both name the order, hat first.
         # From n = 2 a real constant register (|+>^n and -|+>^n) skips the butterfly; a
         # complex multiple of |+>^n, a Dicke sum, the near miss, the random register and
         # every 1-qubit register take it.  Every register keeps the copying kernel's bits
