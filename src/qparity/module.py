@@ -9,23 +9,24 @@ ancilla; it heralds the Hadamard-basis excitation number instead.  Any
 other ancilla is admitted by ``solver.check_orbit`` alone, when its orbit
 under Z_d or X_d is orthonormal: ``ModuleConfig`` runs that check for a
 custom ancilla, and ``_coupling`` runs it once per (d, coupling) for the
-default one.
+default one.  Outcome m of a custom ancilla finds it at V^m|prep>, so it
+heralds parity m.
 
 ``run_module`` reports every heralded branch (see ``_branches``).  The module
-heralds wt mod d, so branch m is amps * T[m, wt mod d] with
-T[m, w] = <r_m|V^w|prep> (phase), or the same in the Hadamard basis (shift).
-One table kernel forms the branches of both couplings that way, one at a
-time, so a run holds d branch vectors and never the (2^n, d) joint state.
-When every amplitude has the exact bits of its weight class's first one
-(|+>^n, and every Dicke sum), the phase kernel instead runs the
-per-excitation chain on those n + 1 representatives and gathers each branch
-by weight; the golden reports print rounding-level Dicke residuals, so their
-digest pins that chain's bits.  A register that is not weight-symmetric is
-almost always told apart at the first comparison, amps[1] against amps[2].
-The shift kernel transforms each nonzero branch back in place, except on a
-register of two or more qubits with one real amplitude (|+>^n up to sign):
-the transform of that is known exactly, so each branch is filled with one
-value, the butterfly's, with no Walsh-Hadamard transform.  Each branch is
+heralds wt mod d, and the ancilla never needs to exist in memory: branch m is
+the class mask, b where wt(x) == parity(m) (mod d) and 0 elsewhere, with
+b = amps (phase) or b = H^(x)n amps (shift), and a shift branch is then
+transformed back in place.  Its probability is the class's share of |b|^2,
+the histogram ``outcome_distribution`` reports, so a run holds d branch
+vectors and never the (2^n, d) joint state.  An exact bit check finds two
+registers that take their own routes.  On a weight-symmetric register
+(|+>^n, and every Dicke sum) with the default phase ancilla, the
+per-excitation chain runs on the n + 1 weight representatives and each
+branch is gathered by weight; the golden reports print rounding-level Dicke
+residuals, so their digest pins that chain's bits.  A shift register of two
+or more qubits with one real amplitude (|+>^n up to sign) lies in the
+Hadamard class 0, so its parity-0 branch is the register itself and every
+other branch is zero, with no Walsh-Hadamard transform.  Each branch is
 then divided by its norm in place and becomes its post-state's array, so a
 branch is allocated once.
 
@@ -42,7 +43,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -58,9 +59,10 @@ MAX_QUBITS_ENV = "QPARITY_MAX_QUBITS"
 # A branch below this probability is reported as zero: a class the input does
 # not touch still collects ~1e-32 of rounding, and a real branch carries far more.
 ZERO_PROBABILITY_ATOL = 1e-12
-# A unitary coupling keeps the branch probabilities' total at |state|^2 |prep|^4 (the
-# orbit of |prep> is also the readout), and the input guards let a caller's register
-# and custom ancilla each miss norm 1 by NORM_ATOL: 6 NORM_ATOL in all, plus rounding.
+# The branch probabilities total |state|^2: a custom ancilla does not enter them, and only
+# the default prep, normalized within NORMALIZED_ATOL, reaches the per-excitation chain,
+# which scales the total by |prep|^2.  The register guard lets |state|^2 miss 1 by
+# 2 NORM_ATOL + NORM_ATOL^2; the rest is room for the readout's rounding, which grows with d.
 _PROBABILITY_SUM_ATOL = 6 * NORM_ATOL + NORMALIZED_ATOL
 # The symmetry check of ``_weight_representatives`` compares blocks of this many
 # amplitudes, so that it needs no temporary of register size.
@@ -104,34 +106,32 @@ class CouplingKind(Enum):
 
 @dataclass(frozen=True, eq=False)
 class _Coupling:
-    """What ``run_module`` needs of one (d, coupling); every array is read-only.
+    """What admission, the per-excitation chain and the default outcome labels read of
+    one (d, coupling); every array is read-only.
 
     ``step`` is V, the ancilla step of one excitation: Z_d (phase) or X_d
-    (shift).  ``orbit`` holds the kets V^m|prep> of the default ancilla
-    |prep>, one row per m.  ``readout`` holds the measurement kets, one row
-    per outcome, and row 0 is |prep>; outcome m heralds ``parities[m]``.
+    (shift).  ``readout`` holds the default measurement kets, one row per
+    outcome, and row 0 is the default ancilla; outcome m heralds ``parities[m]``.
     """
 
     step: Operator
-    orbit: np.ndarray
     readout: np.ndarray
     parities: tuple[int, ...]
 
 
-def _admitted_orbit(step: Operator, prep: Ket) -> np.ndarray:
-    """The rows V^m|prep>, m in [0, d), from ``solver.check_orbit``; raises unless orthonormal."""
+def _admit(step: Operator, prep: Ket) -> None:
+    """Raise unless ``solver.check_orbit`` finds the orbit V^m|prep>, m in [0, d), orthonormal."""
     report = check_orbit(step, prep, step.dim)
     if not report.orthonormal:
         raise ValueError(
             f"ancilla preparation does not generate an orthonormal orbit "
             f"(Gram deviation {report.max_deviation:.3e}); heralding would be ambiguous"
         )
-    return report.orbit
 
 
 @lru_cache(maxsize=64)
 def _coupling(d: int, coupling: CouplingKind) -> _Coupling:
-    """The coupling's step, default orbit and readout, built once per (d, coupling)."""
+    """The coupling's step and default readout, admitted and built once per (d, coupling)."""
     if coupling is CouplingKind.PHASE:
         step = pauli_z(d)
         readout = np.array([fourier_ket(d, m).amps for m in range(d)])
@@ -141,8 +141,8 @@ def _coupling(d: int, coupling: CouplingKind) -> _Coupling:
         readout = np.eye(d, dtype=complex)
         parities = tuple(range(d))
     readout.setflags(write=False)
-    orbit = _admitted_orbit(step, Ket(readout[0], (d,), normalized=True))
-    return _Coupling(step, orbit, readout, parities)
+    _admit(step, Ket(readout[0], (d,), normalized=True))
+    return _Coupling(step, readout, parities)
 
 
 @dataclass(frozen=True)
@@ -153,16 +153,15 @@ class ModuleConfig:
     any other normalized d-level state may be supplied.  ``solver.check_orbit``
     admits it at construction only if its orbit under the coupling operator
     (Z_d or X_d) is orthonormal; the measurement is then taken in that orbit
-    basis and outcome m heralds parity m directly.  The validated orbit is
-    kept, so a run does not check it again.  A register that the statevector
-    cap does not admit is refused here, before any state of its size exists.
+    basis and outcome m heralds parity m directly.  A register that the
+    statevector cap does not admit is refused here, before any state of its
+    size exists.
     """
 
     n: int
     d: int
     coupling: CouplingKind = CouplingKind.PHASE
     ancilla_prep: Ket | None = None
-    _orbit: np.ndarray | None = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -177,16 +176,7 @@ class ModuleConfig:
             if prep.dim != self.d:
                 raise ValueError(f"ancilla preparation has dimension {prep.dim}, expected {self.d}")
             require_normalized(prep, "ancilla preparation")
-            object.__setattr__(self, "_orbit", _admitted_orbit(_coupling(self.d, self.coupling).step, prep))
-
-    @property
-    def heralding(self) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
-        """The rows V^m|prep>, the readout kets as rows, and the parity each outcome heralds."""
-        if self._orbit is None:
-            setup = _coupling(self.d, self.coupling)
-            return setup.orbit, setup.readout, setup.parities
-        # Outcome m finds the ancilla at V^m|prep>, so it heralds parity m.
-        return self._orbit, self._orbit, tuple(range(self.d))
+            _admit(_coupling(self.d, self.coupling).step, prep)
 
 
 @dataclass(frozen=True)
@@ -255,12 +245,14 @@ def _hadamard_transform(a: np.ndarray, n: int) -> np.ndarray:
 def _hadamard_in_place(t: np.ndarray, n: int) -> np.ndarray:
     """H^(x)n applied along the first axis of the C-ordered complex array ``t``, in place.
 
-    A butterfly: each qubit pass replaces the halves (lo, hi) by (lo + hi, lo - hi).
+    A butterfly: each qubit pass replaces the halves (lo, hi) by (lo + hi, lo - hi),
+    with lo + hi written to one half-size scratch that every pass reuses.
     """
+    scratch = np.empty(t.size // 2, dtype=t.dtype)
     for q in range(n):
         v = t.reshape(1 << q, 2, -1)
         lo, hi = v[:, 0], v[:, 1]
-        total = lo + hi
+        total = np.add(lo, hi, out=scratch.reshape(lo.shape))
         np.subtract(lo, hi, out=hi)
         lo[...] = total
     t *= 2.0 ** (-n / 2)
@@ -299,29 +291,6 @@ def _weight_representatives(amps: np.ndarray, n: int) -> np.ndarray | None:
     return reps
 
 
-def _constant_shift_branches(value: complex, n: int, table: np.ndarray):
-    """The shift kernel's (probability, branch) pairs for the register whose every amplitude
-    is the real ``value`` (see ``_branches``), with the butterfly's values and no transform.
-
-    The butterfly turns a constant register into h = 2^n value 2^(-n/2) e_0 exactly (each
-    pass adds equal halves and subtracts them to exact zeros), so branch m has h_0 T[m, 0]
-    at string 0 and zeros elsewhere, and transforming that back fills every string with
-    h_0 T[m, 0] 2^(-n/2).  A real h_0 makes each part of h_0 T[m, 0] one rounded product,
-    whatever the operand order.  The values are the butterfly's; so are the bits on |+>^n,
-    but adding signed zeros can leave some zero parts -0.0 (as on -|+>^n) where this
-    repeats one sign.
-    """
-    scale = np.full(1, 2.0 ** (-n / 2))
-    hat = np.full(1, value) * float(1 << n) * scale
-    for row in table:
-        coeff = hat * row[:1]
-        prob = float(np.sum(np.abs(coeff) ** 2))
-        if prob < ZERO_PROBABILITY_ATOL:
-            yield prob, None
-        else:
-            yield prob, np.full(1 << n, (coeff * scale)[0])
-
-
 def _real_constant(reps: np.ndarray | None) -> complex | None:
     """reps[0] when every representative has its bits and it is real; None otherwise."""
     if reps is None or reps[0].imag != 0:
@@ -352,53 +321,59 @@ def _phase_representatives(reps: np.ndarray, prep: np.ndarray, clock: np.ndarray
     return [rows @ v for v in conj]
 
 
-def _branches(amps: np.ndarray, reps: np.ndarray | None, n: int, coupling: CouplingKind, step: Operator, orbit: np.ndarray, vecs: np.ndarray):
-    """(probability, branch) for each outcome m, in outcome order; branch is None when
-    the probability is below ``ZERO_PROBABILITY_ATOL``.  ``reps`` is what
-    ``_weight_representatives`` returns for ``amps``, ``orbit`` holds the kets
-    V^w|prep>, one row per w, and ``vecs`` the readout kets <r_m|.
+def _heralded(amps: np.ndarray, n: int, d: int, coupling: CouplingKind) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """b = amps (phase) or H^(x)n amps (shift), the weight classes wt mod d, and the
+    probability of each class, the histogram of |b|^2 over them."""
+    b = amps if coupling is CouplingKind.PHASE else _hadamard_transform(amps, n)
+    classes = weight_classes(n, d)
+    return b, classes, np.bincount(classes, np.abs(b) ** 2, minlength=d)
 
-    The module heralds wt mod d, so branch m is b * T[m, wt mod d] with
-    T[m, w] = <r_m|V^w|prep> and b = amps (phase) or h = H^(x)n amps (shift); in the
-    Hadamard basis every shift coupling is a controlled X_d, an exact permutation.
-    One loop forms the branches of both couplings this way: T is widened to the n + 1
-    weights, gathered by weight, and multiplied by b in the gathered array, as
-    b * gathered.  A shift branch's probability is read off h * T[m, .] (Parseval),
-    and only a nonzero one is transformed back, in place.
+
+def _branches(amps: np.ndarray, reps: np.ndarray | None, config: ModuleConfig):
+    """(parity, probability, branch) for each outcome, in outcome order; branch is None
+    when the probability is below ``ZERO_PROBABILITY_ATOL``.  ``reps`` is what
+    ``_weight_representatives`` returns for ``amps``.
+
+    The module heralds wt mod d, so branch m is the class mask
+    ``np.where(classes == parity, b, 0)`` with b and the probabilities from
+    ``_heralded``; in the Hadamard basis every shift coupling is a controlled X_d,
+    an exact permutation, and a nonzero shift branch is transformed back in place.
     Two registers that the exact check of ``_weight_representatives`` finds take
-    their own routes.  A weight-symmetric register (|+>^n and every Dicke sum) runs
-    the phase kernel on its n + 1 representatives as the per-excitation chain of
-    ``_phase_representatives``, whose bits the golden reports pin, and gathers each
-    branch by weight.  A shift run of n >= 2 qubits whose every amplitude is one real
-    value (|+>^n up to sign) skips both transforms: each branch is one value repeated,
-    with the butterfly's values (see ``_constant_shift_branches``).
-    Each branch yielded is a new array that the caller may normalize in place
-    and keep.
+    their own routes.  With the default phase ancilla a weight-symmetric register
+    (|+>^n and every Dicke sum) runs the per-excitation chain of
+    ``_phase_representatives`` on its n + 1 representatives, whose bits the golden
+    reports pin, and gathers each branch by weight.  A shift register of n >= 2
+    qubits whose every amplitude is one real value (|+>^n up to sign) is
+    H^(x)n 2^(n/2) value e_0, all in class 0: its parity-0 branch is a copy of the
+    register, with the register's squared norm 2^n value^2 as its probability, and
+    every other branch is zero.  Each branch yielded is a new array that the caller
+    may normalize in place and keep.
     """
-    wts = hamming_weights(n)
-    if coupling is CouplingKind.PHASE and reps is not None:
-        branches = [np.empty(1 << n, dtype=complex) for _ in vecs]
-        for branch, val in zip(branches, _phase_representatives(reps, orbit[0], np.diag(step.entries), vecs.conj())):
-            np.take(val, wts, out=branch)
-        while branches:  # a popped branch is freed once the caller drops it
-            branch = branches.pop(0)
-            prob = float(np.sum(np.abs(branch) ** 2))
-            yield prob, (branch if prob >= ZERO_PROBABILITY_ATOL else None)
-        return
-    table = vecs.conj() @ orbit.T
+    n, d, coupling = config.n, config.d, config.coupling
+    setup = _coupling(d, coupling)
+    parities = setup.parities if config.ancilla_prep is None else tuple(range(d))
     value = _real_constant(reps)
-    if coupling is CouplingKind.SHIFT and value is not None and n >= 2:
-        yield from _constant_shift_branches(value, n, table)
-        return
-    base = amps if coupling is CouplingKind.PHASE else _hadamard_transform(amps, n)
-    for row in table[:, np.arange(n + 1) % table.shape[1]]:
-        branch = np.take(row, wts)  # take gathers by uint8 faster than indexing
-        np.multiply(base, branch, out=branch)
-        prob = float(np.sum(np.abs(branch) ** 2))
-        if prob < ZERO_PROBABILITY_ATOL:
-            yield prob, None
-        else:
-            yield prob, (branch if coupling is CouplingKind.PHASE else _hadamard_in_place(branch, n))
+    if coupling is CouplingKind.PHASE and config.ancilla_prep is None and reps is not None:
+        wts = hamming_weights(n)
+        rows = _phase_representatives(reps, setup.readout[0], np.diag(setup.step.entries), setup.readout.conj())
+        branches = [np.take(row, wts) for row in rows]
+        for parity in parities:
+            branch = branches.pop(0)  # freed once the caller drops it
+            prob = float(np.sum(np.abs(branch) ** 2))
+            yield parity, prob, (branch if prob >= ZERO_PROBABILITY_ATOL else None)
+    elif coupling is CouplingKind.SHIFT and value is not None and n >= 2:
+        norm2 = float(1 << n) * value.real**2
+        for parity in parities:
+            yield (parity, norm2, amps.copy()) if parity == 0 else (parity, 0.0, None)
+    else:
+        b, classes, probs = _heralded(amps, n, d, coupling)
+        for parity in parities:
+            prob = float(probs[parity])
+            if prob < ZERO_PROBABILITY_ATOL:
+                yield parity, prob, None
+                continue
+            branch = np.where(classes == parity, b, 0)
+            yield parity, prob, (branch if coupling is CouplingKind.PHASE else _hadamard_in_place(branch, n))
 
 
 def _exact_parity_probability(n: int, d: int, coupling: CouplingKind, parity: int) -> Fraction:
@@ -427,15 +402,11 @@ def run_module(state: Ket, config: ModuleConfig, *, classify_states: bool = True
     preparation is the default one.
     """
     _check_register(state, config)
-    step = _coupling(config.d, config.coupling).step
-    orbit, vecs, parities = config.heralding
     reps = _weight_representatives(state.amps, config.n)
     value = _real_constant(reps)
     exact_ok = config.ancilla_prep is None and value is not None and value.real > 0
     records = []
-    branches = _branches(state.amps, reps, config.n, config.coupling, step, orbit, vecs)
-    for m, (prob, branch) in enumerate(branches):
-        parity = parities[m]
+    for m, (parity, prob, branch) in enumerate(_branches(state.amps, reps, config)):
         exact = _exact_parity_probability(config.n, config.d, config.coupling, parity) if exact_ok else None
         if branch is None:
             records.append(OutcomeRecord(m, parity, prob, exact, None, None, True))
@@ -457,8 +428,7 @@ def outcome_distribution(state: Ket, n: int, d: int, coupling: CouplingKind = Co
     in the computational basis (phase) or the Hadamard basis (shift).
     """
     _check_register(state, ModuleConfig(n, d, coupling))
-    amps = state.amps if coupling is CouplingKind.PHASE else _hadamard_transform(state.amps, n)
-    probs = np.bincount(weight_classes(n, d), np.abs(amps) ** 2, minlength=d).tolist()
+    probs = _heralded(state.amps, n, d, coupling)[2].tolist()
     total = sum(probs)
     if not abs(total - 1.0) <= _PROBABILITY_SUM_ATOL:
         raise RuntimeError(f"projector probabilities sum to {total}, not 1")

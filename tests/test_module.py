@@ -24,7 +24,6 @@ from qparity.linalg import (
     pauli_z,
     plus_state,
     tensor,
-    weight_classes,
     weight_order,
 )
 from qparity.module import (
@@ -32,6 +31,7 @@ from qparity.module import (
     CouplingKind,
     ModuleConfig,
     ResourceLimitError,
+    _Coupling,
     _branches,
     _coupling,
     _hadamard_in_place,
@@ -43,6 +43,7 @@ from qparity.module import (
     run_module,
     statevector_qubit_limit,
 )
+from qparity import module
 from qparity.linalg import NORM_ATOL
 from qparity.solver import ORBIT_ATOL, check_orbit
 from qparity.states import dicke, dicke_sum, ghz, w
@@ -146,47 +147,61 @@ def phase_kernel(amps, prep, clock, n):
     return mat
 
 
-def unfused_phase_branches(amps, n, orbit, vecs):
+def phase_heralding(d, prep):
+    """The prep, readout rows and heralded parities of a phase config: the Fourier basis
+    for the default ancilla, the orbit Z_d^m|prep> (outcome m, parity m) for a custom one."""
+    if prep is None:
+        vecs = np.array([fourier_ket(d, m).amps for m in range(d)])
+        return vecs[0], vecs, tuple((-m) % d for m in range(d))
+    return prep.amps, check_orbit(pauli_z(d), prep, d).orbit, tuple(range(d))
+
+
+def unfused_phase_branches(amps, n, prep, vecs):
     """Test-only oracle: each phase branch as the full joint matrix contracted with a readout row."""
-    mat = phase_kernel(amps, orbit[0], np.diag(pauli_z(orbit.shape[1]).entries), n)
+    mat = phase_kernel(amps, prep, np.diag(pauli_z(prep.size).entries), n)
     return [mat @ v.conj() for v in vecs]
 
 
-def copying_shift_branches(amps, n, orbit, vecs):
-    """Test-only oracle: the shift kernel as it was before it transformed each branch in
-    place, with a copy per transform."""
-    table = vecs.conj() @ orbit.T
-    hat = _hadamard_transform(amps, n)
-    classes = weight_classes(n, orbit.shape[1])
-    for row in table:
-        branch = np.multiply(hat, np.take(row, classes))
-        prob = float(np.sum(np.abs(branch) ** 2))
+def mask_branches(amps, n, parities):
+    """Test-only oracle: outcome m's branch is amps on the strings of weight == parities[m]
+    (mod d) and 0 elsewhere; its probability is that class's sum of |amps|^2 by np.bincount."""
+    d = len(parities)
+    classes = hamming_weights(n).astype(int) % d
+    probs = np.bincount(classes, np.abs(amps) ** 2, minlength=d)
+    pairs = []
+    for parity in parities:
+        branch = np.zeros(amps.shape, dtype=complex)
+        branch[classes == parity] = amps[classes == parity]
+        pairs.append((float(probs[parity]), branch))
+    return pairs
+
+
+def copying_shift_branches(amps, n, parities):
+    """Test-only oracle: the shift kernel as the mask of H^(x)n amps, each nonzero branch
+    then transformed back by a copying transform."""
+    for prob, branch in mask_branches(_hadamard_transform(amps, n), n, parities):
         yield prob, (_hadamard_transform(branch, n) if prob >= ZERO_PROBABILITY_ATOL else None)
 
 
-def table_phase_branches(amps, n, orbit, vecs):
-    """Test-only oracle: phase branch m as amps * T[m, wt mod d] with T[m, w] = <r_m|Z_d^w|prep>, amps first."""
-    table = vecs.conj() @ orbit.T
-    return [np.multiply(amps, np.take(row, weight_classes(n, orbit.shape[1]))) for row in table]
+def chain_pairs(chains):
+    """The (probability, branch) pairs of the per-excitation chain's branches."""
+    return [(float(np.sum(np.abs(chain) ** 2)), chain) for chain in chains]
 
 
 def phase_branches(amps, config):
     """The phase kernel's (probability, branch) pairs for ``config``'s ancilla."""
-    orbit, vecs, _ = config.heralding
     reps = _weight_representatives(amps, config.n)
-    return list(_branches(amps, reps, config.n, CouplingKind.PHASE, pauli_z(config.d), orbit, vecs))
+    return [(prob, branch) for _, prob, branch in _branches(amps, reps, config)]
 
 
-def assert_phase_bits(got, chains, tables, symmetric, where):
-    """The phase kernel's pairs keep the chain oracle's bits on a weight-symmetric register,
-    and otherwise the table oracle's bits within 1e-14 of the chain's values."""
-    for (prob, branch), chain, table in zip(got, chains, tables, strict=True):
-        expect = chain if symmetric else table
-        assert prob == float(np.sum(np.abs(expect) ** 2)), where
+def assert_phase_bits(got, expect, chains, where):
+    """The phase kernel's pairs keep the expected oracle's bits, within 1e-14 of the chain's values."""
+    for (prob, branch), (p0, b0), chain in zip(got, expect, chains, strict=True):
+        assert prob == p0, where
         if prob < ZERO_PROBABILITY_ATOL:  # weight classes above n are empty
             assert branch is None, where
             continue
-        assert np.array_equal(branch.view(np.uint64), expect.view(np.uint64)), where
+        assert np.array_equal(branch.view(np.uint64), b0.view(np.uint64)), where
         assert np.abs(branch - chain).max() <= 1e-14, where
 
 
@@ -354,20 +369,22 @@ class TestModuleConfig:
         assert ORBIT_ATOL >= 2 * NORM_ATOL + NORM_ATOL**2
         for scale in (1 - 0.99 * NORM_ATOL, 1 + 0.99 * NORM_ATOL):
             prep = Ket(scale * fourier_ket(3, 1).amps, (3,))
-            orbit, _, _ = ModuleConfig(2, 3, ancilla_prep=prep).heralding
+            ModuleConfig(2, 3, ancilla_prep=prep)
+            orbit = check_orbit(pauli_z(3), prep, 3).orbit
             # Admitted, though its Gram matrix misses I by more than a bound of NORM_ATOL would allow.
             assert np.abs(orbit.conj() @ orbit.T - np.eye(3)).max() > NORM_ATOL
 
     @pytest.mark.parametrize("scale", [1 - 0.9 * NORM_ATOL, 1 + 0.9 * NORM_ATOL])
     @pytest.mark.parametrize("coupling", list(CouplingKind))
     def test_every_input_the_norm_guards_admit_runs(self, coupling, scale):
-        # The probabilities total |state|^2 |prep|^4: 1 +- 6 NORM_ATOL at both guards' edge.
+        # The probabilities total |state|^2 whatever the ancilla: 1 +- 2 NORM_ATOL at the
+        # register guard's edge.  A custom prep no longer scales them.
         n, d = 3, 3
         state = Ket(scale * plus_state(n).amps, (2,) * n)
         prep = Ket(scale * default_ancilla(d, coupling, 1).amps, (d,))
-        for config, power in ((ModuleConfig(n, d, coupling), 2), (ModuleConfig(n, d, coupling, ancilla_prep=prep), 6)):
+        for config in (ModuleConfig(n, d, coupling), ModuleConfig(n, d, coupling, ancilla_prep=prep)):
             records = run_module(state, config, classify_states=False)
-            assert sum(r.probability for r in records) == pytest.approx(scale**power, abs=1e-14)
+            assert sum(r.probability for r in records) == pytest.approx(scale**2, abs=1e-14)
         assert sum(outcome_distribution(state, n, d, coupling)) == pytest.approx(scale**2, abs=1e-14)
 
     def test_default_ancilla_states(self):
@@ -388,17 +405,16 @@ class TestModuleConfig:
     @pytest.mark.parametrize("coupling", list(CouplingKind))
     def test_cached_set_up_is_read_only(self, coupling):
         # run_module shares one record per (d, coupling), equal by value to
-        # the step, orbit and readout it is built from.
+        # the step and readout it is built from, whose row 0 is admitted.
         shift = coupling is CouplingKind.SHIFT
+        assert [f.name for f in fields(_Coupling)] == ["step", "readout", "parities"]
         for d in range(2, 8):
             setup = _coupling(d, coupling)
             assert setup is _coupling(d, coupling)
-            assert not any(a.flags.writeable for a in (setup.step.entries, setup.orbit, setup.readout))
+            assert not any(a.flags.writeable for a in (setup.step.entries, setup.readout))
             step = (pauli_x(d) if shift else pauli_z(d)).entries
             assert setup.step.unitary and np.array_equal(setup.step.entries, step)
-            assert np.array_equal(setup.orbit[0], setup.readout[0])
-            for m in range(1, d):
-                assert np.array_equal(setup.orbit[m], step @ setup.orbit[m - 1])
+            assert check_orbit(setup.step, Ket(setup.readout[0], (d,)), d).orthonormal
             if shift:
                 assert np.array_equal(setup.readout, np.eye(d))
                 assert setup.parities == tuple(range(d))
@@ -548,28 +564,22 @@ class TestCustomAncillaPrep:
     def test_orbit_basis_measurement_heralds_parity_directly(self):
         # Preparing |u_1> instead of |u_0> relabels outcomes but the record
         # already maps outcome m to parity m through the orbit basis.
-        config = ModuleConfig(3, 3, ancilla_prep=fourier_ket(3, 1))
+        prep = fourier_ket(3, 1)
+        config = ModuleConfig(3, 3, ancilla_prep=prep)
         records = run_module(plus_state(3), config)
         by_parity = {r.parity: r for r in records}
         assert by_parity[0].probability == pytest.approx(1 / 4, abs=1e-12)
         assert by_parity[1].probability == pytest.approx(3 / 8, abs=1e-12)
         assert fidelity(by_parity[0].post_state, ghz(3)) == pytest.approx(1.0, abs=1e-12)
         assert fidelity(by_parity[1].post_state, w(3)) == pytest.approx(1.0, abs=1e-12)
+        # The config is its four fields, equal by value; it keeps no orbit.
+        assert config == ModuleConfig(3, 3, ancilla_prep=prep)
+        assert [f.name for f in fields(ModuleConfig)] == ["n", "d", "coupling", "ancilla_prep"]
 
     def test_non_orthonormal_orbit_rejected(self):
         # |0> is an eigenvector of the phase mark, so its orbit never spans.
         with pytest.raises(ValueError, match="orbit"):
             ModuleConfig(2, 2, ancilla_prep=basis_ket((2,), 0))
-
-    def test_config_keeps_the_checked_orbit(self):
-        prep = fourier_ket(3, 1)
-        config = ModuleConfig(3, 3, ancilla_prep=prep)
-        orbit, vecs, parities = config.heralding
-        assert orbit is vecs and not orbit.flags.writeable
-        assert np.array_equal(orbit, check_orbit(pauli_z(3), prep, 3).orbit)
-        assert parities == (0, 1, 2)
-        assert config == ModuleConfig(3, 3, ancilla_prep=prep)
-        assert [f.name for f in fields(ModuleConfig) if f.init] == ["n", "d", "coupling", "ancilla_prep"]
 
     def test_shift_custom_prep(self):
         # For the shift coupling the computational vector |1> has an
@@ -638,8 +648,9 @@ class TestWeightKernels:
         # Entry (x, j) of the coupled state is kron(amps, prep)[x, j] times z_j, wt(x)
         # times over, each product rounded as Python's complex * rounds it (no fused
         # multiply-add); branch m is that matrix contracted with readout row m by @.
-        # A weight-symmetric register keeps those bits; any other takes the table kernel,
-        # which must keep the table oracle's bits and the chain's values.
+        # A weight-symmetric register with the default ancilla keeps those bits; any
+        # other case takes the class mask, which must keep the mask oracle's bits and
+        # the chain's values.
         g = np.random.default_rng(n)
         wts = hamming_weights(n)
         for kind, amps in phase_kernel_registers(g, n).items():
@@ -647,8 +658,8 @@ class TestWeightKernels:
                 clock = np.diag(pauli_z(d).entries)
                 for prep in (None, orbit_ancilla(g, d, CouplingKind.PHASE)):
                     config = ModuleConfig(n, d, ancilla_prep=prep)
-                    orbit, vecs, _ = config.heralding
-                    joint = np.kron(amps, orbit[0]).reshape(1 << n, d)
+                    first, vecs, parities = phase_heralding(d, prep)
+                    joint = np.kron(amps, first).reshape(1 << n, d)
                     chain = np.empty_like(joint)
                     for x, j in np.ndindex(joint.shape):
                         a, z = complex(joint[x, j]), complex(clock[j])
@@ -656,22 +667,77 @@ class TestWeightKernels:
                             a = a * z
                         chain[x, j] = a
                     chains = [chain @ v.conj() for v in vecs]
-                    tables = table_phase_branches(amps, n, orbit, vecs)
-                    assert_phase_bits(phase_branches(amps, config), chains, tables, n == 1 or kind in SYMMETRIC, (kind, d))
+                    on_chain = prep is None and (n == 1 or kind in SYMMETRIC)
+                    expect = chain_pairs(chains) if on_chain else mask_branches(amps, n, parities)
+                    assert_phase_bits(phase_branches(amps, config), expect, chains, (kind, d, prep is None))
 
     @pytest.mark.parametrize("n", range(13, 17))
     def test_fused_phase_kernel_keeps_the_unfused_bits(self, n):
-        # From 2^14 complex entries (256 KiB) numpy's own * of two temporaries would swap
-        # its operands; the table kernel names them, so its bits hold at every size.
+        # The chain on the n + 1 representatives keeps the unfused chain's bits at every
+        # size; every other case keeps the mask oracle's bits.
         g = np.random.default_rng(n)
         for kind, amps in phase_kernel_registers(g, n).items():
             for d in range(2, 8):
                 for prep in (None, orbit_ancilla(g, d, CouplingKind.PHASE)):
                     config = ModuleConfig(n, d, ancilla_prep=prep)
-                    orbit, vecs, _ = config.heralding
-                    chains = unfused_phase_branches(amps, n, orbit, vecs)
-                    tables = table_phase_branches(amps, n, orbit, vecs)
-                    assert_phase_bits(phase_branches(amps, config), chains, tables, kind in SYMMETRIC, (kind, d, prep is None))
+                    first, vecs, parities = phase_heralding(d, prep)
+                    chains = unfused_phase_branches(amps, n, first, vecs)
+                    on_chain = prep is None and kind in SYMMETRIC
+                    expect = chain_pairs(chains) if on_chain else mask_branches(amps, n, parities)
+                    assert_phase_bits(phase_branches(amps, config), expect, chains, (kind, d, prep is None))
+
+    @pytest.mark.parametrize("coupling", list(CouplingKind))
+    def test_the_heralding_table_is_the_parity_permutation(self, coupling):
+        # T[m, w] = <r_m|V^w|prep> is 1 where w == parities[m] and 0 elsewhere, so every
+        # branch is a class mask: to rounding for the default ancilla, and within the
+        # orbit check's tolerance for a custom one, whose outcome m heralds parity m.
+        g = np.random.default_rng(19)
+        for d in range(2, 17):
+            setup = _coupling(d, coupling)
+            orbit = check_orbit(setup.step, Ket(setup.readout[0], (d,)), d).orbit
+            permutation = np.equal.outer(setup.parities, np.arange(d))
+            assert np.abs(setup.readout.conj() @ orbit.T - permutation).max() <= 1e-14, d
+            orbit = check_orbit(setup.step, orbit_ancilla(g, d, coupling), d).orbit
+            assert np.abs(orbit.conj() @ orbit.T - np.eye(d)).max() <= ORBIT_ATOL, d
+
+    def test_only_the_default_phase_ancilla_on_a_symmetric_register_runs_the_chain(self, monkeypatch):
+        calls = []
+
+        def counted(reps, *args):
+            calls.append(reps.size - 1)
+            return chain(reps, *args)
+
+        chain = module._phase_representatives
+        monkeypatch.setattr(module, "_phase_representatives", counted)
+        g = np.random.default_rng(3)
+        for state in (plus_state(4), random_dicke_sum(g, 5)):
+            run_module(state, ModuleConfig(len(state.factor_dims), 3))
+        assert calls == [4, 5]
+        # A custom ancilla on |+>^n, the shift coupling and a random register take the mask.
+        custom = ModuleConfig(4, 3, ancilla_prep=orbit_ancilla(g, 3, CouplingKind.PHASE))
+        for state, config in (
+            (plus_state(4), custom),
+            (random_dicke_sum(g, 4), ModuleConfig(4, 3, CouplingKind.SHIFT)),
+            (random_register(4, 4), ModuleConfig(4, 3)),
+        ):
+            run_module(state, config)
+        assert calls == [4, 5]
+
+    @pytest.mark.parametrize("coupling", list(CouplingKind))
+    def test_mask_route_probabilities_are_the_distribution_bits(self, coupling):
+        # Both routes read the probabilities off one class histogram, so they cannot disagree.
+        g = np.random.default_rng(23)
+        complex_plus = Ket(1j**0.5 * plus_state(6).amps, plus_state(6).factor_dims, normalized=True)
+        for state in (random_register(7, 7), random_register(12, 12), complex_plus, random_dicke_sum(g, 9)):
+            n = len(state.factor_dims)
+            symmetric = _weight_representatives(state.amps, n) is not None
+            for d in range(2, 8):
+                probs = outcome_distribution(state, n, d, coupling)
+                for prep in (None, orbit_ancilla(g, d, coupling)):
+                    if coupling is CouplingKind.PHASE and prep is None and symmetric:
+                        continue  # the chain route
+                    records = run_module(state, ModuleConfig(n, d, coupling, ancilla_prep=prep), classify_states=False)
+                    assert [r.probability for r in records] == [probs[r.parity] for r in records], (n, d)
 
     def test_phase_run_holds_branches_not_a_joint_matrix(self):
         # The phase path keeps d branch vectors and the post-states that replace them,
@@ -703,33 +769,35 @@ class TestWeightKernels:
 
     @pytest.mark.parametrize("n", [*range(1, 13), 16])
     def test_in_place_shift_kernel_keeps_the_copying_bits(self, n):
-        # n=16 is above 256 KiB, where numpy's own hat * gathered would swap its operands
-        # (temporary elision) and move the imaginary bits of a custom ancilla's branches;
-        # the kernel and the oracle both name the order, hat first.
-        # From n = 2 a real constant register (|+>^n and -|+>^n) skips the butterfly; a
-        # complex multiple of |+>^n, a Dicke sum, the near miss, the random register and
-        # every 1-qubit register take it.  Every register keeps the copying kernel's bits
-        # but -|+>^n, which keeps its values: its amplitudes are -2^(-n/2) - 0j, and the
-        # butterfly leaves some zero imaginary parts -0.0 and turns others to +0.0, where
-        # the constant route repeats one branch value with one sign of zero.
+        # The mask of H^(x)n amps, transformed back in place, keeps the bits of the mask
+        # transformed back by a copy.  From n = 2 a real constant register (|+>^n and
+        # -|+>^n) skips the butterfly: its parity-0 branch is the register itself, bit for
+        # bit, with its squared norm as probability, within 1e-15 of the butterfly's
+        # values.  A complex multiple of |+>^n, a Dicke sum, the near miss, the random
+        # register and every 1-qubit register take the butterfly.
         g = np.random.default_rng(n)
         registers = phase_kernel_registers(g, n)
         registers["minus"] = -registers["plus"]
         registers["complex-plus"] = np.exp(2j * np.pi * g.random()) * registers["plus"]
         for kind, amps in registers.items():
+            constant = n >= 2 and kind in ("plus", "minus")
             for d in range(2, 8):
                 for prep in (None, orbit_ancilla(g, d, CouplingKind.SHIFT)):
                     config = ModuleConfig(n, d, CouplingKind.SHIFT, ancilla_prep=prep)
-                    orbit, vecs, _ = config.heralding
-                    got = _branches(amps, _weight_representatives(amps, n), n, CouplingKind.SHIFT, pauli_x(d), orbit, vecs)
-                    for (prob, branch), (p0, b0) in zip(got, copying_shift_branches(amps, n, orbit, vecs), strict=True):
-                        where = (kind, d, prep is None)
-                        assert prob == p0, where
+                    parities = _coupling(d, CouplingKind.SHIFT).parities if prep is None else tuple(range(d))
+                    got = _branches(amps, _weight_representatives(amps, n), config)
+                    for (parity, prob, branch), (p0, b0) in zip(got, copying_shift_branches(amps, n, parities), strict=True):
+                        where = (kind, d, prep is None, parity)
                         assert (branch is None) == (b0 is None), where
+                        if constant:
+                            assert prob == pytest.approx(p0, abs=1e-15) and (prob == 0.0) == (parity != 0), where
+                            if b0 is not None:
+                                assert np.array_equal(branch.view(np.uint64), amps.view(np.uint64)), where
+                                assert np.abs(branch - b0).max() <= 1e-15, where
+                            continue
+                        assert prob == p0, where
                         if b0 is not None:
-                            assert np.array_equal(branch, b0), where
-                            if kind != "minus":
-                                assert np.array_equal(branch.view(np.uint64), b0.view(np.uint64)), where
+                            assert np.array_equal(branch.view(np.uint64), b0.view(np.uint64)), where
 
     def test_constant_shift_run_makes_no_hadamard_transform(self, monkeypatch):
         calls = []
