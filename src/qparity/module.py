@@ -355,8 +355,12 @@ def _branches(amps: np.ndarray, reps: np.ndarray | None, config: ModuleConfig):
     value = _real_constant(reps)
     if coupling is CouplingKind.PHASE and config.ancilla_prep is None and reps is not None:
         wts = hamming_weights(n)
+        # Allocated ahead of the chain's small arrays: taken after them, the branches
+        # raised symmetric_large's max RSS by 2 MB at n = 18.
+        branches = [np.empty(1 << n, dtype=complex) for _ in parities]
         rows = _phase_representatives(reps, setup.readout[0], np.diag(setup.step.entries), setup.readout.conj())
-        branches = [np.take(row, wts) for row in rows]
+        for branch, row in zip(branches, rows):
+            np.take(row, wts, out=branch)
         for parity in parities:
             branch = branches.pop(0)  # freed once the caller drops it
             prob = float(np.sum(np.abs(branch) ** 2))

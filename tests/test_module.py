@@ -755,8 +755,8 @@ class TestWeightKernels:
 
     @pytest.mark.parametrize("n, d", [(16, 3), (17, 7)])
     def test_phase_run_of_a_random_register_holds_only_its_branches(self, n, d):
-        # The table kernel forms one branch at a time in its gathered array, so an
-        # unclassified run peaks at its d branches plus a real |branch|^2 temporary.
+        # The mask kernel forms one branch at a time, after the class histogram of
+        # |amps|^2, so an unclassified run peaks at its d branches plus the weight classes.
         state, config = random_register(n, n), ModuleConfig(n, d)
         run_module(state, config, classify_states=False)  # builds the cached weight tables
         tracemalloc.start()
@@ -823,10 +823,12 @@ class TestWeightKernels:
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_shift_run_of_plus_reports_exact_zero_branches(self, n):
-        # |+>^n is the Hadamard-basis all-zero string: every outcome but 0 has no weight.
+        # |+>^n is the Hadamard-basis all-zero string: every outcome but 0 has no weight,
+        # and the post-state of outcome 0 is |+>^n itself, bit for bit.
         for d in range(2, 8):
             records = run_module(plus_state(n), ModuleConfig(n, d, CouplingKind.SHIFT), classify_states=False)
             assert records[0].probability == pytest.approx(1.0, abs=1e-14)
+            assert np.array_equal(records[0].post_state.amps.view(np.uint64), plus_state(n).amps.view(np.uint64))
             for r in records[1:]:
                 assert r.probability == 0.0 and r.zero_probability, (d, r.outcome_label)
 
