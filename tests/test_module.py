@@ -378,7 +378,7 @@ class TestModuleConfig:
     @pytest.mark.parametrize("coupling", list(CouplingKind))
     def test_every_input_the_norm_guards_admit_runs(self, coupling, scale):
         # The probabilities total |state|^2 whatever the ancilla: 1 +- 2 NORM_ATOL at the
-        # register guard's edge.  A custom prep no longer scales them.
+        # register guard's edge.  A custom prep does not scale them.
         n, d = 3, 3
         state = Ket(scale * plus_state(n).amps, (2,) * n)
         prep = Ket(scale * default_ancilla(d, coupling, 1).amps, (d,))
