@@ -347,7 +347,7 @@ def _dicke_lines(rows: list[dict]) -> list[str]:
 def _w_compare_rows(max_n: int) -> Iterator[dict]:
     for n in range(3, max_n + 1):
         p_w = Fraction(n, 1 << (n - 1))
-        baseline = Fraction(n, 1 << (2 * n - 2)) if n % 2 else Fraction(n, 1 << (2 * n - 3))
+        baseline = verify.w_baseline(n)
         gain = p_w / baseline
         bound = Fraction(1 << (n - 2))
         yield {

@@ -213,11 +213,13 @@ def hamming_weights(n: int) -> np.ndarray:
     return _freeze(np.bitwise_count(np.arange(1 << n)))
 
 
+@lru_cache(maxsize=64)
 def weight_classes(n: int, d: int) -> np.ndarray:
-    """wt(x) mod d for every x in [0, 2^n), as uint8: a weight is at most n, so
-    for d > n it is its own class, and otherwise d fits the uint8 operand."""
+    """Read-only uint8 vector of wt(x) mod d for every x in [0, 2^n), built once per (n, d):
+    a weight is at most n, so for d > n it is its own class, and otherwise d fits the
+    uint8 operand."""
     wts = hamming_weights(n)
-    return wts if d > n else wts % d
+    return wts if d > n else _freeze(wts % d)
 
 
 @lru_cache(maxsize=32)

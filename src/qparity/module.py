@@ -5,12 +5,12 @@ Two equivalent couplings are provided.  The phase coupling applies
 ancilla in the Fourier vector |u_0> and measuring it in the Fourier basis
 heralds the total excitation number mod d.  The shift coupling is the
 Hadamard conjugate (|+><+| x I + |-><-| x X_d) with a computational-basis
-ancilla; it heralds the Hadamard-basis excitation number instead.  Any
-other ancilla is admitted by ``solver.check_orbit`` alone, when its orbit
-under Z_d or X_d is orthonormal: ``ModuleConfig`` runs that check for a
-custom ancilla, and ``_coupling`` runs it once per (d, coupling) for the
-default one.  Outcome m of a custom ancilla finds it at V^m|prep>, so it
-heralds parity m.
+ancilla; it heralds the Hadamard-basis excitation number instead.  The
+ancilla outcome only names the class found.  Default outcome m heralds
+parity -m mod d (phase) or m (shift).  ``ModuleConfig`` admits any other
+ancilla by ``solver.check_orbit`` alone, when its orbit under the step
+V = Z_d or X_d (``_step``) is orthonormal; its outcome m finds it at
+V^m|prep>, so it heralds parity m.
 
 ``run_module`` reports every heralded branch (see ``_branches``).  The module
 heralds wt mod d, and the ancilla never needs to exist in memory: branch m is
@@ -104,45 +104,19 @@ class CouplingKind(Enum):
         return "fourier" if self is CouplingKind.PHASE else "computational"
 
 
-@dataclass(frozen=True, eq=False)
-class _Coupling:
-    """What admission, the per-excitation chain and the default outcome labels read of
-    one (d, coupling); every array is read-only.
-
-    ``step`` is V, the ancilla step of one excitation: Z_d (phase) or X_d
-    (shift).  ``readout`` holds the default measurement kets, one row per
-    outcome, and row 0 is the default ancilla; outcome m heralds ``parities[m]``.
-    """
-
-    step: Operator
-    readout: np.ndarray
-    parities: tuple[int, ...]
-
-
-def _admit(step: Operator, prep: Ket) -> None:
-    """Raise unless ``solver.check_orbit`` finds the orbit V^m|prep>, m in [0, d), orthonormal."""
-    report = check_orbit(step, prep, step.dim)
-    if not report.orthonormal:
-        raise ValueError(
-            f"ancilla preparation does not generate an orthonormal orbit "
-            f"(Gram deviation {report.max_deviation:.3e}); heralding would be ambiguous"
-        )
+@lru_cache(maxsize=64)
+def _step(d: int, coupling: CouplingKind) -> Operator:
+    """V, the ancilla step of one excitation: Z_d (phase) or X_d (shift), built once per
+    (d, coupling).  ``ModuleConfig`` admits a custom ancilla by its orbit under V."""
+    return pauli_z(d) if coupling is CouplingKind.PHASE else pauli_x(d)
 
 
 @lru_cache(maxsize=64)
-def _coupling(d: int, coupling: CouplingKind) -> _Coupling:
-    """The coupling's step and default readout, admitted and built once per (d, coupling)."""
-    if coupling is CouplingKind.PHASE:
-        step = pauli_z(d)
-        readout = np.array([fourier_ket(d, m).amps for m in range(d)])
-        parities = tuple((-m) % d for m in range(d))
-    else:
-        step = pauli_x(d)
-        readout = np.eye(d, dtype=complex)
-        parities = tuple(range(d))
+def _fourier_readout(d: int) -> np.ndarray:
+    """The default phase readout, read-only: row m is |u_m>, and row 0 is the default ancilla."""
+    readout = np.array([fourier_ket(d, m).amps for m in range(d)])
     readout.setflags(write=False)
-    _admit(step, Ket(readout[0], (d,), normalized=True))
-    return _Coupling(step, readout, parities)
+    return readout
 
 
 @dataclass(frozen=True)
@@ -151,11 +125,10 @@ class ModuleConfig:
 
     ``ancilla_prep`` defaults to the canonical preparation for the coupling;
     any other normalized d-level state may be supplied.  ``solver.check_orbit``
-    admits it at construction only if its orbit under the coupling operator
-    (Z_d or X_d) is orthonormal; the measurement is then taken in that orbit
-    basis and outcome m heralds parity m directly.  A register that the
-    statevector cap does not admit is refused here, before any state of its
-    size exists.
+    admits it at construction only if its orbit under the coupling's step
+    (Z_d or X_d) is orthonormal; outcome m then heralds parity m.  A register
+    that the statevector cap does not admit is refused here, before any state
+    of its size exists.
     """
 
     n: int
@@ -176,7 +149,12 @@ class ModuleConfig:
             if prep.dim != self.d:
                 raise ValueError(f"ancilla preparation has dimension {prep.dim}, expected {self.d}")
             require_normalized(prep, "ancilla preparation")
-            _admit(_coupling(self.d, self.coupling).step, prep)
+            report = check_orbit(_step(self.d, self.coupling), prep, self.d)
+            if not report.orthonormal:
+                raise ValueError(
+                    f"ancilla preparation does not generate an orthonormal orbit "
+                    f"(Gram deviation {report.max_deviation:.3e}); heralding would be ambiguous"
+                )
 
 
 @dataclass(frozen=True)
@@ -267,9 +245,7 @@ def build_projectors(n: int, d: int, coupling: CouplingKind = CouplingKind.PHASE
     memory; only the ``projectors`` view forms the matrices.
     """
     ModuleConfig(n, d, coupling)
-    classes = weight_classes(n, d)
-    classes.setflags(write=False)
-    return ProjectorSet(n=n, d=d, coupling=coupling, classes=classes)
+    return ProjectorSet(n=n, d=d, coupling=coupling, classes=weight_classes(n, d))
 
 
 def _weight_representatives(amps: np.ndarray, n: int) -> np.ndarray | None:
@@ -298,16 +274,19 @@ def _real_constant(reps: np.ndarray | None) -> complex | None:
     return reps[0] if np.array_equal(reps.view(np.uint64), np.full_like(reps, reps[0]).view(np.uint64)) else None
 
 
-def _phase_representatives(reps: np.ndarray, prep: np.ndarray, clock: np.ndarray, conj: np.ndarray) -> list[np.ndarray]:
-    """<r_m| of the coupled state's rows for the n + 1 weight representatives, one array per m.
+def _phase_representatives(reps: np.ndarray, d: int) -> list[np.ndarray]:
+    """<u_m| of the coupled state's rows for the n + 1 weight representatives, one array
+    per Fourier outcome m: the default phase ancilla's per-excitation chain.
 
-    Row k is reps[k] prep z^k with z = ``clock``: ``np.multiply.outer`` of ``reps``
-    with prep (the rows ``np.kron`` forms), multiplied one excitation at a time as
-    (re, im) <- (re zr - im zi, re zi + im zr), every product and sum rounded on its
-    own (level k multiplies rows k..n), and then contracted with each readout row
-    ``conj[m]`` by ``@``.
+    Row k is reps[k] u_0 z^k with z the diagonal of ``_step(d, PHASE)``: ``np.multiply.outer``
+    of ``reps`` with u_0 (the rows ``np.kron`` forms), multiplied one excitation at a time
+    as (re, im) <- (re zr - im zi, re zi + im zr), every product and sum rounded on its own
+    (level k multiplies rows k..n), and then contracted with each conjugated row of
+    ``_fourier_readout(d)`` by ``@``.  This is the only code that reads Fourier rows.
     """
-    rows = np.multiply.outer(reps, prep)
+    readout = _fourier_readout(d)
+    clock = np.diag(_step(d, CouplingKind.PHASE).entries)
+    rows = np.multiply.outer(reps, readout[0])
     re, im = rows.real.T.copy(), rows.imag.T.copy()
     zr, zi = clock.real[:, None], clock.imag[:, None]
     for k in range(1, reps.size):
@@ -318,7 +297,7 @@ def _phase_representatives(reps: np.ndarray, prep: np.ndarray, clock: np.ndarray
         r *= zr
         r -= t
     rows.real, rows.imag = re.T, im.T
-    return [rows @ v for v in conj]
+    return [rows @ v for v in readout.conj()]
 
 
 def _heralded(amps: np.ndarray, n: int, d: int, coupling: CouplingKind) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -332,7 +311,8 @@ def _heralded(amps: np.ndarray, n: int, d: int, coupling: CouplingKind) -> tuple
 def _branches(amps: np.ndarray, reps: np.ndarray | None, config: ModuleConfig):
     """(parity, probability, branch) for each outcome, in outcome order; branch is None
     when the probability is below ``ZERO_PROBABILITY_ATOL``.  ``reps`` is what
-    ``_weight_representatives`` returns for ``amps``.
+    ``_weight_representatives`` returns for ``amps``.  Outcome m of the default
+    phase ancilla heralds parity -m mod d, and of every other ancilla parity m.
 
     The module heralds wt mod d, so branch m is the class mask
     ``np.where(classes == parity, b, 0)`` with b and the probabilities from
@@ -350,15 +330,16 @@ def _branches(amps: np.ndarray, reps: np.ndarray | None, config: ModuleConfig):
     may normalize in place and keep.
     """
     n, d, coupling = config.n, config.d, config.coupling
-    setup = _coupling(d, coupling)
-    parities = setup.parities if config.ancilla_prep is None else tuple(range(d))
+    default_phase = coupling is CouplingKind.PHASE and config.ancilla_prep is None
+    # Z_d^w u_0 = u_(-w mod d), so Fourier outcome m heralds parity -m mod d.
+    parities = [(-m) % d for m in range(d)] if default_phase else range(d)
     value = _real_constant(reps)
-    if coupling is CouplingKind.PHASE and config.ancilla_prep is None and reps is not None:
+    if default_phase and reps is not None:
         wts = hamming_weights(n)
         # Allocated ahead of the chain's small arrays: taken after them, the branches
         # raised symmetric_large's max RSS by 2 MB at n = 18.
         branches = [np.empty(1 << n, dtype=complex) for _ in parities]
-        rows = _phase_representatives(reps, setup.readout[0], np.diag(setup.step.entries), setup.readout.conj())
+        rows = _phase_representatives(reps, d)
         for branch, row in zip(branches, rows):
             np.take(row, wts, out=branch)
         for parity in parities:

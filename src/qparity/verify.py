@@ -231,6 +231,12 @@ def suite_examples() -> list[Check]:
     return checks
 
 
+def w_baseline(n: int) -> Fraction:
+    """Success probability of the linear-optics W_n preparation the module is compared
+    with: n/2^(2n-2) for odd n, n/2^(2n-3) for even n."""
+    return Fraction(n, 1 << (2 * n - 2)) if n % 2 else Fraction(n, 1 << (2 * n - 3))
+
+
 def suite_probabilities() -> list[Check]:
     per_outcome: list[str] = []
     ghz_rate: list[str] = []
@@ -254,10 +260,7 @@ def suite_probabilities() -> list[Check]:
             for parity in (1, n - 1):
                 if by_parity[parity].classification.label() != "W":
                     w_rate.append(f"(n={n},k={parity}) is {by_parity[parity].classification.label()}")
-            baseline = (
-                Fraction(n, 1 << (2 * n - 2)) if n % 2 else Fraction(n, 1 << (2 * n - 3))
-            )
-            if agg / baseline < Fraction(1 << (n - 2)):
+            if agg / w_baseline(n) < Fraction(1 << (n - 2)):
                 gain.append(f"(n={n})")
     return [
         _check("per-outcome probabilities are binomial-sum rationals", per_outcome),

@@ -21,6 +21,8 @@ from qparity.module import outcome_distribution
 from qparity.reports import verify_checksum
 from qparity.verify import Check
 
+from conftest import random_ket_amps
+
 
 def run_cli(capsys, argv):
     code = main(argv)
@@ -117,6 +119,16 @@ class TestSimulate:
         branches = {o["parity"]: o for o in payload["outcomes"]}
         assert branches[0]["zero_probability"] is True
         assert branches[1]["probability"] == "1"
+
+    def test_random_file_runs_at_a_d_whose_fourier_kets_fail_their_norm_check(self, capsys, tmp_path, rng):
+        # Only the per-excitation chain reads Fourier rows, and a random register never
+        # takes it, so d = 140 runs (ROADMAP item 1 mends the chain's rows).
+        path = tmp_path / "random.txt"
+        write_amplitude_file(path, Ket(random_ket_amps(rng, 8), (2, 2, 2), normalized=True))
+        code, out, err = run_cli(capsys, ["simulate", "-d", "140", "--input", str(path), "--json"])
+        assert code == 0, err
+        payload = json.loads(out)
+        assert verify_checksum(payload) and len(payload["outcomes"]) == 140
 
     def test_qubit_count_conflict(self, capsys, tmp_path):
         path = tmp_path / "bell.txt"

@@ -234,7 +234,10 @@ class TestIndexing:
     def test_weight_classes_are_weights_mod_d(self, n):
         wts = [bin(x).count("1") for x in range(1 << n)]
         for d in (2, 3, n, n + 1, 255, 256, 300):
-            assert weight_classes(n, d).tolist() == [w % d for w in wts]
+            classes = weight_classes(n, d)
+            assert classes.tolist() == [w % d for w in wts]
+            # Built once per (n, d) and shared, like hamming_weights, so no caller may write it.
+            assert classes is weight_classes(n, d) and classes.dtype == np.uint8 and not classes.flags.writeable
         # Every weight is its own class once d exceeds n: the cached array itself.
         assert weight_classes(n, n + 1) is hamming_weights(n)
 

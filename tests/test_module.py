@@ -31,11 +31,11 @@ from qparity.module import (
     CouplingKind,
     ModuleConfig,
     ResourceLimitError,
-    _Coupling,
     _branches,
-    _coupling,
+    _fourier_readout,
     _hadamard_in_place,
     _hadamard_transform,
+    _step,
     _weight_representatives,
     build_projectors,
     outcome_distribution,
@@ -45,7 +45,7 @@ from qparity.module import (
 )
 from qparity import module
 from qparity.linalg import NORM_ATOL
-from qparity.solver import ORBIT_ATOL, check_orbit
+from qparity.solver import ORBIT_ATOL, admissible_state, check_orbit, roots_of_unity_spec
 from qparity.states import dicke, dicke_sum, ghz, w
 
 from conftest import random_ket_amps
@@ -79,6 +79,11 @@ def fourier_sum_projectors(n, d, coupling):
 def default_ancilla(d, coupling, index=0):
     """|u_index> for the phase coupling, |index> for the shift coupling."""
     return fourier_ket(d, index) if coupling is CouplingKind.PHASE else basis_ket((d,), index)
+
+
+def default_parities(d, coupling):
+    """The parity outcome m of the default ancilla heralds: -m mod d (phase), m (shift)."""
+    return tuple((-m) % d if coupling is CouplingKind.PHASE else m for m in range(d))
 
 
 def coupling_gate(d, coupling):
@@ -152,7 +157,7 @@ def phase_heralding(d, prep):
     for the default ancilla, the orbit Z_d^m|prep> (outcome m, parity m) for a custom one."""
     if prep is None:
         vecs = np.array([fourier_ket(d, m).amps for m in range(d)])
-        return vecs[0], vecs, tuple((-m) % d for m in range(d))
+        return vecs[0], vecs, default_parities(d, CouplingKind.PHASE)
     return prep.amps, check_orbit(pauli_z(d), prep, d).orbit, tuple(range(d))
 
 
@@ -388,11 +393,14 @@ class TestModuleConfig:
         assert sum(outcome_distribution(state, n, d, coupling)) == pytest.approx(scale**2, abs=1e-14)
 
     def test_default_ancilla_states(self):
-        # Readout row 0 is the default ancilla: supplying it as a custom
-        # preparation relabels the outcomes but heralds the same branches.
+        # The default ancilla (Fourier readout row 0, or |0>) is admitted by its orbit under
+        # the step: supplying it as a custom preparation relabels the outcomes but heralds
+        # the same branches.
         for coupling, d in itertools.product(CouplingKind, range(2, 6)):
             prep = default_ancilla(d, coupling)
-            assert np.array_equal(_coupling(d, coupling).readout[0], prep.amps)
+            if coupling is CouplingKind.PHASE:
+                assert np.array_equal(_fourier_readout(d)[0], prep.amps)
+            assert check_orbit(_step(d, coupling), prep, d).orthonormal
             state = random_register(d, 3)
             default = run_module(state, ModuleConfig(3, d, coupling), classify_states=False)
             custom = run_module(state, ModuleConfig(3, d, coupling, ancilla_prep=prep), classify_states=False)
@@ -404,25 +412,24 @@ class TestModuleConfig:
 
     @pytest.mark.parametrize("coupling", list(CouplingKind))
     def test_cached_set_up_is_read_only(self, coupling):
-        # run_module shares one record per (d, coupling), equal by value to
-        # the step and readout it is built from, whose row 0 is admitted.
+        # run_module shares one step per (d, coupling) and one Fourier readout per d, equal
+        # by value to what they are built from; the default ancilla (readout row 0, or |0>)
+        # is admitted, and the default outcomes carry the default parities on both routes.
         shift = coupling is CouplingKind.SHIFT
-        assert [f.name for f in fields(_Coupling)] == ["step", "readout", "parities"]
+        g = np.random.default_rng(29)
         for d in range(2, 8):
-            setup = _coupling(d, coupling)
-            assert setup is _coupling(d, coupling)
-            assert not any(a.flags.writeable for a in (setup.step.entries, setup.readout))
-            step = (pauli_x(d) if shift else pauli_z(d)).entries
-            assert setup.step.unitary and np.array_equal(setup.step.entries, step)
-            assert check_orbit(setup.step, Ket(setup.readout[0], (d,)), d).orthonormal
-            if shift:
-                assert np.array_equal(setup.readout, np.eye(d))
-                assert setup.parities == tuple(range(d))
-                assert coupling.measurement_basis == "computational"
-            else:
-                assert np.array_equal(setup.readout, [fourier_ket(d, m).amps for m in range(d)])
-                assert setup.parities == tuple((-m) % d for m in range(d))
-                assert coupling.measurement_basis == "fourier"
+            step = _step(d, coupling)
+            assert step is _step(d, coupling) and not step.entries.flags.writeable
+            assert step.unitary and np.array_equal(step.entries, (pauli_x(d) if shift else pauli_z(d)).entries)
+            readout = _fourier_readout(d)
+            assert readout is _fourier_readout(d) and not readout.flags.writeable
+            assert np.array_equal(readout, [fourier_ket(d, m).amps for m in range(d)])
+            default = basis_ket((d,), 0) if shift else Ket(readout[0], (d,))
+            assert check_orbit(step, default, d).orthonormal
+            for amps in (plus_state(3).amps, random_ket_amps(g, 8)):
+                got = _branches(amps, _weight_representatives(amps, 3), ModuleConfig(3, d, coupling))
+                assert tuple(parity for parity, _, _ in got) == default_parities(d, coupling)
+            assert coupling.measurement_basis == ("computational" if shift else "fourier")
 
     @pytest.mark.parametrize("coupling", list(CouplingKind))
     def test_warm_custom_ancilla_run_builds_no_operator(self, monkeypatch, coupling):
@@ -562,8 +569,8 @@ class TestExactProbabilities:
 
 class TestCustomAncillaPrep:
     def test_orbit_basis_measurement_heralds_parity_directly(self):
-        # Preparing |u_1> instead of |u_0> relabels outcomes but the record
-        # already maps outcome m to parity m through the orbit basis.
+        # Preparing |u_1> instead of |u_0> relabels outcomes: outcome m of a
+        # custom ancilla finds it at Z_d^m|u_1> and heralds parity m.
         prep = fourier_ket(3, 1)
         config = ModuleConfig(3, 3, ancilla_prep=prep)
         records = run_module(plus_state(3), config)
@@ -693,11 +700,12 @@ class TestWeightKernels:
         # orbit check's tolerance for a custom one, whose outcome m heralds parity m.
         g = np.random.default_rng(19)
         for d in range(2, 17):
-            setup = _coupling(d, coupling)
-            orbit = check_orbit(setup.step, Ket(setup.readout[0], (d,)), d).orbit
-            permutation = np.equal.outer(setup.parities, np.arange(d))
-            assert np.abs(setup.readout.conj() @ orbit.T - permutation).max() <= 1e-14, d
-            orbit = check_orbit(setup.step, orbit_ancilla(g, d, coupling), d).orbit
+            step = _step(d, coupling)
+            readout = np.eye(d) if coupling is CouplingKind.SHIFT else _fourier_readout(d)
+            orbit = check_orbit(step, Ket(readout[0], (d,)), d).orbit
+            permutation = np.equal.outer(default_parities(d, coupling), np.arange(d))
+            assert np.abs(readout.conj() @ orbit.T - permutation).max() <= 1e-14, d
+            orbit = check_orbit(step, orbit_ancilla(g, d, coupling), d).orbit
             assert np.abs(orbit.conj() @ orbit.T - np.eye(d)).max() <= ORBIT_ATOL, d
 
     def test_only_the_default_phase_ancilla_on_a_symmetric_register_runs_the_chain(self, monkeypatch):
@@ -722,6 +730,46 @@ class TestWeightKernels:
         ):
             run_module(state, config)
         assert calls == [4, 5]
+
+    def test_only_the_chain_builds_fourier_rows(self, monkeypatch):
+        # The mask route labels its outcomes without a readout: at a d no run has used yet,
+        # a default or custom phase run off the chain, and any shift run, builds no Fourier
+        # ket.  The chain builds the d rows once per d.
+        n, d = 4, 29
+        g = np.random.default_rng(29)
+        built = []
+
+        def counted(dim, k):
+            built.append(k)
+            return fourier_ket(dim, k)
+
+        monkeypatch.setattr(module, "fourier_ket", counted)
+        for state, config in (
+            (random_register(n, n), ModuleConfig(n, d)),
+            (plus_state(n), ModuleConfig(n, d, ancilla_prep=orbit_ancilla(g, d, CouplingKind.PHASE))),
+            (plus_state(n), ModuleConfig(n, d, CouplingKind.SHIFT)),
+            (random_dicke_sum(g, n), ModuleConfig(n, d, CouplingKind.SHIFT, ancilla_prep=orbit_ancilla(g, d, CouplingKind.SHIFT))),
+        ):
+            run_module(state, config)
+        assert built == []
+        module._fourier_readout.cache_clear()
+        for state in (plus_state(n), random_dicke_sum(g, n)):
+            run_module(state, ModuleConfig(n, d))
+        assert built == list(range(d))
+
+    def test_mask_route_runs_where_fourier_kets_fail_their_norm_check(self):
+        # Some fourier_ket(140, m) misses its own norm check (ROADMAP item 1), and only the
+        # chain reads Fourier rows: a random register runs at d = 140, and a custom phase
+        # ancilla from the solver is admitted and runs, each with the histogram's probabilities.
+        n, d = 3, 140
+        g = np.random.default_rng(140)
+        state = random_register(d, n)
+        probs = outcome_distribution(state, n, d)
+        prep = admissible_state(roots_of_unity_spec(d), list(2 * np.pi * g.random(d)))
+        for config in (ModuleConfig(n, d), ModuleConfig(n, d, ancilla_prep=prep)):
+            records = run_module(state, config, classify_states=False)
+            assert [r.probability for r in records] == [probs[r.parity] for r in records]
+            assert sorted(r.parity for r in records) == list(range(d))
 
     @pytest.mark.parametrize("coupling", list(CouplingKind))
     def test_mask_route_probabilities_are_the_distribution_bits(self, coupling):
@@ -784,7 +832,7 @@ class TestWeightKernels:
             for d in range(2, 8):
                 for prep in (None, orbit_ancilla(g, d, CouplingKind.SHIFT)):
                     config = ModuleConfig(n, d, CouplingKind.SHIFT, ancilla_prep=prep)
-                    parities = _coupling(d, CouplingKind.SHIFT).parities if prep is None else tuple(range(d))
+                    parities = tuple(range(d))  # the default and every custom shift ancilla
                     got = _branches(amps, _weight_representatives(amps, n), config)
                     for (parity, prob, branch), (p0, b0) in zip(got, copying_shift_branches(amps, n, parities), strict=True):
                         where = (kind, d, prep is None, parity)
