@@ -18,7 +18,7 @@ from typing import TextIO
 import numpy as np
 
 from . import solver, states, verify
-from .linalg import Ket, plus_state
+from .linalg import Ket, plus_state, squared_norm
 from .module import (
     CouplingKind,
     ModuleConfig,
@@ -65,7 +65,7 @@ def load_amplitude_file(path: str | Path) -> Ket:
             # Locates the error, or parses what only Python's float accepts ("1_0").
             pairs = _parse_amplitude_lines(path, lines, total)
     amps = pairs.view(complex).reshape(-1)
-    nrm = float(np.linalg.norm(amps))
+    nrm = math.sqrt(squared_norm(amps))
     if not abs(nrm - 1.0) <= _FILE_NORM_ATOL:
         raise ValueError(f"{path}: state norm {nrm:.8f} too far from 1")
     amps /= nrm

@@ -51,7 +51,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import states
-from .linalg import NORM_ATOL, NORMALIZED_ATOL, Ket, Operator, fourier_ket, hamming_weights, pauli_x, pauli_z, require_normalized, weight_classes
+from .linalg import NORM_ATOL, NORMALIZED_ATOL, Ket, Operator, fourier_ket, hamming_weights, pauli_x, pauli_z, require_normalized, squared_norm, weight_classes
 from .solver import check_orbit
 
 DEFAULT_STATEVECTOR_MAX_QUBITS = 20
@@ -86,12 +86,18 @@ def statevector_qubit_limit() -> int:
     return value
 
 
+def _statevector_bytes(qubits: int) -> str:
+    """16 * 2^qubits, the bytes of a ``qubits``-qubit statevector: in decimal below 2^64,
+    else as a power of two, so that no integer of 2^qubits bits is built."""
+    return str(16 << qubits) if qubits < 60 else f"2^{qubits + 4}"
+
+
 def _check_qubits(qubits: int, request: str | None = None) -> None:
     """Raise unless a ``qubits``-qubit statevector fits the cap, stating the bytes asked for."""
     cap = statevector_qubit_limit()
     if qubits > cap:
-        request = request or f"{qubits} qubits need {16 << qubits} bytes"
-        raise ResourceLimitError(f"statevector path limited to {16 << cap} bytes ({cap} qubits); {request}")
+        request = request or f"{qubits} qubits need {_statevector_bytes(qubits)} bytes"
+        raise ResourceLimitError(f"statevector path limited to {_statevector_bytes(cap)} bytes ({cap} qubits); {request}")
 
 
 class CouplingKind(Enum):
@@ -128,7 +134,7 @@ class ModuleConfig:
     admits it at construction only if its orbit under the coupling's step
     (Z_d or X_d) is orthonormal; outcome m then heralds parity m.  A register
     that the statevector cap does not admit is refused here, before any state
-    of its size exists.
+    of its size exists, and so is a d-level ancilla longer than 2^cap levels.
     """
 
     n: int
@@ -144,6 +150,8 @@ class ModuleConfig:
         if not isinstance(self.coupling, CouplingKind):
             raise ValueError(f"unknown coupling {self.coupling!r}")
         _check_qubits(self.n)
+        # d > 2^cap exactly when d - 1 needs more than cap bits.
+        _check_qubits((self.d - 1).bit_length(), f"a {self.d}-level ancilla needs {16 * self.d} bytes")
         prep = self.ancilla_prep
         if prep is not None:
             if prep.dim != self.d:
@@ -309,9 +317,9 @@ def _heralded(amps: np.ndarray, n: int, d: int, coupling: CouplingKind) -> tuple
 
 
 def _branches(amps: np.ndarray, reps: np.ndarray | None, config: ModuleConfig):
-    """(parity, probability, branch) for each outcome, in outcome order; branch is None
-    when the probability is below ``ZERO_PROBABILITY_ATOL``.  ``reps`` is what
-    ``_weight_representatives`` returns for ``amps``.  Outcome m of the default
+    """(parity, probability, squared norm, branch) for each outcome, in outcome order;
+    branch is None when the probability is below ``ZERO_PROBABILITY_ATOL``.  ``reps`` is
+    what ``_weight_representatives`` returns for ``amps``.  Outcome m of the default
     phase ancilla heralds parity -m mod d, and of every other ancilla parity m.
 
     The module heralds wt mod d, so branch m is the class mask
@@ -327,7 +335,7 @@ def _branches(amps: np.ndarray, reps: np.ndarray | None, config: ModuleConfig):
     H^(x)n 2^(n/2) value e_0, all in class 0: its parity-0 branch is a copy of the
     register, with the register's squared norm 2^n value^2 as its probability, and
     every other branch is zero.  Each branch yielded is a new array that the caller
-    may normalize in place and keep.
+    may divide in place by the root of its own squared norm, yielded with it, and keep.
     """
     n, d, coupling = config.n, config.d, config.coupling
     default_phase = coupling is CouplingKind.PHASE and config.ancilla_prep is None
@@ -345,20 +353,22 @@ def _branches(amps: np.ndarray, reps: np.ndarray | None, config: ModuleConfig):
         for parity in parities:
             branch = branches.pop(0)  # freed once the caller drops it
             prob = float(np.sum(np.abs(branch) ** 2))
-            yield parity, prob, (branch if prob >= ZERO_PROBABILITY_ATOL else None)
+            yield parity, prob, prob, (branch if prob >= ZERO_PROBABILITY_ATOL else None)
     elif coupling is CouplingKind.SHIFT and value is not None and n >= 2:
         norm2 = float(1 << n) * value.real**2
         for parity in parities:
-            yield (parity, norm2, amps.copy()) if parity == 0 else (parity, 0.0, None)
+            yield (parity, norm2, norm2, amps.copy()) if parity == 0 else (parity, 0.0, 0.0, None)
     else:
         b, classes, probs = _heralded(amps, n, d, coupling)
         for parity in parities:
             prob = float(probs[parity])
             if prob < ZERO_PROBABILITY_ATOL:
-                yield parity, prob, None
+                yield parity, prob, prob, None
                 continue
             branch = np.where(classes == parity, b, 0)
-            yield parity, prob, (branch if coupling is CouplingKind.PHASE else _hadamard_in_place(branch, n))
+            if coupling is CouplingKind.SHIFT:
+                _hadamard_in_place(branch, n)
+            yield parity, prob, squared_norm(branch), branch
 
 
 def _exact_parity_probability(n: int, d: int, coupling: CouplingKind, parity: int) -> Fraction:
@@ -391,12 +401,12 @@ def run_module(state: Ket, config: ModuleConfig, *, classify_states: bool = True
     value = _real_constant(reps)
     exact_ok = config.ancilla_prep is None and value is not None and value.real > 0
     records = []
-    for m, (parity, prob, branch) in enumerate(_branches(state.amps, reps, config)):
+    for m, (parity, prob, norm2, branch) in enumerate(_branches(state.amps, reps, config)):
         exact = _exact_parity_probability(config.n, config.d, config.coupling, parity) if exact_ok else None
         if branch is None:
             records.append(OutcomeRecord(m, parity, prob, exact, None, None, True))
             continue
-        branch /= math.sqrt(prob)
+        branch /= math.sqrt(norm2)
         post = Ket._adopt(branch, (2,) * config.n)
         cls = states.classify(post) if classify_states else None
         records.append(OutcomeRecord(m, parity, prob, exact, post, cls, False))

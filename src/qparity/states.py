@@ -14,7 +14,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .linalg import Ket, hamming_weights, weight_order
+from .linalg import Ket, hamming_weights, squared_norm, weight_order
 
 FIDELITY_THRESHOLD = 1.0 - 1e-10
 # Dicke overlaps of a state with no weight-k content are rounding noise, ~1e-16 each.
@@ -160,7 +160,7 @@ def dicke_sum(n: int, coeffs: Mapping[int, float | complex]) -> Ket:
         if not 0 <= k <= n:
             raise ValueError(f"excitation count {k} outside [0, {n}]")
         amps[wts == k] += c / math.sqrt(math.comb(n, k))
-    nrm = np.linalg.norm(amps)
+    nrm = math.sqrt(squared_norm(amps))
     if nrm < _ZERO_NORM:
         raise ValueError("coefficients sum to the zero vector")
     return Ket(amps / nrm, (2,) * n, normalized=True)
@@ -220,7 +220,7 @@ def predicted_branch(n: int, d: int, k: int) -> DickeDecomposition:
     if not ks:
         raise ValueError(f"no weights in [0, {n}] are congruent to {k} mod {d}")
     raw = np.sqrt([math.comb(n, j) for j in ks])
-    raw /= np.linalg.norm(raw)
+    raw /= math.sqrt(squared_norm(raw))
     overlaps = np.zeros(n + 1, dtype=complex)
     overlaps[ks] = raw
     overlaps.setflags(write=False)

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from qparity import states, verify
 from qparity.cli import load_amplitude_file, main, write_amplitude_file
-from qparity.linalg import Ket, plus_state
+from qparity.linalg import Ket, plus_state, squared_norm
 from qparity.module import outcome_distribution
 from qparity.reports import verify_checksum
 from qparity.verify import Check
@@ -122,7 +122,7 @@ class TestSimulate:
 
     def test_random_file_runs_at_a_d_whose_fourier_kets_fail_their_norm_check(self, capsys, tmp_path, rng):
         # Only the per-excitation chain reads Fourier rows, and a random register never
-        # takes it, so d = 140 runs (ROADMAP item 1 mends the chain's rows).
+        # takes it, so d = 140 runs (ROADMAP item 3 mends the chain's rows).
         path = tmp_path / "random.txt"
         write_amplitude_file(path, Ket(random_ket_amps(rng, 8), (2, 2, 2), normalized=True))
         code, out, err = run_cli(capsys, ["simulate", "-d", "140", "--input", str(path), "--json"])
@@ -172,6 +172,24 @@ class TestSimulate:
         assert code == 3
         assert "limited" in err
         assert err == "error: statevector path limited to 256 bytes (4 qubits); 5 qubits need 512 bytes\n"
+
+    @pytest.mark.parametrize("qubits", [20000, 10**20])
+    def test_huge_register_is_refused_with_its_bytes_as_a_power_of_two(self, capsys, monkeypatch, qubits):
+        # 16 << qubits is never built: at 20000 qubits it has too many digits to print, and
+        # at 10**20 it cannot exist.
+        monkeypatch.delenv("QPARITY_MAX_QUBITS", raising=False)
+        code, out, err = run_cli(capsys, ["simulate", "-n", str(qubits), "-d", "3"])
+        assert code == 3 and out == ""
+        assert err == f"error: statevector path limited to 16777216 bytes (20 qubits); {qubits} qubits need 2^{qubits + 4} bytes\n"
+
+    def test_w18_file_runs_with_the_shift_coupling(self, capsys, tmp_path):
+        # Its heralded branches are each divided by their own squared norm; divided by the
+        # class histogram's probability, one missed its norm check by 1.2e-12 at d = 5.
+        path = tmp_path / "w18.txt"
+        write_amplitude_file(path, states.w(18))
+        code, out, err = run_cli(capsys, ["simulate", "-d", "5", "--coupling", "shift", "--input", str(path), "--json"])
+        assert code == 0, err
+        assert sum(float(o["probability"]) for o in json.loads(out)["outcomes"]) == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("argv", [["simulate"], ["sample", "--shots", "5"]], ids=["simulate", "sample"])
     def test_cap_checked_before_the_register_is_built(self, capsys, monkeypatch, argv):
@@ -299,8 +317,9 @@ class TestAmplitudeFileFormat:
         ],
     )
     def test_amplitudes_are_parsed_as_python_floats(self, tmp_path, rng, spelling, n):
-        # Bit for bit complex(float(re), float(im)), renormalized; numpy's
-        # reader rejects "1_0", so that spelling takes the line-by-line parse.
+        # Bit for bit complex(float(re), float(im)), divided by the root of its
+        # linalg.squared_norm; numpy's reader rejects "1_0", so that spelling takes
+        # the line-by-line parse.
         v = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
         rows = [[repr(float(x.real)), repr(float(x.imag))] for x in v / np.linalg.norm(v)]
         if spelling == "underscores":
@@ -310,7 +329,7 @@ class TestAmplitudeFileFormat:
         path.write_text("dims:" + " 2" * n + "\n" + "".join(f"{re} {im}\n" for re, im in rows))
         want = np.array([complex(float(re), float(im)) for re, im in rows])
         got = load_amplitude_file(path).amps
-        assert np.array_equal(got.view(np.uint64), (want / np.linalg.norm(want)).view(np.uint64))
+        assert np.array_equal(got.view(np.uint64), (want / math.sqrt(squared_norm(want))).view(np.uint64))
 
     @pytest.mark.parametrize("mark", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"], ids=lambda m: f"U+{ord(m):04X}")
     def test_a_line_ends_only_at_a_newline(self, capsys, tmp_path, mark):

@@ -1,6 +1,8 @@
 """Unit tests for the dense linear-algebra layer."""
 
 import math
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,6 +10,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qparity.linalg import (
+    _NORM_ROW,
+    _NORM_SHORT,
     NORM_ATOL,
     Ket,
     Operator,
@@ -22,6 +26,7 @@ from qparity.linalg import (
     pauli_z,
     plus_state,
     require_normalized,
+    squared_norm,
     tensor,
     weight_classes,
     weight_order,
@@ -183,6 +188,72 @@ class TestRequireNormalized:
         require_normalized(Ket(np.array([1.0 + 0.5 * NORM_ATOL, 0.0]), (2,)), "probe")
         with pytest.raises(ValueError, match="norm is 1.000000000200"):
             require_normalized(Ket(np.array([1.0 + 2 * NORM_ATOL, 0.0]), (2,)), "probe")
+
+
+def exact_squared_norm(a):
+    """sum |a|^2 in exact rational arithmetic, one term per distinct amplitude."""
+    values, counts = np.unique(a, return_counts=True)
+    total = sum(int(c) * (Fraction(v.real) ** 2 + Fraction(v.imag) ** 2) for v, c in zip(values, counts))
+    return float(total)
+
+
+class TestSquaredNorm:
+    @pytest.mark.parametrize("kind", ["w", "dicke", "constant"])
+    def test_repeated_entries_at_22_qubits_are_summed_to_1e14(self, kind):
+        # Summed by np.vdot, 2^22 amplitudes that repeat one value per weight class (W,
+        # Dicke, |+>^n) once missed a squared norm of 1 by ~1e-12, past NORMALIZED_ATOL.
+        n, value = 22, complex(0.6, -0.3)
+        wts = hamming_weights(n)
+        if kind == "w":
+            a = np.zeros(1 << n, dtype=complex)
+            a[1 << np.arange(n)] = value
+        elif kind == "dicke":
+            a = np.where(wts == n // 2, value, 0)
+        else:
+            a = np.full(1 << n, value)
+        want = exact_squared_norm(a)
+        assert abs(squared_norm(a) - want) <= 1e-14 * want
+
+    @given(
+        rows=st.integers(min_value=-_NORM_SHORT // _NORM_ROW, max_value=4),
+        offset=st.integers(min_value=-3, max_value=3),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        real=st.booleans(),
+    )
+    def test_matches_fsum_of_the_rounded_squares_around_the_block_boundaries(self, rows, offset, seed, real):
+        # A row of _NORM_ROW floats takes at most that many roundings, a pairwise sum far
+        # fewer, and the sums are added exactly, so the error is bounded whatever the size.
+        # Sizes lie around every multiple of _NORM_ROW up to _NORM_SHORT and a few past it.
+        floats = max(_NORM_SHORT + rows * _NORM_ROW + offset, 0)
+        g = np.random.default_rng(seed)
+        x = g.normal(size=floats) * 10.0 ** g.integers(-3, 4, size=floats)
+        a = x if real else x[: floats - floats % 2].view(complex)
+        flat = a.view(np.float64)
+        want = math.fsum((flat * flat).tolist())
+        assert abs(squared_norm(a) - want) <= (_NORM_ROW + 2) * 2.0**-53 * want
+
+    def test_takes_no_copy_and_leaves_the_array_alone(self):
+        # A 1 MiB array is read through views; only its row sums are new.
+        a = np.full(1 << 16, 2.0**-8, dtype=complex)
+        a.setflags(write=False)
+        tracemalloc.start()
+        try:
+            total = squared_norm(a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert total == 1.0 and not a.flags.writeable
+        assert peak < a.nbytes // 16
+
+    @pytest.mark.parametrize("where", [0, 1500, 2999], ids=["first-block", "second-block", "tail"])
+    def test_a_nan_amplitude_fails_both_normalization_checks(self, where):
+        a = np.full(3000, 3000**-0.5, dtype=complex)
+        a[where] = np.nan
+        assert math.isnan(squared_norm(a))
+        with pytest.raises(ValueError, match="squared norm deviates"):
+            Ket(a, (3000,), normalized=True)
+        with pytest.raises(ValueError, match="probe must be normalized"):
+            require_normalized(Ket(a, (3000,)), "probe")
 
 
 class TestTensorAndInner:

@@ -23,6 +23,7 @@ from qparity.linalg import (
     pauli_x,
     pauli_z,
     plus_state,
+    squared_norm,
     tensor,
     weight_order,
 )
@@ -194,9 +195,15 @@ def chain_pairs(chains):
 
 
 def phase_branches(amps, config):
-    """The phase kernel's (probability, branch) pairs for ``config``'s ancilla."""
+    """The phase kernel's (probability, branch) pairs for ``config``'s ancilla, each
+    yielded with its own squared norm: the chain's probability, or the mask's sum."""
     reps = _weight_representatives(amps, config.n)
-    return [(prob, branch) for _, prob, branch in _branches(amps, reps, config)]
+    on_chain = config.ancilla_prep is None and reps is not None
+    pairs = []
+    for _, prob, norm2, branch in _branches(amps, reps, config):
+        assert norm2 == (prob if branch is None or on_chain else squared_norm(branch))
+        pairs.append((prob, branch))
+    return pairs
 
 
 def assert_phase_bits(got, expect, chains, where):
@@ -428,7 +435,7 @@ class TestModuleConfig:
             assert check_orbit(step, default, d).orthonormal
             for amps in (plus_state(3).amps, random_ket_amps(g, 8)):
                 got = _branches(amps, _weight_representatives(amps, 3), ModuleConfig(3, d, coupling))
-                assert tuple(parity for parity, _, _ in got) == default_parities(d, coupling)
+                assert tuple(parity for parity, _, _, _ in got) == default_parities(d, coupling)
             assert coupling.measurement_basis == ("computational" if shift else "fourier")
 
     @pytest.mark.parametrize("coupling", list(CouplingKind))
@@ -758,7 +765,7 @@ class TestWeightKernels:
         assert built == list(range(d))
 
     def test_mask_route_runs_where_fourier_kets_fail_their_norm_check(self):
-        # Some fourier_ket(140, m) misses its own norm check (ROADMAP item 1), and only the
+        # Some fourier_ket(140, m) misses its own norm check (ROADMAP item 3), and only the
         # chain reads Fourier rows: a random register runs at d = 140, and a custom phase
         # ancilla from the solver is admitted and runs, each with the histogram's probabilities.
         n, d = 3, 140
@@ -786,6 +793,24 @@ class TestWeightKernels:
                         continue  # the chain route
                     records = run_module(state, ModuleConfig(n, d, coupling, ancilla_prep=prep), classify_states=False)
                     assert [r.probability for r in records] == [probs[r.parity] for r in records], (n, d)
+
+    @pytest.mark.parametrize("coupling", list(CouplingKind))
+    @pytest.mark.parametrize("family", ["w", "dicke"])
+    def test_18_qubit_w_and_dicke_registers_run_at_every_small_d(self, family, coupling):
+        # Each branch is divided by the root of its own squared norm.  Divided by the class
+        # histogram's probability instead, 6 of these 20 runs left a shift post-state whose
+        # squared norm missed 1 by more than NORMALIZED_ATOL.
+        n = 18
+        state = w(n) if family == "w" else dicke(n, n // 2)
+        for d in range(3, 8):
+            records = run_module(state, ModuleConfig(n, d, coupling), classify_states=False)
+            assert sum(r.probability for r in records) == pytest.approx(1.0, abs=1e-12)
+            if coupling is CouplingKind.SHIFT:  # the mask route; a phase run takes the chain
+                probs = outcome_distribution(state, n, d, coupling)
+                assert [r.probability for r in records] == [probs[r.parity] for r in records]
+            for r in records:
+                if r.post_state is not None:
+                    assert abs(squared_norm(r.post_state.amps) - 1.0) <= 1e-14, (d, r.parity)
 
     def test_phase_run_holds_branches_not_a_joint_matrix(self):
         # The phase path keeps d branch vectors and the post-states that replace them,
@@ -834,9 +859,10 @@ class TestWeightKernels:
                     config = ModuleConfig(n, d, CouplingKind.SHIFT, ancilla_prep=prep)
                     parities = tuple(range(d))  # the default and every custom shift ancilla
                     got = _branches(amps, _weight_representatives(amps, n), config)
-                    for (parity, prob, branch), (p0, b0) in zip(got, copying_shift_branches(amps, n, parities), strict=True):
+                    for (parity, prob, norm2, branch), (p0, b0) in zip(got, copying_shift_branches(amps, n, parities), strict=True):
                         where = (kind, d, prep is None, parity)
                         assert (branch is None) == (b0 is None), where
+                        assert norm2 == (prob if branch is None or constant else squared_norm(branch)), where
                         if constant:
                             assert prob == pytest.approx(p0, abs=1e-15) and (prob == 0.0) == (parity != 0), where
                             if b0 is not None:
@@ -1037,6 +1063,27 @@ class TestResourceEnvelope:
         monkeypatch.setenv("QPARITY_MAX_QUBITS", "4")
         with pytest.raises(ResourceLimitError, match=FIVE_OVER_FOUR):
             run_module(plus_state(5), ModuleConfig(5, 2), classify_states=False)
+
+    def test_huge_register_is_refused_without_building_its_byte_count(self, monkeypatch):
+        monkeypatch.delenv("QPARITY_MAX_QUBITS", raising=False)
+        for n in (60, 20000, 10**20):
+            with pytest.raises(ResourceLimitError, match=rf"\(20 qubits\); {n} qubits need 2\^{n + 4} bytes$"):
+                ModuleConfig(n, 3)
+        with pytest.raises(ResourceLimitError, match=r"; 59 qubits need 9223372036854775808 bytes$"):
+            ModuleConfig(59, 3)
+
+    def test_ancilla_longer_than_the_cap_is_refused_by_its_bytes(self, monkeypatch):
+        # d > 2^cap is refused at construction, before any list of d outcomes exists;
+        # only the constructor runs here.
+        monkeypatch.delenv("QPARITY_MAX_QUBITS", raising=False)
+        ModuleConfig(3, 1 << 20)
+        for d in (2**20 + 1, 10**20):
+            with pytest.raises(ResourceLimitError, match=rf"limited to 16777216 bytes \(20 qubits\); a {d}-level ancilla needs {16 * d} bytes$"):
+                ModuleConfig(3, d)
+        monkeypatch.setenv("QPARITY_MAX_QUBITS", "2")
+        ModuleConfig(2, 4, CouplingKind.SHIFT)
+        with pytest.raises(ResourceLimitError, match=r"limited to 64 bytes \(2 qubits\); a 5-level ancilla needs 80 bytes$"):
+            ModuleConfig(2, 5, CouplingKind.SHIFT)
 
     def test_build_projectors_respects_cap(self, monkeypatch):
         monkeypatch.setenv("QPARITY_MAX_QUBITS", "3")

@@ -143,6 +143,11 @@ class TestFamilyConstructors:
         expect[[1, 2, 3, 4, 5, 6]] = 1 / math.sqrt(6)
         assert np.allclose(state.amps, expect)
 
+    def test_half_filled_dicke_builds_at_22_qubits(self):
+        # Its C(22, 11) equal squares once summed to 1 - 1.3e-12 by np.vdot, past NORMALIZED_ATOL.
+        state = dicke(22, 11)
+        assert state.normalized and state.dim == 1 << 22
+
     def test_g2_collapses_to_half_filled_dicke(self):
         assert np.allclose(g(2).amps, dicke(2, 1).amps)
 
