@@ -18,17 +18,16 @@ the class mask, b where wt(x) == parity(m) (mod d) and 0 elsewhere, with
 b = amps (phase) or b = H^(x)n amps (shift), and a shift branch is then
 transformed back in place.  Its probability is the class's share of |b|^2,
 the histogram ``outcome_distribution`` reports, so a run holds d branch
-vectors and never the (2^n, d) joint state.  An exact bit check finds two
-registers that take their own routes.  On a weight-symmetric register
-(|+>^n, and every Dicke sum) with the default phase ancilla, the
-per-excitation chain runs on the n + 1 weight representatives and each
-branch is gathered by weight; the golden reports print rounding-level Dicke
-residuals, so their digest pins that chain's bits.  A shift register of two
-or more qubits with one real amplitude (|+>^n up to sign) lies in the
+vectors and never the (2^n, d) joint state.  One register takes its own
+route: a real constant (|+>^n up to sign), found by an exact bit check.  With
+the default phase ancilla it runs the per-excitation chain on n + 1 copies of
+its value and each branch is gathered by weight; the golden reports print
+rounding-level Dicke residuals of |+>^n, so their digest pins that chain's
+bits.  With the shift coupling and two or more qubits it lies in the
 Hadamard class 0, so its parity-0 branch is the register itself and every
-other branch is zero, with no Walsh-Hadamard transform.  Each branch is
-then divided by its norm in place and becomes its post-state's array, so a
-branch is allocated once.
+other branch is zero, with no Walsh-Hadamard transform.  Each branch is then
+divided by the root of its own squared norm in place and becomes its
+post-state's array, so a branch is allocated once.
 
 ``outcome_distribution`` and ``build_projectors`` work through the
 projectors P_i = d^(-1) sum_k w^(-ik) A^k: the mask wt(x) == i (mod d),
@@ -51,7 +50,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import states
-from .linalg import NORM_ATOL, NORMALIZED_ATOL, Ket, Operator, fourier_ket, hamming_weights, pauli_x, pauli_z, require_normalized, squared_norm, weight_classes
+from .linalg import NORM_ATOL, NORMALIZED_ATOL, Ket, Operator, fourier_ket, hamming_weights, pauli_x, pauli_z, require_normalized, squared_norm, weight_classes, weight_order
 from .solver import check_orbit
 
 DEFAULT_STATEVECTOR_MAX_QUBITS = 20
@@ -64,8 +63,8 @@ ZERO_PROBABILITY_ATOL = 1e-12
 # which scales the total by |prep|^2.  The register guard lets |state|^2 miss 1 by
 # 2 NORM_ATOL + NORM_ATOL^2; the rest is room for the readout's rounding, which grows with d.
 _PROBABILITY_SUM_ATOL = 6 * NORM_ATOL + NORMALIZED_ATOL
-# The symmetry check of ``_weight_representatives`` compares blocks of this many
-# amplitudes, so that it needs no temporary of register size.
+# ``_real_constant`` compares the register with its first amplitude in blocks of this
+# many amplitudes, so that it needs no temporary of register size.
 _BLOCK_ENTRIES = 1 << 15
 
 
@@ -256,48 +255,38 @@ def build_projectors(n: int, d: int, coupling: CouplingKind = CouplingKind.PHASE
     return ProjectorSet(n=n, d=d, coupling=coupling, classes=weight_classes(n, d))
 
 
-def _weight_representatives(amps: np.ndarray, n: int) -> np.ndarray | None:
-    """amps[(1 << k) - 1] for k = 0..n, the first amplitude of each weight class, when
-    every amplitude has the bits of its class's first one; None otherwise.
-
-    The comparison is of bits, not values, so -0.0 and 0.0 differ.  A register that is
-    not weight-symmetric almost always fails at its first comparison, amps[1] against
-    amps[2]; a symmetric one is compared block by block, with no register-sized temporary.
-    """
-    if n >= 2 and amps[1] != amps[2]:
+def _real_constant(amps: np.ndarray) -> complex | None:
+    """amps[0] when it is real and every amplitude has its bits (|+>^n up to sign); None
+    otherwise.  The comparison is of bits, not values, so -0.0 and 0.0 differ, and it
+    runs block by block against one block of the value, with no register-sized temporary."""
+    value = amps[0]
+    if value.imag != 0:
         return None
-    reps = amps[(1 << np.arange(n + 1)) - 1]
-    wts = hamming_weights(n)
-    for first in range(0, 1 << n, _BLOCK_ENTRIES):
-        block = slice(first, first + _BLOCK_ENTRIES)
-        if not np.array_equal(amps[block].view(np.uint64), np.take(reps, wts[block]).view(np.uint64)):
+    ref = np.full(min(amps.size, _BLOCK_ENTRIES), value).view(np.uint64)
+    for first in range(0, amps.size, _BLOCK_ENTRIES):
+        block = amps[first : first + _BLOCK_ENTRIES].view(np.uint64)
+        if not np.array_equal(block, ref[: block.size]):
             return None
-    return reps
+    return value
 
 
-def _real_constant(reps: np.ndarray | None) -> complex | None:
-    """reps[0] when every representative has its bits and it is real; None otherwise."""
-    if reps is None or reps[0].imag != 0:
-        return None
-    return reps[0] if np.array_equal(reps.view(np.uint64), np.full_like(reps, reps[0]).view(np.uint64)) else None
+def _phase_representatives(value: complex, n: int, d: int) -> list[np.ndarray]:
+    """<u_m| of the coupled state's rows for the n + 1 weights of a constant register,
+    one array per Fourier outcome m: the default phase ancilla's per-excitation chain.
 
-
-def _phase_representatives(reps: np.ndarray, d: int) -> list[np.ndarray]:
-    """<u_m| of the coupled state's rows for the n + 1 weight representatives, one array
-    per Fourier outcome m: the default phase ancilla's per-excitation chain.
-
-    Row k is reps[k] u_0 z^k with z the diagonal of ``_step(d, PHASE)``: ``np.multiply.outer``
-    of ``reps`` with u_0 (the rows ``np.kron`` forms), multiplied one excitation at a time
-    as (re, im) <- (re zr - im zi, re zi + im zr), every product and sum rounded on its own
-    (level k multiplies rows k..n), and then contracted with each conjugated row of
-    ``_fourier_readout(d)`` by ``@``.  This is the only code that reads Fourier rows.
+    Row k is value u_0 z^k with z the diagonal of ``_step(d, PHASE)``: ``np.multiply.outer``
+    of ``np.full(n + 1, value)`` with u_0 (the rows ``np.kron`` forms), multiplied one
+    excitation at a time as (re, im) <- (re zr - im zi, re zi + im zr), every product and
+    sum rounded on its own (level k multiplies rows k..n), and then contracted with each
+    conjugated row of ``_fourier_readout(d)`` by ``@``.  This is the only code that reads
+    Fourier rows.
     """
     readout = _fourier_readout(d)
     clock = np.diag(_step(d, CouplingKind.PHASE).entries)
-    rows = np.multiply.outer(reps, readout[0])
+    rows = np.multiply.outer(np.full(n + 1, value), readout[0])
     re, im = rows.real.T.copy(), rows.imag.T.copy()
     zr, zi = clock.real[:, None], clock.imag[:, None]
-    for k in range(1, reps.size):
+    for k in range(1, n + 1):
         r, i = re[:, k:], im[:, k:]
         t = i * zi
         i *= zr
@@ -308,46 +297,45 @@ def _phase_representatives(reps: np.ndarray, d: int) -> list[np.ndarray]:
     return [rows @ v for v in readout.conj()]
 
 
-def _heralded(amps: np.ndarray, n: int, d: int, coupling: CouplingKind) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _heralded(amps: np.ndarray, n: int, d: int, coupling: CouplingKind) -> tuple[np.ndarray, np.ndarray, list[float]]:
     """b = amps (phase) or H^(x)n amps (shift), the weight classes wt mod d, and the
-    probability of each class, the histogram of |b|^2 over them."""
+    probability of each class: |b|^2 summed pairwise over each weight in ``weight_order``,
+    and the weights of a class added by ``math.fsum``, so the rounding does not grow with 2^n."""
     b = amps if coupling is CouplingKind.PHASE else _hadamard_transform(amps, n)
-    classes = weight_classes(n, d)
-    return b, classes, np.bincount(classes, np.abs(b) ** 2, minlength=d)
+    order, starts = weight_order(n)
+    per_weight = np.add.reduceat(np.square(np.abs(b))[order], starts[:-1]).tolist()
+    return b, weight_classes(n, d), [math.fsum(per_weight[i::d]) for i in range(d)]
 
 
-def _branches(amps: np.ndarray, reps: np.ndarray | None, config: ModuleConfig):
+def _branches(amps: np.ndarray, value: complex | None, config: ModuleConfig):
     """(parity, probability, squared norm, branch) for each outcome, in outcome order;
-    branch is None when the probability is below ``ZERO_PROBABILITY_ATOL``.  ``reps`` is
-    what ``_weight_representatives`` returns for ``amps``.  Outcome m of the default
-    phase ancilla heralds parity -m mod d, and of every other ancilla parity m.
+    branch is None when the probability is below ``ZERO_PROBABILITY_ATOL``.  ``value`` is
+    what ``_real_constant`` returns for ``amps``.  Outcome m of the default phase
+    ancilla heralds parity -m mod d, and of every other ancilla parity m.
 
     The module heralds wt mod d, so branch m is the class mask
     ``np.where(classes == parity, b, 0)`` with b and the probabilities from
     ``_heralded``; in the Hadamard basis every shift coupling is a controlled X_d,
     an exact permutation, and a nonzero shift branch is transformed back in place.
-    Two registers that the exact check of ``_weight_representatives`` finds take
-    their own routes.  With the default phase ancilla a weight-symmetric register
-    (|+>^n and every Dicke sum) runs the per-excitation chain of
-    ``_phase_representatives`` on its n + 1 representatives, whose bits the golden
-    reports pin, and gathers each branch by weight.  A shift register of n >= 2
-    qubits whose every amplitude is one real value (|+>^n up to sign) is
-    H^(x)n 2^(n/2) value e_0, all in class 0: its parity-0 branch is a copy of the
-    register, with the register's squared norm 2^n value^2 as its probability, and
-    every other branch is zero.  Each branch yielded is a new array that the caller
-    may divide in place by the root of its own squared norm, yielded with it, and keep.
+    Only a real constant register (|+>^n up to sign) takes its own routes.  With the
+    default phase ancilla it runs the per-excitation chain of ``_phase_representatives``,
+    whose bits the golden reports pin, and gathers each branch by weight.  With the
+    shift coupling and n >= 2 it is H^(x)n 2^(n/2) value e_0, all in class 0: its
+    parity-0 branch is a copy of the register, with the register's squared norm
+    2^n value^2 as its probability, and every other branch is zero.  Each branch
+    yielded is a new array that the caller may divide in place by the root of its own
+    squared norm, yielded with it, and keep.
     """
     n, d, coupling = config.n, config.d, config.coupling
     default_phase = coupling is CouplingKind.PHASE and config.ancilla_prep is None
     # Z_d^w u_0 = u_(-w mod d), so Fourier outcome m heralds parity -m mod d.
     parities = [(-m) % d for m in range(d)] if default_phase else range(d)
-    value = _real_constant(reps)
-    if default_phase and reps is not None:
+    if default_phase and value is not None:
         wts = hamming_weights(n)
         # Allocated ahead of the chain's small arrays: taken after them, the branches
         # raised symmetric_large's max RSS by 2 MB at n = 18.
         branches = [np.empty(1 << n, dtype=complex) for _ in parities]
-        rows = _phase_representatives(reps, d)
+        rows = _phase_representatives(value, n, d)
         for branch, row in zip(branches, rows):
             np.take(row, wts, out=branch)
         for parity in parities:
@@ -361,7 +349,7 @@ def _branches(amps: np.ndarray, reps: np.ndarray | None, config: ModuleConfig):
     else:
         b, classes, probs = _heralded(amps, n, d, coupling)
         for parity in parities:
-            prob = float(probs[parity])
+            prob = probs[parity]
             if prob < ZERO_PROBABILITY_ATOL:
                 yield parity, prob, prob, None
                 continue
@@ -397,11 +385,10 @@ def run_module(state: Ket, config: ModuleConfig, *, classify_states: bool = True
     preparation is the default one.
     """
     _check_register(state, config)
-    reps = _weight_representatives(state.amps, config.n)
-    value = _real_constant(reps)
+    value = _real_constant(state.amps)
     exact_ok = config.ancilla_prep is None and value is not None and value.real > 0
     records = []
-    for m, (parity, prob, norm2, branch) in enumerate(_branches(state.amps, reps, config)):
+    for m, (parity, prob, norm2, branch) in enumerate(_branches(state.amps, value, config)):
         exact = _exact_parity_probability(config.n, config.d, config.coupling, parity) if exact_ok else None
         if branch is None:
             records.append(OutcomeRecord(m, parity, prob, exact, None, None, True))
@@ -423,7 +410,7 @@ def outcome_distribution(state: Ket, n: int, d: int, coupling: CouplingKind = Co
     in the computational basis (phase) or the Hadamard basis (shift).
     """
     _check_register(state, ModuleConfig(n, d, coupling))
-    probs = _heralded(state.amps, n, d, coupling)[2].tolist()
+    probs = _heralded(state.amps, n, d, coupling)[2]
     total = sum(probs)
     if not abs(total - 1.0) <= _PROBABILITY_SUM_ATOL:
         raise RuntimeError(f"projector probabilities sum to {total}, not 1")

@@ -120,11 +120,14 @@ class TestSimulate:
         assert branches[0]["zero_probability"] is True
         assert branches[1]["probability"] == "1"
 
-    def test_random_file_runs_at_a_d_whose_fourier_kets_fail_their_norm_check(self, capsys, tmp_path, rng):
-        # Only the per-excitation chain reads Fourier rows, and a random register never
-        # takes it, so d = 140 runs (ROADMAP item 3 mends the chain's rows).
-        path = tmp_path / "random.txt"
-        write_amplitude_file(path, Ket(random_ket_amps(rng, 8), (2, 2, 2), normalized=True))
+    @pytest.mark.parametrize("family", ["random", "w5", "dicke6"])
+    def test_file_off_the_chain_runs_at_a_d_whose_fourier_kets_fail_their_norm_check(self, capsys, tmp_path, rng, family):
+        # Only the per-excitation chain reads Fourier rows, and only |+>^n up to sign takes
+        # it, so a random register, W_5 and D(6, 3) run at d = 140 (ROADMAP item 3 mends the
+        # chain's rows); W_5 and D(6, 3) exited 2 here while they took the chain.
+        path = tmp_path / f"{family}.txt"
+        register = {"random": Ket(random_ket_amps(rng, 8), (2, 2, 2), normalized=True), "w5": states.w(5), "dicke6": states.dicke(6, 3)}
+        write_amplitude_file(path, register[family])
         code, out, err = run_cli(capsys, ["simulate", "-d", "140", "--input", str(path), "--json"])
         assert code == 0, err
         payload = json.loads(out)

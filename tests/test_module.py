@@ -36,8 +36,8 @@ from qparity.module import (
     _fourier_readout,
     _hadamard_in_place,
     _hadamard_transform,
+    _real_constant,
     _step,
-    _weight_representatives,
     build_projectors,
     outcome_distribution,
     projector_dim,
@@ -170,16 +170,24 @@ def unfused_phase_branches(amps, n, prep, vecs):
 
 def mask_branches(amps, n, parities):
     """Test-only oracle: outcome m's branch is amps on the strings of weight == parities[m]
-    (mod d) and 0 elsewhere; its probability is that class's sum of |amps|^2 by np.bincount."""
+    (mod d) and 0 elsewhere; its probability is that class's exact sum of |amps|^2, by
+    ``math.fsum`` (compare with ``assert_class_probability``)."""
     d = len(parities)
     classes = hamming_weights(n).astype(int) % d
-    probs = np.bincount(classes, np.abs(amps) ** 2, minlength=d)
+    squares = np.abs(amps) ** 2
     pairs = []
     for parity in parities:
         branch = np.zeros(amps.shape, dtype=complex)
         branch[classes == parity] = amps[classes == parity]
-        pairs.append((float(probs[parity]), branch))
+        pairs.append((math.fsum(squares[classes == parity]), branch))
     return pairs
+
+
+def assert_class_probability(prob, exact, n, where):
+    """The kernel sums a class's |amps|^2 pairwise within each weight, 2^n terms at most,
+    and adds the weights exactly: within (n + 8) 2^-53 of the exact sum, for a total of
+    at most 1 (the pairwise sum's bound with eight-way unrolled leaves)."""
+    assert abs(prob - exact) <= (n + 8) * 2.0**-53, where
 
 
 def copying_shift_branches(amps, n, parities):
@@ -197,19 +205,24 @@ def chain_pairs(chains):
 def phase_branches(amps, config):
     """The phase kernel's (probability, branch) pairs for ``config``'s ancilla, each
     yielded with its own squared norm: the chain's probability, or the mask's sum."""
-    reps = _weight_representatives(amps, config.n)
-    on_chain = config.ancilla_prep is None and reps is not None
+    value = _real_constant(amps)
+    on_chain = config.ancilla_prep is None and value is not None
     pairs = []
-    for _, prob, norm2, branch in _branches(amps, reps, config):
+    for _, prob, norm2, branch in _branches(amps, value, config):
         assert norm2 == (prob if branch is None or on_chain else squared_norm(branch))
         pairs.append((prob, branch))
     return pairs
 
 
-def assert_phase_bits(got, expect, chains, where):
-    """The phase kernel's pairs keep the expected oracle's bits, within 1e-14 of the chain's values."""
+def assert_phase_bits(got, expect, chains, where, on_chain):
+    """The phase kernel's pairs keep the expected oracle's bits, within 1e-14 of the chain's
+    values; a mask probability is within ``assert_class_probability``'s bound of the exact sum."""
+    n = chains[0].size.bit_length() - 1
     for (prob, branch), (p0, b0), chain in zip(got, expect, chains, strict=True):
-        assert prob == p0, where
+        if on_chain:
+            assert prob == p0, where
+        else:
+            assert_class_probability(prob, p0, n, where)
         if prob < ZERO_PROBABILITY_ATOL:  # weight classes above n are empty
             assert branch is None, where
             continue
@@ -222,27 +235,23 @@ def random_dicke_sum(g, n):
     return dicke_sum(n, {k: complex(*g.normal(size=2)) for k in range(n + 1)})
 
 
-# The kinds of ``phase_kernel_registers`` that are weight-symmetric at every n.
-SYMMETRIC = ("plus", "dicke")
+def near_miss(n):
+    """|+>^n with its last amplitude moved by one ulp: only the last block of the
+    constant check tells it from |+>^n."""
+    amps = plus_state(n).amps.copy()
+    amps[-1] = np.nextafter(amps[-1].real, np.inf)
+    return amps
 
 
 def phase_kernel_registers(g, n):
     """Amplitudes for the phase-kernel bit tests, keyed by kind, random first.
 
-    |+>^n and a Dicke sum are weight-symmetric, so the kernel runs on their n + 1
-    weight representatives.  From n = 3 the near miss is that Dicke sum with
-    amps[2^n - 2], the last string of weight n - 1, moved by one ulp and
-    amps[1] == amps[2] kept, so only the last comparison of the symmetry check
-    sends it down the general route.  (Weight n has one string, which is its
-    own representative.)
+    |+>^n is the only real constant among them, so the default phase ancilla runs the
+    chain on it alone; the Dicke sum, the near miss and the random register take the mask.
     """
-    amps = {"random": random_ket_amps(g, 1 << n), "plus": plus_state(n).amps, "dicke": random_dicke_sum(g, n).amps}
-    if n >= 3:
-        near = amps["dicke"].copy()
-        near[-2] = complex(np.nextafter(near[-2].real, np.inf), near[-2].imag)
-        amps["near-miss"] = near
-    for kind, a in amps.items():  # every 1-qubit register is weight-symmetric
-        assert (_weight_representatives(a, n) is None) == (n > 1 and kind not in SYMMETRIC), kind
+    amps = {"random": random_ket_amps(g, 1 << n), "plus": plus_state(n).amps, "dicke": random_dicke_sum(g, n).amps, "near-miss": near_miss(n)}
+    for kind, a in amps.items():
+        assert (_real_constant(a) is None) == (kind != "plus"), kind
     return amps
 
 
@@ -434,7 +443,7 @@ class TestModuleConfig:
             default = basis_ket((d,), 0) if shift else Ket(readout[0], (d,))
             assert check_orbit(step, default, d).orthonormal
             for amps in (plus_state(3).amps, random_ket_amps(g, 8)):
-                got = _branches(amps, _weight_representatives(amps, 3), ModuleConfig(3, d, coupling))
+                got = _branches(amps, _real_constant(amps), ModuleConfig(3, d, coupling))
                 assert tuple(parity for parity, _, _, _ in got) == default_parities(d, coupling)
             assert coupling.measurement_basis == ("computational" if shift else "fourier")
 
@@ -662,9 +671,9 @@ class TestWeightKernels:
         # Entry (x, j) of the coupled state is kron(amps, prep)[x, j] times z_j, wt(x)
         # times over, each product rounded as Python's complex * rounds it (no fused
         # multiply-add); branch m is that matrix contracted with readout row m by @.
-        # A weight-symmetric register with the default ancilla keeps those bits; any
-        # other case takes the class mask, which must keep the mask oracle's bits and
-        # the chain's values.
+        # |+>^n with the default ancilla keeps those bits; any other case (a Dicke sum
+        # and every other 1-qubit register included) takes the class mask, which must
+        # keep the mask oracle's bits and the chain's values.
         g = np.random.default_rng(n)
         wts = hamming_weights(n)
         for kind, amps in phase_kernel_registers(g, n).items():
@@ -681,13 +690,13 @@ class TestWeightKernels:
                             a = a * z
                         chain[x, j] = a
                     chains = [chain @ v.conj() for v in vecs]
-                    on_chain = prep is None and (n == 1 or kind in SYMMETRIC)
+                    on_chain = prep is None and kind == "plus"
                     expect = chain_pairs(chains) if on_chain else mask_branches(amps, n, parities)
-                    assert_phase_bits(phase_branches(amps, config), expect, chains, (kind, d, prep is None))
+                    assert_phase_bits(phase_branches(amps, config), expect, chains, (kind, d, prep is None), on_chain)
 
     @pytest.mark.parametrize("n", range(13, 17))
     def test_fused_phase_kernel_keeps_the_unfused_bits(self, n):
-        # The chain on the n + 1 representatives keeps the unfused chain's bits at every
+        # The chain on the n + 1 weights of |+>^n keeps the unfused chain's bits at every
         # size; every other case keeps the mask oracle's bits.
         g = np.random.default_rng(n)
         for kind, amps in phase_kernel_registers(g, n).items():
@@ -696,9 +705,9 @@ class TestWeightKernels:
                     config = ModuleConfig(n, d, ancilla_prep=prep)
                     first, vecs, parities = phase_heralding(d, prep)
                     chains = unfused_phase_branches(amps, n, first, vecs)
-                    on_chain = prep is None and kind in SYMMETRIC
+                    on_chain = prep is None and kind == "plus"
                     expect = chain_pairs(chains) if on_chain else mask_branches(amps, n, parities)
-                    assert_phase_bits(phase_branches(amps, config), expect, chains, (kind, d, prep is None))
+                    assert_phase_bits(phase_branches(amps, config), expect, chains, (kind, d, prep is None), on_chain)
 
     @pytest.mark.parametrize("coupling", list(CouplingKind))
     def test_the_heralding_table_is_the_parity_permutation(self, coupling):
@@ -715,33 +724,43 @@ class TestWeightKernels:
             orbit = check_orbit(step, orbit_ancilla(g, d, coupling), d).orbit
             assert np.abs(orbit.conj() @ orbit.T - np.eye(d)).max() <= ORBIT_ATOL, d
 
-    def test_only_the_default_phase_ancilla_on_a_symmetric_register_runs_the_chain(self, monkeypatch):
+    def test_only_a_real_constant_register_runs_the_chain(self, monkeypatch):
         calls = []
 
-        def counted(reps, *args):
-            calls.append(reps.size - 1)
-            return chain(reps, *args)
+        def counted(value, n, d):
+            calls.append(n)
+            return chain(value, n, d)
 
         chain = module._phase_representatives
         monkeypatch.setattr(module, "_phase_representatives", counted)
         g = np.random.default_rng(3)
-        for state in (plus_state(4), random_dicke_sum(g, 5)):
+        minus = Ket(-plus_state(5).amps, (2,) * 5, normalized=True)
+        for state in (plus_state(4), minus):
             run_module(state, ModuleConfig(len(state.factor_dims), 3))
         assert calls == [4, 5]
-        # A custom ancilla on |+>^n, the shift coupling and a random register take the mask.
+        # A complex multiple of |+>^n, |+>^n with one imaginary part -0.0 or with one ulp
+        # moved in its last block, W, a Dicke sum, a random register, a custom ancilla on
+        # |+>^n and the shift coupling take the mask.
+        signed_zero = plus_state(4).amps.copy()
+        signed_zero[5] = complex(signed_zero[5].real, -0.0)
         custom = ModuleConfig(4, 3, ancilla_prep=orbit_ancilla(g, 3, CouplingKind.PHASE))
-        for state, config in (
-            (plus_state(4), custom),
-            (random_dicke_sum(g, 4), ModuleConfig(4, 3, CouplingKind.SHIFT)),
-            (random_register(4, 4), ModuleConfig(4, 3)),
+        for amps, config in (
+            (1j**0.5 * plus_state(4).amps, ModuleConfig(4, 3)),
+            (signed_zero, ModuleConfig(4, 3)),
+            (near_miss(16), ModuleConfig(16, 3)),
+            (w(5).amps, ModuleConfig(5, 3)),
+            (random_dicke_sum(g, 5).amps, ModuleConfig(5, 3)),
+            (random_register(4, 4).amps, ModuleConfig(4, 3)),
+            (plus_state(4).amps, custom),
+            (plus_state(4).amps, ModuleConfig(4, 3, CouplingKind.SHIFT)),
         ):
-            run_module(state, config)
+            run_module(Ket(amps, (2,) * config.n, normalized=True), config, classify_states=False)
         assert calls == [4, 5]
 
     def test_only_the_chain_builds_fourier_rows(self, monkeypatch):
         # The mask route labels its outcomes without a readout: at a d no run has used yet,
-        # a default or custom phase run off the chain, and any shift run, builds no Fourier
-        # ket.  The chain builds the d rows once per d.
+        # a default or custom phase run off the chain (W and a Dicke sum included), and any
+        # shift run, builds no Fourier ket.  The chain builds the d rows once per d.
         n, d = 4, 29
         g = np.random.default_rng(29)
         built = []
@@ -753,6 +772,8 @@ class TestWeightKernels:
         monkeypatch.setattr(module, "fourier_ket", counted)
         for state, config in (
             (random_register(n, n), ModuleConfig(n, d)),
+            (w(n), ModuleConfig(n, d)),
+            (random_dicke_sum(g, n), ModuleConfig(n, d)),
             (plus_state(n), ModuleConfig(n, d, ancilla_prep=orbit_ancilla(g, d, CouplingKind.PHASE))),
             (plus_state(n), ModuleConfig(n, d, CouplingKind.SHIFT)),
             (random_dicke_sum(g, n), ModuleConfig(n, d, CouplingKind.SHIFT, ancilla_prep=orbit_ancilla(g, d, CouplingKind.SHIFT))),
@@ -760,7 +781,7 @@ class TestWeightKernels:
             run_module(state, config)
         assert built == []
         module._fourier_readout.cache_clear()
-        for state in (plus_state(n), random_dicke_sum(g, n)):
+        for state in (plus_state(n), Ket(-plus_state(n).amps, (2,) * n, normalized=True)):
             run_module(state, ModuleConfig(n, d))
         assert built == list(range(d))
 
@@ -785,11 +806,11 @@ class TestWeightKernels:
         complex_plus = Ket(1j**0.5 * plus_state(6).amps, plus_state(6).factor_dims, normalized=True)
         for state in (random_register(7, 7), random_register(12, 12), complex_plus, random_dicke_sum(g, 9)):
             n = len(state.factor_dims)
-            symmetric = _weight_representatives(state.amps, n) is not None
+            constant = _real_constant(state.amps) is not None
             for d in range(2, 8):
                 probs = outcome_distribution(state, n, d, coupling)
                 for prep in (None, orbit_ancilla(g, d, coupling)):
-                    if coupling is CouplingKind.PHASE and prep is None and symmetric:
+                    if coupling is CouplingKind.PHASE and prep is None and constant:
                         continue  # the chain route
                     records = run_module(state, ModuleConfig(n, d, coupling, ancilla_prep=prep), classify_states=False)
                     assert [r.probability for r in records] == [probs[r.parity] for r in records], (n, d)
@@ -799,18 +820,27 @@ class TestWeightKernels:
     def test_18_qubit_w_and_dicke_registers_run_at_every_small_d(self, family, coupling):
         # Each branch is divided by the root of its own squared norm.  Divided by the class
         # histogram's probability instead, 6 of these 20 runs left a shift post-state whose
-        # squared norm missed 1 by more than NORMALIZED_ATOL.
+        # squared norm missed 1 by more than NORMALIZED_ATOL.  Both couplings take the mask.
         n = 18
         state = w(n) if family == "w" else dicke(n, n // 2)
         for d in range(3, 8):
             records = run_module(state, ModuleConfig(n, d, coupling), classify_states=False)
             assert sum(r.probability for r in records) == pytest.approx(1.0, abs=1e-12)
-            if coupling is CouplingKind.SHIFT:  # the mask route; a phase run takes the chain
-                probs = outcome_distribution(state, n, d, coupling)
-                assert [r.probability for r in records] == [probs[r.parity] for r in records]
+            probs = outcome_distribution(state, n, d, coupling)
+            assert [r.probability for r in records] == [probs[r.parity] for r in records]
             for r in records:
                 if r.post_state is not None:
                     assert abs(squared_norm(r.post_state.amps) - 1.0) <= 1e-14, (d, r.parity)
+
+    def test_class_probabilities_are_the_exact_sums_at_20_qubits(self):
+        # A class is summed pairwise within each weight and its weights by math.fsum, so the
+        # rounding does not grow with 2^n; one sequential histogram missed here by 5.7e-13.
+        n, d = 20, 3
+        state = dicke(n, n // 2)
+        classes = hamming_weights(n) % d
+        squares = np.abs(state.amps) ** 2
+        exact = [math.fsum(squares[classes == i]) for i in range(d)]
+        assert outcome_distribution(state, n, d) == pytest.approx(exact, abs=1e-14)
 
     def test_phase_run_holds_branches_not_a_joint_matrix(self):
         # The phase path keeps d branch vectors and the post-states that replace them,
@@ -858,7 +888,7 @@ class TestWeightKernels:
                 for prep in (None, orbit_ancilla(g, d, CouplingKind.SHIFT)):
                     config = ModuleConfig(n, d, CouplingKind.SHIFT, ancilla_prep=prep)
                     parities = tuple(range(d))  # the default and every custom shift ancilla
-                    got = _branches(amps, _weight_representatives(amps, n), config)
+                    got = _branches(amps, _real_constant(amps), config)
                     for (parity, prob, norm2, branch), (p0, b0) in zip(got, copying_shift_branches(amps, n, parities), strict=True):
                         where = (kind, d, prep is None, parity)
                         assert (branch is None) == (b0 is None), where
@@ -869,7 +899,7 @@ class TestWeightKernels:
                                 assert np.array_equal(branch.view(np.uint64), amps.view(np.uint64)), where
                                 assert np.abs(branch - b0).max() <= 1e-15, where
                             continue
-                        assert prob == p0, where
+                        assert_class_probability(prob, p0, n, where)
                         if b0 is not None:
                             assert np.array_equal(branch.view(np.uint64), b0.view(np.uint64)), where
 
@@ -949,7 +979,7 @@ class TestWeightKernels:
     )
     @settings(max_examples=80)
     def test_run_module_matches_sequential_oracle(self, n, d, coupling, ancilla, register, seed):
-        # |+>^n and a Dicke sum take both kernels' weight-representative routes.
+        # |+>^n takes both kernels' constant routes; a Dicke sum takes the mask.
         g = np.random.default_rng(seed)
         if register == "plus":
             state = plus_state(n)
