@@ -3,7 +3,6 @@
 from .linalg import (
     Ket,
     Operator,
-    basis_ket,
     fidelity,
     fourier_ket,
     hadamard,

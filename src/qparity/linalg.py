@@ -162,17 +162,6 @@ def fourier_ket(d: int, k: int) -> Ket:
     return Ket(omega(d) ** (-k * j) / math.sqrt(d), (d,), normalized=True)
 
 
-def basis_ket(factor_dims: Sequence[int], index: int) -> Ket:
-    """Computational basis vector with the given flat (mixed-radix) index."""
-    dims = tuple(int(d) for d in factor_dims)
-    total = math.prod(dims)
-    if not 0 <= index < total:
-        raise IndexError(f"basis index {index} outside [0, {total})")
-    amps = np.zeros(total, dtype=complex)
-    amps[index] = 1.0
-    return Ket(amps, dims, normalized=True)
-
-
 def plus_state(n: int) -> Ket:
     """|+>^n, the uniform superposition over all n-bit strings."""
     if n < 1:

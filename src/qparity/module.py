@@ -26,8 +26,8 @@ rounding-level Dicke residuals of |+>^n, so their digest pins that chain's
 bits.  With the shift coupling and two or more qubits it lies in the
 Hadamard class 0, so its parity-0 branch is the register itself and every
 other branch is zero, with no Walsh-Hadamard transform.  Each branch is then
-divided by the root of its own squared norm in place and becomes its
-post-state's array, so a branch is allocated once.
+divided in place by the root of the probability it reports, P_m psi / sqrt(p_m),
+and becomes its post-state's array, so it is allocated once and summed once.
 
 ``outcome_distribution`` and ``build_projectors`` work through the
 projectors P_i = d^(-1) sum_k w^(-ik) A^k: the mask wt(x) == i (mod d),
@@ -308,10 +308,10 @@ def _heralded(amps: np.ndarray, n: int, d: int, coupling: CouplingKind) -> tuple
 
 
 def _branches(amps: np.ndarray, value: complex | None, config: ModuleConfig):
-    """(parity, probability, squared norm, branch) for each outcome, in outcome order;
-    branch is None when the probability is below ``ZERO_PROBABILITY_ATOL``.  ``value`` is
-    what ``_real_constant`` returns for ``amps``.  Outcome m of the default phase
-    ancilla heralds parity -m mod d, and of every other ancilla parity m.
+    """(parity, probability, branch) for each outcome, in outcome order; branch is None
+    when the probability is below ``ZERO_PROBABILITY_ATOL``.  ``value`` is what
+    ``_real_constant`` returns for ``amps``.  Outcome m of the default phase ancilla
+    heralds parity -m mod d, and of every other ancilla parity m.
 
     The module heralds wt mod d, so branch m is the class mask
     ``np.where(classes == parity, b, 0)`` with b and the probabilities from
@@ -319,12 +319,12 @@ def _branches(amps: np.ndarray, value: complex | None, config: ModuleConfig):
     an exact permutation, and a nonzero shift branch is transformed back in place.
     Only a real constant register (|+>^n up to sign) takes its own routes.  With the
     default phase ancilla it runs the per-excitation chain of ``_phase_representatives``,
-    whose bits the golden reports pin, and gathers each branch by weight.  With the
-    shift coupling and n >= 2 it is H^(x)n 2^(n/2) value e_0, all in class 0: its
-    parity-0 branch is a copy of the register, with the register's squared norm
-    2^n value^2 as its probability, and every other branch is zero.  Each branch
-    yielded is a new array that the caller may divide in place by the root of its own
-    squared norm, yielded with it, and keep.
+    whose bits the golden reports pin, gathers each branch by weight and reports its
+    ``squared_norm``.  With the shift coupling and n >= 2 it is H^(x)n 2^(n/2) value e_0,
+    all in class 0: its parity-0 branch is a copy of the register, with the register's
+    squared norm 2^n value^2 as its probability, and every other branch is zero.  Each
+    branch yielded is a new array that the caller may divide in place by the root of
+    its probability and keep.
     """
     n, d, coupling = config.n, config.d, config.coupling
     default_phase = coupling is CouplingKind.PHASE and config.ancilla_prep is None
@@ -340,23 +340,23 @@ def _branches(amps: np.ndarray, value: complex | None, config: ModuleConfig):
             np.take(row, wts, out=branch)
         for parity in parities:
             branch = branches.pop(0)  # freed once the caller drops it
-            prob = float(np.sum(np.abs(branch) ** 2))
-            yield parity, prob, prob, (branch if prob >= ZERO_PROBABILITY_ATOL else None)
+            prob = squared_norm(branch)
+            yield parity, prob, (branch if prob >= ZERO_PROBABILITY_ATOL else None)
     elif coupling is CouplingKind.SHIFT and value is not None and n >= 2:
-        norm2 = float(1 << n) * value.real**2
+        prob = float(1 << n) * value.real**2
         for parity in parities:
-            yield (parity, norm2, norm2, amps.copy()) if parity == 0 else (parity, 0.0, 0.0, None)
+            yield (parity, prob, amps.copy()) if parity == 0 else (parity, 0.0, None)
     else:
         b, classes, probs = _heralded(amps, n, d, coupling)
         for parity in parities:
             prob = probs[parity]
             if prob < ZERO_PROBABILITY_ATOL:
-                yield parity, prob, prob, None
+                yield parity, prob, None
                 continue
             branch = np.where(classes == parity, b, 0)
             if coupling is CouplingKind.SHIFT:
                 _hadamard_in_place(branch, n)
-            yield parity, prob, squared_norm(branch), branch
+            yield parity, prob, branch
 
 
 def _exact_parity_probability(n: int, d: int, coupling: CouplingKind, parity: int) -> Fraction:
@@ -388,12 +388,12 @@ def run_module(state: Ket, config: ModuleConfig, *, classify_states: bool = True
     value = _real_constant(state.amps)
     exact_ok = config.ancilla_prep is None and value is not None and value.real > 0
     records = []
-    for m, (parity, prob, norm2, branch) in enumerate(_branches(state.amps, value, config)):
+    for m, (parity, prob, branch) in enumerate(_branches(state.amps, value, config)):
         exact = _exact_parity_probability(config.n, config.d, config.coupling, parity) if exact_ok else None
         if branch is None:
             records.append(OutcomeRecord(m, parity, prob, exact, None, None, True))
             continue
-        branch /= math.sqrt(norm2)
+        branch /= math.sqrt(prob)
         post = Ket._adopt(branch, (2,) * config.n)
         cls = states.classify(post) if classify_states else None
         records.append(OutcomeRecord(m, parity, prob, exact, post, cls, False))

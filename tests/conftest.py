@@ -1,5 +1,6 @@
 """Shared fixtures and hypothesis configuration for the test suite."""
 
+import math
 import time
 
 import numpy as np
@@ -18,6 +19,15 @@ settings.load_profile("default")
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+def basis_ket(dims, index):
+    """The normalized computational basis vector with flat (mixed-radix) ``index``."""
+    from qparity.linalg import Ket
+
+    amps = np.zeros(math.prod(dims), dtype=complex)
+    amps[index] = 1.0
+    return Ket(amps, dims, normalized=True)
 
 
 def random_ket_amps(rng, dim):

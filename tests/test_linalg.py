@@ -9,13 +9,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import basis_ket
 from qparity.linalg import (
     _NORM_ROW,
     _NORM_SHORT,
     NORM_ATOL,
     Ket,
     Operator,
-    basis_ket,
     fidelity,
     fourier_ket,
     hadamard,
@@ -153,10 +153,6 @@ class TestKetConstruction:
         p = plus_state(3)
         assert p.factor_dims == (2, 2, 2)
         assert np.allclose(p.amps, np.full(8, 8 ** -0.5))
-
-    def test_basis_ket_bounds(self):
-        with pytest.raises(IndexError):
-            basis_ket((2, 3), 6)
 
 
 class TestOperatorConstruction:

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from qparity.linalg import (
     Ket,
     Operator,
-    basis_ket,
     fidelity,
     fourier_ket,
     hadamard,
@@ -49,7 +48,7 @@ from qparity.linalg import NORM_ATOL
 from qparity.solver import ORBIT_ATOL, admissible_state, check_orbit, roots_of_unity_spec
 from qparity.states import dicke, dicke_sum, ghz, w
 
-from conftest import random_ket_amps
+from conftest import basis_ket, random_ket_amps
 
 
 def random_register(seed, n):
@@ -198,20 +197,14 @@ def copying_shift_branches(amps, n, parities):
 
 
 def chain_pairs(chains):
-    """The (probability, branch) pairs of the per-excitation chain's branches."""
-    return [(float(np.sum(np.abs(chain) ** 2)), chain) for chain in chains]
+    """The (probability, branch) pairs of the per-excitation chain's branches: each
+    probability is the branch's ``squared_norm``."""
+    return [(squared_norm(chain), chain) for chain in chains]
 
 
 def phase_branches(amps, config):
-    """The phase kernel's (probability, branch) pairs for ``config``'s ancilla, each
-    yielded with its own squared norm: the chain's probability, or the mask's sum."""
-    value = _real_constant(amps)
-    on_chain = config.ancilla_prep is None and value is not None
-    pairs = []
-    for _, prob, norm2, branch in _branches(amps, value, config):
-        assert norm2 == (prob if branch is None or on_chain else squared_norm(branch))
-        pairs.append((prob, branch))
-    return pairs
+    """The phase kernel's (probability, branch) pairs for ``config``'s ancilla."""
+    return [(prob, branch) for _, prob, branch in _branches(amps, _real_constant(amps), config)]
 
 
 def assert_phase_bits(got, expect, chains, where, on_chain):
@@ -444,7 +437,7 @@ class TestModuleConfig:
             assert check_orbit(step, default, d).orthonormal
             for amps in (plus_state(3).amps, random_ket_amps(g, 8)):
                 got = _branches(amps, _real_constant(amps), ModuleConfig(3, d, coupling))
-                assert tuple(parity for parity, _, _, _ in got) == default_parities(d, coupling)
+                assert tuple(parity for parity, _, _ in got) == default_parities(d, coupling)
             assert coupling.measurement_basis == ("computational" if shift else "fourier")
 
     @pytest.mark.parametrize("coupling", list(CouplingKind))
@@ -818,9 +811,10 @@ class TestWeightKernels:
     @pytest.mark.parametrize("coupling", list(CouplingKind))
     @pytest.mark.parametrize("family", ["w", "dicke"])
     def test_18_qubit_w_and_dicke_registers_run_at_every_small_d(self, family, coupling):
-        # Each branch is divided by the root of its own squared norm.  Divided by the class
-        # histogram's probability instead, 6 of these 20 runs left a shift post-state whose
-        # squared norm missed 1 by more than NORMALIZED_ATOL.  Both couplings take the mask.
+        # Each branch is divided by the root of its class probability, within (n + 8) 2^-53
+        # of the exact class sum.  Divided by a sequential np.bincount histogram's value,
+        # 6 of these 20 runs left a shift post-state whose squared norm missed 1 by more
+        # than NORMALIZED_ATOL.  Both couplings take the mask.
         n = 18
         state = w(n) if family == "w" else dicke(n, n // 2)
         for d in range(3, 8):
@@ -889,10 +883,9 @@ class TestWeightKernels:
                     config = ModuleConfig(n, d, CouplingKind.SHIFT, ancilla_prep=prep)
                     parities = tuple(range(d))  # the default and every custom shift ancilla
                     got = _branches(amps, _real_constant(amps), config)
-                    for (parity, prob, norm2, branch), (p0, b0) in zip(got, copying_shift_branches(amps, n, parities), strict=True):
+                    for (parity, prob, branch), (p0, b0) in zip(got, copying_shift_branches(amps, n, parities), strict=True):
                         where = (kind, d, prep is None, parity)
                         assert (branch is None) == (b0 is None), where
-                        assert norm2 == (prob if branch is None or constant else squared_norm(branch)), where
                         if constant:
                             assert prob == pytest.approx(p0, abs=1e-15) and (prob == 0.0) == (parity != 0), where
                             if b0 is not None:
@@ -951,6 +944,43 @@ class TestWeightKernels:
         finally:
             tracemalloc.stop()
         assert peak < (d + working) * (16 << n)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 10])
+    def test_every_post_state_is_its_branch_over_the_root_of_its_probability(self, monkeypatch, n):
+        # The Born rule is the one normalization: on every route a post-state has the bits
+        # of the kernel's branch divided by math.sqrt of the probability its record reports.
+        # A nonzero branch is summed once, by the post-state's normalization check; the
+        # chain also sums each of its d branches once for its probability.
+        g = np.random.default_rng(n)
+        plus = plus_state(n)
+        registers = {"plus": plus, "minus": Ket(-plus.amps, plus.factor_dims, normalized=True)}
+        registers |= {"random": random_register(n, n), "dicke": random_dicke_sum(g, n)} | ({"w": w(n)} if n > 1 else {})
+        calls = []
+
+        def counted(a):
+            calls.append(a.size)
+            return squared_norm(a)
+
+        for coupling in CouplingKind:
+            for d in range(2, 8):
+                for prep in (None, orbit_ancilla(g, d, coupling)):
+                    config = ModuleConfig(n, d, coupling, ancilla_prep=prep)
+                    for kind, state in registers.items():
+                        value = _real_constant(state.amps)
+                        on_chain = value is not None and coupling is CouplingKind.PHASE and prep is None
+                        expect = list(_branches(state.amps, value, config))
+                        with monkeypatch.context() as m:
+                            m.setattr("qparity.module.squared_norm", counted)
+                            m.setattr("qparity.linalg.squared_norm", counted)
+                            calls.clear()
+                            records = run_module(state, config, classify_states=False)
+                        where = (kind, coupling, d, prep is None)
+                        for r, (parity, prob, branch) in zip(records, expect, strict=True):
+                            assert (r.parity, r.probability, r.zero_probability) == (parity, prob, branch is None), where
+                            if branch is not None:
+                                want = branch / math.sqrt(r.probability)
+                                assert np.array_equal(r.post_state.amps.view(np.uint64), want.view(np.uint64)), where
+                        assert calls == [1 << n] * (sum(not r.zero_probability for r in records) + d * on_chain), where
 
     def test_in_place_hadamard_transform_keeps_the_stacked_butterfly_bits(self):
         g = np.random.default_rng(7)

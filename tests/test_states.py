@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_ket_amps
-from qparity.linalg import Ket, basis_ket, fidelity, hamming_weights, plus_state, tensor
+from conftest import basis_ket, random_ket_amps
+from qparity.linalg import Ket, fidelity, hamming_weights, plus_state, tensor
 from qparity.module import CouplingKind, ModuleConfig, run_module
 from qparity.states import (
     FIDELITY_THRESHOLD,
