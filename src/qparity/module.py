@@ -25,8 +25,10 @@ its value and each branch is gathered by weight; the golden reports print
 rounding-level Dicke residuals of |+>^n, so their digest pins that chain's
 bits.  With the shift coupling and two or more qubits it lies in the
 Hadamard class 0, so its parity-0 branch is the register itself and every
-other branch is zero, with no Walsh-Hadamard transform.  Each branch is then
-divided in place by the root of the probability it reports, P_m psi / sqrt(p_m),
+other branch is zero, with no Walsh-Hadamard transform; that branch is
+classified from its n + 1 Dicke overlaps by ``states.classify_symmetric``, and
+every other branch by ``states.classify``.  Each branch is then scaled in
+place by the reciprocal root of the probability it reports, P_m psi / sqrt(p_m),
 and becomes its post-state's array, so it is allocated once and summed once.
 
 ``outcome_distribution`` and ``build_projectors`` work through the
@@ -307,6 +309,12 @@ def _heralded(amps: np.ndarray, n: int, d: int, coupling: CouplingKind) -> tuple
     return b, weight_classes(n, d), [math.fsum(per_weight[i::d]) for i in range(d)]
 
 
+def _constant_shift(value: complex | None, config: ModuleConfig) -> bool:
+    """Whether a register whose ``_real_constant`` is ``value`` takes the constant shift route:
+    |+>^n up to sign under the shift coupling, with n >= 2 so that it lies in Hadamard class 0."""
+    return config.coupling is CouplingKind.SHIFT and value is not None and config.n >= 2
+
+
 def _branches(amps: np.ndarray, value: complex | None, config: ModuleConfig):
     """(parity, probability, branch) for each outcome, in outcome order; branch is None
     when the probability is below ``ZERO_PROBABILITY_ATOL``.  ``value`` is what
@@ -342,7 +350,7 @@ def _branches(amps: np.ndarray, value: complex | None, config: ModuleConfig):
             branch = branches.pop(0)  # freed once the caller drops it
             prob = squared_norm(branch)
             yield parity, prob, (branch if prob >= ZERO_PROBABILITY_ATOL else None)
-    elif coupling is CouplingKind.SHIFT and value is not None and n >= 2:
+    elif _constant_shift(value, config):
         prob = float(1 << n) * value.real**2
         for parity in parities:
             yield (parity, prob, amps.copy()) if parity == 0 else (parity, 0.0, None)
@@ -385,17 +393,29 @@ def run_module(state: Ket, config: ModuleConfig, *, classify_states: bool = True
     preparation is the default one.
     """
     _check_register(state, config)
+    n = config.n
     value = _real_constant(state.amps)
     exact_ok = config.ancilla_prep is None and value is not None and value.real > 0
+    constant_shift = _constant_shift(value, config)
     records = []
     for m, (parity, prob, branch) in enumerate(_branches(state.amps, value, config)):
-        exact = _exact_parity_probability(config.n, config.d, config.coupling, parity) if exact_ok else None
+        exact = _exact_parity_probability(n, config.d, config.coupling, parity) if exact_ok else None
         if branch is None:
             records.append(OutcomeRecord(m, parity, prob, exact, None, None, True))
             continue
-        branch /= math.sqrt(prob)
-        post = Ket._adopt(branch, (2,) * config.n)
-        cls = states.classify(post) if classify_states else None
+        # Complex division by sqrt(p) multiplies both parts by 1 / sqrt(p); so does this, on
+        # the float pairs, with every nonzero component's bits and without a complex loop.
+        parts = branch.view(np.float64)
+        parts *= 1.0 / math.sqrt(prob)
+        post = Ket._adopt(branch, (2,) * n)
+        if not classify_states:
+            cls = None
+        elif constant_shift:
+            # The one nonzero branch is the register itself: |a_0| sqrt(C(n, k)) on D(n, k).
+            overlaps = abs(post.amps[0]) * np.sqrt([math.comb(n, k) for k in range(n + 1)])
+            cls = states.classify_symmetric(n, overlaps)
+        else:
+            cls = states.classify(post)
         records.append(OutcomeRecord(m, parity, prob, exact, post, cls, False))
     total = sum(r.probability for r in records)
     if not abs(total - 1.0) <= _PROBABILITY_SUM_ATOL:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -21,6 +21,8 @@ FIDELITY_THRESHOLD = 1.0 - 1e-10
 _COEFF_CUTOFF = 1e-12
 # The global phase is read off the first amplitude above rounding noise, so noise never sets it.
 _PHASE_LEAD_FLOOR = 1e-12
+# The phase lead is searched block by block, so a lead near the front costs one short pass.
+_LEAD_BLOCK = 1 << 12
 # A Dicke sum reconstructs its state up to rounding, ~1e-15; any other state misses by far more.
 _DICKE_RESIDUAL_ATOL = 1e-10
 # A split is rank 1 when its second singular value is below this; a product's is rounding, ~1e-8.
@@ -166,6 +168,17 @@ def dicke_sum(n: int, coeffs: Mapping[int, float | complex]) -> Ket:
     return Ket(amps / nrm, (2,) * n, normalized=True)
 
 
+def _phase_lead(a: np.ndarray) -> complex:
+    """The first entry of ``a`` above ``_PHASE_LEAD_FLOOR`` in magnitude, searched in blocks of
+    ``_LEAD_BLOCK`` so that no |a| of register size is formed; a zero vector raises ValueError."""
+    for first in range(0, a.size, _LEAD_BLOCK):
+        block = a[first : first + _LEAD_BLOCK]
+        above = np.abs(block) > _PHASE_LEAD_FLOOR
+        if above.any():
+            return block[np.argmax(above)]
+    raise ValueError("cannot fix the phase of a (numerically) zero vector")
+
+
 def dicke_decompose(state: Ket) -> DickeDecomposition:
     """Project a normalized state onto the Dicke basis.
 
@@ -179,9 +192,7 @@ def dicke_decompose(state: Ket) -> DickeDecomposition:
     """
     n = _require_qubits(state)
     amps = state.amps
-    lead = amps[np.argmax(np.abs(amps) > _PHASE_LEAD_FLOOR)]
-    if not abs(lead) > _PHASE_LEAD_FLOOR:
-        raise ValueError("cannot fix the phase of a (numerically) zero vector")
+    lead = _phase_lead(amps)
     rotated = amps * (lead.conjugate() / abs(lead))
     order, starts = weight_order(n)
     # Each class is a contiguous slice of the amplitudes in weight order.
@@ -251,35 +262,56 @@ def squared_weight_ratios(dec: DickeDecomposition) -> dict[int, int] | None:
     return out
 
 
+def _gram_split(m: np.ndarray) -> np.ndarray | None:
+    """One greedy rank-1 split of the 2 x m matrix ``m`` with rows r0, r1: u^dagger m, or None.
+
+    The Gram matrix G = M M^dagger, G[i, j] = <r_j|r_i>, has the squared singular
+    values s0^2 >= s1^2 of M as eigenvalues, so three inner products decide the
+    split: it fails when s1 > _PRODUCT_SPLIT_ATOL.  Otherwise u is G's top
+    eigenvector, the split-off qubit's factor.
+    """
+    a = np.vdot(m[0], m[0]).real
+    c = np.vdot(m[1], m[1]).real
+    b = complex(np.vdot(m[0], m[1]))  # G[1, 0]
+    half = (a - c) / 2
+    rad = math.hypot(half, abs(b))
+    if math.sqrt(max((a + c) / 2 - rad, 0.0)) > _PRODUCT_SPLIT_ATOL:
+        return None
+    # (G - s0^2) u = 0, solved from the row that has no cancellation.
+    u = np.array([half + rad, b] if half >= 0 else [b.conjugate(), rad - half])
+    nrm = np.linalg.norm(u)
+    # u is 0 only when G is a multiple of the identity; then (1, 0) is a top eigenvector.
+    u = u / nrm if nrm > 0 else np.array([1.0 + 0j, 0.0])
+    return u.conj() @ m
+
+
 def _product_factorization(state: Ket) -> float:
     """Greedy rank-1 splitting, one qubit at a time; the product's fidelity, or 0.0.
 
-    Each split reads the remainder as a 2 x m matrix M with rows r0, r1.  Its
-    Gram matrix G = M M^dagger, G[i, j] = <r_j|r_i>, has the squared singular
-    values s0^2 >= s1^2 of M as eigenvalues, so three inner products decide
-    the split: it fails when s1 > _PRODUCT_SPLIT_ATOL.  Otherwise the qubit's
-    factor is G's top eigenvector u and the next remainder is u^dagger M.
-    The product is u_1 ... u_(n-1) f with f the normalized final remainder,
-    and <u_1 ... u_(n-1) f|state> = ||remainder||, so its fidelity is the
-    remainder's squared norm.
+    Each split reads the remainder as a 2 x m matrix M and replaces it by
+    ``_gram_split``'s u^dagger M.  The product is u_1 ... u_(n-1) f with f the
+    normalized final remainder, and <u_1 ... u_(n-1) f|state> = ||remainder||,
+    so its fidelity is the remainder's squared norm.
     """
     rem = state.amps
     for _ in range(len(state.factor_dims) - 1):
-        m = rem.reshape(2, -1)
-        a = np.vdot(m[0], m[0]).real
-        c = np.vdot(m[1], m[1]).real
-        b = complex(np.vdot(m[0], m[1]))  # G[1, 0]
-        half = (a - c) / 2
-        rad = math.hypot(half, abs(b))
-        if math.sqrt(max((a + c) / 2 - rad, 0.0)) > _PRODUCT_SPLIT_ATOL:
+        rem = _gram_split(rem.reshape(2, -1))
+        if rem is None:
             return 0.0
-        # (G - s0^2) u = 0, solved from the row that has no cancellation.
-        u = np.array([half + rad, b] if half >= 0 else [b.conjugate(), rad - half])
-        nrm = np.linalg.norm(u)
-        # u is 0 only when G is a multiple of the identity; then (1, 0) is a top eigenvector.
-        u = u / nrm if nrm > 0 else np.array([1.0 + 0j, 0.0])
-        rem = u.conj() @ m
     return float(np.vdot(rem, rem).real)
+
+
+def _symmetric_product_factorization(c: np.ndarray) -> float:
+    """``_product_factorization`` of the symmetric state sum_k c_k D(m, k), on its Dicke
+    coefficients.  D(m, k) = sqrt((m-k)/m) |0> D(m-1, k) + sqrt(k/m) |1> D(m-1, k-1), so the
+    rows r0 and r1 of a split are c_k sqrt((m-k)/m) and c_(k+1) sqrt((k+1)/m) on D(m-1, k);
+    the remainder u^dagger M is again symmetric, and each split costs O(m)."""
+    for m in range(c.size - 1, 1, -1):
+        k = np.arange(m)
+        c = _gram_split(np.array([c[:-1] * np.sqrt((m - k) / m), c[1:] * np.sqrt((k + 1) / m)]))
+        if c is None:
+            return 0.0
+    return float(np.vdot(c, c).real)
 
 
 def _named_families(n: int):
@@ -297,6 +329,27 @@ def _named_families(n: int):
         yield Family.G, 1, [1, n - 1], False
     for k in range(2, (n - 1) // 2 + 1):
         yield Family.G_GENERAL, k, [k, n - k], False
+
+
+def _classified(dec: DickeDecomposition, product_fidelity: Callable[[], float]) -> ClassificationResult:
+    """The family ladder: named families from ``dec.overlaps``, then a Product when
+    ``product_fidelity()`` reaches the threshold, then a Dicke sum by ``dec.residual``."""
+    n, overlaps = dec.n, dec.overlaps
+    flipped = overlaps[::-1]
+    for family, k, weights, try_flip in _named_families(n):
+        f = abs(complex(overlaps[weights].sum())) ** 2 / len(weights)
+        if f >= FIDELITY_THRESHOLD:
+            return ClassificationResult(family, n, k, False, f, dec)
+        if try_flip:
+            f = abs(complex(flipped[weights].sum())) ** 2 / len(weights)
+            if f >= FIDELITY_THRESHOLD:
+                return ClassificationResult(family, n, k, True, f, dec)
+    f = product_fidelity()
+    if f >= FIDELITY_THRESHOLD:
+        return ClassificationResult(Family.PRODUCT, n, None, False, f, dec)
+    if dec.residual < _DICKE_RESIDUAL_ATOL:
+        return ClassificationResult(Family.DICKE_SUM, n, None, False, 1.0 - dec.residual**2, dec)
+    return ClassificationResult(Family.OTHER, n, None, False, 0.0, dec)
 
 
 def classify(state: Ket) -> ClassificationResult:
@@ -318,24 +371,30 @@ def classify(state: Ket) -> ClassificationResult:
     threshold.  Next comes a generic Dicke-basis combination (residual below
     1e-10), otherwise Other.
     """
-    n = _require_qubits(state)
-    dec = dicke_decompose(state)
-    overlaps = dec.overlaps
-    flipped = overlaps[::-1]
-    for family, k, weights, try_flip in _named_families(n):
-        f = abs(complex(overlaps[weights].sum())) ** 2 / len(weights)
-        if f >= FIDELITY_THRESHOLD:
-            return ClassificationResult(family, n, k, False, f, dec)
-        if try_flip:
-            f = abs(complex(flipped[weights].sum())) ** 2 / len(weights)
-            if f >= FIDELITY_THRESHOLD:
-                return ClassificationResult(family, n, k, True, f, dec)
-    f = _product_factorization(state)
-    if f >= FIDELITY_THRESHOLD:
-        return ClassificationResult(Family.PRODUCT, n, None, False, f, dec)
-    if dec.residual < _DICKE_RESIDUAL_ATOL:
-        return ClassificationResult(Family.DICKE_SUM, n, None, False, 1.0 - dec.residual**2, dec)
-    return ClassificationResult(Family.OTHER, n, None, False, 0.0, dec)
+    return _classified(dicke_decompose(state), lambda: _product_factorization(state))
+
+
+def classify_symmetric(n: int, overlaps: np.ndarray) -> ClassificationResult:
+    """``classify`` of a normalized permutation-symmetric n-qubit state, read from its
+    n + 1 overlaps <D(n, k)|state> alone, in O(n^2) work.
+
+    The caller guarantees that the state is symmetric: nothing here can see a
+    non-symmetric part, so the residual counts only what the kept coefficients
+    miss inside the symmetric subspace.  The phase is fixed on the first overlap
+    above 1e-12 in magnitude, the coefficients are the real parts of the rotated
+    overlaps at least 1e-12 in magnitude, and the residual is the norm of what
+    they miss, imaginary parts included.  The family ladder is ``classify``'s, and
+    the product split runs on Dicke coefficients.
+    """
+    rotated = np.array(overlaps, dtype=complex)
+    lead = _phase_lead(rotated)
+    rotated *= lead.conjugate() / abs(lead)
+    kept = np.where(np.abs(rotated.real) >= _COEFF_CUTOFF, rotated.real, 0.0)
+    coeffs = {k: float(c) for k, c in enumerate(kept) if c != 0}
+    residual = math.sqrt(squared_norm(rotated - kept))
+    rotated.setflags(write=False)
+    dec = DickeDecomposition(n=n, coeffs=coeffs, residual=residual, overlaps=rotated)
+    return _classified(dec, lambda: _symmetric_product_factorization(rotated))
 
 
 def expectations(state: Ket) -> ExpectationReport:

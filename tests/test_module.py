@@ -43,10 +43,10 @@ from qparity.module import (
     run_module,
     statevector_qubit_limit,
 )
-from qparity import module
+from qparity import module, states
 from qparity.linalg import NORM_ATOL
 from qparity.solver import ORBIT_ATOL, admissible_state, check_orbit, roots_of_unity_spec
-from qparity.states import dicke, dicke_sum, ghz, w
+from qparity.states import FIDELITY_THRESHOLD, Family, dicke, dicke_sum, ghz, w
 
 from conftest import basis_ket, random_ket_amps
 
@@ -929,6 +929,35 @@ class TestWeightKernels:
             for r in records[1:]:
                 assert r.probability == 0.0 and r.zero_probability, (d, r.outcome_label)
 
+    def test_constant_shift_branch_is_classified_from_its_dicke_overlaps(self, monkeypatch):
+        # The one nonzero branch of +-|+>^n under the shift coupling is the register itself,
+        # so it is classified from its n + 1 Dicke overlaps: a Product whose residual is
+        # exactly 0, with no pass over its 2^n amplitudes.  The chain still runs classify.
+        decompose, classify = states.dicke_decompose, states.classify
+        calls = {"decompose": 0, "classify": 0}
+
+        def counted_decompose(state):
+            calls["decompose"] += 1
+            return decompose(state)
+
+        def counted_classify(state):
+            calls["classify"] += 1
+            return classify(state)
+
+        monkeypatch.setattr(states, "dicke_decompose", counted_decompose)
+        monkeypatch.setattr(states, "classify", counted_classify)
+        for n in (2, 9, 16):
+            for sign in (1, -1):
+                state = Ket(sign * plus_state(n).amps, plus_state(n).factor_dims, normalized=True)
+                records = run_module(state, ModuleConfig(n, 3, CouplingKind.SHIFT))
+                cls = records[0].classification
+                assert (cls.family, cls.decomposition.residual) == (Family.PRODUCT, 0.0), (n, sign)
+                assert cls.fidelity >= FIDELITY_THRESHOLD, (n, sign)
+                assert calls == {"decompose": 0, "classify": 0}, (n, sign)
+            chain = run_module(plus_state(n), ModuleConfig(n, 3))
+            assert calls["classify"] == sum(not r.zero_probability for r in chain) > 0, n
+            calls.update(decompose=0, classify=0)
+
     @pytest.mark.parametrize("coupling, working", [(CouplingKind.PHASE, 2.5), (CouplingKind.SHIFT, 3.5)], ids=["phase", "shift"])
     def test_branches_are_normalized_in_place(self, coupling, working):
         # Each branch is divided by sqrt(p) in place and owned by its post-state, and a
@@ -948,9 +977,11 @@ class TestWeightKernels:
     @pytest.mark.parametrize("n", [1, 2, 5, 10])
     def test_every_post_state_is_its_branch_over_the_root_of_its_probability(self, monkeypatch, n):
         # The Born rule is the one normalization: on every route a post-state has the bits
-        # of the kernel's branch divided by math.sqrt of the probability its record reports.
-        # A nonzero branch is summed once, by the post-state's normalization check; the
-        # chain also sums each of its d branches once for its probability.
+        # of the kernel's branch, as float pairs, times 1 / math.sqrt of the probability its
+        # record reports.  Every nonzero float keeps the bits of the complex division by that
+        # root; a zero may differ only in its sign.  A nonzero branch is summed once, by the
+        # post-state's normalization check; the chain also sums each of its d branches once
+        # for its probability.
         g = np.random.default_rng(n)
         plus = plus_state(n)
         registers = {"plus": plus, "minus": Ket(-plus.amps, plus.factor_dims, normalized=True)}
@@ -978,8 +1009,13 @@ class TestWeightKernels:
                         for r, (parity, prob, branch) in zip(records, expect, strict=True):
                             assert (r.parity, r.probability, r.zero_probability) == (parity, prob, branch is None), where
                             if branch is not None:
-                                want = branch / math.sqrt(r.probability)
-                                assert np.array_equal(r.post_state.amps.view(np.uint64), want.view(np.uint64)), where
+                                got = r.post_state.amps.view(np.float64)
+                                want = branch.view(np.float64) * (1.0 / math.sqrt(r.probability))
+                                assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), where
+                                divided = (branch / math.sqrt(r.probability)).view(np.float64)
+                                nonzero = got != 0
+                                assert np.array_equal(got[nonzero].view(np.uint64), divided[nonzero].view(np.uint64)), where
+                                assert not divided[~nonzero].any(), where
                         assert calls == [1 << n] * (sum(not r.zero_probability for r in records) + d * on_chain), where
 
     def test_in_place_hadamard_transform_keeps_the_stacked_butterfly_bits(self):

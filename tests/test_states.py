@@ -18,6 +18,7 @@ from qparity.states import (
     _product_factorization,
     bitflip_all,
     classify,
+    classify_symmetric,
     dicke,
     dicke_decompose,
     dicke_sum,
@@ -104,6 +105,29 @@ def assert_matches_oracle(state):
     )
     assert got.fidelity == pytest.approx(want.fidelity, abs=1e-12)
     return got
+
+
+def assert_mask_reference_bits(state):
+    """``dicke_decompose`` has the bits of the reference that fixes the phase with the first
+    amplitude above 1e-12, sums each class under a full-length mask and subtracts in place."""
+    n = len(state.factor_dims)
+    lead = state.amps[np.flatnonzero(np.abs(state.amps) > 1e-12)[0]]
+    amps = state.amps * (lead.conjugate() / abs(lead))
+    wts = hamming_weights(n)
+    coeffs, overlaps, remainder = {}, [], np.array(amps)
+    for k in range(n + 1):
+        mask = wts == k
+        scale = math.sqrt(math.comb(n, k))
+        total = np.sum(amps[mask])
+        overlaps.append(total / scale)
+        c = float(np.real(total) / scale)
+        if abs(c) >= 1e-12:
+            coeffs[k] = c
+            remainder[mask] -= c / scale
+    dec = dicke_decompose(state)
+    assert dec.coeffs == coeffs
+    assert np.array_equal(dec.overlaps, overlaps)
+    assert dec.residual == float(np.linalg.norm(remainder))
 
 
 def random_product(g_rng, n):
@@ -208,9 +232,10 @@ class TestDickeDecomposition:
         assert dec.coeffs == pytest.approx({1: 1.0})
 
     def test_zero_vector_rejected(self):
-        for scale in (0.0, 1e-13):
-            with pytest.raises(ValueError, match="zero vector"):
-                dicke_decompose(Ket(np.full(4, scale), (2, 2)))
+        for n in (2, 13):
+            for scale in (0.0, 1e-13):
+                with pytest.raises(ValueError, match="zero vector"):
+                    dicke_decompose(Ket(np.full(1 << n, scale), (2,) * n))
 
     @given(st.integers(min_value=0, max_value=999))
     def test_decomposition_is_phase_free(self, seed):
@@ -245,23 +270,18 @@ class TestDickeDecomposition:
             state = dicke_sum(n, dict(enumerate(g_rng.normal(size=n + 1) + 1j * g_rng.normal(size=n + 1))))
         else:
             state = Ket(random_ket_amps(g_rng, 1 << n), (2,) * n, normalized=True)
-        lead = state.amps[np.flatnonzero(np.abs(state.amps) > 1e-12)[0]]
-        amps = state.amps * (lead.conjugate() / abs(lead))
-        wts = hamming_weights(n)
-        coeffs, overlaps, remainder = {}, [], np.array(amps)
-        for k in range(n + 1):
-            mask = wts == k
-            scale = math.sqrt(math.comb(n, k))
-            total = np.sum(amps[mask])
-            overlaps.append(total / scale)
-            c = float(np.real(total) / scale)
-            if abs(c) >= 1e-12:
-                coeffs[k] = c
-                remainder[mask] -= c / scale
-        dec = dicke_decompose(state)
-        assert dec.coeffs == coeffs
-        assert np.array_equal(dec.overlaps, overlaps)
-        assert dec.residual == float(np.linalg.norm(remainder))
+        assert_mask_reference_bits(state)
+
+    @pytest.mark.parametrize("lead_at", [4096, 5000, (1 << 14) - 1])
+    def test_phase_lead_past_the_first_block_keeps_the_reference_bits(self, lead_at):
+        # Every amplitude ahead of the lead sits below the 1e-12 floor, so the blocked
+        # search must look past its first 4096 entries to find the same lead.
+        g_rng = np.random.default_rng(lead_at)
+        n = 14
+        amps = random_ket_amps(g_rng, 1 << n)
+        amps[:lead_at] *= 1e-13 / np.abs(amps[:lead_at]).max()
+        amps /= math.sqrt(np.sum(np.abs(amps) ** 2))
+        assert_mask_reference_bits(Ket(amps, (2,) * n))
 
     def test_round_trip_through_builder(self):
         original = dicke_sum(4, {0: 0.5, 2: 1.0, 4: -0.25})
@@ -497,6 +517,54 @@ class TestProductSplit:
         finally:
             tracemalloc.stop()
         assert peak < state.amps.nbytes // 16
+
+
+def symmetric_state(g_rng, n, kind):
+    """A permutation-symmetric n-qubit state of the named kind, with a random global phase."""
+    k = int(g_rng.integers(0, n + 1))
+    if kind == "dicke_sum":
+        ks = g_rng.choice(n + 1, size=int(g_rng.integers(1, n + 2)), replace=False)
+        state = dicke_sum(n, {int(j): complex(g_rng.normal(), g_rng.normal()) for j in ks})
+    elif kind == "product":
+        state = tensor([Ket(random_ket_amps(g_rng, 2), (2,), normalized=True)] * n)
+    else:
+        build = {"ghz": ghz, "w": w, "flipped_w": lambda m: bitflip_all(w(m)), "g": g, "plus": plus_state}
+        build |= {"dicke": lambda m: dicke(m, k), "g_general": lambda m: g_general(m, k)}
+        state = build[kind](n)
+    return Ket(np.exp(2j * np.pi * g_rng.random()) * state.amps, state.factor_dims, normalized=True)
+
+
+class TestClassifySymmetric:
+    KINDS = ("dicke_sum", "product", "plus", "dicke", "ghz", "w", "flipped_w", "g", "g_general")
+
+    @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=12), st.sampled_from(KINDS))
+    @settings(max_examples=150, deadline=None)
+    def test_agrees_with_classify(self, seed, n, kind):
+        # The overlaps are summed from the phased amplitudes, so the phase fix is exercised.
+        g_rng = np.random.default_rng(seed)
+        state = symmetric_state(g_rng, n if kind in self.KINDS[:4] else max(n, 2), kind)
+        n = len(state.factor_dims)
+        wts = hamming_weights(n)
+        overlaps = np.array([np.sum(state.amps[wts == j]) / math.sqrt(math.comb(n, j)) for j in range(n + 1)])
+        got = classify_symmetric(n, overlaps)
+        want = classify(state)
+        assert (got.family, got.n, got.k, got.up_to_bitflip) == (want.family, want.n, want.k, want.up_to_bitflip)
+        assert got.fidelity == pytest.approx(want.fidelity, abs=1e-12)
+        assert got.decomposition.coeffs == pytest.approx(want.decomposition.coeffs, abs=1e-12)
+        assert (got.decomposition.residual < 1e-10) == (want.decomposition.residual < 1e-10)
+        assert got.decomposition.residual == pytest.approx(want.decomposition.residual, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 22])
+    def test_plus_overlaps_are_an_exact_product(self, n):
+        # |+>^n has the real overlaps 2^(-n/2) sqrt(C(n, k)); n = 22 is past every tier-1 register.
+        overlaps = 2.0 ** (-n / 2) * np.sqrt([math.comb(n, k) for k in range(n + 1)])
+        got = classify_symmetric(n, overlaps)
+        assert (got.family, got.decomposition.residual) == (Family.PRODUCT, 0.0)
+        assert got.fidelity == pytest.approx(1.0, abs=1e-12)
+
+    def test_zero_overlaps_rejected(self):
+        with pytest.raises(ValueError, match="zero vector"):
+            classify_symmetric(3, np.full(4, 1e-13))
 
 
 class TestClassifyNeedsNoSvd:
