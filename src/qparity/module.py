@@ -201,18 +201,26 @@ class ProjectorSet:
         A phase projector is diag(mask_i).  A shift projector H^(x)n diag(mask_i) H^(x)n
         has entries 2^(-n) sum_z (-1)^(z.(x^y)) mask_i[z], which depend on x XOR y
         only: P_i[x, y] = g_i[x ^ y] with the real g_i = 2^(-n/2) H^(x)n mask_i, so
-        the view is a gather, not a matrix product.
+        the view is a gather, not a matrix product.  A weight is at most n, so only
+        the classes i <= n are nonempty; every empty class (d > n + 1) shares one
+        frozen zero matrix, and the view holds at most n + 2 matrices whatever d is.
         """
         n, d = self.n, self.d
-        need = f"{d} dense {1 << n} x {1 << n} projectors need {8 * d * 4**n} bytes, {8 << 2 * n} each"
+        full = min(d, n + 1)
+        empty = d - full
+        shared = f" and one zero shared by {empty} empty classes" if empty else ""
+        need = f"{full} dense {1 << n} x {1 << n} projectors{shared} need {(full + bool(empty)) * 8 << 2 * n} bytes, {8 << 2 * n} each"
         _check_qubits(2 * n, need)
-        masks = np.array([self.classes == i for i in range(d)], dtype=float)
+        masks = np.array([self.classes == i for i in range(full)], dtype=float)
         if self.coupling is CouplingKind.PHASE:
-            return tuple(Operator(np.diag(mask)) for mask in masks)
-        g = _hadamard_transform(masks.T, n).real.T * 2.0 ** (-n / 2)
-        index = np.arange(1 << n)
-        xor = index[:, None] ^ index
-        return tuple(Operator(g_i[xor]) for g_i in g)
+            views = [Operator(np.diag(mask)) for mask in masks]
+        else:
+            g = _hadamard_transform(masks.T, n).real.T * 2.0 ** (-n / 2)
+            index = np.arange(1 << n)
+            xor = index[:, None] ^ index
+            views = [Operator(g_i[xor]) for g_i in g]
+        zero = [Operator(np.zeros((1 << n, 1 << n)))] if empty else []
+        return tuple(views + zero * empty)
 
 
 def projector_dim(i: int, n: int, d: int) -> int:
@@ -325,6 +333,8 @@ def _branches(amps: np.ndarray, value: complex | None, config: ModuleConfig):
     ``np.where(classes == parity, b, 0)`` with b and the probabilities from
     ``_heralded``; in the Hadamard basis every shift coupling is a controlled X_d,
     an exact permutation, and a nonzero shift branch is transformed back in place.
+    A shift b is the route's own transform, so the last nonzero shift branch is masked
+    in b itself rather than copied out of it.
     Only a real constant register (|+>^n up to sign) takes its own routes.  With the
     default phase ancilla it runs the per-excitation chain of ``_phase_representatives``,
     whose bits the golden reports pin, gathers each branch by weight and reports its
@@ -356,12 +366,18 @@ def _branches(amps: np.ndarray, value: complex | None, config: ModuleConfig):
             yield (parity, prob, amps.copy()) if parity == 0 else (parity, 0.0, None)
     else:
         b, classes, probs = _heralded(amps, n, d, coupling)
+        nonzero = [parity for parity in parities if probs[parity] >= ZERO_PROBABILITY_ATOL]
+        last = nonzero[-1] if coupling is CouplingKind.SHIFT else None
         for parity in parities:
             prob = probs[parity]
             if prob < ZERO_PROBABILITY_ATOL:
                 yield parity, prob, None
                 continue
-            branch = np.where(classes == parity, b, 0)
+            if parity == last:
+                np.copyto(b, 0, where=classes != parity)
+                branch = b
+            else:
+                branch = np.where(classes == parity, b, 0)
             if coupling is CouplingKind.SHIFT:
                 _hadamard_in_place(branch, n)
             yield parity, prob, branch

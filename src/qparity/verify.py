@@ -24,8 +24,9 @@ from .module import (
 )
 from .states import FIDELITY_THRESHOLD
 
-# A dense projector entry sums up to 2^n rounded terms, and a product of two
-# views sums 2^n such entries: ~1e-13 at the n <= 10 the view allows by default.
+# A shift view's entry is a Walsh-Hadamard sum of 2^n rounded terms, and row 0 of a
+# product of two views, or of H P H, sums 2^n such entries: ~1e-13 at the n <= 10
+# the view allows by default.  Phase views hold exact 0s and 1s.
 PROJECTOR_ATOL = 1e-10
 # A value from a few rounded float64 steps meets its closed form to ~1e-15:
 # probabilities, fidelities, orbit Gram entries, residuals of exact Dicke sums.
@@ -56,11 +57,24 @@ def _check(name: str, failures: list[str]) -> Check:
     return Check(name=name, passed=not failures, failures=failures)
 
 
+def _generator(view: np.ndarray, phase: bool, xor: np.ndarray) -> np.ndarray | None:
+    """The diagonal (phase) or row 0 (shift) of a real projector view, or None when the
+    view is not exactly the matrix it generates: np.diag(g), or g[x ^ y] read at ``xor``."""
+    g = np.diagonal(view) if phase else view[0]
+    return g if np.array_equal(view, np.diag(g) if phase else g[xor]) else None
+
+
 def suite_projectors(max_n: int = 8) -> list[Check]:
     # Every view must be real: an imaginary part other than exactly 0 fails
-    # "hermitian", and the laws then run in float64 on the real parts.  Given
-    # P = P^T, P_j P_i = (P_i P_j)^T, so the products i <= j cover idempotence
-    # and every orthogonality.
+    # "hermitian", and the laws then run in float64 on the real parts.  A view must
+    # also be exactly the matrix of its generator g (``_generator``), and the laws
+    # are stated on the generators, in O(d^2 4^n) work with no 2^n x 2^n product:
+    # phase products are g_i * g_j, row 0 of a shift product P_i P_j is g_i @ P_j,
+    # and row 0 of H P_i H is (H[0] * g_i) @ H, with H the Kronecker product of n
+    # Hadamards, built apart from the module's butterfly.  Given P = P^T,
+    # P_j P_i = (P_i P_j)^T, so the products i <= j cover idempotence and every
+    # orthogonality.  A view without its structure fails every product law it
+    # enters, named by its own class.
     herm: list[str] = []
     orth: list[str] = []
     comp: list[str] = []
@@ -69,19 +83,28 @@ def suite_projectors(max_n: int = 8) -> list[Check]:
     for n in range(2, max_n + 1):
         hyp = tensor([hadamard()] * n).entries.real
         eye = np.eye(1 << n)
+        index = np.arange(1 << n)
+        xor = index[:, None] ^ index
         for d in range(2, n + 1):
-            real = {}
+            gens = {}
             for coupling in CouplingKind:
                 pset = build_projectors(n, d, coupling)
                 views = [p.entries for p in pset.projectors]
-                mats = real[coupling] = [v.real for v in views]
+                mats = [v.real for v in views]
+                phase = coupling is CouplingKind.PHASE
+                g = gens[coupling] = [_generator(m, phase, xor) for m in mats]
                 for i in range(d):
                     if views[i].imag.any() or not np.abs(mats[i].T - mats[i]).max() <= PROJECTOR_ATOL:
                         herm.append(f"(n={n},d={d},k={i},{coupling.value})")
+                    if g[i] is None:
+                        form = "diagonal" if phase else "a function of x XOR y"
+                        orth.append(f"(n={n},d={d},k={i},{coupling.value}) not {form}")
                     for j in range(i, d):
-                        want = mats[i] if i == j else 0
-                        if not np.abs(mats[i] @ mats[j] - want).max() <= PROJECTOR_ATOL:
-                            orth.append(f"(n={n},d={d},k={i},{j},{coupling.value})")
+                        if g[i] is not None and g[j] is not None:
+                            row = g[i] * g[j] if phase else g[i] @ mats[j]
+                            want = g[i] if i == j else 0
+                            if not np.abs(row - want).max() <= PROJECTOR_ATOL:
+                                orth.append(f"(n={n},d={d},k={i},{j},{coupling.value})")
                     rank = projector_dim(i, n, d)
                     if pset.dims[i] != rank or not abs(np.trace(mats[i]) - rank) <= PROJECTOR_ATOL:
                         dims.append(f"(n={n},d={d},k={i},{coupling.value})")
@@ -89,9 +112,11 @@ def suite_projectors(max_n: int = 8) -> list[Check]:
                     comp.append(f"(n={n},d={d},{coupling.value})")
                 if sum(pset.dims) != 1 << n:
                     dims.append(f"(n={n},d={d},{coupling.value}) total")
-            for i in range(d):
-                conj = hyp @ real[CouplingKind.PHASE][i] @ hyp
-                if not np.abs(conj - real[CouplingKind.SHIFT][i]).max() <= PROJECTOR_ATOL:
+            for i, (g_phase, g_shift) in enumerate(zip(gens[CouplingKind.PHASE], gens[CouplingKind.SHIFT])):
+                if g_phase is None or g_shift is None:
+                    unstructured = "phase" if g_phase is None else "shift"
+                    dual.append(f"(n={n},d={d},k={i}) {unstructured} view without its structure")
+                elif not np.abs((hyp[0] * g_phase) @ hyp - g_shift).max() <= PROJECTOR_ATOL:
                     dual.append(f"(n={n},d={d},k={i})")
     return [
         _check("projectors hermitian", herm),

@@ -336,6 +336,28 @@ class TestProjectors:
                 got = sequential_joint(state, coupling, default_ancilla(d, coupling, index)).amps
                 assert np.abs(got - joint).max() <= 1e-12
 
+    @pytest.mark.parametrize("coupling", list(CouplingKind))
+    def test_view_builds_only_the_nonempty_classes(self, coupling):
+        # A weight is at most n, so at d = 1000 only n + 1 classes hold strings; the rest
+        # share one frozen zero, and the view allocates n + 2 matrices, not d.  Building
+        # all d views peaked at 2.4 MB here.
+        n, d = 4, 1000
+        pset = build_projectors(n, d, coupling)
+        tracemalloc.start()
+        try:
+            views = pset.projectors
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # n + 2 matrices, plus the tuple and lists of d references.
+        assert peak < (n + 2) * (8 << 2 * n) + 32 * d
+        zero = views[n + 1]
+        assert all(v is zero for v in views[n + 1 :])
+        assert not zero.entries.any() and not zero.entries.flags.writeable
+        # The nonempty classes keep the bits of the view at d = n + 1, where every class holds strings.
+        for view, full in zip(views, build_projectors(n, n + 1, coupling).projectors, strict=False):
+            assert np.array_equal(view.entries.view(np.uint64), full.entries.view(np.uint64))
+
     def test_rank_accounting_is_complete(self):
         for n in range(1, 9):
             for d in range(2, n + 2):
@@ -864,6 +886,22 @@ class TestWeightKernels:
             tracemalloc.stop()
         assert peak < (d + 1) * (16 << n)
 
+    @pytest.mark.parametrize("d", [3, 7])
+    def test_shift_run_of_a_random_register_holds_only_its_branches(self, d):
+        # The shift transform b is the route's own, so its last nonzero branch is masked in
+        # b: an unclassified run peaks at its d branches plus the butterfly's scratch and
+        # the weight classes.  A copy of that branch peaked at 4.88 (d = 3) and 8.88 (d = 7) vectors.
+        n = 16
+        state, config = random_register(n, n), ModuleConfig(n, d, CouplingKind.SHIFT)
+        run_module(state, config, classify_states=False)  # builds the cached weight tables
+        tracemalloc.start()
+        try:
+            run_module(state, config, classify_states=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (d + 1) * (16 << n)
+
     @pytest.mark.parametrize("n", [*range(1, 13), 16])
     def test_in_place_shift_kernel_keeps_the_copying_bits(self, n):
         # The mask of H^(x)n amps, transformed back in place, keeps the bits of the mask
@@ -1212,6 +1250,10 @@ class TestResourceEnvelope:
         pset = build_projectors(4, 3)
         with pytest.raises(ResourceLimitError, match=r"limited to 2048 bytes \(7 qubits\); .* need 6144 bytes, 2048 each"):
             pset.projectors
+        # At d = 30 the view would build the 5 nonempty classes and one zero for the other 25.
+        shared = r"; 5 dense 16 x 16 projectors and one zero shared by 25 empty classes need 12288 bytes, 2048 each$"
+        with pytest.raises(ResourceLimitError, match=shared):
+            build_projectors(4, 30).projectors
 
 
 class TestHalfFilledBranch:
