@@ -1,8 +1,8 @@
 """Command-line front end: simulate, solve, verify, table, sample.
 
-Exit codes: 0 success (or all checks passed), 1 infeasible spec or failed
-checks, 2 usage/input errors, 3 resource-envelope violations or running out
-of memory.
+Exit codes: 0 success (or all checks passed), 1 infeasible spec, failed
+checks, or branch or projector probabilities that do not sum to 1, 2
+usage/input errors, 3 resource-envelope violations or running out of memory.
 """
 from __future__ import annotations
 
@@ -24,9 +24,9 @@ from .module import (
     ModuleConfig,
     OutcomeRecord,
     ResourceLimitError,
+    _records,
     outcome_distribution,
     projector_dim,
-    run_module,
 )
 from .reports import SCHEMA_VERSION, canonical_json, fmt_float, fmt_fraction, with_checksum
 
@@ -224,7 +224,9 @@ def _simulate_lines(payload: dict) -> list[str]:
 
 def cmd_simulate(args) -> int:
     state, descriptor, config = _resolve_input(args)
-    records = sorted(run_module(state, config), key=lambda r: (r.parity, r.outcome_label))
+    # map drops each record once its payload is built, before it asks for the next, so one
+    # post-state is alive at a time; the probability total is checked before any output.
+    outcomes = sorted(map(_outcome_payload, _records(state, config)), key=lambda o: (o["parity"], o["outcome"]))
     payload = {
         "config": {
             "qubits": config.n,
@@ -233,7 +235,7 @@ def cmd_simulate(args) -> int:
             "input": descriptor,
             "measurement_basis": config.coupling.measurement_basis,
         },
-        "outcomes": [_outcome_payload(r) for r in records],
+        "outcomes": outcomes,
     }
     _report(args, "simulate", payload, _simulate_lines)
     return 0
@@ -510,6 +512,9 @@ def main(argv: list[str] | None = None) -> int:
     except MemoryError:
         print(f"error: out of memory running {args.command!r}; use a smaller register", file=sys.stderr)
         return 3
+    except RuntimeError as exc:  # a failed probability-sum check; after ResourceLimitError, its subclass
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except (ValueError, IndexError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

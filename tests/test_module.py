@@ -48,7 +48,7 @@ from qparity.linalg import NORM_ATOL
 from qparity.solver import ORBIT_ATOL, admissible_state, check_orbit, roots_of_unity_spec
 from qparity.states import FIDELITY_THRESHOLD, Family, dicke, dicke_sum, ghz, w
 
-from conftest import basis_ket, random_ket_amps
+from conftest import basis_ket, orbit_ancilla, random_ket_amps
 
 
 def random_register(seed, n):
@@ -246,18 +246,6 @@ def phase_kernel_registers(g, n):
     for kind, a in amps.items():
         assert (_real_constant(a) is None) == (kind != "plus"), kind
     return amps
-
-
-def orbit_ancilla(g, d, coupling):
-    """A random ancilla whose orbit under Z_d (phase) or X_d (shift) is orthonormal.
-
-    Z_d needs equal weight on every level; X_d needs equal weight on every
-    Fourier vector, which X_d only rephases.
-    """
-    phases = np.exp(2j * np.pi * g.random(d)) / math.sqrt(d)
-    if coupling is CouplingKind.PHASE:
-        return Ket(phases, (d,), normalized=True)
-    return Ket(sum(p * fourier_ket(d, k).amps for k, p in enumerate(phases)), (d,), normalized=True)
 
 
 class TestProjectors:
