@@ -24,9 +24,10 @@ from .module import (
     ModuleConfig,
     OutcomeRecord,
     ResourceLimitError,
-    _records,
+    _ProbabilitySumError,
     outcome_distribution,
     projector_dim,
+    run_module,
 )
 from .reports import SCHEMA_VERSION, canonical_json, fmt_float, fmt_fraction, with_checksum
 
@@ -224,9 +225,7 @@ def _simulate_lines(payload: dict) -> list[str]:
 
 def cmd_simulate(args) -> int:
     state, descriptor, config = _resolve_input(args)
-    # map drops each record once its payload is built, before it asks for the next, so one
-    # post-state is alive at a time; the probability total is checked before any output.
-    outcomes = sorted(map(_outcome_payload, _records(state, config)), key=lambda o: (o["parity"], o["outcome"]))
+    records = sorted(run_module(state, config), key=lambda r: (r.parity, r.outcome_label))
     payload = {
         "config": {
             "qubits": config.n,
@@ -235,7 +234,7 @@ def cmd_simulate(args) -> int:
             "input": descriptor,
             "measurement_basis": config.coupling.measurement_basis,
         },
-        "outcomes": outcomes,
+        "outcomes": [_outcome_payload(r) for r in records],
     }
     _report(args, "simulate", payload, _simulate_lines)
     return 0
@@ -512,7 +511,7 @@ def main(argv: list[str] | None = None) -> int:
     except MemoryError:
         print(f"error: out of memory running {args.command!r}; use a smaller register", file=sys.stderr)
         return 3
-    except RuntimeError as exc:  # a failed probability-sum check; after ResourceLimitError, its subclass
+    except _ProbabilitySumError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ValueError, IndexError, OSError) as exc:

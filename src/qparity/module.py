@@ -17,10 +17,8 @@ heralds wt mod d, and the ancilla never needs to exist in memory: branch m is
 the class mask, b where wt(x) == parity(m) (mod d) and 0 elsewhere, with
 b = amps (phase) or b = H^(x)n amps (shift), and a shift branch is then
 transformed back in place.  Its probability is the class's share of |b|^2,
-the histogram ``outcome_distribution`` reports, so the (2^n, d) joint state
-never exists.  ``_records`` forms the branches one at a time; ``run_module``
-keeps all d of them, and ``qparity simulate``, which keeps only each record's
-report row, holds one post-state at a time.  One register takes its own
+the histogram ``outcome_distribution`` reports, so a run holds d branch
+vectors and never the (2^n, d) joint state.  One register takes its own
 route: a real constant (|+>^n up to sign), found by an exact bit check.  With
 the default phase ancilla it runs the per-excitation chain on n + 1 copies of
 its value and each branch is gathered by weight; the golden reports print
@@ -46,7 +44,6 @@ from __future__ import annotations
 
 import math
 import os
-from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -75,6 +72,10 @@ _BLOCK_ENTRIES = 1 << 15
 
 class ResourceLimitError(RuntimeError):
     """Requested register size exceeds the configured simulation envelope."""
+
+
+class _ProbabilitySumError(RuntimeError):
+    """Branch or projector probabilities whose total misses 1 by more than ``_PROBABILITY_SUM_ATOL``."""
 
 
 def statevector_qubit_limit() -> int:
@@ -344,8 +345,8 @@ def _branches(amps: np.ndarray, value: complex | None, config: ModuleConfig):
     ``squared_norm``.  With the shift coupling and n >= 2 it is H^(x)n 2^(n/2) value e_0,
     all in class 0: its parity-0 branch is a copy of the register, with the register's
     squared norm 2^n value^2 as its probability, and every other branch is zero.  Each
-    branch is formed when it is yielded, not before: a new array that the caller may
-    divide in place by the root of its probability and keep.
+    branch yielded is a new array that the caller may divide in place by the root of
+    its probability and keep.
     """
     n, d, coupling = config.n, config.d, config.coupling
     default_phase = coupling is CouplingKind.PHASE and config.ancilla_prep is None
@@ -353,8 +354,16 @@ def _branches(amps: np.ndarray, value: complex | None, config: ModuleConfig):
     parities = [(-m) % d for m in range(d)] if default_phase else range(d)
     if default_phase and value is not None:
         wts = hamming_weights(n)
-        for parity, row in zip(parities, _phase_representatives(value, n, d)):
-            branch = np.take(row, wts)
+        # Allocated ahead of the chain's small arrays: taken after them, the branches
+        # raised symmetric_large's max RSS by 2 MB at n = 18.
+        branches = [np.empty(1 << n, dtype=complex) for _ in parities]
+        rows = _phase_representatives(value, n, d)
+        for branch, row in zip(branches, rows):
+            # mode="raise" would gather into a register-sized buffer before copying to
+            # ``out``; every weight indexes the n + 1 entries of a row, so "clip" clips nothing.
+            np.take(row, wts, out=branch, mode="clip")
+        for parity in parities:
+            branch = branches.pop(0)  # freed once the caller drops it
             prob = squared_norm(branch)
             yield parity, prob, (branch if prob >= ZERO_PROBABILITY_ATOL else None)
     elif _constant_shift(value, config):
@@ -405,28 +414,16 @@ def run_module(state: Ket, config: ModuleConfig, *, classify_states: bool = True
     amplitude has the bits of one real, positive value (|+>^n) and the ancilla
     preparation is the default one.
     """
-    return list(_records(state, config, classify_states=classify_states))
-
-
-def _records(state: Ket, config: ModuleConfig, *, classify_states: bool = True) -> Iterator[OutcomeRecord]:
-    """``run_module``'s records in outcome order, each formed when it is asked for.
-
-    A caller that drops each record before asking for the next holds at most one
-    post-state and the next branch while it is formed, whatever d is.  The register
-    is checked when the first record is asked for; the branch probabilities' total
-    is checked after the last has been taken, before the generator is exhausted.
-    """
     _check_register(state, config)
     n = config.n
     value = _real_constant(state.amps)
     exact_ok = config.ancilla_prep is None and value is not None and value.real > 0
     constant_shift = _constant_shift(value, config)
-    total = 0.0
+    records = []
     for m, (parity, prob, branch) in enumerate(_branches(state.amps, value, config)):
-        total += prob
         exact = _exact_parity_probability(n, config.d, config.coupling, parity) if exact_ok else None
         if branch is None:
-            yield OutcomeRecord(m, parity, prob, exact, None, None, True)
+            records.append(OutcomeRecord(m, parity, prob, exact, None, None, True))
             continue
         # Complex division by sqrt(p) multiplies both parts by 1 / sqrt(p); so does this, on
         # the float pairs, with every nonzero component's bits and without a complex loop.
@@ -441,9 +438,11 @@ def _records(state: Ket, config: ModuleConfig, *, classify_states: bool = True) 
             cls = states.classify_symmetric(n, overlaps)
         else:
             cls = states.classify(post)
-        yield OutcomeRecord(m, parity, prob, exact, post, cls, False)
+        records.append(OutcomeRecord(m, parity, prob, exact, post, cls, False))
+    total = sum(r.probability for r in records)
     if not abs(total - 1.0) <= _PROBABILITY_SUM_ATOL:
-        raise RuntimeError(f"branch probabilities sum to {total}, not 1")
+        raise _ProbabilitySumError(f"branch probabilities sum to {total}, not 1")
+    return records
 
 
 def outcome_distribution(state: Ket, n: int, d: int, coupling: CouplingKind = CouplingKind.PHASE) -> list[float]:
@@ -456,5 +455,5 @@ def outcome_distribution(state: Ket, n: int, d: int, coupling: CouplingKind = Co
     probs = _heralded(state.amps, n, d, coupling)[2]
     total = sum(probs)
     if not abs(total - 1.0) <= _PROBABILITY_SUM_ATOL:
-        raise RuntimeError(f"projector probabilities sum to {total}, not 1")
+        raise _ProbabilitySumError(f"projector probabilities sum to {total}, not 1")
     return probs

@@ -21,8 +21,9 @@ FIDELITY_THRESHOLD = 1.0 - 1e-10
 _COEFF_CUTOFF = 1e-12
 # The global phase is read off the first amplitude above rounding noise, so noise never sets it.
 _PHASE_LEAD_FLOOR = 1e-12
-# The phase lead is searched block by block, so a lead near the front costs one short pass.
-_LEAD_BLOCK = 1 << 12
+# The phase lead is searched, and the kept Dicke combination subtracted, block by block:
+# a lead near the front costs one short pass, and neither forms a temporary of register size.
+_BLOCK = 1 << 12
 # A Dicke sum reconstructs its state up to rounding, ~1e-15; any other state misses by far more.
 _DICKE_RESIDUAL_ATOL = 1e-10
 # A split is rank 1 when its second singular value is below this; a product's is rounding, ~1e-8.
@@ -170,9 +171,9 @@ def dicke_sum(n: int, coeffs: Mapping[int, float | complex]) -> Ket:
 
 def _phase_lead(a: np.ndarray) -> complex:
     """The first entry of ``a`` above ``_PHASE_LEAD_FLOOR`` in magnitude, searched in blocks of
-    ``_LEAD_BLOCK`` so that no |a| of register size is formed; a zero vector raises ValueError."""
-    for first in range(0, a.size, _LEAD_BLOCK):
-        block = a[first : first + _LEAD_BLOCK]
+    ``_BLOCK`` so that no |a| of register size is formed; a zero vector raises ValueError."""
+    for first in range(0, a.size, _BLOCK):
+        block = a[first : first + _BLOCK]
         above = np.abs(block) > _PHASE_LEAD_FLOOR
         if above.any():
             return block[np.argmax(above)]
@@ -195,21 +196,23 @@ def dicke_decompose(state: Ket) -> DickeDecomposition:
     lead = _phase_lead(amps)
     rotated = amps * (lead.conjugate() / abs(lead))
     order, starts = weight_order(n)
-    # Each class is a contiguous slice of the amplitudes in weight order.
-    by_weight = rotated[order]
     coeffs: dict[int, float] = {}
     kept = np.zeros(n + 1)
     overlaps = np.empty(n + 1, dtype=complex)
     for k in range(n + 1):
         scale = math.sqrt(math.comb(n, k))
-        total = np.sum(by_weight[starts[k] : starts[k + 1]])
+        # One class at a time, gathered in weight order: the largest holds C(n, n/2)
+        # amplitudes, not a second register.
+        total = np.sum(rotated[order[starts[k] : starts[k + 1]]])
         overlaps[k] = total / scale
         c = float(np.real(total) / scale)
         if abs(c) >= _COEFF_CUTOFF:
             coeffs[k] = c
             kept[k] = c / scale
-    del by_weight
-    rotated -= np.take(kept, hamming_weights(n))  # take gathers by uint8 faster than indexing
+    wts = hamming_weights(n)
+    for first in range(0, rotated.size, _BLOCK):
+        # take gathers by uint8 faster than indexing
+        rotated[first : first + _BLOCK] -= np.take(kept, wts[first : first + _BLOCK])
     residual = float(np.linalg.norm(rotated))
     overlaps.setflags(write=False)
     return DickeDecomposition(n=n, coeffs=coeffs, residual=residual, overlaps=overlaps)

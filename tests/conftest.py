@@ -36,21 +36,6 @@ def random_ket_amps(rng, dim):
     return v / np.linalg.norm(v)
 
 
-def orbit_ancilla(g, d, coupling):
-    """A random ancilla whose orbit under Z_d (phase) or X_d (shift) is orthonormal.
-
-    Z_d needs equal weight on every level; X_d needs equal weight on every
-    Fourier vector, which X_d only rephases.
-    """
-    from qparity.linalg import Ket, fourier_ket
-    from qparity.module import CouplingKind
-
-    phases = np.exp(2j * np.pi * g.random(d)) / math.sqrt(d)
-    if coupling is CouplingKind.PHASE:
-        return Ket(phases, (d,), normalized=True)
-    return Ket(sum(p * fourier_ket(d, k).amps for k, p in enumerate(phases)), (d,), normalized=True)
-
-
 @pytest.fixture(scope="session")
 def suite_run():
     """Run each ``qparity verify`` suite at most once per session.

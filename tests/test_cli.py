@@ -14,14 +14,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from qparity import cli, module, states, verify
+from qparity import module, states, verify
 from qparity.cli import load_amplitude_file, main, write_amplitude_file
 from qparity.linalg import Ket, plus_state, squared_norm
-from qparity.module import CouplingKind, ModuleConfig, outcome_distribution, run_module
-from qparity.reports import SCHEMA_VERSION, canonical_json, verify_checksum, with_checksum
+from qparity.module import outcome_distribution
+from qparity.reports import verify_checksum
 from qparity.verify import Check
 
-from conftest import orbit_ancilla, random_ket_amps
+from conftest import random_ket_amps
 
 
 def run_cli(capsys, argv):
@@ -229,7 +229,7 @@ class TestSimulate:
         def exhausted(*args, **kwargs):
             raise MemoryError
 
-        monkeypatch.setattr("qparity.cli._records", exhausted)
+        monkeypatch.setattr("qparity.cli.run_module", exhausted)
         code, out, err = run_cli(capsys, ["simulate", "-n", "3", "-d", "2"])
         assert code == 3
         assert out == ""
@@ -237,7 +237,7 @@ class TestSimulate:
         assert "Traceback" not in err
 
     def test_probability_total_missing_1_exits_1_without_a_report(self, capsys, monkeypatch, tmp_path):
-        # The total is checked once every payload is built, and still before any output.
+        # The total is checked once every branch is formed, before any output.
         branches = module._branches
 
         def last_branch_reported_zero(amps, value, config):
@@ -252,6 +252,15 @@ class TestSimulate:
         total = re.fullmatch(r"error: branch probabilities sum to (\S+), not 1\n", err)
         assert total and float(total[1]) == pytest.approx(0.5), err
         assert not report.exists()
+
+    def test_other_runtime_errors_keep_their_traceback(self, monkeypatch):
+        # Exit 1 is for a probability total that misses 1; a fault in the program is not one.
+        def broken(*args, **kwargs):
+            raise RuntimeError("generator raised StopIteration")
+
+        monkeypatch.setattr("qparity.cli.run_module", broken)
+        with pytest.raises(RuntimeError, match="StopIteration"):
+            main(["simulate", "-n", "3", "-d", "2"])
 
     def test_unknown_coupling_rejected(self, capsys):
         code, _, _ = run_cli(capsys, ["simulate", "-n", "2", "-d", "2", "--coupling", "weird"])
@@ -667,73 +676,6 @@ class TestSample:
         freq = float(np.mean(draws == 0))
         sigma = math.sqrt(0.25 / shots)
         assert abs(freq - 0.5) < 5 * sigma
-
-
-def run_module_report(state, config, descriptor):
-    """The --json report of simulate built from ``run_module``'s list of records."""
-    records = sorted(run_module(state, config), key=lambda r: (r.parity, r.outcome_label))
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "command": "simulate",
-        "config": {
-            "qubits": config.n,
-            "ancilla_dim": config.d,
-            "coupling": config.coupling.value,
-            "input": descriptor,
-            "measurement_basis": config.coupling.measurement_basis,
-        },
-        "outcomes": [cli._outcome_payload(r) for r in records],
-    }
-    return canonical_json(with_checksum(payload)) + "\n"
-
-
-class TestStreaming:
-    """simulate takes each record from the module as it is formed and keeps only its payload."""
-
-    def test_report_equals_the_run_module_report(self, capsys, monkeypatch, tmp_path):
-        # Every route: the chain (|+>^n, default phase ancilla), the constant shift route
-        # and the class mask (a random register, or any custom ancilla).
-        g = np.random.default_rng(27)
-        for n in (1, 2, 3, 5, 8, 10):
-            path = tmp_path / f"random{n}.txt"
-            write_amplitude_file(path, Ket(random_ket_amps(g, 1 << n), (2,) * n, normalized=True))
-            for descriptor, state in (("plus", plus_state(n)), (str(path), load_amplitude_file(path))):
-                for coupling in CouplingKind:
-                    for d in range(2, 8):
-                        for prep in (None, orbit_ancilla(g, d, coupling)):
-                            config = ModuleConfig(n, d, coupling, ancilla_prep=prep)
-                            monkeypatch.setattr(cli, "ModuleConfig", lambda *_: config)
-                            argv = ["simulate", "-n", str(n), "-d", str(d), "--coupling", coupling.value, "--input", descriptor, "--json"]
-                            code, out, err = run_cli(capsys, argv)
-                            assert code == 0, err
-                            assert out == run_module_report(state, config, descriptor), (descriptor, coupling, d, prep)
-
-    @pytest.mark.parametrize(
-        "register, coupling", [("plus", "phase"), ("random", "phase"), ("random", "shift")]
-    )
-    def test_peak_does_not_grow_with_d(self, capsys, tmp_path, register, coupling):
-        # One post-state is alive at a time, so the peak is a fixed number of vectors: the
-        # register, one branch, the shift transform and scratch, and classification's
-        # working space.  Holding every branch peaked at 6.0 (d = 3) and 10.1 (d = 7) vectors.
-        n = 16
-        source = "plus"
-        if register == "random":
-            source = str(tmp_path / "random.txt")
-            write_amplitude_file(source, Ket(random_ket_amps(np.random.default_rng(n), 1 << n), (2,) * n, normalized=True))
-        peaks = {}
-        for d in (3, 7):
-            argv = ["simulate", "-n", str(n), "-d", str(d), "--coupling", coupling, "--input", source, "--json"]
-            run_cli(capsys, argv)  # builds the cached weight tables outside the measurement
-            tracemalloc.start()
-            try:
-                code = main(argv)
-                peaks[d] = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert code == 0
-            capsys.readouterr()
-        assert peaks[7] <= 1.05 * peaks[3], peaks
-        assert max(peaks.values()) < 5.5 * (16 << n), peaks
 
 
 def _text_and_payload(capsys, argv):

@@ -48,7 +48,7 @@ from qparity.linalg import NORM_ATOL
 from qparity.solver import ORBIT_ATOL, admissible_state, check_orbit, roots_of_unity_spec
 from qparity.states import FIDELITY_THRESHOLD, Family, dicke, dicke_sum, ghz, w
 
-from conftest import basis_ket, orbit_ancilla, random_ket_amps
+from conftest import basis_ket, random_ket_amps
 
 
 def random_register(seed, n):
@@ -246,6 +246,18 @@ def phase_kernel_registers(g, n):
     for kind, a in amps.items():
         assert (_real_constant(a) is None) == (kind != "plus"), kind
     return amps
+
+
+def orbit_ancilla(g, d, coupling):
+    """A random ancilla whose orbit under Z_d (phase) or X_d (shift) is orthonormal.
+
+    Z_d needs equal weight on every level; X_d needs equal weight on every
+    Fourier vector, which X_d only rephases.
+    """
+    phases = np.exp(2j * np.pi * g.random(d)) / math.sqrt(d)
+    if coupling is CouplingKind.PHASE:
+        return Ket(phases, (d,), normalized=True)
+    return Ket(sum(p * fourier_ket(d, k).amps for k, p in enumerate(phases)), (d,), normalized=True)
 
 
 class TestProjectors:
@@ -848,7 +860,7 @@ class TestWeightKernels:
 
     def test_phase_run_holds_branches_not_a_joint_matrix(self):
         # The phase path keeps d branch vectors and the post-states that replace them,
-        # plus about 3 vectors of working space; a (2^n, d) joint matrix would add d more.
+        # plus classification's working space; a (2^n, d) joint matrix would add d more.
         n, d = 16, 7
         state, config = plus_state(n), ModuleConfig(n, d)
         run_module(state, config)  # builds the cached weight tables outside the measurement
@@ -859,6 +871,29 @@ class TestWeightKernels:
         finally:
             tracemalloc.stop()
         assert peak < (d + 3.5) * (16 << n)
+
+    @pytest.mark.parametrize("d", [3, 7])
+    @pytest.mark.parametrize(
+        "register, coupling",
+        [("plus", CouplingKind.PHASE), ("random", CouplingKind.PHASE), ("random", CouplingKind.SHIFT)],
+        ids=["plus-phase", "random-phase", "random-shift"],
+    )
+    def test_classified_run_needs_under_1_3_vectors_beyond_its_branches(self, register, coupling, d):
+        # Beyond the d post-states, a run needs one phase-fixed copy of the post-state being
+        # classified and one weight class of it at a time, the largest C(16, 8) / 2^16 = 0.2
+        # of a vector.  The chain gathers each branch straight into its own array, with no
+        # buffer of register size.
+        n = 16
+        state = plus_state(n) if register == "plus" else random_register(n, n)
+        config = ModuleConfig(n, d, coupling)
+        run_module(state, config)  # builds the cached weight tables outside the measurement
+        tracemalloc.start()
+        try:
+            run_module(state, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (d + 1.3) * (16 << n)
 
     @pytest.mark.parametrize("n, d", [(16, 3), (17, 7)])
     def test_phase_run_of_a_random_register_holds_only_its_branches(self, n, d):
