@@ -7,8 +7,6 @@ from .linalg import (
     fourier_ket,
     hadamard,
     hamming_weights,
-    inner,
-    omega,
     pauli_x,
     pauli_z,
     plus_state,
@@ -31,10 +29,7 @@ from .solver import (
     EigenphaseSpec,
     OrbitReport,
     admissible_state,
-    brute_force_feasible,
-    brute_force_min_deviation,
     check_orbit,
-    classify_eigenphases,
     reconstruct_general,
     roots_of_unity_spec,
     solve_amplitudes,

@@ -24,6 +24,7 @@ from .module import (
     ModuleConfig,
     OutcomeRecord,
     ResourceLimitError,
+    _check_matrix,
     _ProbabilitySumError,
     outcome_distribution,
     projector_dim,
@@ -241,16 +242,21 @@ def cmd_simulate(args) -> int:
 
 
 def _parse_phases(text: str) -> solver.EigenphaseSpec:
+    """The spec of ``--phases``, refused when the cap does not admit its d x d drive;
+    ``roots:D`` is refused before its D phases exist."""
     if text.startswith("roots:"):
         try:
             d = int(text.split(":", 1)[1])
         except ValueError as exc:
             raise ValueError(f"bad shorthand {text!r}; expected roots:D") from exc
+        if d >= 2:  # roots_of_unity_spec refuses the rest as input errors
+            _check_matrix(d, f"the drive of {d} eigenphases")
         return solver.roots_of_unity_spec(d)
     try:
         phases = tuple(float(tok) for tok in text.split(",") if tok.strip())
     except ValueError as exc:
         raise ValueError(f"could not parse phase list {text!r}") from exc
+    _check_matrix(len(phases), f"the drive of {len(phases)} eigenphases")
     return solver.EigenphaseSpec(phases)
 
 

@@ -105,6 +105,12 @@ def _check_qubits(qubits: int, request: str | None = None) -> None:
         raise ResourceLimitError(f"statevector path limited to {_statevector_bytes(cap)} bytes ({cap} qubits); {request}")
 
 
+def _check_matrix(d: int, what: str) -> None:
+    """Raise unless a d x d complex matrix, 16 d^2 bytes, fits the cap: d^2 > 2^cap exactly
+    when d^2 - 1 needs more than cap bits."""
+    _check_qubits((d * d - 1).bit_length(), f"{what} needs {16 * d * d} bytes as a {d} x {d} complex matrix")
+
+
 class CouplingKind(Enum):
     PHASE = "phase"
     SHIFT = "shift"
@@ -139,7 +145,8 @@ class ModuleConfig:
     admits it at construction only if its orbit under the coupling's step
     (Z_d or X_d) is orthonormal; outcome m then heralds parity m.  A register
     that the statevector cap does not admit is refused here, before any state
-    of its size exists, and so is a d-level ancilla longer than 2^cap levels.
+    of its size exists, and so is a d-level ancilla longer than 2^cap levels,
+    or a custom one whose d x d step and orbit the cap does not admit.
     """
 
     n: int
@@ -162,6 +169,7 @@ class ModuleConfig:
             if prep.dim != self.d:
                 raise ValueError(f"ancilla preparation has dimension {prep.dim}, expected {self.d}")
             require_normalized(prep, "ancilla preparation")
+            _check_matrix(self.d, f"a custom {self.d}-level ancilla's step")
             report = check_orbit(_step(self.d, self.coupling), prep, self.d)
             if not report.orthonormal:
                 raise ValueError(

@@ -8,16 +8,12 @@ d-th roots of unity and |a_j|^2 = 1/d; with s < d distinct eigenvalues
 (s-th roots pattern) only s orbit vectors exist and each eigenspace must
 carry total weight 1/s.  ``solve_amplitudes`` decides feasibility and
 returns the magnitude data; ``reconstruct_general`` lifts the analysis to
-an arbitrary unitary through its eigenbasis.
-
-``brute_force_min_deviation`` is an independent check: a grid search over
-the magnitude simplex (the orbit Gram matrix depends on magnitudes only)
-refined by a local constrained minimization.
+an arbitrary unitary through its eigenbasis.  ``verify`` checks the verdict
+against an independent linear program over the squared magnitudes.
 """
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -34,11 +30,6 @@ _GROUP_TOL = 1e-9
 ORBIT_ATOL = 1e-8
 # A unitary is normal, so its Schur form is diagonal up to rounding; a failed one leaves far more.
 _SCHUR_OFFDIAG_ATOL = 1e-8
-# SLSQP stops once the squared deviation improves by less than this, far below the verdict's scale.
-_REFINE_FTOL = 1e-18
-# The refined grid deviation of a feasible spec is rounding (<1e-10 on verify's
-# battery); an infeasible spec's stays above 1e-2.
-_GRID_FEASIBLE_ATOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -187,14 +178,6 @@ def solve_amplitudes(spec: EigenphaseSpec) -> AmplitudeSolution:
     deltas.sort()
     targets = [TWO_PI * m / s for m in range(s)]
     feasible = all(abs(dl - tg) <= _GROUP_TOL for dl, tg in zip(deltas, targets))
-    if not feasible:
-        return AmplitudeSolution(
-            feasible=False,
-            structure=structure,
-            squared_amps=None,
-            eigenspace_constraints=(),
-            canonical_phase_offset=offset,
-        )
     squared = [0.0] * spec.d
     constraints = []
     for grp in structure.groups:
@@ -203,10 +186,10 @@ def solve_amplitudes(spec: EigenphaseSpec) -> AmplitudeSolution:
             squared[j] = share
         constraints.append((grp, 1.0 / s))
     return AmplitudeSolution(
-        feasible=True,
+        feasible=feasible,
         structure=structure,
-        squared_amps=tuple(squared),
-        eigenspace_constraints=tuple(constraints),
+        squared_amps=tuple(squared) if feasible else None,
+        eigenspace_constraints=tuple(constraints) if feasible else (),
         canonical_phase_offset=offset,
     )
 
@@ -251,72 +234,3 @@ def reconstruct_general(u: Operator) -> tuple[bool, Operator, EigenphaseSpec]:
     spec = EigenphaseSpec(tuple(float(np.angle(ev) % TWO_PI) for ev in eigvals[order]))
     feasible = solve_amplitudes(spec).feasible
     return feasible, Operator(vmat, unitary=True), spec
-
-
-def _simplex_grid(total: int, parts: int, chunk: int = 200_000):
-    """Yield arrays of nonnegative integer compositions of ``total``."""
-    if parts == 1:
-        yield np.array([[total]], dtype=np.int64)
-        return
-    combos = itertools.combinations(range(total + parts - 1), parts - 1)
-    while True:
-        batch = list(itertools.islice(combos, chunk))
-        if not batch:
-            return
-        bars = np.array(batch, dtype=np.int64)
-        yield np.diff(bars, axis=1, prepend=-1, append=total + parts - 1) - 1
-
-
-def brute_force_min_deviation(spec: EigenphaseSpec, grid: float = 0.02) -> tuple[float, np.ndarray]:
-    """Smallest orbit-Gram deviation reachable over the magnitude simplex.
-
-    The Gram matrix of {D^i phi} depends only on the squared magnitudes
-    q_j = |a_j|^2, so the search runs over the simplex sum(q) = 1 on a grid
-    of the given resolution and polishes the best point with a constrained
-    least-squares minimization.  The orbit length is the number of distinct
-    eigenvalues; deviations are taken over Gram rows 1 .. orbit_len-1.
-    """
-    import scipy.optimize  # deferred: scipy dominates `import qparity` otherwise
-
-    d = spec.d
-    orbit_len = classify_eigenphases(spec).s
-    if orbit_len <= 1:
-        return 0.0, np.full(d, 1.0 / d)
-    lam = np.exp(1j * np.array(spec.phases))
-    powers = np.array([lam**m for m in range(1, orbit_len)]).T  # (d, orbit_len-1)
-    steps = round(1.0 / grid)
-    best_dev = math.inf
-    best_q = np.full(d, 1.0 / d)
-    for counts in _simplex_grid(steps, d):
-        q = counts.astype(float) / steps
-        devs = np.abs(q @ powers).max(axis=1)
-        idx = int(np.argmin(devs))
-        if devs[idx] < best_dev:
-            best_dev = float(devs[idx])
-            best_q = q[idx]
-
-    def objective(q: np.ndarray) -> float:
-        return float(np.sum(np.abs(q @ powers) ** 2))
-
-    result = scipy.optimize.minimize(
-        objective,
-        best_q,
-        method="SLSQP",
-        bounds=[(0.0, 1.0)] * d,
-        constraints=[{"type": "eq", "fun": lambda q: float(np.sum(q)) - 1.0}],
-        options={"ftol": _REFINE_FTOL, "maxiter": 500},
-    )
-    if result.success:
-        q = np.clip(result.x, 0.0, None)
-        q = q / q.sum()
-        dev = float(np.abs(q @ powers).max())
-        if dev < best_dev:
-            best_dev = dev
-            best_q = q
-    return best_dev, best_q
-
-
-def brute_force_feasible(spec: EigenphaseSpec, grid: float = 0.02) -> bool:
-    """Grid-search verdict used as an independent oracle for solve_amplitudes."""
-    dev, _ = brute_force_min_deviation(spec, grid=grid)
-    return dev < _GRID_FEASIBLE_ATOL

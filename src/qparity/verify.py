@@ -35,6 +35,10 @@ _CLOSED_FORM_ATOL = 1e-12
 _SUMMED_ATOL = 1e-10
 # A failed check lists this many offending cases, then counts the rest.
 _DETAIL_LIMIT = 6
+# HiGHS's primal feasibility tolerance, its default, passed so that the verdict does not
+# move with scipy: a feasible spec's constraints hold to ~1e-16, a phase moved by 1e-6
+# or more misses them by far more, and a move of 2e-7 or less can read feasible.
+_LP_FEASIBILITY_TOL = 1e-7
 # suite_probabilities runs n = d up to this size; suite_gnk checks G(n,k) up to this n.
 _PROBABILITIES_MAX_N = 12
 _GNK_MAX_N = 10
@@ -319,6 +323,31 @@ def suite_gnk() -> list[Check]:
     ]
 
 
+def _lp_weights(spec: solver.EigenphaseSpec) -> np.ndarray | None:
+    """Squared magnitudes q that give ``spec``'s drive an orthonormal orbit, or None.
+
+    The orbit Gram matrix of sum_j a_j |j> depends only on q_j = |a_j|^2, so a seed
+    exists iff the linear program q >= 0 (linprog's default bounds) and
+    sum_j q_j lambda_j^m = delta_{m0} for m = 0 .. s-1, real and imaginary parts, is
+    feasible, with s the number of distinct eigenvalues.  HiGHS decides it; any status
+    but feasible or infeasible raises.
+    """
+    import scipy.optimize  # deferred: scipy dominates `import qparity` otherwise
+
+    s = solver.classify_eigenphases(spec).s
+    # Phases relative to the first, so that a global phase enters no coefficient: HiGHS
+    # drops coefficients near 1e-9 and may then read a feasible spec infeasible.
+    powers = np.exp(1j * np.arange(s)[:, None] * (np.array(spec.phases) - spec.phases[0]))
+    a_eq = np.vstack([powers.real, powers.imag[1:]])  # row 0 is sum(q) = 1
+    b_eq = np.zeros(2 * s - 1)
+    b_eq[0] = 1.0
+    options = {"primal_feasibility_tolerance": _LP_FEASIBILITY_TOL}
+    result = scipy.optimize.linprog(np.zeros(spec.d), A_eq=a_eq, b_eq=b_eq, method="highs", options=options)
+    if result.status not in (0, 2):
+        raise RuntimeError(f"feasibility program ended with status {result.status}: {result.message}")
+    return result.x if result.status == 0 else None
+
+
 def suite_solver() -> list[Check]:
     roots: list[str] = []
     for d in range(2, 9):
@@ -363,13 +392,13 @@ def suite_solver() -> list[Check]:
         battery.append(solver.EigenphaseSpec((phases[0], phases[1] + 0.08) + phases[2:]))
     for test_spec in battery:
         want = solver.solve_amplitudes(test_spec).feasible
-        if solver.brute_force_feasible(test_spec) != want:
+        if (_lp_weights(test_spec) is not None) != want:
             oracle.append(f"{tuple(round(p, 3) for p in test_spec.phases)}")
     return [
         _check("roots-of-unity specs are feasible with flat 1/d magnitudes", roots),
         _check("perturbed and near-identity drives are infeasible", infeasible),
         _check("degenerate (0,0,pi,pi) needs weight 1/2 per eigenspace", degenerate),
-        _check("grid-search oracle agrees with the analytic verdict", oracle),
+        _check("linear-program oracle agrees with the analytic verdict", oracle),
     ]
 
 

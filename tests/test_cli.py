@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from qparity import module, states, verify
+from qparity import module, solver, states, verify
 from qparity.cli import load_amplitude_file, main, write_amplitude_file
 from qparity.linalg import Ket, plus_state, squared_norm
 from qparity.module import outcome_distribution
@@ -538,6 +538,42 @@ class TestSolve:
     def test_single_phase_rejected(self, capsys):
         code, _, _ = run_cli(capsys, ["solve", "--phases", "0.5"])
         assert code == 2
+
+    @pytest.mark.parametrize("phases", ["roots:16", ",".join(["0"] * 16)], ids=["roots", "list"])
+    def test_drive_at_the_cap_is_solved(self, capsys, monkeypatch, phases):
+        # A 16 x 16 complex drive is 4096 bytes, one 8-qubit statevector.
+        monkeypatch.setenv("QPARITY_MAX_QUBITS", "8")
+        code, _, err = run_cli(capsys, ["solve", "--phases", phases])
+        assert code == 0, err
+
+    @pytest.mark.parametrize("phases", ["roots:17", ",".join(["0"] * 17)], ids=["roots", "list"])
+    def test_drive_over_the_cap_is_refused_by_its_bytes(self, capsys, monkeypatch, phases):
+        monkeypatch.setenv("QPARITY_MAX_QUBITS", "8")
+        code, out, err = run_cli(capsys, ["solve", "--phases", phases])
+        assert code == 3 and out == ""
+        assert err == "error: statevector path limited to 4096 bytes (8 qubits); the drive of 17 eigenphases needs 4624 bytes as a 17 x 17 complex matrix\n"
+
+    def test_huge_roots_are_refused_before_their_phases_exist(self, capsys, monkeypatch):
+        # roots:100000000 would build 10^8 phases, gigabytes of Python floats, before any
+        # d x d matrix; the spec builder fails the test instead of running.
+        monkeypatch.setenv("QPARITY_MAX_QUBITS", "8")
+        monkeypatch.setattr(solver, "roots_of_unity_spec", lambda *args: pytest.fail("built the phases"))
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, ["solve", "--phases", "roots:100000000"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 3 and out == ""
+        assert "needs 160000000000000000 bytes" in err
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("phases", ["roots:1", "roots:-100"])
+    def test_roots_below_two_stay_an_input_error(self, capsys, monkeypatch, phases):
+        monkeypatch.setenv("QPARITY_MAX_QUBITS", "8")
+        code, _, err = run_cli(capsys, ["solve", "--phases", phases])
+        assert code == 2
+        assert "need dimension >= 2" in err
 
     @pytest.mark.parametrize("phases", ["nan,0", "inf,0", "0,-inf"])
     def test_non_finite_phase_is_an_input_error(self, capsys, phases):

@@ -1242,6 +1242,20 @@ class TestResourceEnvelope:
         with pytest.raises(ResourceLimitError, match=r"limited to 64 bytes \(2 qubits\); a 5-level ancilla needs 80 bytes$"):
             ModuleConfig(2, 5, CouplingKind.SHIFT)
 
+    @pytest.mark.parametrize("coupling", list(CouplingKind))
+    def test_custom_ancilla_whose_step_exceeds_the_cap_is_refused(self, monkeypatch, coupling):
+        # check_orbit builds the d x d step and orbit of a custom ancilla, 16 d^2 bytes each;
+        # under an 8-qubit cap d = 16 is admitted and d = 17 refused before either exists.
+        def prep(d):  # |u_0> under Z_d, |0> under X_d
+            return fourier_ket(d, 0) if coupling is CouplingKind.PHASE else Ket(np.eye(d)[0], (d,), normalized=True)
+
+        monkeypatch.setenv("QPARITY_MAX_QUBITS", "8")
+        ModuleConfig(2, 16, coupling, prep(16))
+        monkeypatch.setattr(module, "check_orbit", lambda *args: pytest.fail("built the orbit"))
+        step = r"a custom 17-level ancilla's step needs 4624 bytes as a 17 x 17 complex matrix$"
+        with pytest.raises(ResourceLimitError, match=rf"limited to 4096 bytes \(8 qubits\); {step}"):
+            ModuleConfig(2, 17, coupling, prep(17))
+
     def test_build_projectors_respects_cap(self, monkeypatch):
         monkeypatch.setenv("QPARITY_MAX_QUBITS", "3")
         with pytest.raises(ResourceLimitError, match=r"limited to 128 bytes \(3 qubits\); 4 qubits need 256 bytes"):

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,14 +16,13 @@ from qparity.linalg import Ket, Operator, hadamard, pauli_x, pauli_z
 from qparity.solver import (
     EigenphaseSpec,
     admissible_state,
-    brute_force_feasible,
-    brute_force_min_deviation,
     check_orbit,
     classify_eigenphases,
     reconstruct_general,
     roots_of_unity_spec,
     solve_amplitudes,
 )
+from qparity.verify import _lp_weights
 
 TWO_PI = 2.0 * math.pi
 
@@ -262,47 +262,90 @@ class TestReconstructGeneral:
         assert np.allclose(closed, np.exp(5j * 0.4) * np.eye(5), atol=1e-10)
 
 
-class TestBruteForceOracle:
+def moved(spec, move, index=1):
+    """``spec`` with the phase at ``index`` moved by ``move`` radians."""
+    return EigenphaseSpec(tuple(p + move * (j == index) for j, p in enumerate(spec.phases)))
+
+
+def lp_agrees(spec, feasible):
+    """The linear-program oracle and solve_amplitudes both give the verdict ``feasible``;
+    returns the oracle's squared magnitudes, or None."""
+    q = _lp_weights(spec)
+    assert (q is not None) == solve_amplitudes(spec).feasible == feasible
+    return q
+
+
+@st.composite
+def rotated_roots(draw):
+    """Phases offset + 2 pi m / s for s <= 8 distinct values, with multiplicities that sum to at most 8."""
+    s = draw(st.integers(min_value=2, max_value=8))
+    mults = [1] * s
+    for _ in range(draw(st.integers(min_value=0, max_value=8 - s))):
+        mults[draw(st.integers(min_value=0, max_value=s - 1))] += 1
+    offset = draw(st.floats(min_value=0.0, max_value=TWO_PI))
+    phases = [offset + TWO_PI * m / s for m, k in enumerate(mults) for _ in range(k)]
+    return draw(st.permutations(phases))
+
+
+class TestLinearProgramOracle:
+    # Each test pairs a feasible spec with an infeasible one, or holds only infeasible
+    # ones, so a solve_amplitudes that reports every spec feasible fails all of them.
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_agrees_on_roots_and_a_moved_root(self, d):
+        # At offset 1e-9, absolute phases put coefficients near 1e-9 into the program, which
+        # HiGHS's presolve drops, and it then read the roots infeasible at d = 3.
+        for offset in (0.0, 0.9, 1e-9):
+            q = lp_agrees(roots_of_unity_spec(d, offset), True)
+            assert q == pytest.approx(np.full(d, 1 / d), abs=1e-12)
+        lp_agrees(moved(roots_of_unity_spec(d), 0.07), False)
+
+    @pytest.mark.parametrize("move", [1e-3, 1e-4, 1e-6])
     @pytest.mark.parametrize("d", [2, 3, 4])
-    def test_agrees_on_roots(self, d):
-        assert brute_force_feasible(roots_of_unity_spec(d), grid=0.02)
+    def test_sees_small_moves(self, d, move):
+        # A grid over the magnitude simplex reads all of these feasible.
+        lp_agrees(roots_of_unity_spec(d), True)
+        lp_agrees(moved(roots_of_unity_spec(d), move), False)
 
     def test_agrees_on_infeasible_pair(self):
-        dev, _ = brute_force_min_deviation(EigenphaseSpec((0.0, 0.1)), grid=0.02)
-        assert dev >= math.cos(0.05) - 1e-9
-        assert not brute_force_feasible(EigenphaseSpec((0.0, 0.1)), grid=0.02)
+        lp_agrees(EigenphaseSpec((0.0, 0.1)), False)
 
     def test_agrees_on_perturbed_qutrit(self):
-        phases = (0.0, TWO_PI / 3 + 0.05, 2 * TWO_PI / 3)
-        assert not brute_force_feasible(EigenphaseSpec(phases), grid=0.02)
+        lp_agrees(EigenphaseSpec((0.0, TWO_PI / 3 + 0.05, 2 * TWO_PI / 3)), False)
 
     def test_degenerate_uses_short_orbit(self):
-        spec = EigenphaseSpec((0.0, 0.0, math.pi, math.pi))
-        dev, q = brute_force_min_deviation(spec, grid=0.02)
-        assert dev < 1e-6
-        # Recovered weights satisfy the per-eigenspace sums.
-        assert q[0] + q[1] == pytest.approx(0.5, abs=1e-6)
-        assert q[2] + q[3] == pytest.approx(0.5, abs=1e-6)
+        q = lp_agrees(EigenphaseSpec((0.0, 0.0, math.pi, math.pi)), True)
+        # The weights meet the per-eigenspace sums.
+        assert q[0] + q[1] == pytest.approx(0.5, abs=1e-9)
+        assert q[2] + q[3] == pytest.approx(0.5, abs=1e-9)
+        # Two eigenspaces that are not antipodal admit no weights.
+        lp_agrees(EigenphaseSpec((0.0, 0.0, math.pi + 1e-3, math.pi + 1e-3)), False)
 
-    @pytest.mark.parametrize(
-        "d,grid",
-        [(2, 0.02), (3, 0.02), (4, 0.02), (5, 0.04), (6, 0.05)],
-    )
-    def test_matches_analytic_verdict_offset_battery(self, d, grid):
-        for offset in (0.0, 0.9):
-            spec = roots_of_unity_spec(d, offset)
-            assert brute_force_feasible(spec, grid=grid) == solve_amplitudes(spec).feasible
-        perturbed = EigenphaseSpec(tuple(p + (0.07 if j == 1 else 0.0) for j, p in enumerate(roots_of_unity_spec(d).phases)))
-        assert brute_force_feasible(perturbed, grid=grid) == solve_amplitudes(perturbed).feasible
+    @pytest.mark.parametrize("status", [1, 3, 4])
+    def test_other_statuses_raise(self, monkeypatch, status):
+        # Only HiGHS's feasible (0) and infeasible (2) statuses are verdicts.
+        import scipy.optimize
 
-    def test_minimum_deviation_near_zero_when_feasible(self):
-        dev, q = brute_force_min_deviation(roots_of_unity_spec(3), grid=0.02)
-        assert dev < 1e-9
-        assert q == pytest.approx(np.full(3, 1 / 3), abs=1e-6)
+        result = SimpleNamespace(status=status, message="stopped", x=np.full(2, 0.5))
+        monkeypatch.setattr(scipy.optimize, "linprog", lambda *args, **kwargs: result)
+        with pytest.raises(RuntimeError, match=f"status {status}: stopped"):
+            _lp_weights(roots_of_unity_spec(2))
+
+    @given(rotated_roots())
+    def test_agrees_on_rotated_roots(self, phases):
+        lp_agrees(EigenphaseSpec(tuple(phases)), True)
+
+    # A move below HiGHS's feasibility tolerance (~1e-7) but above the solver's 1e-9
+    # grouping would read feasible to the oracle alone, so moves start at 1e-5.
+    @given(rotated_roots(), st.data())
+    def test_agrees_on_one_moved_phase(self, phases, data):
+        index = data.draw(st.integers(min_value=0, max_value=len(phases) - 1))
+        move = data.draw(st.floats(min_value=1e-5, max_value=0.5)) * data.draw(st.sampled_from([1, -1]))
+        lp_agrees(moved(EigenphaseSpec(tuple(phases)), move, index), False)
 
 
 def test_import_leaves_scipy_unloaded():
-    # scipy is imported by the two functions that use it, not by the package.
+    # scipy is imported inside the one package function that uses it, reconstruct_general,
+    # and inside verify's linear-program oracle, not when the package loads.
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = "import sys, qparity; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
