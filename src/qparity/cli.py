@@ -286,7 +286,7 @@ def cmd_solve(args) -> int:
     gram_dev = None
     if solution.feasible:
         seed = solver.admissible_state(spec, [0.0] * spec.d)
-        gram_dev = solver.check_orbit(spec.drive(), seed, solution.structure.s).max_deviation
+        gram_dev = solver.diagonal_orbit_deviation(spec, seed, solution.structure.s)
     payload = {
         "phases": [fmt_float(p) for p in spec.phases],
         "feasible": solution.feasible,

@@ -15,8 +15,11 @@ V^m|prep>, so it heralds parity m.
 ``run_module`` reports every heralded branch (see ``_branches``).  The module
 heralds wt mod d, and the ancilla never needs to exist in memory: branch m is
 the class mask, b where wt(x) == parity(m) (mod d) and 0 elsewhere, with
-b = amps (phase) or b = H^(x)n amps (shift), and a shift branch is then
-transformed back in place.  Its probability is the class's share of |b|^2,
+b = amps (phase) or b = H^(x)n amps (shift).  The nonzero branches are formed
+as the rows of one array per group of at most 2^15 amplitudes (one row from
+n = 15 on), and each shift group is transformed back in place by one call of the
+row-wise butterfly ``_hadamard_rows``: at n <= 12 a shift run makes two calls
+whatever d is.  Its probability is the class's share of |b|^2,
 the histogram ``outcome_distribution`` reports, so a run holds d branch
 vectors and never the (2^n, d) joint state.  One register takes its own
 route: a real constant (|+>^n up to sign), found by an exact bit check.  With
@@ -66,7 +69,8 @@ ZERO_PROBABILITY_ATOL = 1e-12
 # 2 NORM_ATOL + NORM_ATOL^2; the rest is room for the readout's rounding, which grows with d.
 _PROBABILITY_SUM_ATOL = 6 * NORM_ATOL + NORMALIZED_ATOL
 # ``_real_constant`` compares the register with its first amplitude in blocks of this
-# many amplitudes, so that it needs no temporary of register size.
+# many amplitudes, so that it needs no temporary of register size, and ``_hadamard_rows``
+# transforms rows in groups of at most this many amplitudes (512 KiB).
 _BLOCK_ENTRIES = 1 << 15
 
 
@@ -227,7 +231,7 @@ class ProjectorSet:
         if self.coupling is CouplingKind.PHASE:
             views = [Operator(np.diag(mask)) for mask in masks]
         else:
-            g = _hadamard_transform(masks.T, n).real.T * 2.0 ** (-n / 2)
+            g = _hadamard_rows(masks.astype(complex), n).real * 2.0 ** (-n / 2)
             index = np.arange(1 << n)
             xor = index[:, None] ^ index
             views = [Operator(g_i[xor]) for g_i in g]
@@ -244,25 +248,32 @@ def projector_dim(i: int, n: int, d: int) -> int:
     return sum(math.comb(n, j) for j in range(i, n + 1, d))
 
 
-def _hadamard_transform(a: np.ndarray, n: int) -> np.ndarray:
-    """H^(x)n applied along the first axis of ``a``, which has length 2^n, as a new array."""
-    return _hadamard_in_place(np.array(a, dtype=complex, order="C"), n)
+def _group_rows(n: int) -> int:
+    """Rows of 2^n amplitudes in one group of ``_hadamard_rows``: at most ``_BLOCK_ENTRIES``
+    amplitudes, or one row when 2^n is larger."""
+    return max(1, _BLOCK_ENTRIES >> n)
 
 
-def _hadamard_in_place(t: np.ndarray, n: int) -> np.ndarray:
-    """H^(x)n applied along the first axis of the C-ordered complex array ``t``, in place.
+def _hadamard_rows(t: np.ndarray, n: int) -> np.ndarray:
+    """H^(x)n applied in place to every row of the C-ordered (r, 2^n) complex array ``t``.
 
-    A butterfly: each qubit pass replaces the halves (lo, hi) by (lo + hi, lo - hi),
-    with lo + hi written to one half-size scratch that every pass reuses.
+    A butterfly, one group of ``_group_rows(n)`` rows at a time: each qubit pass, most
+    significant bit first, replaces the halves (lo, hi) of every row by (lo + hi, lo - hi),
+    with lo + hi written to one scratch of half a group that every pass reuses.  Each row
+    keeps the bits of the same butterfly run on that row alone.
     """
-    scratch = np.empty(t.size // 2, dtype=t.dtype)
-    for q in range(n):
-        v = t.reshape(1 << q, 2, -1)
-        lo, hi = v[:, 0], v[:, 1]
-        total = np.add(lo, hi, out=scratch.reshape(lo.shape))
-        np.subtract(lo, hi, out=hi)
-        lo[...] = total
-    t *= 2.0 ** (-n / 2)
+    rows = _group_rows(n)
+    scratch = np.empty(min(rows, t.shape[0]) << (n - 1), dtype=t.dtype)
+    scale = 2.0 ** (-n / 2)
+    for first in range(0, t.shape[0], rows):
+        group = t[first : first + rows]
+        for q in range(n):
+            v = group.reshape(group.shape[0], 1 << q, 2, -1)
+            lo, hi = v[:, :, 0], v[:, :, 1]
+            total = np.add(lo, hi, out=scratch[: lo.size].reshape(lo.shape))
+            np.subtract(lo, hi, out=hi)
+            lo[...] = total
+        group *= scale
     return t
 
 
@@ -323,7 +334,7 @@ def _heralded(amps: np.ndarray, n: int, d: int, coupling: CouplingKind) -> tuple
     """b = amps (phase) or H^(x)n amps (shift), the weight classes wt mod d, and the
     probability of each class: |b|^2 summed pairwise over each weight in ``weight_order``,
     and the weights of a class added by ``math.fsum``, so the rounding does not grow with 2^n."""
-    b = amps if coupling is CouplingKind.PHASE else _hadamard_transform(amps, n)
+    b = amps if coupling is CouplingKind.PHASE else _hadamard_rows(np.array(amps, dtype=complex)[None], n)[0]
     order, starts = weight_order(n)
     per_weight = np.add.reduceat(np.square(np.abs(b))[order], starts[:-1]).tolist()
     return b, weight_classes(n, d), [math.fsum(per_weight[i::d]) for i in range(d)]
@@ -345,16 +356,21 @@ def _branches(amps: np.ndarray, value: complex | None, config: ModuleConfig):
     ``np.where(classes == parity, b, 0)`` with b and the probabilities from
     ``_heralded``; in the Hadamard basis every shift coupling is a controlled X_d,
     an exact permutation, and a nonzero shift branch is transformed back in place.
-    A shift b is the route's own transform, so the last nonzero shift branch is masked
-    in b itself rather than copied out of it.
+    The nonzero branches are formed in groups of ``_group_rows(n)``, each group as the
+    rows of one ``np.where(classes == group[:, None], b, 0)`` when its first branch is
+    yielded, and a shift group is transformed back by one ``_hadamard_rows`` call.  At
+    n <= 14 a group's branches are rows of one buffer of at most 512 KiB, which any one
+    of them keeps alive; from n = 15 on a group is one branch.  A shift b is the route's
+    own transform, so a group that is the last nonzero shift branch alone is masked in
+    b itself rather than copied out of it.
     Only a real constant register (|+>^n up to sign) takes its own routes.  With the
     default phase ancilla it runs the per-excitation chain of ``_phase_representatives``,
     whose bits the golden reports pin, gathers each branch by weight and reports its
     ``squared_norm``.  With the shift coupling and n >= 2 it is H^(x)n 2^(n/2) value e_0,
     all in class 0: its parity-0 branch is a copy of the register, with the register's
     squared norm 2^n value^2 as its probability, and every other branch is zero.  Each
-    branch yielded is a new array that the caller may divide in place by the root of
-    its probability and keep.
+    branch yielded is a C-contiguous array, or row, that no other branch overlaps and
+    that the caller may divide in place by the root of its probability and keep.
     """
     n, d, coupling = config.n, config.d, config.coupling
     default_phase = coupling is CouplingKind.PHASE and config.ancilla_prep is None
@@ -380,21 +396,27 @@ def _branches(amps: np.ndarray, value: complex | None, config: ModuleConfig):
             yield (parity, prob, amps.copy()) if parity == 0 else (parity, 0.0, None)
     else:
         b, classes, probs = _heralded(amps, n, d, coupling)
+        shift = coupling is CouplingKind.SHIFT
         nonzero = [parity for parity in parities if probs[parity] >= ZERO_PROBABILITY_ATOL]
-        last = nonzero[-1] if coupling is CouplingKind.SHIFT else None
+        rows = _group_rows(n)
+        groups = iter([nonzero[i : i + rows] for i in range(0, len(nonzero), rows)])
+        pending = []
         for parity in parities:
             prob = probs[parity]
             if prob < ZERO_PROBABILITY_ATOL:
                 yield parity, prob, None
                 continue
-            if parity == last:
-                np.copyto(b, 0, where=classes != parity)
-                branch = b
-            else:
-                branch = np.where(classes == parity, b, 0)
-            if coupling is CouplingKind.SHIFT:
-                _hadamard_in_place(branch, n)
-            yield parity, prob, branch
+            if not pending:
+                group = next(groups)
+                if shift and group == nonzero[-1:]:
+                    np.copyto(b, 0, where=classes != parity)
+                    block = b[None]
+                else:
+                    block = np.where(classes == np.array(group, dtype=classes.dtype)[:, None], b, 0)
+                if shift:
+                    _hadamard_rows(block, n)
+                pending = list(block)
+            yield parity, prob, pending.pop(0)
 
 
 def _exact_parity_probability(n: int, d: int, coupling: CouplingKind, parity: int) -> Fraction:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import Ket, Operator, require_normalized
+from .linalg import UNITARY_ATOL, Ket, Operator, require_normalized
 
 TWO_PI = 2.0 * math.pi
 # Eigenphases closer than this are one eigenvalue: a computed spectrum carries
@@ -125,6 +125,31 @@ def check_orbit(u: Operator, phi: Ket, orbit_len: int) -> OrbitReport:
     gram = orbit.conj() @ orbit.T
     max_dev = float(np.abs(gram - np.eye(orbit_len)).max())
     return OrbitReport(orbit=orbit, gram=gram, max_deviation=max_dev, orthonormal=max_dev <= ORBIT_ATOL)
+
+
+def diagonal_orbit_deviation(spec: EigenphaseSpec, phi: Ket, orbit_len: int) -> float:
+    """The ``max_deviation`` of ``check_orbit(spec.drive(), phi, orbit_len)``, without the
+    d x d drive: row i of the orbit is lambda^i * phi elementwise, so the Gram matrix
+    G_ik = sum_j |phi_j|^2 lambda_j^(k-i) is Toeplitz and Hermitian, and its first row
+    holds every entry up to conjugation.  O(orbit_len d) work in O(d) memory.  Raises
+    unless the eigenvalues pass the unitarity test of ``Operator(unitary=True)`` and phi
+    is a normalized vector of dimension d."""
+    lam = np.exp(1j * np.array(spec.phases))
+    dev = float(np.abs(np.square(np.abs(lam)) - 1.0).max())
+    if not dev <= UNITARY_ATOL:
+        raise ValueError(f"operator is not unitary (deviation {dev:.3e})")
+    if phi.dim != spec.d:
+        raise ValueError(f"dimension mismatch {phi.dim} != {spec.d}")
+    if not 1 <= orbit_len <= spec.d:
+        raise ValueError(f"orbit length {orbit_len} outside [1, {spec.d}]")
+    require_normalized(phi, "orbit seed")
+    row = np.empty(orbit_len, dtype=complex)
+    v = phi.amps
+    for k in range(orbit_len):
+        row[k] = np.vdot(phi.amps, v)
+        v = lam * v
+    row[0] -= 1.0
+    return float(np.abs(row).max())
 
 
 def _circular_mean(values: np.ndarray) -> float:

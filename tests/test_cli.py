@@ -546,6 +546,14 @@ class TestSolve:
         code, _, err = run_cli(capsys, ["solve", "--phases", phases])
         assert code == 0, err
 
+    def test_solve_builds_no_dense_drive(self, capsys, monkeypatch):
+        # The orbit of a diagonal drive is read from its eigenvalues, so the cap still
+        # bounds the drive's bytes but solve forms no d x d matrix.
+        monkeypatch.setattr(solver.EigenphaseSpec, "drive", lambda self: pytest.fail("built the drive"))
+        code, out, err = run_cli(capsys, ["solve", "--phases", "roots:256"])
+        assert code == 0, err
+        assert "orbit Gram deviation" in out
+
     @pytest.mark.parametrize("phases", ["roots:17", ",".join(["0"] * 17)], ids=["roots", "list"])
     def test_drive_over_the_cap_is_refused_by_its_bytes(self, capsys, monkeypatch, phases):
         monkeypatch.setenv("QPARITY_MAX_QUBITS", "8")

@@ -33,8 +33,7 @@ from qparity.module import (
     ResourceLimitError,
     _branches,
     _fourier_readout,
-    _hadamard_in_place,
-    _hadamard_transform,
+    _hadamard_rows,
     _real_constant,
     _step,
     build_projectors,
@@ -189,11 +188,21 @@ def assert_class_probability(prob, exact, n, where):
     assert abs(prob - exact) <= (n + 8) * 2.0**-53, where
 
 
+def stacked_butterfly(a, n):
+    """Test-only reference: H^(x)n of a vector of 2^n amplitudes as a new array, one stacked
+    copy per qubit pass, most significant bit first."""
+    t = np.array(a, dtype=complex)
+    for q in range(n):
+        v = t.reshape(1 << q, 2, -1)
+        t = np.stack((v[:, 0] + v[:, 1], v[:, 0] - v[:, 1]), axis=1)
+    return t.reshape(a.shape) * 2.0 ** (-n / 2)
+
+
 def copying_shift_branches(amps, n, parities):
     """Test-only oracle: the shift kernel as the mask of H^(x)n amps, each nonzero branch
-    then transformed back by a copying transform."""
-    for prob, branch in mask_branches(_hadamard_transform(amps, n), n, parities):
-        yield prob, (_hadamard_transform(branch, n) if prob >= ZERO_PROBABILITY_ATOL else None)
+    then transformed back, both by the copying ``stacked_butterfly``."""
+    for prob, branch in mask_branches(stacked_butterfly(amps, n), n, parities):
+        yield prob, (stacked_butterfly(branch, n) if prob >= ZERO_PROBABILITY_ATOL else None)
 
 
 def chain_pairs(chains):
@@ -962,9 +971,9 @@ class TestWeightKernels:
 
         def counted(t, n):
             calls.append(n)
-            return _hadamard_in_place(t, n)
+            return _hadamard_rows(t, n)
 
-        monkeypatch.setattr("qparity.module._hadamard_in_place", counted)
+        monkeypatch.setattr("qparity.module._hadamard_rows", counted)
         g = np.random.default_rng(5)
         for n, d in [(2, 2), (5, 3), (10, 7)]:
             for prep in (None, orbit_ancilla(g, d, CouplingKind.SHIFT)):
@@ -1079,22 +1088,60 @@ class TestWeightKernels:
                                 assert not divided[~nonzero].any(), where
                         assert calls == [1 << n] * (sum(not r.zero_probability for r in records) + d * on_chain), where
 
-    def test_in_place_hadamard_transform_keeps_the_stacked_butterfly_bits(self):
-        g = np.random.default_rng(7)
-        for n in range(1, 9):
-            for a in (g.normal(size=1 << n) + 1j * g.normal(size=1 << n), np.asfortranarray(g.normal(size=(1 << n, 3)))):
-                before = a.copy()
-                t = np.array(a, dtype=complex)
-                for q in range(n):
-                    v = t.reshape(1 << q, 2, -1)
-                    t = np.stack((v[:, 0] + v[:, 1], v[:, 0] - v[:, 1]), axis=1)
-                expect = t.reshape(a.shape) * 2.0 ** (-n / 2)
-                got = _hadamard_transform(a, n)
-                assert np.array_equal(got.view(np.uint64), expect.view(np.uint64))
-                assert np.array_equal(a, before)
-                own = np.array(a, dtype=complex, order="C")
-                assert _hadamard_in_place(own, n) is own
-                assert np.array_equal(own.view(np.uint64), expect.view(np.uint64))
+    @pytest.mark.parametrize("n", [*range(1, 15), 16])
+    def test_row_hadamard_kernel_keeps_the_stacked_butterfly_bits(self, n):
+        # Every row keeps the bits of the stacked butterfly run on that row alone, whether
+        # its group holds all r rows (n <= 12), several groups split them, the last one
+        # partial (n = 13, 14), or each row is a group of its own (n = 16).
+        g = np.random.default_rng(n)
+        for r in (1, 2, 3, 7):
+            a = g.normal(size=(r, 1 << n)) + 1j * g.normal(size=(r, 1 << n))
+            expect = np.array([stacked_butterfly(row, n) for row in a])
+            t = a.copy()
+            assert _hadamard_rows(t, n) is t
+            assert np.array_equal(t.view(np.uint64), expect.view(np.uint64)), r
+
+    def test_shift_run_transforms_each_group_in_one_call(self, monkeypatch):
+        # The forward transform is one call, and the nonzero branches of a group are
+        # transformed back by one more: at n <= 12 every branch of d <= 8 fits one group of
+        # 2^15 amplitudes, and at n = 16 a group is one branch.
+        calls = []
+
+        def counted(t, n):
+            calls.append(t.shape[0])
+            return _hadamard_rows(t, n)
+
+        monkeypatch.setattr("qparity.module._hadamard_rows", counted)
+        for n in [*range(1, 13), 16]:
+            state = random_register(n, n)
+            for d in range(2, 9):
+                calls.clear()
+                records = run_module(state, ModuleConfig(n, d, CouplingKind.SHIFT), classify_states=False)
+                nonzero = sum(not r.zero_probability for r in records)
+                assert calls == ([1, nonzero] if n <= 12 else [1] * (1 + nonzero)), (n, d)
+
+    @pytest.mark.parametrize("n, groups", [(5, 1), (13, 2)])
+    def test_grouped_post_states_are_separate_read_only_rows(self, n, groups):
+        # At n = 5 the six nonzero branches of d = 7 are rows of one buffer; at n = 13 the
+        # seven fill a group of four rows and one of three.  Each post-state is a C-contiguous,
+        # read-only row of its group, and scaling one branch in place leaves every other
+        # branch's bits alone.
+        state = random_register(n, n)
+        for coupling in CouplingKind:
+            config = ModuleConfig(n, 7, coupling)
+            posts = [r.post_state.amps for r in run_module(state, config, classify_states=False) if not r.zero_probability]
+            assert len(posts) == min(n + 1, 7), coupling
+            assert all(p.flags.c_contiguous and not p.flags.writeable for p in posts), coupling
+            assert len({id(p.base) for p in posts}) == groups, coupling
+            branches = [b for _, _, b in _branches(state.amps, None, config) if b is not None]
+            before = [b.copy() for b in branches]
+            for i, branch in enumerate(branches):
+                parts = branch.view(np.float64)
+                parts *= 3.0
+                scaled = before[i].view(np.float64) * 3.0
+                assert np.array_equal(parts.view(np.uint64), scaled.view(np.uint64)), (coupling, i)
+                for b, b0 in zip(branches[i + 1 :], before[i + 1 :]):
+                    assert np.array_equal(b.view(np.uint64), b0.view(np.uint64)), (coupling, i)
 
     @given(
         st.integers(min_value=1, max_value=8),

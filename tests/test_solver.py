@@ -18,6 +18,7 @@ from qparity.solver import (
     admissible_state,
     check_orbit,
     classify_eigenphases,
+    diagonal_orbit_deviation,
     reconstruct_general,
     roots_of_unity_spec,
     solve_amplitudes,
@@ -85,6 +86,37 @@ class TestCheckOrbit:
             check_orbit(pauli_z(2), phi, 3)
         with pytest.raises(ValueError):
             check_orbit(pauli_z(2), phi, 0)
+
+
+class TestDiagonalOrbitDeviation:
+    @pytest.mark.parametrize(
+        "spec",
+        [roots_of_unity_spec(d, 0.3 * d) for d in (2, 3, 5, 8, 64)]
+        + [EigenphaseSpec((0.0, 0.0, math.pi, math.pi)), EigenphaseSpec((0.3, 0.3, 0.3, 0.3 + TWO_PI / 3, 0.3 - TWO_PI / 3))],
+        ids=["roots2", "roots3", "roots5", "roots8", "roots64", "pairs", "triple"],
+    )
+    def test_matches_the_dense_orbit(self, rng, spec):
+        # The Toeplitz first row holds every Gram entry; it reads what the dense d x d
+        # drive's orbit reads, to rounding, for feasible and infeasible seeds alike.
+        s = classify_eigenphases(spec).s
+        seeds = [admissible_state(spec, tuple(rng.uniform(0, TWO_PI, size=spec.d)))]
+        v = rng.normal(size=spec.d) + 1j * rng.normal(size=spec.d)
+        seeds.append(Ket(v / np.linalg.norm(v), (spec.d,), normalized=True))
+        for phi in seeds:
+            for orbit_len in {1, s, spec.d}:
+                dense = check_orbit(spec.drive(), phi, orbit_len).max_deviation
+                assert diagonal_orbit_deviation(spec, phi, orbit_len) == pytest.approx(dense, rel=1e-9, abs=1e-14)
+
+    def test_refuses_what_check_orbit_refuses(self):
+        spec = roots_of_unity_spec(3)
+        phi = admissible_state(spec, (0.0, 0.0, 0.0))
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            diagonal_orbit_deviation(roots_of_unity_spec(4), phi, 3)
+        for orbit_len in (0, 4):
+            with pytest.raises(ValueError, match="orbit length"):
+                diagonal_orbit_deviation(spec, phi, orbit_len)
+        with pytest.raises(ValueError):
+            diagonal_orbit_deviation(spec, Ket(np.array([1.0, 1.0, 0.0]), (3,)), 3)
 
 
 class TestClassifyEigenphases:
