@@ -27,9 +27,7 @@ from .solver import (
     AmplitudeSolution,
     DegeneracyStructure,
     EigenphaseSpec,
-    OrbitReport,
     admissible_state,
-    check_orbit,
     reconstruct_general,
     roots_of_unity_spec,
     solve_amplitudes,

@@ -7,6 +7,7 @@ usage/input errors, 3 resource-envelope violations or running out of memory.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import sys
 import warnings
@@ -35,6 +36,9 @@ from .reports import SCHEMA_VERSION, canonical_json, fmt_float, fmt_fraction, wi
 # Amplitudes written to 7 significant digits leave the norm ~1e-7 off 1; the state
 # is renormalized exactly on load, so only a file that holds no unit vector misses by more.
 _FILE_NORM_ATOL = 1e-6
+# ``sample`` draws and writes this many shots at a time, so its working space does not grow
+# with --shots; ``Generator.choice`` takes its uniforms in order, so the blocks draw what one call would.
+_SAMPLE_BLOCK = 1 << 20
 # numpy's reader decompresses a path with one of these suffixes, so such a file is parsed line by line.
 _NUMPY_DECOMPRESSES = (".gz", ".bz2", ".xz", ".lzma")
 
@@ -286,7 +290,7 @@ def cmd_solve(args) -> int:
     gram_dev = None
     if solution.feasible:
         seed = solver.admissible_state(spec, [0.0] * spec.d)
-        gram_dev = solver.diagonal_orbit_deviation(spec, seed, solution.structure.s)
+        gram_dev = solver.orbit_deviation(np.exp(1j * np.array(spec.phases)), seed.amps, solution.structure.s)
     payload = {
         "phases": [fmt_float(p) for p in spec.phases],
         "feasible": solution.feasible,
@@ -433,9 +437,11 @@ def cmd_sample(args) -> int:
     state, _, config = _resolve_input(args)
     probs = outcome_distribution(state, config.n, config.d, config.coupling)
     rng = np.random.default_rng(args.seed)
-    draws = rng.choice(args.ancilla_dim, size=args.shots, p=probs)
     labels = [f"{m}\n" for m in range(args.ancilla_dim)]
-    _emit("".join([labels[m] for m in draws.tolist()]), args.out)
+    with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as out:
+        for first in range(0, args.shots, _SAMPLE_BLOCK):
+            draws = rng.choice(args.ancilla_dim, size=min(_SAMPLE_BLOCK, args.shots - first), p=probs)
+            out.write("".join([labels[m] for m in draws.tolist()]))
     return 0
 
 

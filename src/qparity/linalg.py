@@ -93,8 +93,8 @@ class Operator:
     A real matrix is stored as float64, any other as complex128.
     ``unitary=True`` makes the constructor verify U^dagger U = I within
     ``UNITARY_ATOL`` (NaN fails), the one unitarity test: an Operator flagged
-    unitary is never tested again.  ``solver.diagonal_orbit_deviation`` states the
-    same test on a diagonal's eigenvalues, max | |lambda_j|^2 - 1 |.
+    unitary is never tested again.  ``solver.orbit_deviation`` states the same
+    test on a drive's eigenvalues, max | |lambda_j|^2 - 1 |, and builds no Operator.
     """
 
     entries: np.ndarray

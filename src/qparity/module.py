@@ -8,9 +8,9 @@ Hadamard conjugate (|+><+| x I + |-><-| x X_d) with a computational-basis
 ancilla; it heralds the Hadamard-basis excitation number instead.  The
 ancilla outcome only names the class found.  Default outcome m heralds
 parity -m mod d (phase) or m (shift).  ``ModuleConfig`` admits any other
-ancilla by ``solver.check_orbit`` alone, when its orbit under the step
-V = Z_d or X_d (``_step``) is orthonormal; its outcome m finds it at
-V^m|prep>, so it heralds parity m.
+ancilla by ``solver.orbit_deviation`` alone, when its orbit under the step
+V = Z_d or X_d, read off V's eigenvalues without building V, is orthonormal;
+its outcome m finds it at V^m|prep>, so it heralds parity m.
 
 ``run_module`` reports every heralded branch (see ``_branches``).  The module
 heralds wt mod d, and the ancilla never needs to exist in memory: branch m is
@@ -55,8 +55,8 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import states
-from .linalg import NORM_ATOL, NORMALIZED_ATOL, Ket, Operator, fourier_ket, hamming_weights, pauli_x, pauli_z, require_normalized, squared_norm, weight_classes, weight_order
-from .solver import check_orbit
+from .linalg import NORM_ATOL, NORMALIZED_ATOL, Ket, Operator, fourier_ket, hamming_weights, omega, pauli_z, require_normalized, squared_norm, weight_classes, weight_order
+from .solver import ORBIT_ATOL, orbit_deviation
 
 DEFAULT_STATEVECTOR_MAX_QUBITS = 20
 MAX_QUBITS_ENV = "QPARITY_MAX_QUBITS"
@@ -112,6 +112,7 @@ def _check_qubits(qubits: int, request: str | None = None) -> None:
 def _check_matrix(d: int, what: str) -> None:
     """Raise unless a d x d complex matrix, 16 d^2 bytes, fits the cap: d^2 > 2^cap exactly
     when d^2 - 1 needs more than cap bits."""
+    # A custom ancilla or solve drive builds no matrix: the cap bounds its Gram row's d * d products.
     _check_qubits((d * d - 1).bit_length(), f"{what} needs {16 * d * d} bytes as a {d} x {d} complex matrix")
 
 
@@ -126,10 +127,9 @@ class CouplingKind(Enum):
 
 
 @lru_cache(maxsize=64)
-def _step(d: int, coupling: CouplingKind) -> Operator:
-    """V, the ancilla step of one excitation: Z_d (phase) or X_d (shift), built once per
-    (d, coupling).  ``ModuleConfig`` admits a custom ancilla by its orbit under V."""
-    return pauli_z(d) if coupling is CouplingKind.PHASE else pauli_x(d)
+def _clock(d: int) -> Operator:
+    """Z_d, built once per d: the per-excitation chain multiplies by its diagonal."""
+    return pauli_z(d)
 
 
 @lru_cache(maxsize=64)
@@ -145,12 +145,12 @@ class ModuleConfig:
     """One parity-module run: register size, ancilla dimension, coupling.
 
     ``ancilla_prep`` defaults to the canonical preparation for the coupling;
-    any other normalized d-level state may be supplied.  ``solver.check_orbit``
+    any other normalized d-level state may be supplied.  ``solver.orbit_deviation``
     admits it at construction only if its orbit under the coupling's step
     (Z_d or X_d) is orthonormal; outcome m then heralds parity m.  A register
     that the statevector cap does not admit is refused here, before any state
     of its size exists, and so is a d-level ancilla longer than 2^cap levels,
-    or a custom one whose d x d step and orbit the cap does not admit.
+    or a custom one whose d^2 orbit products the cap does not admit.
     """
 
     n: int
@@ -174,11 +174,13 @@ class ModuleConfig:
                 raise ValueError(f"ancilla preparation has dimension {prep.dim}, expected {self.d}")
             require_normalized(prep, "ancilla preparation")
             _check_matrix(self.d, f"a custom {self.d}-level ancilla's step")
-            report = check_orbit(_step(self.d, self.coupling), prep, self.d)
-            if not report.orthonormal:
+            # Z_d|k> = w^k|k> and X_d|u_k> = w^k|u_k>, where <u_k|prep> is the unitary inverse DFT.
+            phi = prep.amps if self.coupling is CouplingKind.PHASE else np.fft.ifft(prep.amps, norm="ortho")
+            dev = orbit_deviation(omega(self.d) ** np.arange(self.d), phi, self.d)
+            if not dev <= ORBIT_ATOL:
                 raise ValueError(
                     f"ancilla preparation does not generate an orthonormal orbit "
-                    f"(Gram deviation {report.max_deviation:.3e}); heralding would be ambiguous"
+                    f"(Gram deviation {dev:.3e}); heralding would be ambiguous"
                 )
 
 
@@ -307,7 +309,7 @@ def _phase_representatives(value: complex, n: int, d: int) -> list[np.ndarray]:
     """<u_m| of the coupled state's rows for the n + 1 weights of a constant register,
     one array per Fourier outcome m: the default phase ancilla's per-excitation chain.
 
-    Row k is value u_0 z^k with z the diagonal of ``_step(d, PHASE)``: ``np.multiply.outer``
+    Row k is value u_0 z^k with z the diagonal of ``_clock(d)``: ``np.multiply.outer``
     of ``np.full(n + 1, value)`` with u_0 (the rows ``np.kron`` forms), multiplied one
     excitation at a time as (re, im) <- (re zr - im zi, re zi + im zr), every product and
     sum rounded on its own (level k multiplies rows k..n), and then contracted with each
@@ -315,7 +317,7 @@ def _phase_representatives(value: complex, n: int, d: int) -> list[np.ndarray]:
     Fourier rows.
     """
     readout = _fourier_readout(d)
-    clock = np.diag(_step(d, CouplingKind.PHASE).entries)
+    clock = np.diag(_clock(d).entries)
     rows = np.multiply.outer(np.full(n + 1, value), readout[0])
     re, im = rows.real.T.copy(), rows.imag.T.copy()
     zr, zi = clock.real[:, None], clock.imag[:, None]

@@ -8,8 +8,10 @@ d-th roots of unity and |a_j|^2 = 1/d; with s < d distinct eigenvalues
 (s-th roots pattern) only s orbit vectors exist and each eigenspace must
 carry total weight 1/s.  ``solve_amplitudes`` decides feasibility and
 returns the magnitude data; ``reconstruct_general`` lifts the analysis to
-an arbitrary unitary through its eigenbasis.  ``verify`` checks the verdict
-against an independent linear program over the squared magnitudes.
+an arbitrary unitary through its eigenbasis.  ``orbit_deviation``, the one orbit
+test, reads an orbit off a drive's eigenvalues and never builds the drive.
+``verify`` checks the verdict against an independent linear program over the
+squared magnitudes.
 """
 from __future__ import annotations
 
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import UNITARY_ATOL, Ket, Operator, require_normalized
+from .linalg import UNITARY_ATOL, Ket, Operator
 
 TWO_PI = 2.0 * math.pi
 # Eigenphases closer than this are one eigenvalue: a computed spectrum carries
@@ -94,60 +96,26 @@ class AmplitudeSolution:
     canonical_phase_offset: float
 
 
-@dataclass(frozen=True, eq=False)
-class OrbitReport:
-    """An operator orbit as read-only rows, its Gram matrix and its distance from
-    orthonormality; ``orthonormal`` means within ``ORBIT_ATOL`` (NaN is not)."""
-
-    orbit: np.ndarray
-    gram: np.ndarray
-    max_deviation: float
-    orthonormal: bool
-
-
-def check_orbit(u: Operator, phi: Ket, orbit_len: int) -> OrbitReport:
-    """The rows phi, U phi, ..., U^(orbit_len-1) phi and their Gram matrix; raises
-    unless U is unitary and phi a normalized vector of its dimension."""
-    if not u.unitary:
-        u = Operator(u.entries, unitary=True)  # raises unless U is unitary
-    if phi.dim != u.dim:
-        raise ValueError(f"dimension mismatch {phi.dim} != {u.dim}")
-    if not 1 <= orbit_len <= u.dim:
-        raise ValueError(f"orbit length {orbit_len} outside [1, {u.dim}]")
-    require_normalized(phi, "orbit seed")
-    m = u.entries
-    orbit = np.empty((orbit_len, u.dim), dtype=complex)
-    v = phi.amps
-    for i in range(orbit_len):
-        orbit[i] = v
-        v = m @ v
-    orbit.setflags(write=False)
-    gram = orbit.conj() @ orbit.T
-    max_dev = float(np.abs(gram - np.eye(orbit_len)).max())
-    return OrbitReport(orbit=orbit, gram=gram, max_deviation=max_dev, orthonormal=max_dev <= ORBIT_ATOL)
-
-
-def diagonal_orbit_deviation(spec: EigenphaseSpec, phi: Ket, orbit_len: int) -> float:
-    """The ``max_deviation`` of ``check_orbit(spec.drive(), phi, orbit_len)``, without the
-    d x d drive: row i of the orbit is lambda^i * phi elementwise, so the Gram matrix
-    G_ik = sum_j |phi_j|^2 lambda_j^(k-i) is Toeplitz and Hermitian, and its first row
-    holds every entry up to conjugation.  O(orbit_len d) work in O(d) memory.  Raises
-    unless the eigenvalues pass the unitarity test of ``Operator(unitary=True)`` and phi
-    is a normalized vector of dimension d."""
-    lam = np.exp(1j * np.array(spec.phases))
-    dev = float(np.abs(np.square(np.abs(lam)) - 1.0).max())
+def orbit_deviation(eigenvalues: np.ndarray, phi: np.ndarray, orbit_len: int) -> float:
+    """max |G - I| for the Gram matrix G of the orbit phi, U phi, ..., U^(orbit_len-1) phi,
+    given U's eigenvalues and the seed's coordinates ``phi`` on its eigenvectors.  Row i of
+    the orbit is lambda^i * phi, so G_ik = sum_j |phi_j|^2 lambda_j^(k-i) is Toeplitz and
+    Hermitian and its first row holds every entry: O(orbit_len d) work in O(d) memory.
+    G_00 - 1 is what the seed's squared norm misses, and a NaN coordinate gives NaN, which
+    no tolerance admits.  Raises unless every eigenvalue has unit modulus within
+    ``UNITARY_ATOL`` (NaN fails), phi has one coordinate per eigenvalue and 1 <= orbit_len <= d."""
+    dev = float(np.abs(np.square(np.abs(eigenvalues)) - 1.0).max())
     if not dev <= UNITARY_ATOL:
         raise ValueError(f"operator is not unitary (deviation {dev:.3e})")
-    if phi.dim != spec.d:
-        raise ValueError(f"dimension mismatch {phi.dim} != {spec.d}")
-    if not 1 <= orbit_len <= spec.d:
-        raise ValueError(f"orbit length {orbit_len} outside [1, {spec.d}]")
-    require_normalized(phi, "orbit seed")
+    if phi.shape != eigenvalues.shape:
+        raise ValueError(f"{phi.size} coordinates for {eigenvalues.size} eigenvalues")
+    if not 1 <= orbit_len <= eigenvalues.size:
+        raise ValueError(f"orbit length {orbit_len} outside [1, {eigenvalues.size}]")
     row = np.empty(orbit_len, dtype=complex)
-    v = phi.amps
+    v = phi
     for k in range(orbit_len):
-        row[k] = np.vdot(phi.amps, v)
-        v = lam * v
+        row[k] = np.vdot(phi, v)
+        v = eigenvalues * v
     row[0] -= 1.0
     return float(np.abs(row).max())
 

@@ -356,9 +356,10 @@ def suite_solver() -> list[Check]:
         if not sol.feasible or any(q != 1.0 / d for q in sol.squared_amps):
             roots.append(f"(d={d})")
             continue
-        report = solver.check_orbit(spec_d.drive(), solver.admissible_state(spec_d, [0.0] * d), d)
-        if not report.max_deviation < _CLOSED_FORM_ATOL:
-            roots.append(f"(d={d}) gram {report.max_deviation:.2e}")
+        seed = solver.admissible_state(spec_d, [0.0] * d)
+        dev = solver.orbit_deviation(np.exp(1j * np.array(spec_d.phases)), seed.amps, d)
+        if not dev < _CLOSED_FORM_ATOL:
+            roots.append(f"(d={d}) gram {dev:.2e}")
     infeasible: list[str] = []
     if solver.solve_amplitudes(solver.EigenphaseSpec((0.0, 0.1))).feasible:
         infeasible.append("(0, 0.1)")

@@ -2,6 +2,7 @@
 
 import math
 import time
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -34,6 +35,43 @@ def random_ket_amps(rng, dim):
     """Haar-ish random normalized amplitude vector of length dim."""
     v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return v / np.linalg.norm(v)
+
+
+@dataclass(frozen=True, eq=False)
+class OrbitReport:
+    """An operator orbit as read-only rows, its Gram matrix and its distance from
+    orthonormality; ``orthonormal`` means within ``ORBIT_ATOL`` (NaN is not)."""
+
+    orbit: np.ndarray
+    gram: np.ndarray
+    max_deviation: float
+    orthonormal: bool
+
+
+def check_orbit(u, phi, orbit_len):
+    """Test-only dense oracle for ``solver.orbit_deviation``: the rows phi, U phi, ...,
+    U^(orbit_len-1) phi of the d x d operator U, and their d x d Gram matrix; raises
+    unless U is unitary and phi a normalized vector of its dimension."""
+    from qparity.linalg import Operator, require_normalized
+    from qparity.solver import ORBIT_ATOL
+
+    if not u.unitary:
+        u = Operator(u.entries, unitary=True)  # raises unless U is unitary
+    if phi.dim != u.dim:
+        raise ValueError(f"dimension mismatch {phi.dim} != {u.dim}")
+    if not 1 <= orbit_len <= u.dim:
+        raise ValueError(f"orbit length {orbit_len} outside [1, {u.dim}]")
+    require_normalized(phi, "orbit seed")
+    m = u.entries
+    orbit = np.empty((orbit_len, u.dim), dtype=complex)
+    v = phi.amps
+    for i in range(orbit_len):
+        orbit[i] = v
+        v = m @ v
+    orbit.setflags(write=False)
+    gram = orbit.conj() @ orbit.T
+    max_dev = float(np.abs(gram - np.eye(orbit_len)).max())
+    return OrbitReport(orbit=orbit, gram=gram, max_deviation=max_dev, orthonormal=max_dev <= ORBIT_ATOL)
 
 
 @pytest.fixture(scope="session")

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from qparity import module, solver, states, verify
+from qparity import cli, module, solver, states, verify
 from qparity.cli import load_amplitude_file, main, write_amplitude_file
 from qparity.linalg import Ket, plus_state, squared_norm
 from qparity.module import outcome_distribution
@@ -685,6 +685,29 @@ class TestSample:
             draws = np.random.default_rng(7).choice(d, size=1000, p=probs)
             assert set(draws.tolist()) == set(range(min(n + 1, d)))
             assert out == "".join(f"{parity}\n" for parity in draws)
+
+    def test_blocks_draw_what_one_call_draws(self, capsys, monkeypatch, tmp_path):
+        # Generator.choice takes its uniforms in order, so blocks of 7 shots draw what one call does.
+        monkeypatch.setattr(cli, "_SAMPLE_BLOCK", 7)
+        draws = tmp_path / "draws.txt"
+        assert run_cli(capsys, ["sample", "-n", "3", "-d", "3", "--shots", "1000", "--seed", "5", "--out", str(draws)])[0] == 0
+        expect = np.random.default_rng(5).choice(3, size=1000, p=outcome_distribution(plus_state(3), 3, 3))
+        assert draws.read_text() == "".join(f"{m}\n" for m in expect)
+
+    def test_working_space_does_not_grow_with_shots(self, capsys, monkeypatch, tmp_path):
+        # 2^18 shots in blocks of 2^12: the shots-long array of draws alone would take 2 MiB,
+        # and its list of labels as much again.
+        monkeypatch.setattr(cli, "_SAMPLE_BLOCK", 1 << 12)
+        argv = ["sample", "-n", "3", "-d", "3", "--shots", str(1 << 18), "--out", str(tmp_path / "draws.txt")]
+        run_cli(capsys, argv)  # imports and caches what a first run needs
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and peak < 1 << 20, peak
+        assert (tmp_path / "draws.txt").stat().st_size == 2 << 18
 
     def test_zero_shots(self, capsys):
         code, out, _ = run_cli(capsys, ["sample", "-n", "2", "-d", "2", "--shots", "0"])

@@ -32,10 +32,10 @@ from qparity.module import (
     ModuleConfig,
     ResourceLimitError,
     _branches,
+    _clock,
     _fourier_readout,
     _hadamard_rows,
     _real_constant,
-    _step,
     build_projectors,
     outcome_distribution,
     projector_dim,
@@ -44,10 +44,10 @@ from qparity.module import (
 )
 from qparity import module, states
 from qparity.linalg import NORM_ATOL
-from qparity.solver import ORBIT_ATOL, admissible_state, check_orbit, roots_of_unity_spec
+from qparity.solver import ORBIT_ATOL, admissible_state, roots_of_unity_spec
 from qparity.states import FIDELITY_THRESHOLD, Family, dicke, dicke_sum, ghz, w
 
-from conftest import basis_ket, random_ket_amps
+from conftest import basis_ket, check_orbit, random_ket_amps
 
 
 def random_register(seed, n):
@@ -85,10 +85,15 @@ def default_parities(d, coupling):
     return tuple((-m) % d if coupling is CouplingKind.PHASE else m for m in range(d))
 
 
+def coupling_step(d, coupling):
+    """V, the ancilla step of one excitation: Z_d (phase) or X_d (shift), as a dense Operator."""
+    return pauli_x(d) if coupling is CouplingKind.SHIFT else pauli_z(d)
+
+
 def coupling_gate(d, coupling):
     """|0><0| x I + |1><1| x V with V = Z_d (phase), or its Hadamard conjugate on the qubit with V = X_d (shift)."""
     h = hadamard().entries if coupling is CouplingKind.SHIFT else np.eye(2)
-    step = (pauli_x(d) if coupling is CouplingKind.SHIFT else pauli_z(d)).entries
+    step = coupling_step(d, coupling).entries
     return np.kron(h @ np.diag([1.0, 0.0]) @ h, np.eye(d)) + np.kron(h @ np.diag([0.0, 1.0]) @ h, step)
 
 
@@ -335,7 +340,7 @@ class TestProjectors:
             probs = outcome_distribution(state, n, d, coupling)
             expect = [float(np.vdot(b, b).real) for b in branches]
             assert np.abs(np.array(probs) - expect).max() <= 1e-12
-            step = (pauli_x(d) if coupling is CouplingKind.SHIFT else pauli_z(d)).entries
+            step = coupling_step(d, coupling).entries
             for index in range(d):
                 anc = default_ancilla(d, coupling, index).amps
                 joint = np.zeros((1 << n) * d, dtype=complex)
@@ -440,7 +445,7 @@ class TestModuleConfig:
             prep = default_ancilla(d, coupling)
             if coupling is CouplingKind.PHASE:
                 assert np.array_equal(_fourier_readout(d)[0], prep.amps)
-            assert check_orbit(_step(d, coupling), prep, d).orthonormal
+            assert check_orbit(coupling_step(d, coupling), prep, d).orthonormal
             state = random_register(d, 3)
             default = run_module(state, ModuleConfig(3, d, coupling), classify_states=False)
             custom = run_module(state, ModuleConfig(3, d, coupling, ancilla_prep=prep), classify_states=False)
@@ -451,21 +456,30 @@ class TestModuleConfig:
                     assert fidelity(r.post_state, by_parity[r.parity].post_state) == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("coupling", list(CouplingKind))
-    def test_cached_set_up_is_read_only(self, coupling):
-        # run_module shares one step per (d, coupling) and one Fourier readout per d, equal
-        # by value to what they are built from; the default ancilla (readout row 0, or |0>)
-        # is admitted, and the default outcomes carry the default parities on both routes.
+    def test_cached_set_up_is_read_only(self, monkeypatch, coupling):
+        # run_module shares one clock and one Fourier readout per d, equal by value to what
+        # they are built from; the default ancilla (readout row 0, or |0>) is admitted by
+        # orbit_deviation, and the default outcomes carry the default parities on both routes.
         shift = coupling is CouplingKind.SHIFT
         g = np.random.default_rng(29)
+        deviations = []
+        orbit_deviation = module.orbit_deviation
+
+        def recorded(*args):
+            deviations.append(orbit_deviation(*args))
+            return deviations[-1]
+
+        monkeypatch.setattr(module, "orbit_deviation", recorded)
         for d in range(2, 8):
-            step = _step(d, coupling)
-            assert step is _step(d, coupling) and not step.entries.flags.writeable
-            assert step.unitary and np.array_equal(step.entries, (pauli_x(d) if shift else pauli_z(d)).entries)
+            clock = _clock(d)
+            assert clock is _clock(d) and not clock.entries.flags.writeable
+            assert clock.unitary and np.array_equal(clock.entries, pauli_z(d).entries)
             readout = _fourier_readout(d)
             assert readout is _fourier_readout(d) and not readout.flags.writeable
             assert np.array_equal(readout, [fourier_ket(d, m).amps for m in range(d)])
             default = basis_ket((d,), 0) if shift else Ket(readout[0], (d,))
-            assert check_orbit(step, default, d).orthonormal
+            ModuleConfig(3, d, coupling, ancilla_prep=default)
+            assert deviations.pop() <= 1e-14 and not deviations, d
             for amps in (plus_state(3).amps, random_ket_amps(g, 8)):
                 got = _branches(amps, _real_constant(amps), ModuleConfig(3, d, coupling))
                 assert tuple(parity for parity, _, _ in got) == default_parities(d, coupling)
@@ -667,7 +681,7 @@ class TestCouplingStructure:
         state = Ket(random_ket_amps(g, 1 << n), (2,) * n, normalized=True)
         joint = sequential_joint(state, coupling, default_ancilla(d, coupling))
         # sum_i P_i|state> x V^i|ancilla> with the Fourier-sum projectors.
-        step = (pauli_x(d) if coupling is CouplingKind.SHIFT else pauli_z(d)).entries
+        step = coupling_step(d, coupling).entries
         anc = default_ancilla(d, coupling).amps
         via_projectors = np.zeros_like(joint.amps)
         for ref in fourier_sum_projectors(n, d, coupling):
@@ -740,7 +754,7 @@ class TestWeightKernels:
         # orbit check's tolerance for a custom one, whose outcome m heralds parity m.
         g = np.random.default_rng(19)
         for d in range(2, 17):
-            step = _step(d, coupling)
+            step = coupling_step(d, coupling)
             readout = np.eye(d) if coupling is CouplingKind.SHIFT else _fourier_readout(d)
             orbit = check_orbit(step, Ket(readout[0], (d,)), d).orbit
             permutation = np.equal.outer(default_parities(d, coupling), np.arange(d))
@@ -1168,7 +1182,7 @@ class TestWeightKernels:
         else:
             prep = orbit_ancilla(g, d, coupling)
             config = ModuleConfig(n, d, coupling, ancilla_prep=prep)
-            step = (pauli_x(d) if coupling is CouplingKind.SHIFT else pauli_z(d)).entries
+            step = coupling_step(d, coupling).entries
             readout = [np.linalg.matrix_power(step, m) @ prep.amps for m in range(d)]
         mat = sequential_joint(state, coupling, prep).amps.reshape(1 << n, d)
         records = run_module(state, config, classify_states=False)
@@ -1291,17 +1305,40 @@ class TestResourceEnvelope:
 
     @pytest.mark.parametrize("coupling", list(CouplingKind))
     def test_custom_ancilla_whose_step_exceeds_the_cap_is_refused(self, monkeypatch, coupling):
-        # check_orbit builds the d x d step and orbit of a custom ancilla, 16 d^2 bytes each;
-        # under an 8-qubit cap d = 16 is admitted and d = 17 refused before either exists.
+        # orbit_deviation forms the d * d products of a custom ancilla's Gram row, which the cap
+        # counts as a d x d matrix of 16 d^2 bytes; under an 8-qubit cap d = 16 is admitted
+        # and d = 17 refused before any product is formed.
         def prep(d):  # |u_0> under Z_d, |0> under X_d
             return fourier_ket(d, 0) if coupling is CouplingKind.PHASE else Ket(np.eye(d)[0], (d,), normalized=True)
 
         monkeypatch.setenv("QPARITY_MAX_QUBITS", "8")
         ModuleConfig(2, 16, coupling, prep(16))
-        monkeypatch.setattr(module, "check_orbit", lambda *args: pytest.fail("built the orbit"))
+        monkeypatch.setattr(module, "orbit_deviation", lambda *args: pytest.fail("formed the orbit"))
         step = r"a custom 17-level ancilla's step needs 4624 bytes as a 17 x 17 complex matrix$"
         with pytest.raises(ResourceLimitError, match=rf"limited to 4096 bytes \(8 qubits\); {step}"):
             ModuleConfig(2, 17, coupling, prep(17))
+
+    @pytest.mark.parametrize("coupling", list(CouplingKind))
+    def test_largest_custom_ancilla_is_admitted_in_small_space(self, monkeypatch, coupling):
+        # The default cap admits a 1024-level custom ancilla.  Its orbit is read off the step's
+        # eigenvalues in O(d) memory, 16 KiB per vector; a dense step, orbit and Gram matrix
+        # would be 16 MiB each.
+        monkeypatch.delenv("QPARITY_MAX_QUBITS", raising=False)
+        d = 1024
+        # Equal weight on every |k> (phase) or on every |u_k> (shift), here sum_k p_k |u_k> by an FFT.
+        p = np.exp(2j * np.pi * np.random.default_rng(d).random(d)) / math.sqrt(d)
+        admitted = Ket(p if coupling is CouplingKind.PHASE else np.fft.fft(p, norm="ortho"), (d,))
+        # An eigenvector of the step: its orbit repeats one vector.
+        refused = basis_ket((d,), 0) if coupling is CouplingKind.PHASE else fourier_ket(d, 0)
+        tracemalloc.start()
+        try:
+            ModuleConfig(2, d, coupling, admitted)
+            with pytest.raises(ValueError, match="does not generate an orthonormal orbit"):
+                ModuleConfig(2, d, coupling, refused)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak
 
     def test_build_projectors_respects_cap(self, monkeypatch):
         monkeypatch.setenv("QPARITY_MAX_QUBITS", "3")

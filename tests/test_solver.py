@@ -12,83 +12,80 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qparity.linalg import Ket, Operator, hadamard, pauli_x, pauli_z
+from qparity.linalg import UNITARY_ATOL, Ket, Operator, hadamard, omega, pauli_x, pauli_z
 from qparity.solver import (
+    ORBIT_ATOL,
     EigenphaseSpec,
     admissible_state,
-    check_orbit,
     classify_eigenphases,
-    diagonal_orbit_deviation,
+    orbit_deviation,
     reconstruct_general,
     roots_of_unity_spec,
     solve_amplitudes,
 )
+from qparity.module import CouplingKind, ModuleConfig
 from qparity.verify import _lp_weights
+
+from conftest import check_orbit
 
 TWO_PI = 2.0 * math.pi
 
 
-class TestCheckOrbit:
+def clock_eigenvalues(d):
+    """w^k for k = 0 .. d-1: the eigenvalues of Z_d on |k> and of X_d on |u_k>."""
+    return omega(d) ** np.arange(d)
+
+
+def eigenvalues(spec):
+    return np.exp(1j * np.array(spec.phases))
+
+
+class TestOrbitDeviation:
     def test_clock_orbit_of_uniform_state_is_orthonormal(self):
         d = 4
-        phi = Ket(np.full(d, d**-0.5), (d,), normalized=True)
-        report = check_orbit(pauli_z(d), phi, d)
-        assert report.orthonormal
-        assert report.max_deviation < 1e-12
-        assert np.allclose(report.gram, np.eye(d), atol=1e-12)
+        assert orbit_deviation(clock_eigenvalues(d), np.full(d, d**-0.5, dtype=complex), d) < 1e-12
 
     def test_near_identity_drive_overlaps_heavily(self):
         # diag(1, e^{0.1i}) moves the seed by a tiny rotation, so
         # |<phi|D phi>| >= cos(0.05) no matter how the weight is split.
-        drive = EigenphaseSpec((0.0, 0.1)).drive()
-        phi = Ket(np.array([1.0, 1.0]) / math.sqrt(2), (2,), normalized=True)
-        report = check_orbit(drive, phi, 2)
-        assert not report.orthonormal
-        assert abs(report.gram[0, 1]) >= math.cos(0.05) - 1e-12
+        phi = np.array([1.0, 1.0]) / math.sqrt(2)
+        assert orbit_deviation(eigenvalues(EigenphaseSpec((0.0, 0.1))), phi, 2) >= math.cos(0.05) - 1e-12
 
     def test_rejects_nonunitary(self):
-        bad = Operator(np.diag([1.0, 2.0]))
-        phi = Ket(np.array([1.0, 0.0]), (2,), normalized=True)
-        with pytest.raises(ValueError):
-            check_orbit(bad, phi, 2)
+        with pytest.raises(ValueError, match="not unitary"):
+            orbit_deviation(np.array([1.0, 2.0]), np.array([1.0, 0.0]), 2)
 
-    def test_rejects_unnormalized_seed(self):
-        with pytest.raises(ValueError):
-            check_orbit(pauli_z(2), Ket(np.array([1.0, 1.0]), (2,)), 2)
+    def test_unnormalized_seed_deviates_by_its_squared_norm(self):
+        # G_00 is the seed's squared norm: [1, 1] misses 1 by 1, and its Z_2 orbit is orthogonal.
+        assert orbit_deviation(clock_eigenvalues(2), np.array([1.0, 1.0]), 2) == 1.0
 
-    def test_returns_the_orbit_rows(self):
+    def test_reads_a_dense_orbit_from_its_eigenbasis(self):
+        # U = V D V*: U^k phi = V D^k (V* phi), so the orbit's Gram matrix is that of V* phi under D.
         phi = Ket(np.array([0.6, 0.8j]), (2,), normalized=True)
-        u = hadamard()
-        report = check_orbit(u, phi, 2)
-        assert np.array_equal(report.orbit, [phi.amps, u.entries @ phi.amps])
-        assert not report.orbit.flags.writeable
-        assert np.array_equal(report.gram, report.orbit.conj() @ report.orbit.T)
+        _, v, spec = reconstruct_general(hadamard())
+        dense = check_orbit(hadamard(), phi, 2).max_deviation
+        assert orbit_deviation(eigenvalues(spec), v.entries.conj().T @ phi.amps, 2) == pytest.approx(dense, abs=1e-12)
 
     def test_nan_fails_closed(self):
         # NaN compares False against every tolerance, so each guard must be written to fail on it.
-        phi = Ket(np.array([1.0, 1.0]) / math.sqrt(2), (2,), normalized=True)
-        with pytest.raises(ValueError, match="normalized"):
-            check_orbit(pauli_z(2), Ket(np.array([np.nan, 1.0]), (2,)), 2)
+        phi = np.array([1.0, 1.0]) / math.sqrt(2)
+        assert not orbit_deviation(clock_eigenvalues(2), np.array([np.nan, 1.0]), 2) <= ORBIT_ATOL
         with pytest.raises(ValueError, match="not unitary"):
-            check_orbit(Operator(np.diag([np.nan, 1.0])), phi, 2)
+            orbit_deviation(np.array([np.nan, 1.0]), phi, 2)
         with pytest.raises(ValueError, match="not unitary"):
             reconstruct_general(Operator(np.diag([np.nan, 1.0])))
 
-    def test_flagged_drive_is_not_rechecked(self, monkeypatch):
-        # Operator(unitary=True) is the one unitarity test; a drive that passed it is not tested again.
-        drive, phi = pauli_z(3), Ket(np.full(3, 3**-0.5), (3,), normalized=True)
+    def test_builds_no_operator(self, monkeypatch):
+        # The drive is read from its eigenvalues alone; no d x d Operator is built or checked.
         monkeypatch.setattr(Operator, "__post_init__", lambda op: pytest.fail("built an Operator"))
-        assert check_orbit(drive, phi, 3).orthonormal
+        assert orbit_deviation(clock_eigenvalues(3), np.full(3, 3**-0.5, dtype=complex), 3) <= ORBIT_ATOL
 
     def test_rejects_bad_orbit_length(self):
-        phi = Ket(np.array([1.0, 0.0]), (2,), normalized=True)
-        with pytest.raises(ValueError):
-            check_orbit(pauli_z(2), phi, 3)
-        with pytest.raises(ValueError):
-            check_orbit(pauli_z(2), phi, 0)
+        phi = np.array([1.0, 0.0])
+        for orbit_len in (0, 3):
+            with pytest.raises(ValueError, match="orbit length"):
+                orbit_deviation(clock_eigenvalues(2), phi, orbit_len)
 
-
-class TestDiagonalOrbitDeviation:
     @pytest.mark.parametrize(
         "spec",
         [roots_of_unity_spec(d, 0.3 * d) for d in (2, 3, 5, 8, 64)]
@@ -105,18 +102,68 @@ class TestDiagonalOrbitDeviation:
         for phi in seeds:
             for orbit_len in {1, s, spec.d}:
                 dense = check_orbit(spec.drive(), phi, orbit_len).max_deviation
-                assert diagonal_orbit_deviation(spec, phi, orbit_len) == pytest.approx(dense, rel=1e-9, abs=1e-14)
+                assert orbit_deviation(eigenvalues(spec), phi.amps, orbit_len) == pytest.approx(dense, rel=1e-9, abs=1e-14)
 
-    def test_refuses_what_check_orbit_refuses(self):
-        spec = roots_of_unity_spec(3)
-        phi = admissible_state(spec, (0.0, 0.0, 0.0))
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            diagonal_orbit_deviation(roots_of_unity_spec(4), phi, 3)
-        for orbit_len in (0, 4):
-            with pytest.raises(ValueError, match="orbit length"):
-                diagonal_orbit_deviation(spec, phi, orbit_len)
-        with pytest.raises(ValueError):
-            diagonal_orbit_deviation(spec, Ket(np.array([1.0, 1.0, 0.0]), (3,)), 3)
+    def test_refuses_a_coordinate_count_that_is_not_d(self):
+        phi = admissible_state(roots_of_unity_spec(3), (0.0, 0.0, 0.0)).amps
+        with pytest.raises(ValueError, match="3 coordinates for 4 eigenvalues"):
+            orbit_deviation(clock_eigenvalues(4), phi, 3)
+
+    @given(st.integers(min_value=2, max_value=8), st.sampled_from(["clock", "shift", "spec", "conjugated"]), st.integers(0, 2**32 - 1))
+    @settings(max_examples=80)
+    def test_agrees_with_the_dense_oracle(self, d, drive, seed):
+        # Each drive as the product reads it: Z_d on the seed itself and X_d on its inverse DFT
+        # (the coordinates on |u_k>), both with ModuleConfig's verdict; a diagonal spec on the
+        # seed; and U = V D V* on V* phi.
+        g = np.random.default_rng(seed)
+        if drive == "spec":
+            spec = EigenphaseSpec(tuple(g.choice([g.uniform(0, TWO_PI), *(TWO_PI * np.arange(d) / d)], size=d)))
+        elif drive == "conjugated":
+            q, _ = np.linalg.qr(g.normal(size=(d, d)) + 1j * g.normal(size=(d, d)))
+            phases = g.choice([g.uniform(0, TWO_PI), *(TWO_PI * np.arange(d) / d)], size=d)
+            u = Operator(q @ np.diag(np.exp(1j * phases)) @ q.conj().T, unitary=True)
+            _, v, spec = reconstruct_general(u)
+        else:
+            spec = roots_of_unity_spec(d)
+        solution = solve_amplitudes(spec)
+        built = solution.feasible and g.random() < 0.5
+        if built:
+            amps = admissible_state(spec, tuple(g.uniform(0, TWO_PI, size=d))).amps
+        else:
+            amps = g.normal(size=d) + 1j * g.normal(size=d)
+            amps /= np.linalg.norm(amps)
+        s = solution.structure.s if built else d
+        lam = eigenvalues(spec)
+        if drive == "clock":
+            u, phi, coords, lam = pauli_z(d), amps, amps, clock_eigenvalues(d)
+        elif drive == "shift":
+            # A solver-built seed is equal weight on the |u_k>: phi = sum_k a_k |u_k>.
+            phi = np.fft.fft(amps, norm="ortho") if built else amps
+            u, coords, lam = pauli_x(d), np.fft.ifft(phi, norm="ortho"), clock_eigenvalues(d)
+        elif drive == "spec":
+            u, phi, coords = spec.drive(), amps, amps
+        else:
+            phi = v.entries @ amps if built else amps
+            coords = v.entries.conj().T @ phi
+        seed_ket = Ket(phi, (d,), normalized=True)
+        dense = check_orbit(u, seed_ket, s)
+        got = orbit_deviation(lam, coords, s)
+        assert (got <= ORBIT_ATOL) == dense.orthonormal == built
+        assert got == pytest.approx(dense.max_deviation, abs=1e-12)
+        if drive in ("clock", "shift"):
+            coupling = CouplingKind.PHASE if drive == "clock" else CouplingKind.SHIFT
+            try:
+                ModuleConfig(1, d, coupling, seed_ket)
+                admitted = True
+            except ValueError:
+                admitted = False
+            assert admitted == dense.orthonormal
+        bad = coords.copy()
+        bad[g.integers(d)] = np.nan
+        assert not orbit_deviation(lam, bad, s) <= ORBIT_ATOL
+        lam[g.integers(d)] *= 1 + 10 * UNITARY_ATOL
+        with pytest.raises(ValueError, match="not unitary"):
+            orbit_deviation(lam, coords, s)
 
 
 class TestClassifyEigenphases:
