@@ -185,7 +185,7 @@ def _outcome_payload(rec: OutcomeRecord) -> dict:
         else fmt_fraction(rec.probability_exact),
         "zero_probability": rec.zero_probability,
     }
-    if rec.post_state is None:
+    if rec.zero_probability:
         payload.update(
             {"classification": None, "up_to_bitflip": None, "dicke_coeffs": None, "residual": None}
         )

@@ -15,24 +15,24 @@ its outcome m finds it at V^m|prep>, so it heralds parity m.
 ``run_module`` reports every heralded branch (see ``_branches``).  The module
 heralds wt mod d, and the ancilla never needs to exist in memory: branch m is
 the class mask, b where wt(x) == parity(m) (mod d) and 0 elsewhere, with
-b = amps (phase) or b = H^(x)n amps (shift).  The nonzero branches are formed
-as the rows of one array per group of at most 2^15 amplitudes (one row from
-n = 15 on), and each shift group is transformed back in place by one call of the
-row-wise butterfly ``_hadamard_rows``: at n <= 12 a shift run makes two calls
-whatever d is.  Its probability is the class's share of |b|^2,
-the histogram ``outcome_distribution`` reports, so a run holds d branch
-vectors and never the (2^n, d) joint state.  One register takes its own
-route: a real constant (|+>^n up to sign), found by an exact bit check.  With
-the default phase ancilla it runs the per-excitation chain on n + 1 copies of
-its value and each branch is gathered by weight; the golden reports print
-rounding-level Dicke residuals of |+>^n, so their digest pins that chain's
-bits.  With the shift coupling and two or more qubits it lies in the
-Hadamard class 0, so its parity-0 branch is the register itself and every
-other branch is zero, with no Walsh-Hadamard transform; that branch is
-classified from its n + 1 Dicke overlaps by ``states.classify_symmetric``, and
-every other branch by ``states.classify``.  Each branch is then scaled in
-place by the reciprocal root of the probability it reports, P_m psi / sqrt(p_m),
-and becomes its post-state's array, so it is allocated once and summed once.
+b = amps (phase) or b = H^(x)n amps (shift).  Its probability is the class's
+share of |b|^2, the histogram ``outcome_distribution`` reports.  A branch is
+held as its class's part of b: it is classified from the per-weight sums of b
+by ``states.classify_slice``, and its post-state, a ``_MaskPost``, forms its
+2^n amplitudes only when they are read.  So a run holds no branch vector and
+never the (2^n, d) joint state, and a shift run makes one call of the butterfly
+``_hadamard_rows``, the forward transform, whatever d is.  One register takes
+its own route: a real constant (|+>^n up to sign), found by an exact bit check.
+With the default phase ancilla it runs the per-excitation chain on n + 1
+copies of its value and each branch is gathered by weight and classified by
+``states.classify``; the golden reports print rounding-level Dicke residuals
+of |+>^n, so their digest pins that chain's bits.  With the shift coupling
+and two or more qubits it lies in the Hadamard class 0, so its parity-0
+branch is the register itself and every other branch is zero, with no
+Walsh-Hadamard transform; that branch is classified from its n + 1 Dicke
+overlaps by ``states.classify_symmetric``.  Every post-state is its branch
+scaled in place by the reciprocal root of the probability it reports,
+P_m psi / sqrt(p_m), so it is allocated once and summed once.
 
 ``outcome_distribution`` and ``build_projectors`` work through the
 projectors P_i = d^(-1) sum_k w^(-ik) A^k: the mask wt(x) == i (mod d),
@@ -55,7 +55,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import states
-from .linalg import NORM_ATOL, NORMALIZED_ATOL, Ket, Operator, fourier_ket, hamming_weights, omega, pauli_z, require_normalized, squared_norm, weight_classes, weight_order
+from .linalg import NORM_ATOL, NORMALIZED_ATOL, Ket, Operator, hamming_weights, omega, pauli_z, require_normalized, squared_norm, weight_classes, weight_order
 from .solver import ORBIT_ATOL, orbit_deviation
 
 DEFAULT_STATEVECTOR_MAX_QUBITS = 20
@@ -134,8 +134,15 @@ def _clock(d: int) -> Operator:
 
 @lru_cache(maxsize=64)
 def _fourier_readout(d: int) -> np.ndarray:
-    """The default phase readout, read-only: row m is |u_m>, and row 0 is the default ancilla."""
-    readout = np.array([fourier_ket(d, m).amps for m in range(d)])
+    """The default phase readout, read-only: row m is |u_m> = d^(-1/2) sum_j w^(-mj) |j>, by
+    ``linalg.fourier_ket``'s expression, and row 0 is the default ancilla."""
+    j = np.arange(d)
+    rows = [omega(d) ** (-m * j) / math.sqrt(d) for m in range(d)]
+    # Only row 0, d equal amplitudes, is checked as a normalized Ket, as fourier_ket checks
+    # every row: the powers of w in the others can miss that check by rounding alone
+    # (fourier_ket(d, m) does for some m at 185 values of d in [2, 400)).
+    rows[0] = Ket(rows[0], (d,), normalized=True).amps
+    readout = np.array(rows)
     readout.setflags(write=False)
     return readout
 
@@ -348,37 +355,98 @@ def _constant_shift(value: complex | None, config: ModuleConfig) -> bool:
     return config.coupling is CouplingKind.SHIFT and value is not None and config.n >= 2
 
 
-def _branches(amps: np.ndarray, value: complex | None, config: ModuleConfig):
-    """(parity, probability, branch) for each outcome, in outcome order; branch is None
-    when the probability is below ``ZERO_PROBABILITY_ATOL``.  ``value`` is what
-    ``_real_constant`` returns for ``amps``.  Outcome m of the default phase ancilla
-    heralds parity -m mod d, and of every other ancilla parity m.
+def _scaled(branch: np.ndarray, prob: float) -> np.ndarray:
+    """``branch``, a flat complex array no one else holds, scaled in place by 1 / sqrt(prob)."""
+    # Complex division by sqrt(p) multiplies both parts by 1 / sqrt(p); so does this, on
+    # the float pairs, with every nonzero component's bits and without a complex loop.
+    parts = branch.view(np.float64)
+    parts *= 1.0 / math.sqrt(prob)
+    return branch
 
-    The module heralds wt mod d, so branch m is the class mask
-    ``np.where(classes == parity, b, 0)`` with b and the probabilities from
-    ``_heralded``; in the Hadamard basis every shift coupling is a controlled X_d,
-    an exact permutation, and a nonzero shift branch is transformed back in place.
-    The nonzero branches are formed in groups of ``_group_rows(n)``, each group as the
-    rows of one ``np.where(classes == group[:, None], b, 0)`` when its first branch is
-    yielded, and a shift group is transformed back by one ``_hadamard_rows`` call.  At
-    n <= 14 a group's branches are rows of one buffer of at most 512 KiB, which any one
-    of them keeps alive; from n = 15 on a group is one branch.  A shift b is the route's
-    own transform, so a group that is the last nonzero shift branch alone is masked in
-    b itself rather than copied out of it.
+
+def _post_state(branch: np.ndarray, prob: float, n: int) -> Ket:
+    """P_m psi / sqrt(p_m): ``branch`` scaled in place by ``_scaled`` and adopted by a normalized Ket."""
+    return Ket._adopt(_scaled(branch, prob), (2,) * n)
+
+
+class _MaskPost(Ket):
+    """A mask-route post-state P_m psi / sqrt(p_m), held as b and its class until its
+    amplitudes are read.
+
+    ``amps`` is formed on first read and then kept: the class mask
+    ``np.where(classes == parity, b, 0)``, for the shift coupling transformed back by a
+    one-row ``_hadamard_rows`` call, then scaled by ``_post_state``.  ``dim``,
+    ``factor_dims`` and ``normalized`` form nothing.  b is read-only, so the amplitudes
+    do not depend on when they are read.
+    """
+
+    def __init__(self, b: np.ndarray, classes: np.ndarray, parity: int, prob: float, shift: bool) -> None:
+        object.__setattr__(self, "factor_dims", (2,) * (b.size.bit_length() - 1))
+        object.__setattr__(self, "normalized", True)
+        object.__setattr__(self, "_branch", (b, classes, parity, prob, shift))
+
+    @property
+    def amps(self) -> np.ndarray:
+        formed = vars(self).get("_amps")
+        if formed is None:
+            formed = self._form()
+            object.__setattr__(self, "_amps", formed)
+        return formed
+
+    @property
+    def dim(self) -> int:
+        return 1 << len(self.factor_dims)
+
+    def _mask(self) -> np.ndarray:
+        b, classes, parity, _, _ = self._branch
+        return np.where(classes == parity, b, 0)
+
+    def _frame(self) -> np.ndarray:
+        """The scaled mask, a new array: the post-state's amplitudes for the phase coupling,
+        and H^(x)n of them for the shift coupling."""
+        return _scaled(self._mask(), self._branch[3])
+
+    def _form(self) -> np.ndarray:
+        """A new array of the post-state's amplitudes, read-only."""
+        _, _, _, prob, shift = self._branch
+        branch = self._mask()
+        if shift:
+            _hadamard_rows(branch[None], len(self.factor_dims))
+        return _post_state(branch, prob, len(self.factor_dims)).amps
+
+
+def _branches(amps: np.ndarray, value: complex | None, config: ModuleConfig, classify_states: bool = True):
+    """(parity, probability, post-state, classification) for each outcome, in outcome
+    order; the post-state and classification are None when the probability is below
+    ``ZERO_PROBABILITY_ATOL``, and the classification is None without ``classify_states``.
+    ``value`` is what ``_real_constant`` returns for ``amps``, which must be read-only.
+    Outcome m of the default phase ancilla heralds parity -m mod d, and of every other
+    ancilla parity m.
+
+    The module heralds wt mod d, so branch m is the class mask of b, with b and the
+    probabilities from ``_heralded``; in the Hadamard basis every shift coupling is a
+    controlled X_d, an exact permutation.  Its post-state is a ``_MaskPost``, which
+    forms its 2^n amplitudes only when they are read, so a shift run makes one
+    ``_hadamard_rows`` call, the forward one, whatever d is.  It is classified by
+    ``states.classify_slice`` from ``states.weight_sums(b)``, one pass over b for all d
+    branches, and its own 2^n amplitudes only where that cannot do: the product test,
+    on the mask of b, and the phase lead of a shift branch whose first amplitude is
+    below the floor, on a post-state formed for the purpose and dropped.
     Only a real constant register (|+>^n up to sign) takes its own routes.  With the
     default phase ancilla it runs the per-excitation chain of ``_phase_representatives``,
-    whose bits the golden reports pin, gathers each branch by weight and reports its
-    ``squared_norm``.  With the shift coupling and n >= 2 it is H^(x)n 2^(n/2) value e_0,
-    all in class 0: its parity-0 branch is a copy of the register, with the register's
-    squared norm 2^n value^2 as its probability, and every other branch is zero.  Each
-    branch yielded is a C-contiguous array, or row, that no other branch overlaps and
-    that the caller may divide in place by the root of its probability and keep.
+    whose bits the golden reports pin, gathers each branch by weight, reports its
+    ``squared_norm`` and classifies it by ``states.classify``.  With the shift coupling
+    and n >= 2 it is H^(x)n 2^(n/2) value e_0, all in class 0: its parity-0 branch is a
+    copy of the register, with the register's squared norm 2^n value^2 as its
+    probability, classified from its n + 1 Dicke overlaps by
+    ``states.classify_symmetric``, and every other branch is zero.
     """
     n, d, coupling = config.n, config.d, config.coupling
     default_phase = coupling is CouplingKind.PHASE and config.ancilla_prep is None
     # Z_d^w u_0 = u_(-w mod d), so Fourier outcome m heralds parity -m mod d.
     parities = [(-m) % d for m in range(d)] if default_phase else range(d)
     if default_phase and value is not None:
+        _check_matrix(d, f"the Fourier readout of a {d}-level ancilla")
         wts = hamming_weights(n)
         # Allocated ahead of the chain's small arrays: taken after them, the branches
         # raised symmetric_large's max RSS by 2 MB at n = 18.
@@ -391,34 +459,41 @@ def _branches(amps: np.ndarray, value: complex | None, config: ModuleConfig):
         for parity in parities:
             branch = branches.pop(0)  # freed once the caller drops it
             prob = squared_norm(branch)
-            yield parity, prob, (branch if prob >= ZERO_PROBABILITY_ATOL else None)
+            if prob < ZERO_PROBABILITY_ATOL:
+                yield parity, prob, None, None
+                continue
+            post = _post_state(branch, prob, n)
+            yield parity, prob, post, states.classify(post) if classify_states else None
     elif _constant_shift(value, config):
         prob = float(1 << n) * value.real**2
         for parity in parities:
-            yield (parity, prob, amps.copy()) if parity == 0 else (parity, 0.0, None)
+            if parity != 0:
+                yield parity, 0.0, None, None
+                continue
+            post = _post_state(amps.copy(), prob, n)
+            cls = None
+            if classify_states:
+                # The one nonzero branch is the register itself: |a_0| sqrt(C(n, k)) on D(n, k).
+                overlaps = abs(post.amps[0]) * np.sqrt([math.comb(n, k) for k in range(n + 1)])
+                cls = states.classify_symmetric(n, overlaps)
+            yield parity, prob, post, cls
     else:
         b, classes, probs = _heralded(amps, n, d, coupling)
         shift = coupling is CouplingKind.SHIFT
-        nonzero = [parity for parity in parities if probs[parity] >= ZERO_PROBABILITY_ATOL]
-        rows = _group_rows(n)
-        groups = iter([nonzero[i : i + rows] for i in range(0, len(nonzero), rows)])
-        pending = []
+        if shift:
+            b.setflags(write=False)  # the route's own transform, which every post-state reads
+        sums = states.weight_sums(b) if classify_states else None
         for parity in parities:
             prob = probs[parity]
             if prob < ZERO_PROBABILITY_ATOL:
-                yield parity, prob, None
+                yield parity, prob, None, None
                 continue
-            if not pending:
-                group = next(groups)
-                if shift and group == nonzero[-1:]:
-                    np.copyto(b, 0, where=classes != parity)
-                    block = b[None]
-                else:
-                    block = np.where(classes == np.array(group, dtype=classes.dtype)[:, None], b, 0)
-                if shift:
-                    _hadamard_rows(block, n)
-                pending = list(block)
-            yield parity, prob, pending.pop(0)
+            post = _MaskPost(b, classes, parity, prob, shift)
+            cls = None
+            if sums is not None:
+                weights = range(parity, n + 1, d)
+                cls = states.classify_slice(*sums, weights, 1.0 / math.sqrt(prob), post._frame, post._form if shift else None)
+            yield parity, prob, post, cls
 
 
 def _exact_parity_probability(n: int, d: int, coupling: CouplingKind, parity: int) -> Fraction:
@@ -447,30 +522,12 @@ def run_module(state: Ket, config: ModuleConfig, *, classify_states: bool = True
     preparation is the default one.
     """
     _check_register(state, config)
-    n = config.n
     value = _real_constant(state.amps)
     exact_ok = config.ancilla_prep is None and value is not None and value.real > 0
-    constant_shift = _constant_shift(value, config)
     records = []
-    for m, (parity, prob, branch) in enumerate(_branches(state.amps, value, config)):
-        exact = _exact_parity_probability(n, config.d, config.coupling, parity) if exact_ok else None
-        if branch is None:
-            records.append(OutcomeRecord(m, parity, prob, exact, None, None, True))
-            continue
-        # Complex division by sqrt(p) multiplies both parts by 1 / sqrt(p); so does this, on
-        # the float pairs, with every nonzero component's bits and without a complex loop.
-        parts = branch.view(np.float64)
-        parts *= 1.0 / math.sqrt(prob)
-        post = Ket._adopt(branch, (2,) * n)
-        if not classify_states:
-            cls = None
-        elif constant_shift:
-            # The one nonzero branch is the register itself: |a_0| sqrt(C(n, k)) on D(n, k).
-            overlaps = abs(post.amps[0]) * np.sqrt([math.comb(n, k) for k in range(n + 1)])
-            cls = states.classify_symmetric(n, overlaps)
-        else:
-            cls = states.classify(post)
-        records.append(OutcomeRecord(m, parity, prob, exact, post, cls, False))
+    for m, (parity, prob, post, cls) in enumerate(_branches(state.amps, value, config, classify_states)):
+        exact = _exact_parity_probability(config.n, config.d, config.coupling, parity) if exact_ok else None
+        records.append(OutcomeRecord(m, parity, prob, exact, post, cls, post is None))
     total = sum(r.probability for r in records)
     if not abs(total - 1.0) <= _PROBABILITY_SUM_ATOL:
         raise _ProbabilitySumError(f"branch probabilities sum to {total}, not 1")

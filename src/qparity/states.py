@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cache, lru_cache
 from typing import Callable, Mapping
 
 import numpy as np
@@ -288,16 +289,17 @@ def _gram_split(m: np.ndarray) -> np.ndarray | None:
     return u.conj() @ m
 
 
-def _product_factorization(state: Ket) -> float:
-    """Greedy rank-1 splitting, one qubit at a time; the product's fidelity, or 0.0.
+def _product_factorization(amps: np.ndarray) -> float:
+    """Greedy rank-1 splitting of the 2^n amplitudes ``amps``, one qubit at a time; the
+    product's fidelity, or 0.0.
 
     Each split reads the remainder as a 2 x m matrix M and replaces it by
     ``_gram_split``'s u^dagger M.  The product is u_1 ... u_(n-1) f with f the
     normalized final remainder, and <u_1 ... u_(n-1) f|state> = ||remainder||,
     so its fidelity is the remainder's squared norm.
     """
-    rem = state.amps
-    for _ in range(len(state.factor_dims) - 1):
+    rem = amps
+    for _ in range(amps.size.bit_length() - 2):
         rem = _gram_split(rem.reshape(2, -1))
         if rem is None:
             return 0.0
@@ -374,7 +376,21 @@ def classify(state: Ket) -> ClassificationResult:
     threshold.  Next comes a generic Dicke-basis combination (residual below
     1e-10), otherwise Other.
     """
-    return _classified(dicke_decompose(state), lambda: _product_factorization(state))
+    return _classified(dicke_decompose(state), lambda: _product_factorization(state.amps))
+
+
+def _overlap_decomposition(overlaps: np.ndarray, lead: complex, spread: float = 0.0) -> DickeDecomposition:
+    """The decomposition of a state from its n + 1 Dicke overlaps, its phase lead and
+    ``spread``, the squared norm of its part off the symmetric subspace: the overlaps are
+    rotated by the lead's phase, the coefficients are their real parts at least 1e-12 in
+    magnitude, and the residual is the norm of what they miss, imaginary parts and the
+    non-symmetric part included."""
+    rotated = overlaps * (lead.conjugate() / abs(lead))
+    kept = np.where(np.abs(rotated.real) >= _COEFF_CUTOFF, rotated.real, 0.0)
+    coeffs = {k: float(c) for k, c in enumerate(kept) if c != 0}
+    residual = math.sqrt(spread + squared_norm(rotated - kept))
+    rotated.setflags(write=False)
+    return DickeDecomposition(n=overlaps.size - 1, coeffs=coeffs, residual=residual, overlaps=rotated)
 
 
 def classify_symmetric(n: int, overlaps: np.ndarray) -> ClassificationResult:
@@ -389,15 +405,81 @@ def classify_symmetric(n: int, overlaps: np.ndarray) -> ClassificationResult:
     they miss, imaginary parts included.  The family ladder is ``classify``'s, and
     the product split runs on Dicke coefficients.
     """
-    rotated = np.array(overlaps, dtype=complex)
-    lead = _phase_lead(rotated)
-    rotated *= lead.conjugate() / abs(lead)
-    kept = np.where(np.abs(rotated.real) >= _COEFF_CUTOFF, rotated.real, 0.0)
-    coeffs = {k: float(c) for k, c in enumerate(kept) if c != 0}
-    residual = math.sqrt(squared_norm(rotated - kept))
-    rotated.setflags(write=False)
-    dec = DickeDecomposition(n=n, coeffs=coeffs, residual=residual, overlaps=rotated)
-    return _classified(dec, lambda: _symmetric_product_factorization(rotated))
+    overlaps = np.array(overlaps, dtype=complex)
+    dec = _overlap_decomposition(overlaps, _phase_lead(overlaps))
+    return _classified(dec, lambda: _symmetric_product_factorization(dec.overlaps))
+
+
+@lru_cache(maxsize=32)
+def _hadamard_dicke(n: int) -> np.ndarray:
+    """M[j, k] = <D(n, j)|H^(x)n|D(n, k)> = 2^(-n/2) sqrt(C(n, j) / C(n, k)) K_k(j), read-only,
+    with the Krawtchouk values K_k(j) = sum_i (-1)^i C(j, i) C(n - j, k - i) in exact integers.
+
+    H^(x)n commutes with qubit permutations, so it maps the symmetric subspace to itself:
+    a state with Dicke overlaps o has overlaps M o after the transform.
+    """
+    binom = [math.comb(n, k) for k in range(n + 1)]
+    kraw = [[sum((-1) ** i * math.comb(j, i) * math.comb(n - j, k - i) for i in range(k + 1)) for k in range(n + 1)] for j in range(n + 1)]
+    m = np.array([[kraw[j][k] * math.sqrt(binom[j] / binom[k]) for k in range(n + 1)] for j in range(n + 1)])
+    m *= 2.0 ** (-n / 2)
+    m.setflags(write=False)
+    return m
+
+
+def weight_sums(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each weight k of the 2^n amplitudes ``b``: the sum of its weight-k run, and the
+    squared norm of that run less its mean, the run's part off D(n, k).
+
+    Each run is its slice of b in ``weight_order``, gathered one weight at a time, so
+    the largest temporary holds C(n, n/2) amplitudes.
+    """
+    n = b.size.bit_length() - 1
+    order, starts = weight_order(n)
+    totals = np.empty(n + 1, dtype=complex)
+    spreads = np.empty(n + 1)
+    for k in range(n + 1):
+        run = b[order[starts[k] : starts[k + 1]]]
+        totals[k] = run.sum()
+        run -= totals[k] / run.size
+        spreads[k] = squared_norm(run)
+    return totals, spreads
+
+
+def classify_slice(
+    totals: np.ndarray,
+    spreads: np.ndarray,
+    weights: range,
+    scale: float,
+    frame: Callable[[], np.ndarray],
+    formed: Callable[[], np.ndarray] | None = None,
+) -> ClassificationResult:
+    """``classify`` of a heralded mask branch, read from its class's slice of b.
+
+    The branch is y = ``scale`` b on the weights ``weights`` and 0 elsewhere, and
+    ``totals`` and ``spreads`` are ``weight_sums(b)``.  The post-state is y itself
+    (phase coupling, ``formed`` None) or H^(x)n y (shift coupling).
+    - Its overlaps: y's overlap with D(n, k) is scale totals[k] / sqrt(C(n, k)), and
+      H^(x)n maps them by ``_hadamard_dicke``.
+    - Its residual: the part off the symmetric subspace has squared norm
+      scale^2 sum(spreads[weights]), which H^(x)n, unitary and permutation-invariant,
+      keeps; the rest is what the kept coefficients miss.
+    - Its phase lead: its first amplitude is its D(n, 0) overlap.  When that is at most
+      the floor, the lead is read as ``dicke_decompose`` reads it, from ``frame()``, the
+      2^n amplitudes of y, or from ``formed()``, the 2^n amplitudes of H^(x)n y.
+    - Its product test: ``_product_factorization`` of y, formed by ``frame()`` at most
+      once.  H^(x)n is a product of one-qubit unitaries, so it keeps the product fidelity.
+    The family ladder is ``classify``'s.
+    """
+    n = totals.size - 1
+    overlaps = np.zeros(n + 1, dtype=complex)
+    ks = list(weights)
+    overlaps[ks] = totals[ks] * scale / np.sqrt([math.comb(n, k) for k in ks])
+    if formed is not None:
+        overlaps = _hadamard_dicke(n) @ overlaps
+    masked = cache(frame)
+    lead = overlaps[0] if abs(overlaps[0]) > _PHASE_LEAD_FLOOR else _phase_lead(masked() if formed is None else formed())
+    dec = _overlap_decomposition(overlaps, lead, math.fsum(spreads[ks]) * scale * scale)
+    return _classified(dec, lambda: _product_factorization(masked()))
 
 
 def expectations(state: Ket) -> ExpectationReport:

@@ -123,8 +123,8 @@ class TestSimulate:
     @pytest.mark.parametrize("family", ["random", "w5", "dicke6"])
     def test_file_off_the_chain_runs_at_a_d_whose_fourier_kets_fail_their_norm_check(self, capsys, tmp_path, rng, family):
         # Only the per-excitation chain reads Fourier rows, and only |+>^n up to sign takes
-        # it, so a random register, W_5 and D(6, 3) run at d = 140 (ROADMAP item 3 mends the
-        # chain's rows); W_5 and D(6, 3) exited 2 here while they took the chain.
+        # it, so a random register, W_5 and D(6, 3) run at d = 140 without them; W_5 and
+        # D(6, 3) exited 2 here while they took the chain.
         path = tmp_path / f"{family}.txt"
         register = {"random": Ket(random_ket_amps(rng, 8), (2, 2, 2), normalized=True), "w5": states.w(5), "dicke6": states.dicke(6, 3)}
         write_amplitude_file(path, register[family])
@@ -132,6 +132,33 @@ class TestSimulate:
         assert code == 0, err
         payload = json.loads(out)
         assert verify_checksum(payload) and len(payload["outcomes"]) == 140
+
+    @pytest.mark.parametrize("d", [140, 400, 1024])
+    def test_chain_runs_at_a_d_whose_fourier_kets_fail_their_norm_check(self, capsys, monkeypatch, d):
+        # fourier_ket(140, m) misses its own norm check by rounding, and |+>^3 exited 2 here.
+        # The chain's readout is the same expression without that check, up to d = 1024, the
+        # largest readout the default cap admits.
+        monkeypatch.delenv("QPARITY_MAX_QUBITS", raising=False)
+        code, out, err = run_cli(capsys, ["simulate", "-n", "3", "-d", str(d), "--json"])
+        assert code == 0, err
+        payload = json.loads(out)
+        assert verify_checksum(payload) and len(payload["outcomes"]) == d
+
+    def test_chain_readout_over_the_cap_is_refused_by_its_bytes(self, capsys, monkeypatch):
+        # The d x d readout is counted before the chain builds it or its d branches.
+        monkeypatch.delenv("QPARITY_MAX_QUBITS", raising=False)
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, ["simulate", "-n", "3", "-d", "1025"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 3 and out == ""
+        assert err == (
+            "error: statevector path limited to 16777216 bytes (20 qubits); the Fourier readout "
+            "of a 1025-level ancilla needs 16810000 bytes as a 1025 x 1025 complex matrix\n"
+        )
+        assert peak < 1 << 20
 
     def test_qubit_count_conflict(self, capsys, tmp_path):
         path = tmp_path / "bell.txt"
@@ -240,10 +267,10 @@ class TestSimulate:
         # The total is checked once every branch is formed, before any output.
         branches = module._branches
 
-        def last_branch_reported_zero(amps, value, config):
-            *kept, (parity, _, _) = branches(amps, value, config)
+        def last_branch_reported_zero(*args):
+            *kept, (parity, _, _, _) = branches(*args)
             yield from kept
-            yield parity, 0.0, None
+            yield parity, 0.0, None, None
 
         monkeypatch.setattr(module, "_branches", last_branch_reported_zero)
         report = tmp_path / "report.json"

@@ -216,25 +216,53 @@ def chain_pairs(chains):
     return [(squared_norm(chain), chain) for chain in chains]
 
 
-def phase_branches(amps, config):
-    """The phase kernel's (probability, branch) pairs for ``config``'s ancilla."""
-    return [(prob, branch) for _, prob, branch in _branches(amps, _real_constant(amps), config)]
+def kernel_posts(amps, config):
+    """The kernel's (probability, post-state amplitudes) pairs for ``config``, read as soon as
+    each branch is yielded; the amplitudes are None for a zero branch."""
+    amps = np.array(amps)
+    amps.setflags(write=False)
+    got = _branches(amps, _real_constant(amps), config, False)
+    return [(prob, None if post is None else post.amps) for _, prob, post, _ in got]
+
+
+def assert_post_bits(post, branch, prob, where):
+    """``post`` has the bits of the oracle's unnormalized ``branch``, as float pairs, times
+    1 / math.sqrt of the probability the kernel reports."""
+    want = branch.view(np.float64) * (1.0 / math.sqrt(prob))
+    assert np.array_equal(post.view(np.uint64), want.view(np.uint64)), where
 
 
 def assert_phase_bits(got, expect, chains, where, on_chain):
-    """The phase kernel's pairs keep the expected oracle's bits, within 1e-14 of the chain's
-    values; a mask probability is within ``assert_class_probability``'s bound of the exact sum."""
+    """The phase kernel's post-states keep the expected oracle's branch bits over the root of
+    their probability, within 1e-14 of the chain's values once scaled back; a mask
+    probability is within ``assert_class_probability``'s bound of the exact sum."""
     n = chains[0].size.bit_length() - 1
-    for (prob, branch), (p0, b0), chain in zip(got, expect, chains, strict=True):
+    for (prob, post), (p0, b0), chain in zip(got, expect, chains, strict=True):
         if on_chain:
             assert prob == p0, where
         else:
             assert_class_probability(prob, p0, n, where)
         if prob < ZERO_PROBABILITY_ATOL:  # weight classes above n are empty
-            assert branch is None, where
+            assert post is None, where
             continue
-        assert np.array_equal(branch.view(np.uint64), b0.view(np.uint64)), where
-        assert np.abs(branch - chain).max() <= 1e-14, where
+        assert_post_bits(post, b0, prob, where)
+        assert np.abs(post * math.sqrt(prob) - chain).max() <= 1e-14, where
+
+
+def full_vector_classify(post):
+    """Test-only reference: ``classify`` of a post-state's 2^n amplitudes, decomposed in full."""
+    return states.classify(Ket(post.amps, post.factor_dims, normalized=True))
+
+
+def assert_classified_as_full_vector(cls, post):
+    """``cls`` has ``full_vector_classify(post)``'s label and flip flag, and its Dicke
+    coefficients and residual within 1e-12."""
+    want = full_vector_classify(post)
+    assert (cls.label(), cls.up_to_bitflip) == (want.label(), want.up_to_bitflip), (cls, want)
+    got, ref = cls.decomposition, want.decomposition
+    for k in got.coeffs.keys() | ref.coeffs.keys():
+        assert abs(got.coeffs.get(k, 0.0) - ref.coeffs.get(k, 0.0)) <= 1e-12, (k, got.coeffs, ref.coeffs)
+    assert abs(got.residual - ref.residual) <= 1e-12, (got.residual, ref.residual)
 
 
 def random_dicke_sum(g, n):
@@ -482,7 +510,7 @@ class TestModuleConfig:
             assert deviations.pop() <= 1e-14 and not deviations, d
             for amps in (plus_state(3).amps, random_ket_amps(g, 8)):
                 got = _branches(amps, _real_constant(amps), ModuleConfig(3, d, coupling))
-                assert tuple(parity for parity, _, _ in got) == default_parities(d, coupling)
+                assert tuple(parity for parity, *_ in got) == default_parities(d, coupling)
             assert coupling.measurement_basis == ("computational" if shift else "fourier")
 
     @pytest.mark.parametrize("coupling", list(CouplingKind))
@@ -730,7 +758,7 @@ class TestWeightKernels:
                     chains = [chain @ v.conj() for v in vecs]
                     on_chain = prep is None and kind == "plus"
                     expect = chain_pairs(chains) if on_chain else mask_branches(amps, n, parities)
-                    assert_phase_bits(phase_branches(amps, config), expect, chains, (kind, d, prep is None), on_chain)
+                    assert_phase_bits(kernel_posts(amps, config), expect, chains, (kind, d, prep is None), on_chain)
 
     @pytest.mark.parametrize("n", range(13, 17))
     def test_fused_phase_kernel_keeps_the_unfused_bits(self, n):
@@ -745,7 +773,7 @@ class TestWeightKernels:
                     chains = unfused_phase_branches(amps, n, first, vecs)
                     on_chain = prep is None and kind == "plus"
                     expect = chain_pairs(chains) if on_chain else mask_branches(amps, n, parities)
-                    assert_phase_bits(phase_branches(amps, config), expect, chains, (kind, d, prep is None), on_chain)
+                    assert_phase_bits(kernel_posts(amps, config), expect, chains, (kind, d, prep is None), on_chain)
 
     @pytest.mark.parametrize("coupling", list(CouplingKind))
     def test_the_heralding_table_is_the_parity_permutation(self, coupling):
@@ -795,19 +823,13 @@ class TestWeightKernels:
             run_module(Ket(amps, (2,) * config.n, normalized=True), config, classify_states=False)
         assert calls == [4, 5]
 
-    def test_only_the_chain_builds_fourier_rows(self, monkeypatch):
-        # The mask route labels its outcomes without a readout: at a d no run has used yet,
-        # a default or custom phase run off the chain (W and a Dicke sum included), and any
-        # shift run, builds no Fourier ket.  The chain builds the d rows once per d.
+    def test_only_the_chain_builds_fourier_rows(self):
+        # The mask route labels its outcomes without a readout: a default or custom phase run
+        # off the chain (W and a Dicke sum included), and any shift run, builds no Fourier
+        # readout.  The chain builds the d x d readout once per d.
         n, d = 4, 29
         g = np.random.default_rng(29)
-        built = []
-
-        def counted(dim, k):
-            built.append(k)
-            return fourier_ket(dim, k)
-
-        monkeypatch.setattr(module, "fourier_ket", counted)
+        module._fourier_readout.cache_clear()
         for state, config in (
             (random_register(n, n), ModuleConfig(n, d)),
             (w(n), ModuleConfig(n, d)),
@@ -817,15 +839,15 @@ class TestWeightKernels:
             (random_dicke_sum(g, n), ModuleConfig(n, d, CouplingKind.SHIFT, ancilla_prep=orbit_ancilla(g, d, CouplingKind.SHIFT))),
         ):
             run_module(state, config)
-        assert built == []
-        module._fourier_readout.cache_clear()
+        assert module._fourier_readout.cache_info().misses == 0
         for state in (plus_state(n), Ket(-plus_state(n).amps, (2,) * n, normalized=True)):
             run_module(state, ModuleConfig(n, d))
-        assert built == list(range(d))
+        info = module._fourier_readout.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
 
     def test_mask_route_runs_where_fourier_kets_fail_their_norm_check(self):
-        # Some fourier_ket(140, m) misses its own norm check (ROADMAP item 3), and only the
-        # chain reads Fourier rows: a random register runs at d = 140, and a custom phase
+        # Some fourier_ket(140, m) misses its own norm check, and only the chain reads
+        # Fourier rows, which it builds without that check: a random register runs at d = 140, and a custom phase
         # ancilla from the solver is admitted and runs, each with the histogram's probabilities.
         n, d = 3, 140
         g = np.random.default_rng(140)
@@ -902,10 +924,12 @@ class TestWeightKernels:
         ids=["plus-phase", "random-phase", "random-shift"],
     )
     def test_classified_run_needs_under_1_3_vectors_beyond_its_branches(self, register, coupling, d):
-        # Beyond the d post-states, a run needs one phase-fixed copy of the post-state being
-        # classified and one weight class of it at a time, the largest C(16, 8) / 2^16 = 0.2
-        # of a vector.  The chain gathers each branch straight into its own array, with no
-        # buffer of register size.
+        # The chain keeps its d post-states, and beyond them one phase-fixed copy of the
+        # post-state being classified and one weight class of it at a time, the largest
+        # C(16, 8) / 2^16 = 0.2 of a vector; it gathers each branch straight into its own
+        # array.  The mask route holds no branch: beyond the shift coupling's one transform
+        # it needs the class histogram's |b|^2 and then one masked branch for the product
+        # test, whatever d is.
         n = 16
         state = plus_state(n) if register == "plus" else random_register(n, n)
         config = ModuleConfig(n, d, coupling)
@@ -916,12 +940,30 @@ class TestWeightKernels:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < (d + 1.3) * (16 << n)
+        held = d if register == "plus" else int(coupling is CouplingKind.SHIFT)
+        assert peak < (held + 1.3) * (16 << n)
+
+    @pytest.mark.parametrize("coupling", list(CouplingKind))
+    def test_classified_random_run_needs_the_same_space_at_every_d(self, coupling):
+        # A mask-route run holds no branch vectors, so its peak does not grow with d.
+        n = 16
+        state = random_register(n, n)
+        peaks = []
+        for d in (3, 7):
+            config = ModuleConfig(n, d, coupling)
+            run_module(state, config)  # builds the cached weight tables outside the measurement
+            tracemalloc.start()
+            try:
+                run_module(state, config)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) < 0.25 * (16 << n), [p / (16 << n) for p in peaks]
 
     @pytest.mark.parametrize("n, d", [(16, 3), (17, 7)])
     def test_phase_run_of_a_random_register_holds_only_its_branches(self, n, d):
-        # The mask kernel forms one branch at a time, after the class histogram of
-        # |amps|^2, so an unclassified run peaks at its d branches plus the weight classes.
+        # An unclassified mask run forms no branch: it peaks at the class histogram of
+        # |amps|^2, which holds |amps| and its square, half a vector each, at once.
         state, config = random_register(n, n), ModuleConfig(n, d)
         run_module(state, config, classify_states=False)  # builds the cached weight tables
         tracemalloc.start()
@@ -930,13 +972,14 @@ class TestWeightKernels:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < (d + 1) * (16 << n)
+        assert peak < 1.25 * (16 << n)
 
     @pytest.mark.parametrize("d", [3, 7])
     def test_shift_run_of_a_random_register_holds_only_its_branches(self, d):
-        # The shift transform b is the route's own, so its last nonzero branch is masked in
-        # b: an unclassified run peaks at its d branches plus the butterfly's scratch and
-        # the weight classes.  A copy of that branch peaked at 4.88 (d = 3) and 8.88 (d = 7) vectors.
+        # The shift transform b is the one register-sized array an unclassified run keeps,
+        # shared by every post-state until it is read; beyond it the run peaks at the class
+        # histogram, as the phase run does.  Transforming each branch back during the run
+        # peaked at 3.88 (d = 3) and 7.88 (d = 7) vectors.
         n = 16
         state, config = random_register(n, n), ModuleConfig(n, d, CouplingKind.SHIFT)
         run_module(state, config, classify_states=False)  # builds the cached weight tables
@@ -946,16 +989,17 @@ class TestWeightKernels:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < (d + 1) * (16 << n)
+        assert peak < 2.25 * (16 << n)
 
     @pytest.mark.parametrize("n", [*range(1, 13), 16])
     def test_in_place_shift_kernel_keeps_the_copying_bits(self, n):
-        # The mask of H^(x)n amps, transformed back in place, keeps the bits of the mask
-        # transformed back by a copy.  From n = 2 a real constant register (|+>^n and
-        # -|+>^n) skips the butterfly: its parity-0 branch is the register itself, bit for
-        # bit, with its squared norm as probability, within 1e-15 of the butterfly's
-        # values.  A complex multiple of |+>^n, a Dicke sum, the near miss, the random
-        # register and every 1-qubit register take the butterfly.
+        # A post-state read from the mask of H^(x)n amps, transformed back in place, keeps
+        # the bits of the mask transformed back by a copy, over the root of its probability.
+        # From n = 2 a real constant register (|+>^n and -|+>^n) skips the butterfly: its
+        # parity-0 post-state is the register itself, bit for bit, over the root of its
+        # squared norm, within 1e-15 of the butterfly's values.  A complex multiple of
+        # |+>^n, a Dicke sum, the near miss, the random register and every 1-qubit register
+        # take the butterfly.
         g = np.random.default_rng(n)
         registers = phase_kernel_registers(g, n)
         registers["minus"] = -registers["plus"]
@@ -966,19 +1010,19 @@ class TestWeightKernels:
                 for prep in (None, orbit_ancilla(g, d, CouplingKind.SHIFT)):
                     config = ModuleConfig(n, d, CouplingKind.SHIFT, ancilla_prep=prep)
                     parities = tuple(range(d))  # the default and every custom shift ancilla
-                    got = _branches(amps, _real_constant(amps), config)
-                    for (parity, prob, branch), (p0, b0) in zip(got, copying_shift_branches(amps, n, parities), strict=True):
+                    got = kernel_posts(amps, config)
+                    for parity, ((prob, post), (p0, b0)) in enumerate(zip(got, copying_shift_branches(amps, n, parities), strict=True)):
                         where = (kind, d, prep is None, parity)
-                        assert (branch is None) == (b0 is None), where
+                        assert (post is None) == (b0 is None), where
                         if constant:
                             assert prob == pytest.approx(p0, abs=1e-15) and (prob == 0.0) == (parity != 0), where
                             if b0 is not None:
-                                assert np.array_equal(branch.view(np.uint64), amps.view(np.uint64)), where
-                                assert np.abs(branch - b0).max() <= 1e-15, where
+                                assert_post_bits(post, amps, prob, where)
+                                assert np.abs(post * math.sqrt(prob) - b0).max() <= 1e-15, where
                             continue
                         assert_class_probability(prob, p0, n, where)
                         if b0 is not None:
-                            assert np.array_equal(branch.view(np.uint64), b0.view(np.uint64)), where
+                            assert_post_bits(post, b0, prob, where)
 
     def test_constant_shift_run_makes_no_hadamard_transform(self, monkeypatch):
         calls = []
@@ -1042,30 +1086,35 @@ class TestWeightKernels:
             assert calls["classify"] == sum(not r.zero_probability for r in chain) > 0, n
             calls.update(decompose=0, classify=0)
 
-    @pytest.mark.parametrize("coupling, working", [(CouplingKind.PHASE, 2.5), (CouplingKind.SHIFT, 3.5)], ids=["phase", "shift"])
+    @pytest.mark.parametrize("coupling, working", [(CouplingKind.PHASE, 0.25), (CouplingKind.SHIFT, 2.25)], ids=["phase", "shift"])
     def test_branches_are_normalized_in_place(self, coupling, working):
-        # Each branch is divided by sqrt(p) in place and owned by its post-state, and a
-        # shift branch is transformed in place.  Copying each branch twice more peaked
-        # at d+3 (phase) and d+5 (shift) vectors on a random register.
+        # A post-state read is formed as one masked array, transformed back (shift) and
+        # divided by sqrt(p) in place, and then owned by its post-state: reading all d of
+        # them holds d vectors, plus b and one butterfly scratch for the shift coupling.
+        # One more copy at formation would add a vector to the last read.
         n, d = 16, 7
         state, config = random_register(n, n), ModuleConfig(n, d, coupling)
         run_module(state, config)  # builds the cached weight tables outside the measurement
         tracemalloc.start()
         try:
-            run_module(state, config)
+            records = run_module(state, config)
+            posts = [r.post_state.amps for r in records if not r.zero_probability]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert len(posts) == d
         assert peak < (d + working) * (16 << n)
 
     @pytest.mark.parametrize("n", [1, 2, 5, 10])
     def test_every_post_state_is_its_branch_over_the_root_of_its_probability(self, monkeypatch, n):
         # The Born rule is the one normalization: on every route a post-state has the bits
-        # of the kernel's branch, as float pairs, times 1 / math.sqrt of the probability its
+        # of the route's branch, as float pairs, times 1 / math.sqrt of the probability its
         # record reports.  Every nonzero float keeps the bits of the complex division by that
         # root; a zero may differ only in its sign.  A nonzero branch is summed once, by the
-        # post-state's normalization check; the chain also sums each of its d branches once
-        # for its probability.
+        # post-state's normalization check: during the run on the chain and the constant
+        # shift route, and when its amplitudes are first read on the mask route, which
+        # sums nothing of register size during an unclassified run.  The chain also sums
+        # each of its d branches once for its probability.
         g = np.random.default_rng(n)
         plus = plus_state(n)
         registers = {"plus": plus, "minus": Ket(-plus.amps, plus.factor_dims, normalized=True)}
@@ -1077,30 +1126,48 @@ class TestWeightKernels:
             return squared_norm(a)
 
         for coupling in CouplingKind:
+            shift = coupling is CouplingKind.SHIFT
             for d in range(2, 8):
                 for prep in (None, orbit_ancilla(g, d, coupling)):
                     config = ModuleConfig(n, d, coupling, ancilla_prep=prep)
+                    parities = default_parities(d, coupling) if prep is None else tuple(range(d))
                     for kind, state in registers.items():
                         value = _real_constant(state.amps)
-                        on_chain = value is not None and coupling is CouplingKind.PHASE and prep is None
-                        expect = list(_branches(state.amps, value, config))
+                        on_chain = value is not None and not shift and prep is None
+                        constant_shift = value is not None and shift and n >= 2
+                        if on_chain:
+                            rows = module._phase_representatives(value, n, d)
+                            expect = [(squared_norm(b), b) for b in (np.take(row, hamming_weights(n)) for row in rows)]
+                        elif constant_shift:
+                            expect = [(None, state.amps) if parity == 0 else (0.0, None) for parity in parities]
+                        elif shift:
+                            expect = list(copying_shift_branches(state.amps, n, parities))
+                        else:
+                            expect = mask_branches(state.amps, n, parities)
                         with monkeypatch.context() as m:
                             m.setattr("qparity.module.squared_norm", counted)
                             m.setattr("qparity.linalg.squared_norm", counted)
                             calls.clear()
                             records = run_module(state, config, classify_states=False)
+                            during = len(calls)
+                            posts = [r.post_state.amps for r in records if not r.zero_probability]
                         where = (kind, coupling, d, prep is None)
-                        for r, (parity, prob, branch) in zip(records, expect, strict=True):
-                            assert (r.parity, r.probability, r.zero_probability) == (parity, prob, branch is None), where
-                            if branch is not None:
-                                got = r.post_state.amps.view(np.float64)
-                                want = branch.view(np.float64) * (1.0 / math.sqrt(r.probability))
-                                assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), where
-                                divided = (branch / math.sqrt(r.probability)).view(np.float64)
-                                nonzero = got != 0
-                                assert np.array_equal(got[nonzero].view(np.uint64), divided[nonzero].view(np.uint64)), where
-                                assert not divided[~nonzero].any(), where
-                        assert calls == [1 << n] * (sum(not r.zero_probability for r in records) + d * on_chain), where
+                        nonzero = len(posts)
+                        assert calls == [1 << n] * (nonzero + d * on_chain), where
+                        assert during == (nonzero + d * on_chain if on_chain or constant_shift else 0), where
+                        for r, (p0, branch) in zip(records, expect, strict=True):
+                            assert r.parity == parities[r.outcome_label], where
+                            assert r.zero_probability == (r.post_state is None) == (r.probability < ZERO_PROBABILITY_ATOL), where
+                            if on_chain:
+                                assert r.probability == p0, where
+                            if r.zero_probability:
+                                continue
+                            got = r.post_state.amps.view(np.float64)
+                            assert_post_bits(r.post_state.amps, branch, r.probability, where)
+                            divided = (branch / math.sqrt(r.probability)).view(np.float64)
+                            nonzero_parts = got != 0
+                            assert np.array_equal(got[nonzero_parts].view(np.uint64), divided[nonzero_parts].view(np.uint64)), where
+                            assert not divided[~nonzero_parts].any(), where
 
     @pytest.mark.parametrize("n", [*range(1, 15), 16])
     def test_row_hadamard_kernel_keeps_the_stacked_butterfly_bits(self, n):
@@ -1115,10 +1182,10 @@ class TestWeightKernels:
             assert _hadamard_rows(t, n) is t
             assert np.array_equal(t.view(np.uint64), expect.view(np.uint64)), r
 
-    def test_shift_run_transforms_each_group_in_one_call(self, monkeypatch):
-        # The forward transform is one call, and the nonzero branches of a group are
-        # transformed back by one more: at n <= 12 every branch of d <= 8 fits one group of
-        # 2^15 amplitudes, and at n = 16 a group is one branch.
+    def test_shift_run_makes_one_transform_and_one_per_post_state_read(self, monkeypatch):
+        # A shift run, classified or not, makes one call, the forward transform, whatever d
+        # is; a post-state is transformed back by one more one-row call when its amplitudes
+        # are first read, and never again.
         calls = []
 
         def counted(t, n):
@@ -1129,50 +1196,59 @@ class TestWeightKernels:
         for n in [*range(1, 13), 16]:
             state = random_register(n, n)
             for d in range(2, 9):
-                calls.clear()
-                records = run_module(state, ModuleConfig(n, d, CouplingKind.SHIFT), classify_states=False)
-                nonzero = sum(not r.zero_probability for r in records)
-                assert calls == ([1, nonzero] if n <= 12 else [1] * (1 + nonzero)), (n, d)
+                for classify in (False, True):
+                    calls.clear()
+                    records = run_module(state, ModuleConfig(n, d, CouplingKind.SHIFT), classify_states=classify)
+                    assert calls == [1], (n, d, classify)
+                    posts = [r.post_state for r in records if not r.zero_probability]
+                    for post in posts + posts:
+                        assert post.amps.size == 1 << n
+                    assert calls == [1] * (1 + len(posts)), (n, d, classify)
 
-    @pytest.mark.parametrize("n, groups", [(5, 1), (13, 2)])
-    def test_grouped_post_states_are_separate_read_only_rows(self, n, groups):
-        # At n = 5 the six nonzero branches of d = 7 are rows of one buffer; at n = 13 the
-        # seven fill a group of four rows and one of three.  Each post-state is a C-contiguous,
-        # read-only row of its group, and scaling one branch in place leaves every other
-        # branch's bits alone.
+    @pytest.mark.parametrize("n", [5, 13])
+    def test_post_states_are_separate_read_only_arrays(self, n):
+        # Each post-state's amplitudes are a C-contiguous, read-only array of their own, which
+        # shares no memory with another post-state or the register, and forming one leaves
+        # every other branch's bits alone: read in either order, the post-states of d = 7
+        # (six nonzero at n = 5, seven at n = 13) have the same bits.
         state = random_register(n, n)
         for coupling in CouplingKind:
             config = ModuleConfig(n, 7, coupling)
-            posts = [r.post_state.amps for r in run_module(state, config, classify_states=False) if not r.zero_probability]
+            forward, backward = (
+                [r.post_state for r in run_module(state, config, classify_states=False) if not r.zero_probability] for _ in range(2)
+            )
+            posts = [post.amps for post in forward]
+            reversed_posts = [post.amps for post in reversed(backward)][::-1]
             assert len(posts) == min(n + 1, 7), coupling
             assert all(p.flags.c_contiguous and not p.flags.writeable for p in posts), coupling
-            assert len({id(p.base) for p in posts}) == groups, coupling
-            branches = [b for _, _, b in _branches(state.amps, None, config) if b is not None]
-            before = [b.copy() for b in branches]
-            for i, branch in enumerate(branches):
-                parts = branch.view(np.float64)
-                parts *= 3.0
-                scaled = before[i].view(np.float64) * 3.0
-                assert np.array_equal(parts.view(np.uint64), scaled.view(np.uint64)), (coupling, i)
-                for b, b0 in zip(branches[i + 1 :], before[i + 1 :]):
-                    assert np.array_equal(b.view(np.uint64), b0.view(np.uint64)), (coupling, i)
+            for i, (p, q) in enumerate(zip(posts, reversed_posts, strict=True)):
+                assert np.array_equal(p.view(np.uint64), q.view(np.uint64)), (coupling, i)
+                assert not np.shares_memory(p, state.amps), (coupling, i)
+                assert not any(np.shares_memory(p, other) for other in posts[i + 1 :]), (coupling, i)
 
     @given(
         st.integers(min_value=1, max_value=8),
         st.integers(min_value=2, max_value=7),
         st.sampled_from(list(CouplingKind)),
         st.sampled_from(["default", "custom"]),
-        st.sampled_from(["plus", "random", "dicke"]),
+        st.sampled_from(["plus", "minus", "random", "w", "dicke", "dicke-sum"]),
         st.integers(min_value=0, max_value=2**32 - 1),
     )
-    @settings(max_examples=80)
+    @settings(max_examples=150)
     def test_run_module_matches_sequential_oracle(self, n, d, coupling, ancilla, register, seed):
-        # |+>^n takes both kernels' constant routes; a Dicke sum takes the mask.
+        # Every route against the sequential-gate oracle: |+>^n up to sign takes the chain
+        # (default phase ancilla) or the constant shift route, and every other register the
+        # mask.  Each post-state is read and held to the oracle's branch, and each
+        # classification to ``full_vector_classify`` of that post-state.
         g = np.random.default_rng(seed)
-        if register == "plus":
-            state = plus_state(n)
+        if register in ("plus", "minus"):
+            state = Ket((1 if register == "plus" else -1) * plus_state(n).amps, (2,) * n, normalized=True)
         elif register == "random":
             state = random_register(seed, n)
+        elif register == "w":
+            state = dicke(n, 1)  # W_n, and |1> at n = 1
+        elif register == "dicke":
+            state = dicke(n, int(g.integers(n + 1)))
         else:
             state = random_dicke_sum(g, n)
         if ancilla == "default":
@@ -1185,15 +1261,85 @@ class TestWeightKernels:
             step = coupling_step(d, coupling).entries
             readout = [np.linalg.matrix_power(step, m) @ prep.amps for m in range(d)]
         mat = sequential_joint(state, coupling, prep).amps.reshape(1 << n, d)
-        records = run_module(state, config, classify_states=False)
+        records = run_module(state, config)
         assert [r.outcome_label for r in records] == list(range(d))
         for r, ket in zip(records, readout, strict=True):
             branch = mat @ ket.conj()
             prob = float(np.vdot(branch, branch).real)
             assert r.probability == pytest.approx(prob, abs=1e-12)
             assert r.zero_probability == (prob < ZERO_PROBABILITY_ATOL)
-            if not r.zero_probability:
-                assert np.abs(r.post_state.amps * math.sqrt(r.probability) - branch).max() <= 1e-12
+            if r.zero_probability:
+                assert r.post_state is None and r.classification is None
+                continue
+            assert np.abs(r.post_state.amps * math.sqrt(r.probability) - branch).max() <= 1e-12
+            assert_classified_as_full_vector(r.classification, r.post_state)
+
+
+class TestSliceClassification:
+    @pytest.mark.parametrize("coupling", list(CouplingKind))
+    @pytest.mark.parametrize("factor", [0.5, 0.99, 1.01, 2.0])
+    def test_near_product_branch_gets_the_full_vector_verdict(self, coupling, factor):
+        # y = sqrt(1 - e^2)|x> + e|x'> with x = 000111 and x' = 111000 in one class: the first
+        # split's second singular value is e, so y is a Product exactly when e is within
+        # _PRODUCT_SPLIT_ATOL.  The shift register is H^(x)n y, whose branch is tested in the
+        # Hadamard frame; the verdict must match the split of the formed post-state.
+        n, d = 6, 3
+        eps = factor * states._PRODUCT_SPLIT_ATOL
+        g = np.random.default_rng(int(factor * 100))
+        y = np.zeros(1 << n, dtype=complex)
+        y[0b000111], y[0b111000] = np.exp(2j * np.pi * g.random(2)) * [math.sqrt(1 - eps**2), eps]
+        amps = stacked_butterfly(y, n) if coupling is CouplingKind.SHIFT else y
+        records = run_module(Ket(amps, (2,) * n, normalized=True), ModuleConfig(n, d, coupling))
+        (branch,) = [r for r in records if not r.zero_probability]
+        assert (branch.classification.family is Family.PRODUCT) == (factor < 1), factor
+        assert_classified_as_full_vector(branch.classification, branch.post_state)
+
+    @pytest.mark.parametrize("register", ["w", "dicke"])
+    def test_shift_branch_with_no_first_amplitude_takes_its_lead_from_the_formed_post_state(self, monkeypatch, register):
+        # A shift post-state's first amplitude is its D(n, 0) overlap.  Where that is 0, as
+        # for W_4 and D(4, 2) at d = 2 in class 0, the lead is read from a post-state formed
+        # for the purpose, one more butterfly call, and dropped: its amplitudes are formed
+        # again when they are read.
+        calls = []
+
+        def counted(t, n):
+            calls.append(n)
+            return _hadamard_rows(t, n)
+
+        monkeypatch.setattr("qparity.module._hadamard_rows", counted)
+        cases = 0
+        for n in range(2, 9):
+            state = w(n) if register == "w" else dicke(n, n // 2)
+            for d in range(2, 8):
+                calls.clear()
+                records = run_module(state, ModuleConfig(n, d, CouplingKind.SHIFT))
+                during = len(calls)
+                posts = [r for r in records if not r.zero_probability]
+                leadless = sum(abs(r.post_state.amps[0]) <= states._PHASE_LEAD_FLOOR for r in posts)
+                assert during == 1 + leadless, (n, d)
+                assert len(calls) == during + len(posts), (n, d)
+                for r in posts:
+                    assert_classified_as_full_vector(r.classification, r.post_state)
+                cases += leadless
+        assert cases > 0
+
+    @pytest.mark.parametrize("ancilla", ["default", "custom"])
+    def test_phase_lead_is_the_first_index_not_the_first_weight(self, ancilla):
+        # Class 1 of n = 5, d = 3 holds weights 1 and 4.  Its first amplitude above the floor
+        # in index order is 01111 (weight 4), ahead of 10000 (weight 1), the first in weight
+        # order.  Rotated by the first in index order, 0.6i, the weight-1 overlap is
+        # imaginary and only weight 4 keeps a coefficient; the first in weight order would
+        # keep weight 1 instead.
+        n, d = 5, 3
+        amps = np.zeros(1 << n, dtype=complex)
+        amps[0b01111], amps[0b10000], amps[0b00111] = 0.6j, 0.6, 0.8
+        amps /= np.linalg.norm(amps)
+        prep = None if ancilla == "default" else orbit_ancilla(np.random.default_rng(5), d, CouplingKind.PHASE)
+        records = run_module(Ket(amps, (2,) * n, normalized=True), ModuleConfig(n, d, ancilla_prep=prep))
+        (branch,) = [r for r in records if r.parity == 1]
+        assert branch.probability == pytest.approx(0.72 / 1.36, abs=1e-15)
+        assert set(branch.classification.decomposition.coeffs) == {4}
+        assert_classified_as_full_vector(branch.classification, branch.post_state)
 
 
 class TestDistributionAgreement:
