@@ -137,10 +137,12 @@ def _fourier_readout(d: int) -> np.ndarray:
     """The default phase readout, read-only: row m is |u_m> = d^(-1/2) sum_j w^(-mj) |j>, by
     ``linalg.fourier_ket``'s expression, and row 0 is the default ancilla."""
     j = np.arange(d)
+    # No row is checked as fourier_ket checks it: the powers of w can miss its norm check
+    # by rounding alone (fourier_ket(d, m) does for some m at 185 values of d in [2, 400)).
     rows = [omega(d) ** (-m * j) / math.sqrt(d) for m in range(d)]
-    # Only row 0, d equal amplitudes, is checked as a normalized Ket, as fourier_ket checks
-    # every row: the powers of w in the others can miss that check by rounding alone
-    # (fourier_ket(d, m) does for some m at 185 values of d in [2, 400)).
+    # Row 0, d equal amplitudes that always pass, is still made a checked Ket for one
+    # reason: the benchmark's traced-pass test requires a ``linalg.ket`` span on a |+>^n
+    # run, and this was its only source.  The check goes with ROADMAP item 1a.
     rows[0] = Ket(rows[0], (d,), normalized=True).amps
     readout = np.array(rows)
     readout.setflags(write=False)
@@ -193,7 +195,13 @@ class ModuleConfig:
 
 @dataclass(frozen=True)
 class OutcomeRecord:
-    """One heralded measurement branch."""
+    """One heralded measurement branch.
+
+    ``post_state`` is None for a zero-probability branch.  On the mask route it is a
+    ``_MaskPost``, whose amplitudes are formed on their first ``.amps`` read; the
+    normalization check every normalized ``Ket`` makes runs then, and a ValueError it
+    raises surfaces at that read, not in ``run_module``.
+    """
 
     outcome_label: int
     parity: int
@@ -336,7 +344,7 @@ def _phase_representatives(value: complex, n: int, d: int) -> list[np.ndarray]:
         r *= zr
         r -= t
     rows.real, rows.imag = re.T, im.T
-    return [rows @ v for v in readout.conj()]
+    return [rows @ v.conj() for v in readout]
 
 
 def _heralded(amps: np.ndarray, n: int, d: int, coupling: CouplingKind) -> tuple[np.ndarray, np.ndarray, list[float]]:
@@ -435,7 +443,9 @@ def _branches(amps: np.ndarray, value: complex | None, config: ModuleConfig, cla
     Only a real constant register (|+>^n up to sign) takes its own routes.  With the
     default phase ancilla it runs the per-excitation chain of ``_phase_representatives``,
     whose bits the golden reports pin, gathers each branch by weight, reports its
-    ``squared_norm`` and classifies it by ``states.classify``.  With the shift coupling
+    ``squared_norm`` and classifies it by ``states.classify``; it holds an array for
+    each of the at most n + 1 parities that are weights, and gathers every other
+    (rounding-level) branch in turn into one spare array.  With the shift coupling
     and n >= 2 it is H^(x)n 2^(n/2) value e_0, all in class 0: its parity-0 branch is a
     copy of the register, with the register's squared norm 2^n value^2 as its
     probability, classified from its n + 1 Dicke overlaps by
@@ -448,21 +458,27 @@ def _branches(amps: np.ndarray, value: complex | None, config: ModuleConfig, cla
     if default_phase and value is not None:
         _check_matrix(d, f"the Fourier readout of a {d}-level ancilla")
         wts = hamming_weights(n)
+        # Only a parity p <= n has weights, so at most n + 1 branches are more than rounding
+        # whatever d is.  Each of them gets its own array; every other branch is gathered in
+        # turn into one spare array, which reports its (rounding-level) probability.
         # Allocated ahead of the chain's small arrays: taken after them, the branches
         # raised symmetric_large's max RSS by 2 MB at n = 18.
-        branches = [np.empty(1 << n, dtype=complex) for _ in parities]
+        held = {parity: np.empty(1 << n, dtype=complex) for parity in parities if parity <= n}
+        spare = np.empty(1 << n, dtype=complex) if d > n + 1 else None
         rows = _phase_representatives(value, n, d)
-        for branch, row in zip(branches, rows):
-            # mode="raise" would gather into a register-sized buffer before copying to
-            # ``out``; every weight indexes the n + 1 entries of a row, so "clip" clips nothing.
-            np.take(row, wts, out=branch, mode="clip")
-        for parity in parities:
-            branch = branches.pop(0)  # freed once the caller drops it
+        # mode="raise" would gather into a register-sized buffer before copying to ``out``;
+        # every weight indexes the n + 1 entries of a row, so "clip" clips nothing.
+        for parity, row in zip(parities, rows):
+            if parity <= n:
+                np.take(row, wts, out=held[parity], mode="clip")
+        for parity, row in zip(parities, rows):
+            # A held branch is freed once the caller drops it.
+            branch = held.pop(parity) if parity <= n else np.take(row, wts, out=spare, mode="clip")
             prob = squared_norm(branch)
             if prob < ZERO_PROBABILITY_ATOL:
                 yield parity, prob, None, None
                 continue
-            post = _post_state(branch, prob, n)
+            post = _post_state(branch if parity <= n else branch.copy(), prob, n)
             yield parity, prob, post, states.classify(post) if classify_states else None
     elif _constant_shift(value, config):
         prob = float(1 << n) * value.real**2
@@ -519,7 +535,8 @@ def run_module(state: Ket, config: ModuleConfig, *, classify_states: bool = True
     included but flagged (their post-state and classification are None).
     Probabilities additionally carry an exact rational value when every input
     amplitude has the bits of one real, positive value (|+>^n) and the ancilla
-    preparation is the default one.
+    preparation is the default one.  A mask-route post-state defers its
+    normalization check to its first ``.amps`` read (see ``OutcomeRecord``).
     """
     _check_register(state, config)
     value = _real_constant(state.amps)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from fractions import Fraction
 from functools import cache, lru_cache
 from typing import Callable, Mapping
 
@@ -411,19 +412,19 @@ def classify_symmetric(n: int, overlaps: np.ndarray) -> ClassificationResult:
 
 
 @lru_cache(maxsize=32)
-def _hadamard_dicke(n: int) -> np.ndarray:
-    """M[j, k] = <D(n, j)|H^(x)n|D(n, k)> = 2^(-n/2) sqrt(C(n, j) / C(n, k)) K_k(j), read-only,
-    with the Krawtchouk values K_k(j) = sum_i (-1)^i C(j, i) C(n - j, k - i) in exact integers.
+def _krawtchouk_means(n: int) -> np.ndarray:
+    """R[j, k] = K_k(j) / C(n, k), each rounded once from the exact rational, read-only, with
+    the Krawtchouk values K_k(j) = sum_i (-1)^i C(j, i) C(n - j, k - i) in exact integers.
 
     H^(x)n commutes with qubit permutations, so it maps the symmetric subspace to itself:
-    a state with Dicke overlaps o has overlaps M o after the transform.
+    <D(n, j)|H^(x)n|D(n, k)> = 2^(-n/2) sqrt(C(n, j) / C(n, k)) K_k(j).  So a state whose
+    weight-k amplitudes sum to t_k has overlap 2^(-n/2) sqrt(C(n, j)) sum_k R[j, k] t_k with
+    D(n, j) after the transform; R[0] is all ones.
     """
-    binom = [math.comb(n, k) for k in range(n + 1)]
     kraw = [[sum((-1) ** i * math.comb(j, i) * math.comb(n - j, k - i) for i in range(k + 1)) for k in range(n + 1)] for j in range(n + 1)]
-    m = np.array([[kraw[j][k] * math.sqrt(binom[j] / binom[k]) for k in range(n + 1)] for j in range(n + 1)])
-    m *= 2.0 ** (-n / 2)
-    m.setflags(write=False)
-    return m
+    r = np.array([[float(Fraction(kraw[j][k], math.comb(n, k))) for k in range(n + 1)] for j in range(n + 1)])
+    r.setflags(write=False)
+    return r
 
 
 def weight_sums(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -458,8 +459,11 @@ def classify_slice(
     The branch is y = ``scale`` b on the weights ``weights`` and 0 elsewhere, and
     ``totals`` and ``spreads`` are ``weight_sums(b)``.  The post-state is y itself
     (phase coupling, ``formed`` None) or H^(x)n y (shift coupling).
-    - Its overlaps: y's overlap with D(n, k) is scale totals[k] / sqrt(C(n, k)), and
-      H^(x)n maps them by ``_hadamard_dicke``.
+    - Its overlaps: y's overlap with D(n, k) is scale totals[k] / sqrt(C(n, k)).  The
+      overlap of H^(x)n y with D(n, j) is 2^(-n/2) sqrt(C(n, j)) scale times the
+      ``_krawtchouk_means`` row j dotted with the totals, summed by ``math.fsum`` and
+      scaled last: where the totals are exact, as for W_16, a small coefficient keeps
+      the relative bits that its integer weight ratio needs.
     - Its residual: the part off the symmetric subspace has squared norm
       scale^2 sum(spreads[weights]), which H^(x)n, unitary and permutation-invariant,
       keeps; the rest is what the kept coefficients miss.
@@ -471,11 +475,14 @@ def classify_slice(
     The family ladder is ``classify``'s.
     """
     n = totals.size - 1
-    overlaps = np.zeros(n + 1, dtype=complex)
     ks = list(weights)
-    overlaps[ks] = totals[ks] * scale / np.sqrt([math.comb(n, k) for k in ks])
-    if formed is not None:
-        overlaps = _hadamard_dicke(n) @ overlaps
+    if formed is None:
+        overlaps = np.zeros(n + 1, dtype=complex)
+        overlaps[ks] = totals[ks] * scale / np.sqrt([math.comb(n, k) for k in ks])
+    else:
+        r, t = _krawtchouk_means(n)[:, ks], totals[ks]
+        sums = [complex(math.fsum(row * t.real), math.fsum(row * t.imag)) for row in r]
+        overlaps = np.array(sums) * scale * np.sqrt([math.comb(n, j) for j in range(n + 1)]) * 2.0 ** (-n / 2)
     masked = cache(frame)
     lead = overlaps[0] if abs(overlaps[0]) > _PHASE_LEAD_FLOOR else _phase_lead(masked() if formed is None else formed())
     dec = _overlap_decomposition(overlaps, lead, math.fsum(spreads[ks]) * scale * scale)

@@ -917,6 +917,23 @@ class TestWeightKernels:
             tracemalloc.stop()
         assert peak < (d + 3.5) * (16 << n)
 
+    def test_chain_holds_one_branch_per_weight_whatever_d(self):
+        # Only the n + 1 parities that are weights carry more than rounding: the chain holds
+        # a branch for each of them and gathers every other branch in turn into one spare
+        # array, so d = 1024 at n = 12 needs n + 2 vectors and its d small records and rows
+        # (about 0.9 KB an outcome), not the 1024 vectors of one branch per outcome.
+        n, d = 12, 1024
+        state, config = plus_state(n), ModuleConfig(n, d)
+        run_module(state, config, classify_states=False)  # builds the cached readout and weight tables
+        tracemalloc.start()
+        try:
+            records = run_module(state, config, classify_states=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sorted(r.parity for r in records if not r.zero_probability) == list(range(n + 1))
+        assert peak < (n + 3) * (16 << n) + 1024 * d
+
     @pytest.mark.parametrize("d", [3, 7])
     @pytest.mark.parametrize(
         "register, coupling",
@@ -1322,6 +1339,24 @@ class TestSliceClassification:
                     assert_classified_as_full_vector(r.classification, r.post_state)
                 cases += leadless
         assert cases > 0
+
+    @pytest.mark.parametrize("register", ["w", "dicke"])
+    def test_shift_weight_ratios_are_the_full_vector_ratios(self, register):
+        # A shift branch's small Dicke coefficients carry the integer ratios the report
+        # prints, which need ~1e-14 of their relative bits: class 0 of W_16 at d = 3 has
+        # c_1^2 / c_0^2 = 5465^2.  Mapping the slice's overlaps by a rounded matrix lost
+        # them there; summing its exact totals first and scaling last keeps them.
+        found = 0
+        for n in range(2, 17):
+            state = w(n) if register == "w" else dicke(n, n // 2)
+            for d in range(2, 8):
+                for r in run_module(state, ModuleConfig(n, d, CouplingKind.SHIFT)):
+                    if r.zero_probability:
+                        continue
+                    want = states.squared_weight_ratios(full_vector_classify(r.post_state).decomposition)
+                    assert states.squared_weight_ratios(r.classification.decomposition) == want, (n, d, r.parity)
+                    found += want is not None
+        assert found > 0
 
     @pytest.mark.parametrize("ancilla", ["default", "custom"])
     def test_phase_lead_is_the_first_index_not_the_first_weight(self, ancilla):
