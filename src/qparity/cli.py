@@ -10,6 +10,7 @@ import argparse
 import contextlib
 import math
 import sys
+import time
 import warnings
 from collections.abc import Callable, Iterable, Iterator
 from fractions import Fraction
@@ -30,6 +31,7 @@ from .module import (
     outcome_distribution,
     projector_dim,
     run_module,
+    statevector_qubit_limit,
 )
 from .reports import SCHEMA_VERSION, canonical_json, fmt_float, fmt_fraction, with_checksum
 
@@ -254,13 +256,13 @@ def _parse_phases(text: str) -> solver.EigenphaseSpec:
         except ValueError as exc:
             raise ValueError(f"bad shorthand {text!r}; expected roots:D") from exc
         if d >= 2:  # roots_of_unity_spec refuses the rest as input errors
-            _check_matrix(d, f"the drive of {d} eigenphases")
+            _check_matrix(d, statevector_qubit_limit(), f"the drive of {d} eigenphases")
         return solver.roots_of_unity_spec(d)
     try:
         phases = tuple(float(tok) for tok in text.split(",") if tok.strip())
     except ValueError as exc:
         raise ValueError(f"could not parse phase list {text!r}") from exc
-    _check_matrix(len(phases), f"the drive of {len(phases)} eigenphases")
+    _check_matrix(len(phases), statevector_qubit_limit(), f"the drive of {len(phases)} eigenphases")
     return solver.EigenphaseSpec(phases)
 
 
@@ -311,7 +313,12 @@ def cmd_solve(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    checks = verify.run_suite(args.suite)
+    checks = []
+    for name in verify.SUITES if args.suite == "all" else [args.suite]:
+        start = time.perf_counter()
+        checks += verify.run_suite(name)
+        if args.timing:
+            print(f"{name}: {time.perf_counter() - start:.3f} s", file=sys.stderr)
     lines = []
     for check in checks:
         if check.passed:
@@ -488,6 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=sorted(verify.SUITES) + ["all"],
     )
     ver.add_argument("--out", default=None)
+    ver.add_argument("--timing", action="store_true", help="print each suite's wall time to stderr")
     ver.set_defaults(handler=cmd_verify)
 
     tab = sub.add_parser("table", help="print closed-form probability tables")

@@ -37,7 +37,8 @@ P_m psi / sqrt(p_m), so it is allocated once and summed once.
 ``outcome_distribution`` and ``build_projectors`` work through the
 projectors P_i = d^(-1) sum_k w^(-ik) A^k: the mask wt(x) == i (mod d),
 read in the computational basis (phase) or after a Walsh-Hadamard transform
-(shift).  ``build_projectors`` returns the weight classes; only its
+(shift).  ``build_projectors`` returns the weight classes, and its
+``generators`` one row per class that each P_i is read from; only its
 ``projectors`` view materializes 2^n x 2^n matrices.  One statevector cap
 bounds everything; the view counts each matrix as a 2n-qubit statevector.
 The test suite checks both kernels and the projector route against a
@@ -101,19 +102,18 @@ def _statevector_bytes(qubits: int) -> str:
     return str(16 << qubits) if qubits < 60 else f"2^{qubits + 4}"
 
 
-def _check_qubits(qubits: int, request: str | None = None) -> None:
-    """Raise unless a ``qubits``-qubit statevector fits the cap, stating the bytes asked for."""
-    cap = statevector_qubit_limit()
+def _check_qubits(qubits: int, cap: int, request: str | None = None) -> None:
+    """Raise unless a ``qubits``-qubit statevector fits ``cap`` qubits, stating the bytes asked for."""
     if qubits > cap:
         request = request or f"{qubits} qubits need {_statevector_bytes(qubits)} bytes"
         raise ResourceLimitError(f"statevector path limited to {_statevector_bytes(cap)} bytes ({cap} qubits); {request}")
 
 
-def _check_matrix(d: int, what: str) -> None:
-    """Raise unless a d x d complex matrix, 16 d^2 bytes, fits the cap: d^2 > 2^cap exactly
-    when d^2 - 1 needs more than cap bits."""
+def _check_matrix(d: int, cap: int, what: str) -> None:
+    """Raise unless a d x d complex matrix, 16 d^2 bytes, fits ``cap`` qubits: d^2 > 2^cap
+    exactly when d^2 - 1 needs more than cap bits."""
     # A custom ancilla or solve drive builds no matrix: the cap bounds its Gram row's d * d products.
-    _check_qubits((d * d - 1).bit_length(), f"{what} needs {16 * d * d} bytes as a {d} x {d} complex matrix")
+    _check_qubits((d * d - 1).bit_length(), cap, f"{what} needs {16 * d * d} bytes as a {d} x {d} complex matrix")
 
 
 class CouplingKind(Enum):
@@ -174,15 +174,16 @@ class ModuleConfig:
             raise ValueError(f"a d=1 ancilla carries no parity information (got d={self.d})")
         if not isinstance(self.coupling, CouplingKind):
             raise ValueError(f"unknown coupling {self.coupling!r}")
-        _check_qubits(self.n)
+        cap = statevector_qubit_limit()
+        _check_qubits(self.n, cap)
         # d > 2^cap exactly when d - 1 needs more than cap bits.
-        _check_qubits((self.d - 1).bit_length(), f"a {self.d}-level ancilla needs {16 * self.d} bytes")
+        _check_qubits((self.d - 1).bit_length(), cap, f"a {self.d}-level ancilla needs {16 * self.d} bytes")
         prep = self.ancilla_prep
         if prep is not None:
             if prep.dim != self.d:
                 raise ValueError(f"ancilla preparation has dimension {prep.dim}, expected {self.d}")
             require_normalized(prep, "ancilla preparation")
-            _check_matrix(self.d, f"a custom {self.d}-level ancilla's step")
+            _check_matrix(self.d, cap, f"a custom {self.d}-level ancilla's step")
             # Z_d|k> = w^k|k> and X_d|u_k> = w^k|u_k>, where <u_k|prep> is the unitary inverse DFT.
             phi = prep.amps if self.coupling is CouplingKind.PHASE else np.fft.ifft(prep.amps, norm="ortho")
             dev = orbit_deviation(omega(self.d) ** np.arange(self.d), phi, self.d)
@@ -228,30 +229,45 @@ class ProjectorSet:
         return tuple(int(c) for c in np.bincount(self.classes, minlength=self.d))
 
     @cached_property
+    def generators(self) -> np.ndarray:
+        """One row g_i for each class i <= n, the classes a weight reaches, read-only: the
+        mask ``classes == i`` (phase), or 2^(-n/2) H^(x)n mask_i (shift), complex, so that
+        its imaginary part can be checked.  P_i is diag(g_i) (phase), or the matrix
+        g_i[x ^ y] (shift): a shift projector H^(x)n diag(mask_i) H^(x)n has entries
+        2^(-n) sum_z (-1)^(z.(x^y)) mask_i[z], which depend on x XOR y only."""
+        n = self.n
+        masks = np.array([self.classes == i for i in range(min(self.d, n + 1))], dtype=float)
+        if self.coupling is CouplingKind.PHASE:
+            gens = masks
+        else:
+            gens = _hadamard_rows(masks.astype(complex), n)
+            # Both parts scaled as float64, so the real part has the bits of real * 2^(-n/2).
+            parts = gens.view(np.float64)
+            parts *= 2.0 ** (-n / 2)
+        gens.setflags(write=False)
+        return gens
+
+    @cached_property
     def projectors(self) -> tuple[Operator, ...]:
         """The P_i as dense 2^n x 2^n matrices, each as large as a 2n-qubit statevector.
 
-        A phase projector is diag(mask_i).  A shift projector H^(x)n diag(mask_i) H^(x)n
-        has entries 2^(-n) sum_z (-1)^(z.(x^y)) mask_i[z], which depend on x XOR y
-        only: P_i[x, y] = g_i[x ^ y] with the real g_i = 2^(-n/2) H^(x)n mask_i, so
-        the view is a gather, not a matrix product.  A weight is at most n, so only
-        the classes i <= n are nonempty; every empty class (d > n + 1) shares one
-        frozen zero matrix, and the view holds at most n + 2 matrices whatever d is.
+        Each is built from its generator (``generators``): a phase view is diag(g_i), and
+        a shift view is the gather g_i.real[x ^ y], not a matrix product.  Every empty
+        class (d > n + 1) shares one frozen zero matrix, so the view holds at most n + 2
+        matrices whatever d is.
         """
         n, d = self.n, self.d
         full = min(d, n + 1)
         empty = d - full
         shared = f" and one zero shared by {empty} empty classes" if empty else ""
         need = f"{full} dense {1 << n} x {1 << n} projectors{shared} need {(full + bool(empty)) * 8 << 2 * n} bytes, {8 << 2 * n} each"
-        _check_qubits(2 * n, need)
-        masks = np.array([self.classes == i for i in range(full)], dtype=float)
+        _check_qubits(2 * n, statevector_qubit_limit(), need)
         if self.coupling is CouplingKind.PHASE:
-            views = [Operator(np.diag(mask)) for mask in masks]
+            views = [Operator(np.diag(g_i)) for g_i in self.generators]
         else:
-            g = _hadamard_rows(masks.astype(complex), n).real * 2.0 ** (-n / 2)
             index = np.arange(1 << n)
             xor = index[:, None] ^ index
-            views = [Operator(g_i[xor]) for g_i in g]
+            views = [Operator(g_i.real[xor]) for g_i in self.generators]
         zero = [Operator(np.zeros((1 << n, 1 << n)))] if empty else []
         return tuple(views + zero * empty)
 
@@ -456,7 +472,7 @@ def _branches(amps: np.ndarray, value: complex | None, config: ModuleConfig, cla
     # Z_d^w u_0 = u_(-w mod d), so Fourier outcome m heralds parity -m mod d.
     parities = [(-m) % d for m in range(d)] if default_phase else range(d)
     if default_phase and value is not None:
-        _check_matrix(d, f"the Fourier readout of a {d}-level ancilla")
+        _check_matrix(d, statevector_qubit_limit(), f"the Fourier readout of a {d}-level ancilla")
         wts = hamming_weights(n)
         # Only a parity p <= n has weights, so at most n + 1 branches are more than rounding
         # whatever d is.  Each of them gets its own array; every other branch is gathered in

@@ -52,10 +52,6 @@ class EigenphaseSpec:
     def d(self) -> int:
         return len(self.phases)
 
-    def drive(self) -> Operator:
-        """The diagonal unitary diag(e^{i phi_0}, ..., e^{i phi_{d-1}})."""
-        return Operator(np.diag(np.exp(1j * np.array(self.phases))), unitary=True)
-
 
 def roots_of_unity_spec(d: int, offset: float = 0.0) -> EigenphaseSpec:
     """Spec with phases offset + 2*pi*j/d, the canonical feasible pattern."""

@@ -14,19 +14,21 @@ from fractions import Fraction
 import numpy as np
 
 from . import solver, states
-from .linalg import fidelity, hadamard, plus_state, tensor
+from .linalg import Operator, fidelity, plus_state
 from .module import (
     CouplingKind,
     ModuleConfig,
+    _check_qubits,
     build_projectors,
     projector_dim,
     run_module,
+    statevector_qubit_limit,
 )
 from .states import FIDELITY_THRESHOLD
 
-# A shift view's entry is a Walsh-Hadamard sum of 2^n rounded terms, and row 0 of a
-# product of two views, or of H P H, sums 2^n such entries: ~1e-13 at the n <= 10
-# the view allows by default.  Phase views hold exact 0s and 1s.
+# A shift generator's entry is a Walsh-Hadamard sum of 2^n rounded terms, and each entry
+# of S g or of mask S sums 2^n such terms: ~1e-13 at the n <= 10 the sign matrix allows
+# by default.  Phase generators hold exact 0s and 1s.
 PROJECTOR_ATOL = 1e-10
 # A value from a few rounded float64 steps meets its closed form to ~1e-15:
 # probabilities, fidelities, orbit Gram entries, residuals of exact Dicke sums.
@@ -61,67 +63,57 @@ def _check(name: str, failures: list[str]) -> Check:
     return Check(name=name, passed=not failures, failures=failures)
 
 
-def _generator(view: np.ndarray, phase: bool, xor: np.ndarray) -> np.ndarray | None:
-    """The diagonal (phase) or row 0 (shift) of a real projector view, or None when the
-    view is not exactly the matrix it generates: np.diag(g), or g[x ^ y] read at ``xor``."""
-    g = np.diagonal(view) if phase else view[0]
-    return g if np.array_equal(view, np.diag(g) if phase else g[xor]) else None
+def _sign_matrix(n: int) -> np.ndarray:
+    """Sylvester's 2^n x 2^n sign matrix S[x, y] = (-1)^popcount(x & y), 2^(n/2) H^(x)n,
+    from bit operations alone, apart from the module's butterfly; S S = 2^n I."""
+    index = np.arange(1 << n)
+    return np.where(np.bitwise_count(index[:, None] & index) & 1, -1.0, 1.0)
 
 
 def suite_projectors(max_n: int = 8) -> list[Check]:
-    # Every view must be real: an imaginary part other than exactly 0 fails
-    # "hermitian", and the laws then run in float64 on the real parts.  A view must
-    # also be exactly the matrix of its generator g (``_generator``), and the laws
-    # are stated on the generators, in O(d^2 4^n) work with no 2^n x 2^n product:
-    # phase products are g_i * g_j, row 0 of a shift product P_i P_j is g_i @ P_j,
-    # and row 0 of H P_i H is (H[0] * g_i) @ H, with H the Kronecker product of n
-    # Hadamards, built apart from the module's butterfly.  Given P = P^T,
-    # P_j P_i = (P_i P_j)^T, so the products i <= j cover idempotence and every
-    # orthogonality.  A view without its structure fails every product law it
-    # enters, named by its own class.
+    # The laws are stated on ``ProjectorSet.generators``, with no 2^n x 2^n view.  P_i
+    # is diag(g_i) (phase) or g_i[x ^ y] (shift), and the matrix g[x ^ y] is
+    # H^(x)n diag(S g) H^(x)n, so in the mask domain, with g^ = g (phase) or g^ = S g
+    # (shift), P_i P_j = delta_ij P_i reads g^_i g^_j = delta_ij g^_i entry by entry.
+    # A generator must be exactly real ("hermitian"), and the laws then run on its real
+    # part: the g_i sum to 1 (phase) or e_0 (shift), tr P_i is sum(g_i) or 2^n g_i[0],
+    # and g_shift_i = 2^(-n) mask_i S.  That the views are exactly these matrices is
+    # the module's own test, not a law.
     herm: list[str] = []
     orth: list[str] = []
     comp: list[str] = []
     dims: list[str] = []
     dual: list[str] = []
     for n in range(2, max_n + 1):
-        hyp = tensor([hadamard()] * n).entries.real
-        eye = np.eye(1 << n)
-        index = np.arange(1 << n)
-        xor = index[:, None] ^ index
+        size = 1 << n
+        _check_qubits(2 * n - 1, statevector_qubit_limit(), f"the {size} x {size} sign matrix needs {8 << 2 * n} bytes")
+        sign = _sign_matrix(n)
         for d in range(2, n + 1):
-            gens = {}
+            rows = {}
             for coupling in CouplingKind:
                 pset = build_projectors(n, d, coupling)
-                views = [p.entries for p in pset.projectors]
-                mats = [v.real for v in views]
+                gens = pset.generators
+                real = gens.real
                 phase = coupling is CouplingKind.PHASE
-                g = gens[coupling] = [_generator(m, phase, xor) for m in mats]
+                hat = real if phase else real @ sign  # S is symmetric: row i of G S is S g_i
+                for i in np.flatnonzero(np.imag(gens).any(axis=1)):
+                    herm.append(f"(n={n},d={d},k={i},{coupling.value})")
+                err = np.abs(hat[:, None] * hat - np.eye(d)[:, :, None] * hat).max(axis=2)
+                for i, j in zip(*np.nonzero(np.triu(~(err <= PROJECTOR_ATOL)))):
+                    orth.append(f"(n={n},d={d},k={i},{j},{coupling.value})")
+                traces = real.sum(axis=1) if phase else size * real[:, 0]
                 for i in range(d):
-                    if views[i].imag.any() or not np.abs(mats[i].T - mats[i]).max() <= PROJECTOR_ATOL:
-                        herm.append(f"(n={n},d={d},k={i},{coupling.value})")
-                    if g[i] is None:
-                        form = "diagonal" if phase else "a function of x XOR y"
-                        orth.append(f"(n={n},d={d},k={i},{coupling.value}) not {form}")
-                    for j in range(i, d):
-                        if g[i] is not None and g[j] is not None:
-                            row = g[i] * g[j] if phase else g[i] @ mats[j]
-                            want = g[i] if i == j else 0
-                            if not np.abs(row - want).max() <= PROJECTOR_ATOL:
-                                orth.append(f"(n={n},d={d},k={i},{j},{coupling.value})")
                     rank = projector_dim(i, n, d)
-                    if pset.dims[i] != rank or not abs(np.trace(mats[i]) - rank) <= PROJECTOR_ATOL:
+                    if pset.dims[i] != rank or not abs(traces[i] - rank) <= PROJECTOR_ATOL:
                         dims.append(f"(n={n},d={d},k={i},{coupling.value})")
-                if not np.abs(sum(mats) - eye).max() <= PROJECTOR_ATOL:
+                if not np.abs(real.sum(axis=0) - (1.0 if phase else np.eye(1, size)[0])).max() <= PROJECTOR_ATOL:
                     comp.append(f"(n={n},d={d},{coupling.value})")
-                if sum(pset.dims) != 1 << n:
+                if sum(pset.dims) != size:
                     dims.append(f"(n={n},d={d},{coupling.value}) total")
-            for i, (g_phase, g_shift) in enumerate(zip(gens[CouplingKind.PHASE], gens[CouplingKind.SHIFT])):
-                if g_phase is None or g_shift is None:
-                    unstructured = "phase" if g_phase is None else "shift"
-                    dual.append(f"(n={n},d={d},k={i}) {unstructured} view without its structure")
-                elif not np.abs((hyp[0] * g_phase) @ hyp - g_shift).max() <= PROJECTOR_ATOL:
-                    dual.append(f"(n={n},d={d},k={i})")
+                rows[coupling] = real
+            want = rows[CouplingKind.PHASE] @ sign / size
+            err = np.abs(rows[CouplingKind.SHIFT] - want).max(axis=1)
+            dual += [f"(n={n},d={d},k={i})" for i in np.flatnonzero(~(err <= PROJECTOR_ATOL))]
     return [
         _check("projectors hermitian", herm),
         _check("projectors idempotent and mutually orthogonal", orth),
@@ -364,7 +356,7 @@ def suite_solver() -> list[Check]:
     if solver.solve_amplitudes(solver.EigenphaseSpec((0.0, 0.1))).feasible:
         infeasible.append("(0, 0.1)")
     eps = 0.01
-    feasible, _, _ = solver.reconstruct_general(solver.EigenphaseSpec((eps, -eps)).drive())
+    feasible, _, _ = solver.reconstruct_general(Operator(np.diag(np.exp([1j * eps, -1j * eps])), unitary=True))
     if feasible:
         infeasible.append("exp(i*0.01*Z)")
     degenerate: list[str] = []

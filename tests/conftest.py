@@ -48,6 +48,25 @@ class OrbitReport:
     orthonormal: bool
 
 
+def drive(spec):
+    """Test-only dense form of an ``EigenphaseSpec``: the diagonal unitary
+    diag(e^{i phi_0}, ..., e^{i phi_{d-1}}) as an Operator, for ``check_orbit``."""
+    from qparity.linalg import Operator
+
+    return Operator(np.diag(np.exp(1j * np.array(spec.phases))), unitary=True)
+
+
+def generator_views(pset):
+    """Test-only dense matrices of ``pset.generators`` with every imaginary part kept:
+    diag(g_i) (phase) or g_i[x ^ y] (shift), and a zero for each class no weight reaches."""
+    from qparity.module import CouplingKind
+
+    index = np.arange(1 << pset.n)
+    xor = index[:, None] ^ index
+    views = [np.diag(g) if pset.coupling is CouplingKind.PHASE else g[xor] for g in pset.generators]
+    return views + [np.zeros((1 << pset.n, 1 << pset.n))] * (pset.d - len(views))
+
+
 def check_orbit(u, phi, orbit_len):
     """Test-only dense oracle for ``solver.orbit_deviation``: the rows phi, U phi, ...,
     U^(orbit_len-1) phi of the d x d operator U, and their d x d Gram matrix; raises

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from qparity import cli, module, solver, states, verify
 from qparity.cli import load_amplitude_file, main, write_amplitude_file
-from qparity.linalg import Ket, plus_state, squared_norm
+from qparity.linalg import Ket, Operator, plus_state, squared_norm
 from qparity.module import outcome_distribution
 from qparity.reports import verify_checksum
 from qparity.verify import Check
@@ -576,7 +576,7 @@ class TestSolve:
     def test_solve_builds_no_dense_drive(self, capsys, monkeypatch):
         # The orbit of a diagonal drive is read from its eigenvalues, so the cap still
         # bounds the drive's bytes but solve forms no d x d matrix.
-        monkeypatch.setattr(solver.EigenphaseSpec, "drive", lambda self: pytest.fail("built the drive"))
+        monkeypatch.setattr(Operator, "__post_init__", lambda op: pytest.fail("built an Operator"))
         code, out, err = run_cli(capsys, ["solve", "--phases", "roots:256"])
         assert code == 0, err
         assert "orbit Gram deviation" in out
@@ -645,6 +645,19 @@ class TestVerify:
     def test_unknown_suite_rejected(self, capsys):
         code, _, _ = run_cli(capsys, ["verify", "--suite", "nonsense"])
         assert code == 2
+
+    def test_timing_goes_to_stderr_and_leaves_stdout_alone(self, capsys, stub_suites):
+        code, out, err = run_cli(capsys, ["verify", "--suite", "all"])
+        assert code == 1 and err == ""
+        timed_code, timed_out, timed_err = run_cli(capsys, ["verify", "--suite", "all", "--timing"])
+        assert (timed_code, timed_out) == (code, out)
+        assert re.fullmatch(r"good: \d+\.\d{3} s\nbad: \d+\.\d{3} s\n", timed_err)
+
+    def test_timing_of_a_real_suite(self, capsys):
+        code, out, _ = run_cli(capsys, ["verify", "--suite", "projectors"])
+        timed = run_cli(capsys, ["verify", "--suite", "projectors", "--timing"])
+        assert code == 0 and timed[:2] == (code, out)
+        assert re.fullmatch(r"projectors: \d+\.\d{3} s\n", timed[2])
 
 
 class TestTable:

@@ -47,7 +47,7 @@ from qparity.linalg import NORM_ATOL
 from qparity.solver import ORBIT_ATOL, admissible_state, roots_of_unity_spec
 from qparity.states import FIDELITY_THRESHOLD, Family, dicke, dicke_sum, ghz, w
 
-from conftest import basis_ket, check_orbit, random_ket_amps
+from conftest import basis_ket, check_orbit, generator_views, random_ket_amps
 
 
 def random_register(seed, n):
@@ -302,6 +302,33 @@ def orbit_ancilla(g, d, coupling):
     return Ket(sum(p * fourier_ket(d, k).amps for k, p in enumerate(phases)), (d,), normalized=True)
 
 
+def view_structure_failures(pset, views):
+    """The classes whose view is not exactly the real matrix of the class's generator:
+    diag(g_i) (phase) or g_i[x ^ y] (shift), and zero for a class no weight reaches."""
+    bad = []
+    for i, (view, want) in enumerate(zip(views, generator_views(pset), strict=True)):
+        if view.dtype != np.float64 or want.imag.any() or not np.array_equal(view, want.real):
+            bad.append(i)
+    return bad
+
+
+def _swapped_rows(view):
+    # Row 0, the generator, is kept; the view is no longer a function of x XOR y.
+    view[[1, 2]] = view[[2, 1]]
+
+
+def _off_diagonal(view):
+    view[0, 1] = 0.5
+
+
+def _tiny_off_diagonal(view):
+    # 1e-17 moves no product of views beyond any law tolerance, but the view is not diagonal.
+    view[0, 1] = 1e-17
+
+
+VIEW_MUTATIONS = [(CouplingKind.SHIFT, _swapped_rows), (CouplingKind.PHASE, _off_diagonal), (CouplingKind.PHASE, _tiny_off_diagonal)]
+
+
 class TestProjectors:
     def test_two_qubit_parity_projector_is_zz_average(self):
         # P_0 for n=2, d=2 under the phase coupling is (I + Z x Z)/2.
@@ -399,6 +426,26 @@ class TestProjectors:
         # The nonempty classes keep the bits of the view at d = n + 1, where every class holds strings.
         for view, full in zip(views, build_projectors(n, n + 1, coupling).projectors, strict=False):
             assert np.array_equal(view.entries.view(np.uint64), full.entries.view(np.uint64))
+
+    @pytest.mark.parametrize("coupling", list(CouplingKind))
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_views_are_exactly_the_matrices_of_their_generators(self, n, coupling):
+        for d in range(2, n + 3):
+            pset = build_projectors(n, d, coupling)
+            assert pset.generators.shape == (min(d, n + 1), 1 << n)
+            assert not pset.generators.flags.writeable
+            assert view_structure_failures(pset, [p.entries for p in pset.projectors]) == []
+
+    @pytest.mark.parametrize("coupling,mutation", VIEW_MUTATIONS, ids=[m.__name__.lstrip("_") for _, m in VIEW_MUTATIONS])
+    def test_each_view_mutation_fails_the_structure(self, coupling, mutation):
+        # At d = 2 the shift generators are nonzero only at 0 and at 1...1, so rows 1 and 2
+        # differ once n >= 3.
+        for n in range(3, 7):
+            pset = build_projectors(n, 2, coupling)
+            views = [p.entries.copy() for p in pset.projectors]
+            mutation(views[0])
+            assert not np.array_equal(views[0], pset.projectors[0].entries)
+            assert view_structure_failures(pset, views) == [0]
 
     def test_rank_accounting_is_complete(self):
         for n in range(1, 9):
@@ -1457,6 +1504,18 @@ class TestResourceEnvelope:
         monkeypatch.setenv("QPARITY_MAX_QUBITS", "0")
         with pytest.raises(ValueError):
             statevector_qubit_limit()
+
+    @pytest.mark.parametrize("coupling", list(CouplingKind))
+    def test_each_config_reads_the_cap_once(self, monkeypatch, coupling):
+        # The register, the ancilla and a custom ancilla's step are all checked against one reading.
+        reads = []
+        read = module.statevector_qubit_limit
+        monkeypatch.setattr(module, "statevector_qubit_limit", lambda: reads.append(1) or read())
+        prep = fourier_ket(4, 0) if coupling is CouplingKind.PHASE else basis_ket((4,), 0)
+        ModuleConfig(3, 4, coupling)
+        assert len(reads) == 1
+        ModuleConfig(3, 4, coupling, prep)
+        assert len(reads) == 2
 
     def test_run_module_respects_cap(self, monkeypatch):
         monkeypatch.setenv("QPARITY_MAX_QUBITS", "4")

@@ -26,7 +26,7 @@ from qparity.solver import (
 from qparity.module import CouplingKind, ModuleConfig
 from qparity.verify import _lp_weights
 
-from conftest import check_orbit
+from conftest import check_orbit, drive
 
 TWO_PI = 2.0 * math.pi
 
@@ -101,7 +101,7 @@ class TestOrbitDeviation:
         seeds.append(Ket(v / np.linalg.norm(v), (spec.d,), normalized=True))
         for phi in seeds:
             for orbit_len in {1, s, spec.d}:
-                dense = check_orbit(spec.drive(), phi, orbit_len).max_deviation
+                dense = check_orbit(drive(spec), phi, orbit_len).max_deviation
                 assert orbit_deviation(eigenvalues(spec), phi.amps, orbit_len) == pytest.approx(dense, rel=1e-9, abs=1e-14)
 
     def test_refuses_a_coordinate_count_that_is_not_d(self):
@@ -111,14 +111,14 @@ class TestOrbitDeviation:
 
     @given(st.integers(min_value=2, max_value=8), st.sampled_from(["clock", "shift", "spec", "conjugated"]), st.integers(0, 2**32 - 1))
     @settings(max_examples=80)
-    def test_agrees_with_the_dense_oracle(self, d, drive, seed):
+    def test_agrees_with_the_dense_oracle(self, d, kind, seed):
         # Each drive as the product reads it: Z_d on the seed itself and X_d on its inverse DFT
         # (the coordinates on |u_k>), both with ModuleConfig's verdict; a diagonal spec on the
         # seed; and U = V D V* on V* phi.
         g = np.random.default_rng(seed)
-        if drive == "spec":
+        if kind == "spec":
             spec = EigenphaseSpec(tuple(g.choice([g.uniform(0, TWO_PI), *(TWO_PI * np.arange(d) / d)], size=d)))
-        elif drive == "conjugated":
+        elif kind == "conjugated":
             q, _ = np.linalg.qr(g.normal(size=(d, d)) + 1j * g.normal(size=(d, d)))
             phases = g.choice([g.uniform(0, TWO_PI), *(TWO_PI * np.arange(d) / d)], size=d)
             u = Operator(q @ np.diag(np.exp(1j * phases)) @ q.conj().T, unitary=True)
@@ -134,14 +134,14 @@ class TestOrbitDeviation:
             amps /= np.linalg.norm(amps)
         s = solution.structure.s if built else d
         lam = eigenvalues(spec)
-        if drive == "clock":
+        if kind == "clock":
             u, phi, coords, lam = pauli_z(d), amps, amps, clock_eigenvalues(d)
-        elif drive == "shift":
+        elif kind == "shift":
             # A solver-built seed is equal weight on the |u_k>: phi = sum_k a_k |u_k>.
             phi = np.fft.fft(amps, norm="ortho") if built else amps
             u, coords, lam = pauli_x(d), np.fft.ifft(phi, norm="ortho"), clock_eigenvalues(d)
-        elif drive == "spec":
-            u, phi, coords = spec.drive(), amps, amps
+        elif kind == "spec":
+            u, phi, coords = drive(spec), amps, amps
         else:
             phi = v.entries @ amps if built else amps
             coords = v.entries.conj().T @ phi
@@ -150,8 +150,8 @@ class TestOrbitDeviation:
         got = orbit_deviation(lam, coords, s)
         assert (got <= ORBIT_ATOL) == dense.orthonormal == built
         assert got == pytest.approx(dense.max_deviation, abs=1e-12)
-        if drive in ("clock", "shift"):
-            coupling = CouplingKind.PHASE if drive == "clock" else CouplingKind.SHIFT
+        if kind in ("clock", "shift"):
+            coupling = CouplingKind.PHASE if kind == "clock" else CouplingKind.SHIFT
             try:
                 ModuleConfig(1, d, coupling, seed_ket)
                 admitted = True
@@ -253,9 +253,9 @@ class TestSolveAmplitudes:
 
     def test_drive_is_the_diagonal_of_the_phases(self):
         spec = EigenphaseSpec((0.0, 7.0, -1.0))
-        drive = spec.drive()
-        assert drive.unitary
-        assert np.array_equal(drive.entries, np.diag(np.exp(1j * np.array(spec.phases))))
+        op = drive(spec)
+        assert op.unitary
+        assert np.array_equal(op.entries, np.diag(np.exp(1j * np.array(spec.phases))))
 
 
 class TestAdmissibleState:
@@ -264,7 +264,7 @@ class TestAdmissibleState:
         spec = roots_of_unity_spec(d)
         theta = [0.1 * j**2 for j in range(d)]
         phi = admissible_state(spec, theta)
-        report = check_orbit(spec.drive(), phi, d)
+        report = check_orbit(drive(spec), phi, d)
         assert report.orthonormal
         assert report.max_deviation < 1e-12
 
@@ -272,13 +272,13 @@ class TestAdmissibleState:
         spec = roots_of_unity_spec(4, offset=0.7)
         for _ in range(10):
             theta = rng.uniform(0, TWO_PI, size=4)
-            report = check_orbit(spec.drive(), admissible_state(spec, tuple(theta)), 4)
+            report = check_orbit(drive(spec), admissible_state(spec, tuple(theta)), 4)
             assert report.max_deviation < 1e-12
 
     def test_degenerate_orbit_length_is_s(self):
         spec = EigenphaseSpec((0.0, 0.0, math.pi, math.pi))
         phi = admissible_state(spec, (0.0, 0.0, 0.0, 0.0))
-        report = check_orbit(spec.drive(), phi, 2)
+        report = check_orbit(drive(spec), phi, 2)
         assert report.orthonormal
 
     def test_infeasible_spec_raises(self):
