@@ -10,7 +10,9 @@ ancilla outcome only names the class found.  Default outcome m heralds
 parity -m mod d (phase) or m (shift).  ``ModuleConfig`` admits any other
 ancilla by ``solver.orbit_deviation`` alone, when its orbit under the step
 V = Z_d or X_d, read off V's eigenvalues without building V, is orthonormal;
-its outcome m finds it at V^m|prep>, so it heralds parity m.
+its outcome m finds it at V^m|prep>, so it heralds parity m.  The orbit test
+runs once per preparation: its verdict is kept in a bounded cache keyed by
+(d, coupling, amplitude bytes), while the cap is read on every construction.
 
 ``run_module`` reports every heralded branch (see ``_branches``).  The module
 heralds wt mod d, and the ancilla never needs to exist in memory: branch m is
@@ -149,6 +151,22 @@ def _fourier_readout(d: int) -> np.ndarray:
     return readout
 
 
+@lru_cache(maxsize=128)
+def _orbit_verdict(d: int, coupling: CouplingKind, amps: bytes) -> float:
+    """``orbit_deviation`` of the custom preparation whose complex128 amplitudes are the
+    bytes ``amps``, under the coupling's step: computed once per (d, coupling, bytes).
+
+    The key is the bytes themselves, so two preparations share a verdict only when every
+    bit agrees.  ``ModuleConfig`` runs its dimension, norm and cap checks before calling
+    this, on every construction; ``_check_matrix`` bounds d^2 by 2^cap, so the 128 keys
+    hold at most 128 * 16 d bytes, 2 MiB at the default cap.
+    """
+    prep = np.frombuffer(amps, dtype=complex)
+    # Z_d|k> = w^k|k> and X_d|u_k> = w^k|u_k>, where <u_k|prep> is the unitary inverse DFT.
+    phi = prep if coupling is CouplingKind.PHASE else np.fft.ifft(prep, norm="ortho")
+    return orbit_deviation(omega(d) ** np.arange(d), phi, d)
+
+
 @dataclass(frozen=True)
 class ModuleConfig:
     """One parity-module run: register size, ancilla dimension, coupling.
@@ -159,7 +177,11 @@ class ModuleConfig:
     (Z_d or X_d) is orthonormal; outcome m then heralds parity m.  A register
     that the statevector cap does not admit is refused here, before any state
     of its size exists, and so is a d-level ancilla longer than 2^cap levels,
-    or a custom one whose d^2 orbit products the cap does not admit.
+    or a custom one whose d^2 orbit products the cap does not admit.  These
+    checks, the dimension check and the norm check run on every construction,
+    with the cap read anew each time; only the orbit test's verdict is cached,
+    once per (d, coupling, amplitude bytes), by ``_orbit_verdict``, so a
+    preparation refused once is refused again with the same message.
     """
 
     n: int
@@ -184,9 +206,7 @@ class ModuleConfig:
                 raise ValueError(f"ancilla preparation has dimension {prep.dim}, expected {self.d}")
             require_normalized(prep, "ancilla preparation")
             _check_matrix(self.d, cap, f"a custom {self.d}-level ancilla's step")
-            # Z_d|k> = w^k|k> and X_d|u_k> = w^k|u_k>, where <u_k|prep> is the unitary inverse DFT.
-            phi = prep.amps if self.coupling is CouplingKind.PHASE else np.fft.ifft(prep.amps, norm="ortho")
-            dev = orbit_deviation(omega(self.d) ** np.arange(self.d), phi, self.d)
+            dev = _orbit_verdict(self.d, self.coupling, prep.amps.tobytes())
             if not dev <= ORBIT_ATOL:
                 raise ValueError(
                     f"ancilla preparation does not generate an orthonormal orbit "

@@ -400,14 +400,19 @@ def classify_symmetric(n: int, overlaps: np.ndarray) -> ClassificationResult:
 
     The caller guarantees that the state is symmetric: nothing here can see a
     non-symmetric part, so the residual counts only what the kept coefficients
-    miss inside the symmetric subspace.  The phase is fixed on the first overlap
-    above 1e-12 in magnitude, the coefficients are the real parts of the rotated
-    overlaps at least 1e-12 in magnitude, and the residual is the norm of what
-    they miss, imaginary parts included.  The family ladder is ``classify``'s, and
-    the product split runs on Dicke coefficients.
+    miss inside the symmetric subspace.  The phase is fixed where ``classify``
+    fixes it, on the overlap o_k of the lowest weight k whose per-string amplitude
+    |o_k| / sqrt(C(n, k)) is above 1e-12.  The coefficients are the real parts of
+    the rotated overlaps at least 1e-12 in magnitude, and the residual is the norm
+    of what they miss, imaginary parts included.  The family ladder is
+    ``classify``'s, and the product split runs on Dicke coefficients.
     """
     overlaps = np.array(overlaps, dtype=complex)
-    dec = _overlap_decomposition(overlaps, _phase_lead(overlaps))
+    # A weight-k string has amplitude o_k / sqrt(C(n, k)), and 2^k - 1, the first index of
+    # weight k, precedes every index of a higher weight: classify's lead is at the lowest
+    # weight whose strings are above the floor.
+    strings = np.abs(overlaps) / np.sqrt([math.comb(n, k) for k in range(n + 1)])
+    dec = _overlap_decomposition(overlaps, _phase_lead(np.where(strings > _PHASE_LEAD_FLOOR, overlaps, 0)))
     return _classified(dec, lambda: _symmetric_product_factorization(dec.overlaps))
 
 

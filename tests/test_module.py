@@ -539,6 +539,8 @@ class TestModuleConfig:
         g = np.random.default_rng(29)
         deviations = []
         orbit_deviation = module.orbit_deviation
+        # An earlier construction of a default prep would answer from the admission cache.
+        module._orbit_verdict.cache_clear()
 
         def recorded(*args):
             deviations.append(orbit_deviation(*args))
@@ -694,6 +696,75 @@ class TestExactProbabilities:
             assert all(r.probability_exact is not None for r in records), n
         minus = Ket(-plus_state(3).amps, (2,) * 3, normalized=True)
         assert all(r.probability_exact is None for r in run_module(minus, ModuleConfig(3, 3, coupling)))
+
+
+class TestAdmissionCache:
+    """``ModuleConfig`` runs the orbit test once per (d, coupling, amplitude bytes)."""
+
+    @pytest.fixture
+    def orbit_tests(self, monkeypatch):
+        """The arguments of every ``orbit_deviation`` call, from an empty admission cache."""
+        calls = []
+        orbit_deviation = module.orbit_deviation
+        monkeypatch.setattr(module, "orbit_deviation", lambda *args: calls.append(args) or orbit_deviation(*args))
+        module._orbit_verdict.cache_clear()
+        yield calls
+        module._orbit_verdict.cache_clear()
+
+    def test_one_orbit_test_per_distinct_preparation(self, orbit_tests):
+        # |u_1> is admitted under Z_3 and refused under X_3, of which it is an eigenvector;
+        # |1> the other way round.  A prep rebuilt from the same amplitudes shares the verdict.
+        preps = [fourier_ket(3, 1), basis_ket((3,), 1), fourier_ket(4, 1)]
+        keys = set()
+        for _ in range(3):
+            for prep, coupling in itertools.product(preps, CouplingKind):
+                rebuilt = Ket(prep.amps.copy(), prep.factor_dims)
+                for ancilla in (prep, rebuilt):
+                    try:
+                        ModuleConfig(2, prep.dim, coupling, ancilla)
+                    except ValueError as exc:
+                        assert "orthonormal orbit" in str(exc)
+                keys.add((prep.dim, coupling, prep.amps.tobytes()))
+        assert len(orbit_tests) == len(keys) == 6
+
+    @pytest.mark.parametrize("coupling", list(CouplingKind))
+    def test_prep_moved_by_one_ulp_is_tested_again(self, orbit_tests, coupling):
+        prep = default_ancilla(5, coupling, 2)
+        moved = prep.amps.copy()
+        moved.real[2] = np.nextafter(moved.real[2], 2.0)
+        ModuleConfig(3, 5, coupling, prep)
+        ModuleConfig(3, 5, coupling, Ket(moved, (5,)))
+        ModuleConfig(3, 5, coupling, prep)
+        assert len(orbit_tests) == 2
+
+    @pytest.mark.parametrize("coupling", list(CouplingKind))
+    def test_refused_prep_is_refused_on_every_construction(self, orbit_tests, coupling):
+        # An eigenvector of the step: |0> under Z_3, |u_0> under X_3.
+        prep = basis_ket((3,), 0) if coupling is CouplingKind.PHASE else fourier_ket(3, 0)
+        messages = []
+        for _ in range(3):
+            with pytest.raises(ValueError, match="does not generate an orthonormal orbit") as caught:
+                ModuleConfig(2, 3, coupling, prep)
+            messages.append(str(caught.value))
+        assert len(orbit_tests) == 1
+        assert messages == messages[:1] * 3 and "Gram deviation" in messages[0]
+
+    @pytest.mark.parametrize("coupling", list(CouplingKind))
+    def test_cap_is_read_on_every_construction(self, monkeypatch, orbit_tests, coupling):
+        # A 16-level step, 16 * 16^2 bytes, fits 8 qubits and not 7: an admitted prep is
+        # refused once the cap is lowered, and admitted again, untested, once it is raised.
+        prep = default_ancilla(16, coupling, 1)
+        monkeypatch.setenv("QPARITY_MAX_QUBITS", "8")
+        ModuleConfig(2, 16, coupling, prep)
+        monkeypatch.setenv("QPARITY_MAX_QUBITS", "7")
+        with pytest.raises(ResourceLimitError, match=r"limited to 2048 bytes \(7 qubits\); a custom 16-level ancilla's step"):
+            ModuleConfig(2, 16, coupling, prep)
+        monkeypatch.setenv("QPARITY_MAX_QUBITS", "8")
+        ModuleConfig(2, 16, coupling, prep)
+        assert len(orbit_tests) == 1
+
+    def test_cache_is_bounded(self):
+        assert module._orbit_verdict.cache_info().maxsize == 128
 
 
 class TestCustomAncillaPrep:
@@ -1570,6 +1641,8 @@ class TestResourceEnvelope:
         admitted = Ket(p if coupling is CouplingKind.PHASE else np.fft.fft(p, norm="ortho"), (d,))
         # An eigenvector of the step: its orbit repeats one vector.
         refused = basis_ket((d,), 0) if coupling is CouplingKind.PHASE else fourier_ket(d, 0)
+        # Measure the orbit tests themselves, not verdicts an earlier test left in the cache.
+        module._orbit_verdict.cache_clear()
         tracemalloc.start()
         try:
             ModuleConfig(2, d, coupling, admitted)

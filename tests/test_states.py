@@ -540,6 +540,15 @@ class TestClassifySymmetric:
     @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=12), st.sampled_from(KINDS))
     @settings(max_examples=150, deadline=None)
     def test_agrees_with_classify(self, seed, n, kind):
+        self.assert_agrees(seed, n, kind)
+
+    def test_phase_lead_is_the_first_string_above_the_floor(self):
+        # This product's weight-1 overlap, 1.12e-12, is above the floor while each of its
+        # strings, 3.7e-13, is not: both sides must rotate by the weight-2 phase, the first
+        # amplitude classify finds, or the real parts they keep differ (|c_9| 0.981 against 0.154).
+        self.assert_agrees(5083, 9, "product")
+
+    def assert_agrees(self, seed, n, kind):
         # The overlaps are summed from the phased amplitudes, so the phase fix is exercised.
         g_rng = np.random.default_rng(seed)
         state = symmetric_state(g_rng, n if kind in self.KINDS[:4] else max(n, 2), kind)

@@ -3,14 +3,26 @@ failure diagnostics work; each corruption of the projector generators fails
 the check that names it, and the laws stated on generators fail what the
 dense 2^n x 2^n products of their views fail."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from conftest import assert_checks, generator_views
-from qparity import verify
+from qparity import states, verify
 from qparity.linalg import hadamard, tensor
 from qparity.module import CouplingKind, ProjectorSet, ResourceLimitError, build_projectors, projector_dim
-from qparity.verify import PROJECTOR_ATOL, SUITES, Check, run_suite, suite_projectors
+from qparity.verify import (
+    BRANCH_RATIOS,
+    PROJECTOR_ATOL,
+    SUITES,
+    Check,
+    gnk_branch_failures,
+    run_suite,
+    suite_examples,
+    suite_probabilities,
+    suite_projectors,
+)
 
 
 @pytest.mark.parametrize("name", sorted(SUITES))
@@ -159,3 +171,50 @@ def test_sign_matrix_is_refused_by_its_bytes(monkeypatch):
 def test_sign_matrix_has_the_signs_of_the_hadamard_product():
     for n in range(1, 7):
         assert np.array_equal(verify._sign_matrix(n), np.sign(tensor([hadamard()] * n).entries.real))
+
+
+def classified(monkeypatch, relabel=lambda cls: cls):
+    """The states handed to ``states.classify`` from now on; ``relabel`` edits each verdict."""
+    calls = []
+    classify = states.classify
+    monkeypatch.setattr(states, "classify", lambda state: calls.append(state) or relabel(classify(state)))
+    return calls
+
+
+def test_probabilities_classify_only_the_two_w_branches(monkeypatch):
+    calls = classified(monkeypatch)
+    assert_checks(suite_probabilities())
+    # Parities 1 and n - 1 of each run at n = 3 .. 12, and nothing at n = 2.
+    assert len(calls) == 2 * (verify._PROBABILITIES_MAX_N - 2)
+
+
+@pytest.mark.parametrize("n,k", [(5, 1), (8, 2), (9, 3), (10, 4)])
+def test_gnk_check_classifies_one_branch_a_run(monkeypatch, n, k):
+    calls = classified(monkeypatch)
+    assert gnk_branch_failures(n, k) == []
+    assert len(calls) == 1
+
+
+def test_examples_classify_every_branch_only_where_every_branch_is_read(monkeypatch):
+    calls = classified(monkeypatch)
+    assert_checks(suite_examples())
+    # Every branch of the closed-form and anchor runs; one branch of each G_n and G(n,k) run.
+    anchors = [(3, 3), (4, 3), (5, 4)]
+    every = sum(d for _, d in [*BRANCH_RATIOS, *anchors])
+    gn, gnk = len(range(5, 10)), sum((n - 2) // 2 for n in range(5, 11))
+    assert len(calls) == every + gn + gnk
+
+
+def test_mislabelled_parity_one_branch_fails_the_w_probability(monkeypatch):
+    # The W labels are read from classify itself, not from records classified in the run.
+    def relabel(cls):
+        if cls.family is states.Family.W and not cls.up_to_bitflip:
+            return dataclasses.replace(cls, family=states.Family.OTHER)
+        return cls
+
+    classified(monkeypatch, relabel)
+    checks = {c.name: c for c in suite_probabilities()}
+    w_rate = checks["aggregated W probability is n*2^(1-n)"]
+    assert not w_rate.passed
+    assert w_rate.failures == [f"(n={n},k=1) is Other" for n in range(3, verify._PROBABILITIES_MAX_N + 1)]
+    assert all(c.passed for name, c in checks.items() if c is not w_rate)
